@@ -8,7 +8,7 @@ import argparse
 import os
 import sys
 
-from msum.campaign import list_claims, run_claim
+from msum.campaign import default_jobs, list_claims, run_claim
 
 FULL_SCALE = {
     "theorem1": {"e_max": 1000},
@@ -31,7 +31,7 @@ FULL_SCALE = {
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    parser.add_argument("--jobs", type=int, default=default_jobs())
     parser.add_argument("--store", default=os.environ.get("MSUM_STORE"))
     parser.add_argument("--claims", nargs="*", default=None,
                         help="subset of claim ids (default: all)")

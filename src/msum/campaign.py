@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import multiprocessing as mp
+import os
 import time
 from math import gcd
 from typing import Any, Callable
@@ -31,6 +32,7 @@ from .towers import (
 
 __all__ = [
     "run_claim",
+    "default_jobs",
     "list_claims",
     "theorem1_tightness_scan",
     "EXAMPLE16",
@@ -471,6 +473,14 @@ def claim_defaults(claim_id: str) -> dict[str, Any]:
     if claim_id not in _CLAIMS:
         raise UnknownClaim(claim_id)
     return dict(_CLAIMS[claim_id][1])
+
+
+def default_jobs() -> int:
+    """Worker count for a sweep when none is given: the CPUs this process may
+    run on (its affinity mask), or the machine's count where that is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_claim(claim_id: str, params: dict[str, Any] | None = None,

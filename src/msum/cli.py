@@ -142,7 +142,8 @@ def cmd_table(e_min: int, e_max: int, q_min: int, q_max: int | None,
 @click.option("--r", type=int, default=None)
 @click.option("--n", "ns", type=int, multiple=True,
               help="Restrict list-driven claims to these n (repeatable).")
-@click.option("--jobs", type=int, default=None, help="Default: logical cores.")
+@click.option("--jobs", type=int, default=None,
+              help="Default: the CPUs this process may run on.")
 @click.option("--store", "store_flag", type=click.Path(), default=None)
 @click.option("--report", "report_path", type=click.Path(), default=None,
               help="Default: ./reports/<claim_id>.json")
@@ -165,7 +166,7 @@ def cmd_verify(claim_id: str, e_max, e_min, p_max, q_max, k_cap, k_max, n_max, r
     try:
         report = campaign.run_claim(
             claim_id, params,
-            jobs=jobs if jobs is not None else (os.cpu_count() or 1),
+            jobs=jobs if jobs is not None else campaign.default_jobs(),
             store=_store_path(store_flag),
         )
     except NotFoundWithinCap as exc:

@@ -10,9 +10,11 @@ Two extra routes exist:
   - a subgroup-keyed value cache, because m depends only on the generated
     subgroup, which collapses sweeps over q;
   - a sparse orbit engine for prime-power moduli far beyond bitmask range
-    (up to 2^40), exploiting that the reachable sets are closed under
-    multiplication by the generator, so only one canonical representative
-    per orbit is stored, and meet-in-the-middle over half-length sums.
+    (up to 2^40): reachable sets are closed under multiplication by the
+    generator, so one canonical representative per orbit is stored, each
+    level is built from a sliced base x powers grid, and meet-in-the-middle
+    over half-length sums searches t < r (r the smallest prime divisor of
+    the order); m = r is returned only with a verified order-r witness.
 """
 from __future__ import annotations
 
@@ -60,6 +62,7 @@ DENSE_LIMIT = 1 << 22  # largest modulus handled by the bitmask BFS
 SPARSE_LIMIT = 1 << 40  # largest modulus handled by the orbit engine
 
 _MUL_SPLIT = 19  # limb split for overflow-free int64 mulmod (needs modulus < 2^40)
+_SLICE_CELLS = 1 << 20  # grid cells per slice of an orbit level build (bounds peak memory)
 
 
 @dataclass(frozen=True)
@@ -212,6 +215,8 @@ def grow_level_sets(sub: UnitSubgroup) -> LevelSets:
 # sparse orbit engine (prime-power moduli beyond bitmask range)
 
 def _mulmod_vec(x: np.ndarray, c: int, p_mod: int) -> np.ndarray:
+    if p_mod < 1 << 31:  # x * c < 2^62 fits int64 as is
+        return x * c % p_mod
     c_hi, c_lo = divmod(c, 1 << _MUL_SPLIT)
     return (((x * c_hi % p_mod) << _MUL_SPLIT) + x * c_lo) % p_mod
 
@@ -219,18 +224,23 @@ def _mulmod_vec(x: np.ndarray, c: int, p_mod: int) -> np.ndarray:
 def _m_orbit(p_mod: int, q: int, n: int, t_cap: int, want_witness: bool):
     """Minimal t with a vanishing t-sum over the orbit {q^i mod p_mod}.
 
-    Requires ord(q) = n >= 2 and p_mod < 2^40. The reachable sets of exact
-    s-sums are orbit-closed, so each is stored as sorted canonical (orbit-
-    minimum) representatives; 0 in f_t is detected as a collision between
-    representatives of f_s1 and -f_s2 with s1 + s2 = t.
+    Requires ord(q) = n >= 2 and p_mod < 2^40. Reachable sets of exact s-sums
+    are orbit-closed, so each is stored as sorted orbit-minimum representatives.
+    Level s + 1 is the canonical image of the grid level(s) x powers, built in
+    slices of about _SLICE_CELLS cells and merged by one np.unique. 0 in f_t is
+    a collision between representatives of f_s1 and -f_s2, s1 + s2 = t.
+
+    Closed stop: when r = t_cap divides n and h = q^(n/r) has h - 1 a unit,
+    the order-r subgroup {h^j} sums to (h^r - 1)/(h - 1) = 0, so m <= r. Then
+    only t < r is searched; if none vanishes, r is returned with that subgroup
+    as witness once its sum is checked. Otherwise t runs up to t_cap.
     """
     if p_mod >= SPARSE_LIMIT:
         raise ModulusTooLarge(f"modulus {p_mod} beyond orbit engine range (2^40)")
-    powers = [1]
-    for _ in range(n - 1):
-        powers.append(powers[-1] * q % p_mod)
-    exp_of = {v: i for i, v in enumerate(powers)}
+    powers = [pow(q, i, p_mod) for i in range(n)]
     pw = np.array(powers, dtype=np.int64)
+    step = n // t_cap
+    closed = n % t_cap == 0 and gcd(pow(q, step, p_mod) - 1, p_mod) == 1
 
     def orbit_min(x: np.ndarray) -> np.ndarray:
         best = x.copy()
@@ -240,30 +250,17 @@ def _m_orbit(p_mod: int, q: int, n: int, t_cap: int, want_witness: bool):
             np.minimum(best, cur, out=best)
         return best
 
-    def orbit_min_scalar(z: int) -> int:
-        best = z
-        cur = z
-        for _ in range(n - 1):
-            cur = cur * q % p_mod
-            if cur < best:
-                best = cur
-        return best
-
-    reps: dict[int, np.ndarray] = {
-        0: np.array([0], dtype=np.int64),
-        1: np.unique(orbit_min(pw)),
-    }
-    negs: dict[int, np.ndarray] = {}
+    # level 1 is the orbit of 1, whose minimum is 1; -0 = 0
+    reps = [np.array([0], dtype=np.int64), np.array([1], dtype=np.int64)]
+    negs = {0: reps[0]}
+    rows = max(1, _SLICE_CELLS // n)
 
     def level(s: int) -> np.ndarray:
-        while max(reps) < s:
-            top = max(reps)
-            base = reps[top]
-            acc = None
-            for power in powers:
-                cand = np.unique(orbit_min((base + power) % p_mod))
-                acc = cand if acc is None else np.union1d(acc, cand)
-            reps[top + 1] = acc
+        while len(reps) <= s:
+            base = reps[-1]
+            parts = [np.unique(orbit_min((base[i:i + rows, None] + pw) % p_mod))
+                     for i in range(0, base.size, rows)]
+            reps.append(np.unique(np.concatenate(parts)))
         return reps[s]
 
     def neg_level(s: int) -> np.ndarray:
@@ -276,19 +273,21 @@ def _m_orbit(p_mod: int, q: int, n: int, t_cap: int, want_witness: bool):
         i = int(np.searchsorted(arr, z))
         return i < arr.size and int(arr[i]) == z
 
-    hit = None
-    for t in range(1, t_cap + 1):
+    for t in range(1, t_cap if closed else t_cap + 1):
         s1 = (t + 1) // 2
         common = np.intersect1d(level(s1), neg_level(t - s1), assume_unique=True)
         if common.size:
-            hit = (t, s1, int(common[0]))
             break
-    if hit is None:
-        raise MsumError(
-            f"orbit engine found no vanishing sum of length <= {t_cap} "
-            f"(mod {p_mod}, order {n}); bound violated or bad inputs"
-        )
-    t, s1, c = hit
+    else:
+        if not closed:
+            raise MsumError(
+                f"orbit engine found no vanishing sum of length <= {t_cap} "
+                f"(mod {p_mod}, order {n}); bound violated or bad inputs"
+            )
+        witness = tuple(range(0, n, step))
+        if sum(pow(q, a, p_mod) for a in witness) % p_mod:
+            raise MsumError(f"order-{t_cap} subgroup sum mod {p_mod} does not vanish")
+        return t_cap, (witness if want_witness else None)
     if not want_witness:
         return t, None
 
@@ -297,15 +296,16 @@ def _m_orbit(p_mod: int, q: int, n: int, t_cap: int, want_witness: bool):
         for lvl in range(s, 1, -1):
             for l, power in enumerate(powers):
                 z2 = (z - power) % p_mod
-                if contains(lvl - 1, orbit_min_scalar(z2)):
+                if contains(lvl - 1, min(z2 * w % p_mod for w in powers)):
                     exps.append(l)
                     z = z2
                     break
             else:
                 raise MsumError("orbit witness backtrack failed (engine bug)")
-        exps.append(exp_of[z])
+        exps.append(powers.index(z))
         return exps
 
+    c = int(common[0])
     witness = realize(c, s1)
     if t - s1:
         witness += realize((p_mod - c) % p_mod, t - s1)

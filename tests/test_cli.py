@@ -1,8 +1,10 @@
 import json
+import os
 from pathlib import Path
 
 from click.testing import CliRunner
 
+from msum import campaign
 from msum.cli import main
 from msum.store import ResultStore
 
@@ -111,6 +113,24 @@ def test_verify_custom_report_path(tmp_path):
               "--report", str(report))
     assert res.exit_code == 0
     assert json.loads(report.read_text())["ok"] is True
+
+
+def test_verify_jobs_default_is_affinity(tmp_path, monkeypatch):
+    seen = []
+    real = campaign.run_claim
+
+    def spy(claim_id, params, jobs, store):
+        seen.append(jobs)
+        return real(claim_id, params, jobs=1, store=store)
+
+    monkeypatch.setattr(campaign, "run_claim", spy)
+    monkeypatch.setattr(os, "cpu_count", lambda: 7)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    args = ("verify", "lemma3", "--e-max", "12", "--report", str(tmp_path / "r.json"))
+    assert run(*args).exit_code == 0
+    monkeypatch.delattr(os, "sched_getaffinity")  # platforms without it
+    assert run(*args).exit_code == 0
+    assert seen == [3, 7]
 
 
 def test_verify_unknown_claim_usage_error():

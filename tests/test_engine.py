@@ -1,3 +1,4 @@
+import random
 from math import gcd
 
 import pytest
@@ -19,8 +20,17 @@ from msum.engine import (
     two_power_m,
     verify_witness,
 )
-from msum.errors import DomainError, ModulusTooLarge, NotCoprime
-from msum.modular import MResult, element_of_order, instance, unit_subgroup
+from msum.errors import DomainError, ModulusTooLarge, MsumError, NotCoprime
+from msum.modular import (
+    MResult,
+    element_of_order,
+    factorize,
+    instance,
+    is_prime,
+    mul_order,
+    smallest_prime_divisor,
+    unit_subgroup,
+)
 
 coprime_pairs = st.integers(2, 250).flatmap(
     lambda e: st.tuples(
@@ -253,3 +263,62 @@ def test_m_prime_power_dense_and_witness():
     assert mv == 5 and verify_witness(9, 121, wit)
     mv, _ = m_prime_power(12, 11, 2)
     assert mv == 11  # 12 = 1 (mod 11), gcd(121, 11) = 11
+
+
+def _orbit_cases():
+    """(p, k, q, n) with 2 <= n = ord(q) prime to p: every q for p^k <= 300;
+    for a sample of 300 < p^k <= 10^5, two generators of each order n <= 120
+    (the engine's cost per stored orbit grows like n^2), with the composite
+    orders 25, 35 and 119 one level up."""
+    for p in range(3, 300, 2):
+        for k in range(1, 6):
+            if is_prime(p) and p**k <= 300:
+                for q in range(2, p**k):
+                    n = mul_order(q, p**k) if q % p else 1
+                    if n >= 2 and n % p:
+                        yield p, k, q, n
+    sample = random.Random(7).sample(
+        [(p, k) for p in range(3, 10**5, 2) if is_prime(p)
+         for k in range(1, 4) if 300 < p**k <= 10**5], 40)
+    for p, k in sample + [(101, 2), (71, 2), (239, 2)]:
+        orders = {1}
+        for r, a in factorize(p - 1):
+            orders |= {d * r**i for d in orders for i in range(1, a + 1)}
+        for n in sorted(orders - {1}):
+            if n <= 120:
+                q = element_of_order(p, k, n)
+                for g in {q, pow(q, n - 1, p**k)}:
+                    yield p, k, g, n
+
+
+def test_orbit_engine_at_real_cap_matches_dense_and_oracle():
+    oracle = {}  # the units mod p^k are cyclic: the order fixes the subgroup
+    branches, orders = set(), set()
+    for p, k, q, n in _orbit_cases():
+        e = p**k
+        r = smallest_prime_divisor(n)
+        mv, wit = engine._m_orbit(e, q, n, r, want_witness=True)
+        assert mv == m_value(q, e), (p, k, q)
+        if e <= 300:
+            if (e, n) not in oracle:
+                oracle[e, n] = naive_m_oracle(q, e)
+            assert mv == oracle[e, n], (p, k, q)
+        assert verify_witness(q, e, MResult(mv, wit)), (p, k, q, wit)
+        branches.add(mv == r)
+        orders.add(n)
+    assert branches == {False, True}
+    assert {25, 35, 119} <= orders
+
+
+def test_orbit_closed_stop():
+    q17, q119 = element_of_order(239, 4, 17), element_of_order(239, 4, 119)
+    assert m_prime_power(q17, 239, 4, want_witness=True) == (17, tuple(range(17)))
+    # r = 7: the order-7 subgroup <q^17>
+    assert m_prime_power(q119, 239, 4, want_witness=True) == (7, tuple(range(0, 119, 17)))
+    # t_cap = 18 does not divide n = 17: no closed stop, the search reaches 17
+    mv, wit = engine._m_orbit(239**4, q17, 17, 18, want_witness=True)
+    assert mv == 17 and verify_witness(q17, 239**4, MResult(mv, wit))
+    with pytest.raises(MsumError):  # nor does 16, and no t <= 16 vanishes
+        engine._m_orbit(239**4, q17, 17, 16, want_witness=False)
+    # q = 6 has order 5 mod 25 but 6 - 1 is no unit: no closed stop, search to 5
+    assert engine._m_orbit(25, 6, 5, 5, want_witness=False) == (5, None)
