@@ -13,10 +13,8 @@ from .classify import (
     conjecture4_check,
     lemma3_applies,
     star_params,
-    verify_corollary8,
-    verify_prop2,
 )
-from .campaign import list_claims, run_claim, theorem1_tightness_scan
+from .campaign import list_claims, run_claim
 from .cyclo import (
     ExceptionSet,
     IntPolynomial,
@@ -34,7 +32,6 @@ from .engine import (
     grow_level_sets,
     is_m_two,
     m,
-    m_of_subgroup,
     m_table_for_modulus,
     m_value,
     naive_m_oracle,

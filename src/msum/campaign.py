@@ -1,10 +1,17 @@
-"""Verification campaigns: one runnable, shardable sweep per claim.
+"""Verification campaigns: one runnable claim per published statement.
 
-Sharding is by modulus e (a shard owns every q for its e), so the subgroup
-cache never needs to cross worker boundaries. Reports merge in input order,
-which makes them identical regardless of worker count. The expected tables
-embedded below are claims under test, not trusted data: every sweep recomputes
-them with the engine.
+The per-modulus claims (theorem1, divisibility, lemma3, two_power,
+conjecture4, corollary8, prop2, oracle) and the tower rows of example16 and
+example17 all run through one sweep: each claim supplies a check of one
+shard (a modulus, or a tower row), its shards and domain, and how its
+tallies become equality cases and extras; the sweep shards, sums and
+flattens. A shard owns every q of its modulus, so the subgroup cache never
+needs to cross worker boundaries; each pool task returns its cache fills
+(engine.cache_rows) for the store. Reports merge in input order, which makes
+them identical regardless of worker count. A run that makes no checks is a
+DomainError, never a vacuous pass. The expected tables embedded below are
+claims under test, not trusted data: every sweep recomputes them with the
+engine.
 """
 from __future__ import annotations
 
@@ -12,13 +19,14 @@ import functools
 import multiprocessing as mp
 import os
 import time
+from dataclasses import dataclass
 from math import gcd
 from typing import Any, Callable
 
 from . import engine
 from .classify import conjecture4_k_min, corollary8_modulus, prop2_modulus
 from .cyclo import corollary13_exceptions, threshold
-from .errors import UnknownClaim
+from .errors import DomainError, UnknownClaim
 from .modular import factorize, is_prime, rad, smallest_prime_divisor
 from .report import VerificationReport
 from .store import ResultStore
@@ -34,7 +42,6 @@ __all__ = [
     "run_claim",
     "default_jobs",
     "list_claims",
-    "theorem1_tightness_scan",
     "EXAMPLE16",
     "EXAMPLE17_PAIRS",
     "EXAMPLE17_SEQUENCES",
@@ -104,115 +111,169 @@ EXAMPLE17_SEQUENCES = {
 # ---------------------------------------------------------------------------
 # parallel plumbing
 
-def _with_journal(fn, arg):
-    engine.journal_start()
-    out = fn(arg)
-    return out, engine.journal_drain()
+def _run_chunk(fn: Callable, chunk: list) -> tuple[list, list]:
+    start = engine.cache_size()
+    return [fn(a) for a in chunk], engine.cache_rows(start)
 
 
 def _map_shards(fn: Callable, args: list, jobs: int) -> tuple[list, list]:
-    """Apply fn to each shard argument, in order; returns (payloads, cache rows)."""
-    wrapped = functools.partial(_with_journal, fn)
+    """Apply fn to each shard argument, in order; returns (payloads, cache rows
+    filled by pool workers). Each pool task runs one chunk of arguments and
+    reads its cache fills once. The serial path returns no rows: its fills
+    stay in this process's cache, where run_claim reads them."""
     if jobs <= 1 or len(args) <= 1:
-        results = [wrapped(a) for a in args]
-    else:
-        ctx = mp.get_context("fork")
-        chunk = max(1, len(args) // (jobs * 8))
-        with ctx.Pool(jobs) as pool:
-            results = list(pool.imap(wrapped, args, chunksize=chunk))
-    payloads = [r[0] for r in results]
-    rows: list = []
-    for r in results:
-        rows.extend(r[1])
-    return payloads, rows
+        return [fn(a) for a in args], []
+    size = max(1, len(args) // (jobs * 8))
+    chunks = [args[i:i + size] for i in range(0, len(args), size)]
+    with mp.get_context("fork").Pool(jobs) as pool:
+        results = list(pool.imap(functools.partial(_run_chunk, fn), chunks))
+    return ([out for outs, _ in results for out in outs],
+            [row for _, rows in results for row in rows])
 
 
 # ---------------------------------------------------------------------------
-# per-shard workers (module level so they fork cleanly)
+# per-modulus claims: one sweep, and a check per claim
 
-def _theorem1_worker(e: int):
+@dataclass(frozen=True)
+class _Sweep:
+    """A claim checked one shard at a time (a modulus, or a tower row).
+
+    plan(params) -> (domain, shards). check(shard, params) -> (checks,
+    violations, tally) runs on every shard, in pool workers when jobs > 1 (so
+    it is a module-level function). finish(checks, tallies) turns the tallies,
+    in shard order, into (equality_cases, extras); without it there are none.
+    Called as a claim runner.
+    """
+
+    check: Callable
+    plan: Callable[[dict], tuple[str, range | list]]
+    finish: Callable[[int, list], tuple] | None = None
+
+    def __call__(self, params: dict, jobs: int):
+        domain, shards = self.plan(params)
+        check = functools.partial(self.check, params=params)
+        payloads, rows = _map_shards(check, list(shards), jobs)
+        checks = sum(p[0] for p in payloads)
+        violations = [v for p in payloads for v in p[1]]
+        tallies = [p[2] for p in payloads]
+        equality, extras = self.finish(checks, tallies) if self.finish else (None, {})
+        return domain, checks, violations, equality, extras, rows
+
+
+def _upto(first: int, prefix: str) -> Callable[[dict], tuple[str, range]]:
+    """The plan of moduli first..e_max, over the domain "<prefix>e <= e_max"."""
+    return lambda params: (f"{prefix}e <= {params['e_max']}", range(first, params["e_max"] + 1))
+
+
+def _theorem1_check(e: int, params: dict):
+    """m <= ceil(e/n); the pairs 1 < q < e at equality are the tally. The sharp
+    family e = 2(q-1), q odd (so e = 0 mod 4), must be among them."""
     table = engine.m_table_for_modulus(e)
-    checks = 0
     violations = []
     equality = []
     for q in sorted(table):
         mv, n = table[q]
-        checks += 1
         bound = -(-e // n)
         if mv > bound:
             violations.append({"q": q, "e": e, "m": mv, "bound": bound})
-        if mv == bound and 1 < q < e:
+        if mv == bound and q > 1:
             equality.append((q, e))
-    return checks, violations, equality
+    if e % 4 == 0 and (e // 2 + 1, e) not in equality:
+        violations.append({"q": e // 2 + 1, "e": e, "kind": "example7_family_missing"})
+    return len(table), violations, equality
 
 
-def _divisibility_worker(e: int):
+def _divisibility_check(e: int, params: dict):
     table = engine.m_table_for_modulus(e)
-    checks = 0
     violations = []
     m_eq_e1 = 0
     for q in sorted(table):
-        mv, _ = table[q]
-        checks += 1
+        mv = table[q][0]
         e1 = gcd(e, q - 1)
         if mv % e1:
             violations.append({"q": q, "e": e, "m": mv, "e1": e1})
         if mv == e1:
             m_eq_e1 += 1
-    return checks, violations, m_eq_e1
+    return len(table), violations, m_eq_e1
 
 
-def _lemma3_worker(e: int):
+def _e1_share(checks: int, tallies: list):
+    hits = sum(tallies)
+    return None, {"m_equals_e1": hits, "m_equals_e1_fraction": round(hits / max(checks, 1), 4)}
+
+
+def _lemma3_check(e: int, params: dict):
     table = engine.m_table_for_modulus(e)
-    checks = 0
+    qs = [q for q in sorted(table) if q > 1]
     violations = []
     applicable = 0
-    for q in range(2, e):
-        got = table.get(q)
-        if got is None:
-            continue
-        checks += 1
+    for q in qs:
+        mv = table[q][0]
         e1 = gcd(e, q - 1)
         if e < e1 * e1 + 2 * e1:
             applicable += 1
-            if got[0] != e1:
-                violations.append({"q": q, "e": e, "m": got[0], "e1": e1})
-    return checks, violations, applicable
+            if mv != e1:
+                violations.append({"q": q, "e": e, "m": mv, "e1": e1})
+    return len(qs), violations, applicable
 
 
-def _conjecture4_worker(e: int):
+def _conjecture4_check(e: int, params: dict):
     table = engine.m_table_for_modulus(e)
-    checks = 0
+    qs = [q for q in sorted(table) if q > 1]
     violations = []
-    for q in range(2, e):
-        got = table.get(q)
-        if got is None:
-            continue
-        checks += 1
+    for q in qs:
+        mv = table[q][0]
         e1 = gcd(e, q - 1)
         k = conjecture4_k_min(e, e1)
-        if got[0] > k * e1:
-            violations.append({"q": q, "e": e, "m": got[0], "k_min": k, "e1": e1})
-    return checks, violations
+        if mv > k * e1:
+            violations.append({"q": q, "e": e, "m": mv, "k_min": k, "e1": e1})
+    return len(qs), violations, None
 
 
-def _prop2_worker(e: int, r: int):
-    return prop2_modulus(e, r)
+def _corollary8_check(e: int, params: dict):
+    return (*corollary8_modulus(e), None)
 
 
-def _oracle_worker(e: int):
+def _prop2_check(e: int, params: dict):
+    return (*prop2_modulus(e, params["r"]), None)
+
+
+def _prop2_plan(params: dict) -> tuple[str, range]:
+    r, e_min, e_max = params["r"], params["e_min"], params["e_max"]
+    if r < 2:
+        raise DomainError("prop2 needs r >= 2")
+    return f"r={r}, {e_min} < e <= {e_max}", range(max(e_min + 1, 3), e_max + 1)
+
+
+def _two_power_plan(params: dict) -> tuple[str, list]:
+    k_max = params["k_max"]
+    return f"odd q < 2^k, k <= {k_max}", [1 << k for k in range(1, k_max + 1)]
+
+
+def _two_power_check(e: int, params: dict):
+    k = e.bit_length() - 1
     table = engine.m_table_for_modulus(e)
-    checks = 0
     violations = []
     for q in sorted(table):
-        checks += 1
+        mv = table[q][0]
+        formula = engine.two_power_m(q, k)
+        if formula != mv:
+            violations.append({"q": q, "k": k, "formula": formula, "bfs": mv})
+    return len(table), violations, None
+
+
+def _oracle_check(e: int, params: dict):
+    table = engine.m_table_for_modulus(e)
+    violations = []
+    for q in sorted(table):
+        mv = table[q][0]
         expected = engine.naive_m_oracle(q, e)
-        if table[q][0] != expected:
-            violations.append({"q": q, "e": e, "engine": table[q][0], "oracle": expected})
-    return checks, violations
+        if mv != expected:
+            violations.append({"q": q, "e": e, "engine": mv, "oracle": expected})
+    return len(table), violations, None
 
 
-def _example16_worker(item):
+def _tower_check(item, params: dict):
     (p, n), expected = item
     report = tower_sequence(p, n, len(expected))
     got = report.m_sequence
@@ -222,83 +283,19 @@ def _example16_worker(item):
     return 1, violations, report.decreases
 
 
+def _tower_decreases(checks: int, tallies: list):
+    decreases = [k for ks in tallies for k in ks]
+    return None, ({"tower_decreases": decreases} if decreases else {})
+
+
+def _example16_plan(params: dict) -> tuple[str, list]:
+    ns = sorted(set(params["ns"]))
+    return (f"order-n towers, n in {ns}",
+            sorted((pn, seq) for pn, seq in EXAMPLE16.items() if pn[1] in ns))
+
+
 # ---------------------------------------------------------------------------
-# claim runners: (params, jobs) -> (domain, checks, violations, equality, extras, rows)
-
-def _run_theorem1(params, jobs):
-    e_max = params["e_max"]
-    payloads, rows = _map_shards(_theorem1_worker, list(range(1, e_max + 1)), jobs)
-    checks = sum(p[0] for p in payloads)
-    violations = [v for p in payloads for v in p[1]]
-    equality = [pair for p in payloads for pair in p[2]]
-    eq_set = set(equality)
-    q = 3
-    while 2 * (q - 1) <= e_max:
-        if 2 * (q - 1) >= 3 and (q, 2 * (q - 1)) not in eq_set:
-            violations.append({"q": q, "e": 2 * (q - 1), "kind": "example7_family_missing"})
-        q += 2
-    equality.sort(key=lambda t: (t[1], t[0]))
-    return (f"coprime pairs, e <= {e_max}", checks, violations, equality, {}, rows)
-
-
-def _run_divisibility(params, jobs):
-    e_max = params["e_max"]
-    payloads, rows = _map_shards(_divisibility_worker, list(range(1, e_max + 1)), jobs)
-    checks = sum(p[0] for p in payloads)
-    violations = [v for p in payloads for v in p[1]]
-    m_eq_e1 = sum(p[2] for p in payloads)
-    extras = {"m_equals_e1": m_eq_e1, "m_equals_e1_fraction": round(m_eq_e1 / max(checks, 1), 4)}
-    return (f"coprime pairs, e <= {e_max}", checks, violations, None, extras, rows)
-
-
-def _run_lemma3(params, jobs):
-    e_max = params["e_max"]
-    payloads, rows = _map_shards(_lemma3_worker, list(range(3, e_max + 1)), jobs)
-    checks = sum(p[0] for p in payloads)
-    violations = [v for p in payloads for v in p[1]]
-    extras = {"applicable_pairs": sum(p[2] for p in payloads)}
-    return (f"1 < q < e <= {e_max}", checks, violations, None, extras, rows)
-
-
-def _run_conjecture4(params, jobs):
-    e_max = params["e_max"]
-    payloads, rows = _map_shards(_conjecture4_worker, list(range(3, e_max + 1)), jobs)
-    checks = sum(p[0] for p in payloads)
-    violations = [v for p in payloads for v in p[1]]
-    return (f"1 < q < e <= {e_max}", checks, violations, None, {}, rows)
-
-
-def _run_corollary8(params, jobs):
-    e_max = params["e_max"]
-    payloads, rows = _map_shards(corollary8_modulus, list(range(3, e_max + 1)), jobs)
-    checks = sum(p[0] for p in payloads)
-    violations = [v for p in payloads for v in p[1]]
-    return (f"1 < q < e-1, e <= {e_max}", checks, violations, None, {}, rows)
-
-
-def _run_prop2(params, jobs):
-    r, e_min, e_max = params["r"], params["e_min"], params["e_max"]
-    worker = functools.partial(_prop2_worker, r=r)
-    payloads, rows = _map_shards(worker, list(range(max(e_min + 1, 3), e_max + 1)), jobs)
-    checks = sum(p[0] for p in payloads)
-    violations = [v for p in payloads for v in p[1]]
-    return (f"r={r}, {e_min} < e <= {e_max}", checks, violations, None, {}, rows)
-
-
-def _run_two_power(params, jobs):
-    k_max = params["k_max"]
-    checks = 0
-    violations = []
-    for k in range(1, k_max + 1):
-        e = 1 << k
-        table = engine.m_table_for_modulus(e)
-        for q in sorted(table):
-            checks += 1
-            formula = engine.two_power_m(q, k)
-            if formula != table[q][0]:
-                violations.append({"q": q, "k": k, "formula": formula, "bfs": table[q][0]})
-    return (f"odd q < 2^k, k <= {k_max}", checks, violations, None, {}, [])
-
+# other claim runners: (params, jobs) -> (domain, checks, violations, equality, extras, rows)
 
 def _run_prop9(params, jobs):
     p_max, q_max, pk_cap = params["p_max"], params["q_max"], params["pk_cap"]
@@ -324,61 +321,21 @@ def _run_prop9(params, jobs):
     )
 
 
-def _table_claim(rows_fn, exceptions, default_m, domain):
-    rows = rows_fn()
-    checks = 0
-    violations = []
-    seen_exceptions = set()
-    for p, k, mv in rows:
-        checks += 1
-        expected = exceptions.get((p, k), default_m)
-        if (p, k) in exceptions:
-            seen_exceptions.add((p, k))
-        if mv != expected:
-            violations.append({"p": p, "k": k, "expected": expected, "actual": mv})
-    missing = set(exceptions) - seen_exceptions
-    for p, k in sorted(missing):
-        violations.append({"p": p, "k": k, "kind": "exceptional_row_missing"})
-    return checks, violations
-
-
-def _run_prop14(params, jobs):
-    p_max, k_cap = params["p_max"], params["k_cap"]
-    exceptions = {pk: m for pk, m in PROP14_EXCEPTIONS.items() if pk[0] <= p_max}
-    checks, violations = _table_claim(
-        lambda: prop14_table(p_max, k_cap), exceptions, 5, None)
-    return (f"order-5 towers, p = 1 (mod 5), p <= {p_max}", checks, violations,
-            None, {}, [])
-
-
-def _run_prop15(params, jobs):
-    p_max, k_cap = params["p_max"], params["k_cap"]
-    exceptions = {pk: m for pk, m in PROP15_EXCEPTIONS.items() if pk[0] <= p_max}
-    checks, violations = _table_claim(
-        lambda: prop15_table(p_max, k_cap), exceptions, 7, None)
-    return (f"order-7 towers, p = 1 (mod 7), p <= {p_max}", checks, violations,
-            None, {}, [])
-
-
-def _run_example16(params, jobs):
-    ns = set(params["ns"])
-    items = sorted((pn, seq) for pn, seq in EXAMPLE16.items() if pn[1] in ns)
-    payloads, rows = _map_shards(_example16_worker, items, jobs)
-    checks = sum(p[0] for p in payloads)
-    violations = [v for p in payloads for v in p[1]]
-    decreases = [d for p in payloads for d in p[2]]
-    extras = {"tower_decreases": decreases} if decreases else {}
-    return (f"order-n towers, n in {sorted(ns)}", checks, violations, None, extras, rows)
-
-
-def _run_example17(params, jobs):
-    pair_items = sorted((pn, seq) for pn, seq in EXAMPLE17_PAIRS.items())
-    seq_items = sorted((pn, seq) for pn, seq in EXAMPLE17_SEQUENCES.items())
-    payloads, rows = _map_shards(_example16_worker, pair_items + seq_items, jobs)
-    checks = sum(p[0] for p in payloads)
-    violations = [v for p in payloads for v in p[1]]
-    return ("composite-order towers (r = 5 and r = 7 groups)", checks, violations,
-            None, {}, rows)
+def _tower_table(table: Callable, exceptions: dict, r: int) -> Callable:
+    """Runner for an order-r tower table: m = r at every (p, k) but the listed
+    exceptions with p <= p_max, each of which must appear in the table."""
+    def run(params, jobs):
+        p_max = params["p_max"]
+        expected = {pk: mv for pk, mv in exceptions.items() if pk[0] <= p_max}
+        rows = table(p_max, params["k_cap"])
+        violations = [{"p": p, "k": k, "expected": expected.get((p, k), r), "actual": mv}
+                      for p, k, mv in rows if mv != expected.get((p, k), r)]
+        missing = set(expected) - {(p, k) for p, k, _ in rows}
+        violations += [{"p": p, "k": k, "kind": "exceptional_row_missing"}
+                       for p, k in sorted(missing)]
+        return (f"order-{r} towers, p = 1 (mod {r}), p <= {p_max}", len(rows), violations,
+                None, {}, [])
+    return run
 
 
 def _run_corollary13(params, jobs):
@@ -423,44 +380,44 @@ def _run_remark12(params, jobs):
     return (f"2 <= n <= {n_max}", checks, violations, None, {}, [])
 
 
-def _run_oracle(params, jobs):
-    e_max = params["e_max"]
-    payloads, rows = _map_shards(_oracle_worker, list(range(1, e_max + 1)), jobs)
-    checks = sum(p[0] for p in payloads)
-    violations = [v for p in payloads for v in p[1]]
-    return (f"all coprime pairs, e <= {e_max}", checks, violations, None, {}, rows)
-
-
 _CLAIMS: dict[str, tuple[Callable, dict[str, Any], str]] = {
-    "theorem1": (_run_theorem1, {"e_max": 1000},
+    "theorem1": (_Sweep(_theorem1_check, _upto(1, "coprime pairs, "),
+                        lambda checks, tallies: ([pair for t in tallies for pair in t], {})),
+                 {"e_max": 1000},
                  "m <= ceil(e/n) for all coprime pairs; equality cases collected"),
-    "divisibility": (_run_divisibility, {"e_max": 1000},
+    "divisibility": (_Sweep(_divisibility_check, _upto(1, "coprime pairs, "), _e1_share),
+                     {"e_max": 1000},
                      "e1 = gcd(e, q-1) divides m(q,e)"),
-    "lemma3": (_run_lemma3, {"e_max": 600},
+    "lemma3": (_Sweep(_lemma3_check, _upto(3, "1 < q < "),
+                      lambda checks, tallies: (None, {"applicable_pairs": sum(tallies)})),
+               {"e_max": 600},
                "m = e1 whenever e < e1^2 + 2*e1"),
-    "two_power": (_run_two_power, {"k_max": 12},
+    "two_power": (_Sweep(_two_power_check, _two_power_plan), {"k_max": 12},
                   "closed form at e = 2^k equals BFS"),
-    "conjecture4": (_run_conjecture4, {"e_max": 600},
+    "conjecture4": (_Sweep(_conjecture4_check, _upto(3, "1 < q < ")), {"e_max": 600},
                     "m <= k*e1 whenever e < (e1+1)^(k+1) - 1"),
-    "corollary8": (_run_corollary8, {"e_max": 1224},
+    "corollary8": (_Sweep(_corollary8_check, _upto(3, "1 < q < e-1, ")), {"e_max": 1224},
                    "the ten-case classification of m >= e/6 matches brute force"),
-    "prop2": (_run_prop2, {"r": 6, "e_min": 1224, "e_max": 2000},
+    "prop2": (_Sweep(_prop2_check, _prop2_plan), {"r": 6, "e_min": 1224, "e_max": 2000},
               "(a,b) parametrization of m >= e/r beyond r^4 - 2r^2"),
     "prop9": (_run_prop9, {"p_max": 50, "q_max": 50, "pk_cap": 100_000},
               "order drop and m equality one level down when p | ord"),
-    "prop14": (_run_prop14, {"p_max": 1000, "k_cap": 6},
+    "prop14": (_tower_table(prop14_table, PROP14_EXCEPTIONS, 5), {"p_max": 1000, "k_cap": 6},
                "order-5 towers: m = 5 except (11,1) -> 3 and (61,1) -> 4"),
-    "prop15": (_run_prop15, {"p_max": 2689, "k_cap": 6},
+    "prop15": (_tower_table(prop15_table, PROP15_EXCEPTIONS, 7), {"p_max": 2689, "k_cap": 6},
                "order-7 towers: m = 7 except thirteen listed (p, 1)"),
-    "example16": (_run_example16, {"ns": (11, 13, 17, 19)},
+    "example16": (_Sweep(_tower_check, _example16_plan, _tower_decreases),
+                  {"ns": (11, 13, 17, 19)},
                   "prime-order tower sequences match the published tables"),
-    "example17": (_run_example17, {},
-                  "composite-order tower values match the published tables"),
+    "example17": (_Sweep(_tower_check, lambda p: (
+                      "composite-order towers (r = 5 and r = 7 groups)",
+                      sorted(EXAMPLE17_PAIRS.items()) + sorted(EXAMPLE17_SEQUENCES.items()))),
+                  {}, "composite-order tower values match the published tables"),
     "corollary13": (_run_corollary13, {"ns": (5, 7)},
                     "cyclotomic candidate sift reproduces the exception sets"),
     "remark12": (_run_remark12, {"n_max": 10_000},
                  "threshold: radical-invariant, <= r, and > r-1 for prime powers"),
-    "oracle": (_run_oracle, {"e_max": 200},
+    "oracle": (_Sweep(_oracle_check, _upto(1, "all coprime pairs, ")), {"e_max": 200},
                "BFS engine equals the naive DP oracle"),
 }
 
@@ -500,12 +457,13 @@ def run_claim(claim_id: str, params: dict[str, Any] | None = None,
     if result_store is not None:
         engine.seed_cache(result_store.cache_rows())
     t0 = time.perf_counter()
-    engine.journal_start()
+    start = engine.cache_size()
     domain, checks, violations, equality, extras, rows = runner(merged, jobs)
-    rows = engine.journal_drain() + rows
     elapsed = time.perf_counter() - t0
+    if not checks:
+        raise DomainError(f"claim {claim_id} makes no checks on {domain}")
     if result_store is not None:
-        result_store.add_rows(rows)
+        result_store.add_rows(engine.cache_rows(start) + rows)
         result_store.save()
     return VerificationReport(
         claim_id=claim_id,
@@ -518,10 +476,3 @@ def run_claim(claim_id: str, params: dict[str, Any] | None = None,
         extras=extras,
     )
 
-
-def theorem1_tightness_scan(e_max: int, jobs: int = 1) -> list[tuple[int, int]]:
-    """All pairs (q, e) with 1 < q < e <= e_max where m equals ceil(e/n)."""
-    payloads, _ = _map_shards(_theorem1_worker, list(range(3, e_max + 1)), jobs)
-    out = [pair for p in payloads for pair in p[2]]
-    out.sort(key=lambda t: (t[1], t[0]))
-    return out

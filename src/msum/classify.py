@@ -7,14 +7,12 @@ against the engine by the test suite), and the k*e1 conjecture check.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from math import gcd
 
 from .engine import m_table_for_modulus, m_value
 from .errors import ClassificationOverlap, DomainError, NotCoprime
 from .modular import PowerSumInstance
-from .report import VerificationReport
 
 __all__ = [
     "StarParams",
@@ -25,8 +23,6 @@ __all__ = [
     "lemma3_applies",
     "star_params",
     "classify_large",
-    "verify_corollary8",
-    "verify_prop2",
     "corollary8_modulus",
     "prop2_modulus",
     "conjecture4_check",
@@ -179,29 +175,11 @@ def conjecture4_check(q: int, e: int) -> tuple[int, bool]:
     return k_min, m_value(q, e) <= k_min * e1
 
 
-def verify_corollary8(e_max: int) -> VerificationReport:
-    """Sweep all coprime pairs 1 < q < e-1, e <= e_max: the classifier must
-    match brute force exactly, both in the m >= e/6 dichotomy and in the
-    predicted values."""
-    t0 = time.perf_counter()
-    checks = 0
-    violations: list[dict] = []
-    for e in range(3, e_max + 1):
-        c, v = corollary8_modulus(e)
-        checks += c
-        violations.extend(v)
-    return VerificationReport(
-        claim_id="corollary8",
-        domain=f"coprime pairs, 1 < q < e-1, e <= {e_max}",
-        checks=checks,
-        violations=violations,
-        elapsed=time.perf_counter() - t0,
-        params={"e_max": e_max},
-    )
-
-
 def corollary8_modulus(e: int) -> tuple[int, list[dict]]:
-    """One modulus worth of the m >= e/6 classification sweep."""
+    """One modulus worth of the m >= e/6 classification sweep: over the coprime
+    1 < q < e-1 the classifier must match brute force exactly, both in the
+    m >= e/6 dichotomy and in the predicted values. Returns (checks,
+    violations)."""
     checks = 0
     violations = []
     table = m_table_for_modulus(e)
@@ -226,31 +204,10 @@ def corollary8_modulus(e: int) -> tuple[int, list[dict]]:
     return checks, violations
 
 
-def verify_prop2(r: int, e_min: int, e_max: int) -> VerificationReport:
-    """Sweep e in (e_min, e_max]: direction (i) for every pair admitting the
-    (a,b) parametrization, and, where e > r^4 - 2r^2, the converse for every
-    pair with m >= e/r."""
-    if r < 2:
-        raise DomainError("r must be >= 2")
-    t0 = time.perf_counter()
-    checks = 0
-    violations: list[dict] = []
-    for e in range(max(e_min + 1, 3), e_max + 1):
-        c, v = prop2_modulus(e, r)
-        checks += c
-        violations.extend(v)
-    return VerificationReport(
-        claim_id="prop2",
-        domain=f"r={r}, {e_min} < e <= {e_max}",
-        checks=checks,
-        violations=violations,
-        elapsed=time.perf_counter() - t0,
-        params={"r": r, "e_min": e_min, "e_max": e_max},
-    )
-
-
 def prop2_modulus(e: int, r: int) -> tuple[int, list[dict]]:
-    """One modulus worth of the (a,b)-parametrization sweep."""
+    """One modulus worth of the (a,b)-parametrization sweep: direction (i) for
+    every pair admitting the parametrization and, where e > r^4 - 2r^2, the
+    converse for every pair with m >= e/r. Returns (checks, violations)."""
     cutoff = r**4 - 2 * r * r
     checks = 0
     violations: list[dict] = []

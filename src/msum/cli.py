@@ -17,7 +17,14 @@ import click
 
 from . import campaign, engine
 from .cyclo import corollary13_exceptions
-from .errors import DomainError, MsumError, NotCoprime, NotFoundWithinCap, UnknownClaim
+from .errors import (
+    DomainError,
+    ModulusTooLarge,
+    MsumError,
+    NotCoprime,
+    NotFoundWithinCap,
+    UnknownClaim,
+)
 from .modular import instance, unit_subgroup
 from .store import ResultStore
 from .towers import tower_sequence
@@ -61,7 +68,10 @@ def cmd_m(q: int, e: int, fmt: str, store_flag: str | None) -> None:
         )
     except DomainError as exc:
         raise click.UsageError(str(exc))
-    result = engine.m(q, e)
+    try:
+        result = engine.m(q, e)
+    except ModulusTooLarge as exc:
+        raise click.UsageError(str(exc))
     qr = q % e
     closed = []
     if e == 1:
@@ -172,6 +182,8 @@ def cmd_verify(claim_id: str, e_max, e_min, p_max, q_max, k_cap, k_max, n_max, r
     except NotFoundWithinCap as exc:
         click.echo(f"cap exceeded: {exc}", err=True)
         sys.exit(3)
+    except DomainError as exc:
+        raise click.UsageError(str(exc))
     path = report_path or os.path.join("reports", f"{claim_id}.json")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:

@@ -15,7 +15,7 @@ from math import gcd
 
 from .engine import SPARSE_LIMIT, m_prime_power, verify_witness
 from .errors import DegenerateInput, DomainError, MsumError
-from .modular import element_of_order, euler_phi, rad
+from .modular import element_of_order, euler_phi
 
 __all__ = [
     "IntPolynomial",
@@ -489,8 +489,3 @@ def corollary13_exceptions(n: int, k_cap: int | None = None,
         unresolved=tuple(unresolved),
         complete=not unresolved,
     )
-
-
-def threshold_radical_invariant(n: int) -> bool:
-    """threshold(n) == threshold(rad(n))."""
-    return threshold(n) == threshold(rad(n))

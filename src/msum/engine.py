@@ -6,20 +6,26 @@ as a sum of at most t subgroup elements, and m is the first level containing
 0. Levels are bitmasks (one Python int per level), frontier-only expansion,
 witnesses reconstructed by walking the level masks backwards.
 
-Two extra routes exist:
-  - a subgroup-keyed value cache, because m depends only on the generated
-    subgroup, which collapses sweeps over q;
-  - a sparse orbit engine for prime-power moduli far beyond bitmask range
+m() and m_prime_power() share one private dispatcher over three routes:
+  - q = 1 (mod e), answered in closed form (m = e);
+  - the bitmask BFS, for moduli up to DENSE_LIMIT;
+  - a sparse orbit engine for odd prime powers beyond bitmask range
     (up to 2^40): reachable sets are closed under multiplication by the
     generator, so one canonical representative per orbit is stored, each
     level is built from a sliced base x powers grid, and meet-in-the-middle
     over half-length sums searches t < r (r the smallest prime divisor of
     the order); m = r is returned only with a verified order-r witness.
+
+BFS values go into a subgroup-keyed cache, because m depends only on the
+generated subgroup, which collapses sweeps over q. The cache only grows
+between clear_cache() calls, so cache_rows(start) lists every value filled
+since cache_size() read start; sweep workers return these to feed a store.
 """
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
 
 import numpy as np
@@ -41,7 +47,6 @@ __all__ = [
     "SubgroupKey",
     "subgroup_key",
     "grow_level_sets",
-    "m_of_subgroup",
     "m",
     "m_value",
     "m_table_for_modulus",
@@ -53,8 +58,7 @@ __all__ = [
     "naive_m_oracle",
     "clear_cache",
     "cache_size",
-    "journal_start",
-    "journal_drain",
+    "cache_rows",
     "seed_cache",
 ]
 
@@ -106,7 +110,6 @@ class LevelSets:
 # subgroup-keyed cache
 
 _cache: dict[tuple[int, bytes], int] = {}
-_journal: list[tuple[int, bytes, int]] | None = None
 
 
 def _fingerprint(elements: tuple[int, ...]) -> bytes:
@@ -134,16 +137,14 @@ def seed_cache(rows) -> None:
         _cache[(e, digest)] = value
 
 
-def journal_start() -> None:
-    """Begin recording cache inserts (used by sweep workers feeding a store)."""
-    global _journal
-    _journal = []
+def cache_rows(start: int) -> list[tuple[int, bytes, int]]:
+    """(modulus, digest, m) rows inserted after the first `start` entries.
 
-
-def journal_drain() -> list[tuple[int, bytes, int]]:
-    global _journal
-    rows, _journal = _journal or [], None
-    return rows
+    Between clear_cache() calls the cache only grows and keeps insertion
+    order, so a cache_size() taken earlier marks every row filled since.
+    """
+    return [(e, digest, value)
+            for (e, digest), value in islice(_cache.items(), start, None)]
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +198,6 @@ def _cached_m_dense(e: int, elements: tuple[int, ...]) -> int:
         return hit
     value, _ = _bfs_dense(e, elements, keep_masks=False)
     _cache.setdefault(key, value)
-    if _journal is not None:
-        _journal.append((key[0], key[1], value))
     return value
 
 
@@ -339,21 +338,6 @@ def _dense_with_witness(e: int, elements: tuple[int, ...],
     return value, _to_exponents(residues, _powers_of(base, e))
 
 
-def m_of_subgroup(sub: UnitSubgroup, with_witness: bool = True) -> MResult:
-    """Minimal t with a vanishing t-sum over the subgroup, by dense BFS.
-
-    Witness exponents are relative to the subgroup's generator.
-    """
-    e = sub.modulus
-    if e > DENSE_LIMIT:
-        raise ModulusTooLarge(
-            f"modulus {e} beyond dense BFS range; use m() / prime-power routes"
-        )
-    if not with_witness:
-        return MResult(_cached_m_dense(e, sub.elements), ())
-    return MResult(*_dense_with_witness(e, sub.elements, sub.generator))
-
-
 def _check_coprime(q: int, e: int) -> None:
     if q < 1 or e < 1:
         raise DomainError("q and e must be positive")
@@ -361,37 +345,41 @@ def _check_coprime(q: int, e: int) -> None:
         raise NotCoprime(f"gcd({q},{e}) = {gcd(q, e)} != 1")
 
 
+def _route(q: int, e: int, pk: tuple[int, int] | None, want_witness: bool):
+    """(m, witness|None) for q reduced mod e > 1: the one dispatch over the
+    q = 1 (mod e) case, the dense BFS and the orbit engine. pk is (p, k) when
+    the caller knows e = p^k; the orbit route finds it otherwise."""
+    if q == 1:
+        # every power is 1, so exactly e terms are needed
+        return e, ((0,) * e if want_witness else None)
+    if e <= DENSE_LIMIT:
+        sub = unit_subgroup(q, e)
+        if not want_witness:
+            return _cached_m_dense(e, sub.elements), None
+        return _dense_with_witness(e, sub.elements, q)
+    if pk is None:
+        pk = _prime_power_shape(e)
+        if pk is None:
+            raise ModulusTooLarge(
+                f"modulus {e} beyond dense BFS range and not an odd prime power"
+            )
+    p, k = pk
+    n = order_mod_prime_power(q, p, k)
+    if n % p == 0:
+        raise ModulusTooLarge(
+            f"modulus {p}^{k}: order {n} divisible by {p}; reduce k first "
+            f"(the order drop of the tower module)"
+        )
+    return _m_orbit(e, q, n, smallest_prime_divisor(n), want_witness)
+
+
 def m(q: int, e: int, with_witness: bool = True) -> MResult:
     """m(q,e) with a verified-style witness whose exponents refer to q itself."""
     _check_coprime(q, e)
     if e == 1:
         return MResult(1, (0,))
-    qr = q % e
-    if qr == 1:
-        # q = 1 (mod e): every power is 1, so exactly e terms are needed
-        return MResult(e, (0,) * e)
-    if e <= DENSE_LIMIT:
-        sub = unit_subgroup(qr, e)
-        if not with_witness:
-            return MResult(_cached_m_dense(e, sub.elements), ())
-        return MResult(*_dense_with_witness(e, sub.elements, qr))
-    value, witness = _large_modulus_m(qr, e, with_witness)
+    value, witness = _route(q % e, e, None, with_witness)
     return MResult(value, witness if witness is not None else ())
-
-
-def _large_modulus_m(q: int, e: int, want_witness: bool):
-    fac = _prime_power_shape(e)
-    if fac is None:
-        raise ModulusTooLarge(
-            f"modulus {e} beyond dense BFS range and not an odd prime power"
-        )
-    p, k = fac
-    n = order_mod_prime_power(q, p, k)
-    if n % p == 0:
-        raise ModulusTooLarge(
-            f"modulus {e}: order divisible by {p}; reduce via the prime-power tower"
-        )
-    return _m_orbit(e, q, n, smallest_prime_divisor(n), want_witness)
 
 
 def _prime_power_shape(e: int) -> tuple[int, int] | None:
@@ -422,20 +410,7 @@ def m_prime_power(q: int, p: int, k: int, want_witness: bool = False):
     in that regime must reduce k first (the order drop of the tower module).
     """
     e = p**k
-    q %= e
-    if q == 1:
-        return e, ((0,) * e if want_witness else None)
-    if e <= DENSE_LIMIT:
-        sub = unit_subgroup(q, e)
-        if not want_witness:
-            return _cached_m_dense(e, sub.elements), None
-        return _dense_with_witness(e, sub.elements, q)
-    n = order_mod_prime_power(q, p, k)
-    if n % p == 0:
-        raise ModulusTooLarge(
-            f"modulus {p}^{k}: order {n} divisible by {p} is beyond the exact engines"
-        )
-    return _m_orbit(e, q, n, smallest_prime_divisor(n), want_witness)
+    return _route(q % e, e, (p, k), want_witness)
 
 
 def m_table_for_modulus(e: int) -> dict[int, tuple[int, int]]:

@@ -1,0 +1,31 @@
+"""The benchmark's tracer (perfbench/spans.py) rebinds public msum functions by
+name. Deleting or renaming one of them breaks `perfbench/run.py --trace 1`;
+this test makes that fail here instead."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import spans
+from msum import campaign
+
+tracer = spans.Tracer()
+spans.install(tracer)
+campaign.run_claim("corollary8", {"e_max": 30})
+campaign.run_claim("prop2", {"r": 3, "e_min": 8, "e_max": 40})
+seen = tracer.summary()
+for name in ("campaign.run_claim.corollary8", "classify.corollary8_modulus",
+             "classify.prop2_modulus", "engine.m_table_for_modulus"):
+    assert seen.get(name, {}).get("calls"), name
+"""
+
+
+def test_bench_tracer_installs_and_sees_the_sweeps():
+    path = [str(ROOT / "perfbench"), str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,11 +10,20 @@ from msum.campaign import (
     claim_defaults,
     list_claims,
     run_claim,
-    theorem1_tightness_scan,
 )
-from msum.errors import UnknownClaim
+from msum.errors import DomainError, UnknownClaim
 from msum.report import VerificationReport
 from msum.store import ResultStore
+
+# payload digests of the per-modulus claims at small scale; the claims' params
+# sit next to each digest
+GOLDEN_PAYLOADS = json.loads(
+    (Path(__file__).parent / "golden" / "claim_payloads.json").read_text())
+
+
+def payload_digest(report) -> str:
+    blob = json.dumps(report.payload(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def test_list_claims_covers_the_campaign():
@@ -33,20 +44,50 @@ def test_unknown_claim():
 
 
 def test_reports_deterministic_across_worker_counts():
-    r1 = run_claim("theorem1", {"e_max": 150}, jobs=1)
-    r2 = run_claim("theorem1", {"e_max": 150}, jobs=2)
-    assert r1.payload() == r2.payload()
-    r1 = run_claim("corollary8", {"e_max": 100}, jobs=1)
-    r2 = run_claim("corollary8", {"e_max": 100}, jobs=2)
-    assert r1.payload() == r2.payload()
+    for claim, golden in sorted(GOLDEN_PAYLOADS.items()):
+        payloads = []
+        for jobs in (1, 2):
+            engine.clear_cache()  # the pool workers compute, not inherit
+            payloads.append(run_claim(claim, golden["params"], jobs=jobs).payload())
+        assert payloads[0] == payloads[1], claim
+
+
+@pytest.mark.parametrize("claim", sorted(GOLDEN_PAYLOADS))
+def test_claim_payloads_match_golden_digests(claim):
+    report = run_claim(claim, GOLDEN_PAYLOADS[claim]["params"], jobs=1)
+    assert report.ok
+    assert payload_digest(report) == GOLDEN_PAYLOADS[claim]["sha256"]
+
+
+@pytest.mark.parametrize("claim, params", [
+    ("theorem1", {"e_max": 80}),
+    ("two_power", {"k_max": 7}),
+    ("example16", {"ns": (11,)}),
+])
+def test_store_rows_same_across_worker_counts(tmp_path, claim, params):
+    rows = []
+    for jobs in (1, 2):
+        engine.clear_cache()
+        path = tmp_path / f"jobs{jobs}.bin"
+        run_claim(claim, params, jobs=jobs, store=str(path))
+        rows.append(ResultStore(path).rows)
+    assert rows[0] and rows[0] == rows[1]
+
+
+def test_claim_with_no_checks_is_a_domain_error():
+    # prop2's default e_min is 1224, so e <= 300 leaves nothing to check
+    with pytest.raises(DomainError):
+        run_claim("prop2", {"e_max": 300})
+    with pytest.raises(DomainError):
+        run_claim("example16", {"ns": (5,)})
 
 
 def test_theorem1_tightness_scan():
-    pairs = theorem1_tightness_scan(8)
+    pairs = run_claim("theorem1", {"e_max": 8}).equality_cases
     assert (4, 7) in pairs
     assert (5, 8) in pairs
     assert (3, 4) in pairs  # q=3 member of the sharp family e = 2(q-1)
-    assert theorem1_tightness_scan(2) == []
+    assert run_claim("theorem1", {"e_max": 2}).equality_cases == []
 
 
 def test_theorem1_equality_includes_sharp_family():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from msum.campaign import run_claim
 from msum.classify import (
     LIST_M2,
     LIST_N2_DOUBLE,
@@ -13,8 +14,6 @@ from msum.classify import (
     conjecture4_check,
     lemma3_applies,
     star_params,
-    verify_corollary8,
-    verify_prop2,
 )
 from msum.engine import is_m_two, m_value
 from msum.errors import DomainError
@@ -142,15 +141,15 @@ def test_conjecture4_when_e1_is_q_minus_1(q):
 
 
 def test_verify_corollary8_small():
-    report = verify_corollary8(60)
+    report = run_claim("corollary8", {"e_max": 60})
     assert report.ok and report.checks > 0
 
 
 def test_verify_prop2_r2():
-    report = verify_prop2(2, 8, 300)
+    report = run_claim("prop2", {"r": 2, "e_min": 8, "e_max": 300})
     assert report.ok and report.checks > 0
 
 
 def test_verify_prop2_rejects_bad_r():
     with pytest.raises(DomainError):
-        verify_prop2(1, 8, 100)
+        run_claim("prop2", {"r": 1, "e_min": 8, "e_max": 100})

@@ -49,6 +49,13 @@ def test_m_usage_error_names_coprimality():
     assert "coprime" in res.output
 
 
+def test_m_beyond_engine_range_is_a_usage_error():
+    res = run("m", "3", "16777220")  # above 2^24, not an odd prime power
+    assert res.exit_code == 2
+    assert "beyond dense BFS range" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_m_json():
     res = run("m", "4", "7", "--format", "json")
     doc = json.loads(res.output)
@@ -137,6 +144,17 @@ def test_verify_unknown_claim_usage_error():
     res = run("verify", "nosuch")
     assert res.exit_code == 2
     assert "unknown claim" in res.output
+
+
+def test_verify_domain_errors_are_usage_errors(tmp_path):
+    report = str(tmp_path / "r.json")
+    res = run("verify", "prop2", "--r", "1", "--e-min", "8", "--e-max", "100",
+              "--jobs", "1", "--report", report)
+    assert res.exit_code == 2 and "r >= 2" in res.output
+    # prop2's default e_min is 1224: nothing to check at e <= 300
+    res = run("verify", "prop2", "--e-max", "300", "--jobs", "1", "--report", report)
+    assert res.exit_code == 2 and "no checks" in res.output
+    assert not os.path.exists(report)
 
 
 def test_verify_cap_exceeded_exit_3(tmp_path):

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -11,7 +15,6 @@ from msum.engine import (
     grow_level_sets,
     is_m_two,
     m,
-    m_of_subgroup,
     m_prime_power,
     m_table_for_modulus,
     m_value,
@@ -72,10 +75,28 @@ def test_m_rejects_noncoprime():
 
 
 def test_m_of_subgroup():
-    r = m_of_subgroup(unit_subgroup(4, 7))
+    # m depends only on <q>, so the subgroup's generator answers for it
+    sub = unit_subgroup(4, 7)
+    r = m(sub.generator, sub.modulus)
     assert r.value == 3 and r.witness == (0, 1, 2)
-    assert m_of_subgroup(unit_subgroup(1, 11)).value == 11
-    assert m_of_subgroup(unit_subgroup(5, 1)).value == 1
+    sub = unit_subgroup(1, 11)
+    assert m(sub.generator, sub.modulus).value == 11
+    assert m(5, 1).value == 1  # mod 1 the generator is 0, outside m's domain
+
+
+def test_m_without_witness_builds_none_for_q_congruent_one():
+    assert m(10, 9, with_witness=False) == MResult(9, ())
+    assert m_prime_power(12, 11, 2) == (11, None)
+    # m_value(1, e) once built an e-long witness only to drop it (about 8 GB at
+    # e = 10^9 + 7); under a 1 GiB address-space cap that raised MemoryError
+    code = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from msum.engine import m_value; assert m_value(1, 10**9 + 7) == 10**9 + 7")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_naive_oracle_spot_values():
@@ -225,11 +246,16 @@ def test_m_table_matches_m_value():
 def test_cache_round_trip():
     engine.clear_cache()
     m_value(4, 7)
-    assert engine.cache_size() >= 1
-    engine.journal_start()
+    start = engine.cache_size()
+    assert start >= 1
     m_value(3, 26)
-    rows = engine.journal_drain()
+    rows = engine.cache_rows(start)
     assert rows and all(len(r) == 3 for r in rows)
+    assert engine.cache_rows(engine.cache_size()) == []
+    # witness-path fills are rows too
+    start = engine.cache_size()
+    m(5, 26)
+    assert [r[0] for r in engine.cache_rows(start)] == [26]
     engine.clear_cache()
     engine.seed_cache(rows)
     assert engine.cache_size() == len(rows)
@@ -254,8 +280,9 @@ def test_large_prime_power_routes_to_orbit():
 def test_modulus_too_large():
     with pytest.raises(ModulusTooLarge):
         m(3, (1 << 24) + 4)  # beyond dense range, not an odd prime power
+    sub = unit_subgroup(2, (1 << 23) + 1)
     with pytest.raises(ModulusTooLarge):
-        m_of_subgroup(unit_subgroup(2, (1 << 23) + 1))
+        m(sub.generator, sub.modulus)
 
 
 def test_m_prime_power_dense_and_witness():
