@@ -7,11 +7,14 @@ shard (a modulus, or a tower row), its shards and domain, and how its
 tallies become equality cases and extras; the sweep shards, sums and
 flattens. A shard owns every q of its modulus, so the subgroup cache never
 needs to cross worker boundaries; each pool task returns its cache fills
-(engine.cache_rows) for the store. Reports merge in input order, which makes
-them identical regardless of worker count. A run that makes no checks is a
-DomainError, never a vacuous pass. The expected tables embedded below are
-claims under test, not trusted data: every sweep recomputes them with the
-engine.
+(engine.cache_rows) for the store. It also returns the m tables it built
+(engine.memo_rows); the parent adopts them as they arrive, so the workers of
+later claims in the session inherit them and run no BFS for those moduli
+until engine.clear_cache() empties the memo. Reports merge in input order,
+which makes them identical regardless of worker count. A run that makes no
+checks is a DomainError, never a vacuous pass. The expected tables embedded
+below are claims under test, not trusted data: every sweep recomputes them
+with the engine.
 """
 from __future__ import annotations
 
@@ -111,24 +114,28 @@ EXAMPLE17_SEQUENCES = {
 # ---------------------------------------------------------------------------
 # parallel plumbing
 
-def _run_chunk(fn: Callable, chunk: list) -> tuple[list, list]:
-    start = engine.cache_size()
-    return [fn(a) for a in chunk], engine.cache_rows(start)
+def _run_chunk(fn: Callable, chunk: list) -> tuple[list, list, list]:
+    start, memo_start = engine.cache_size(), engine.memo_size()
+    return [fn(a) for a in chunk], engine.cache_rows(start), engine.memo_rows(memo_start)
 
 
 def _map_shards(fn: Callable, args: list, jobs: int) -> tuple[list, list]:
     """Apply fn to each shard argument, in order; returns (payloads, cache rows
     filled by pool workers). Each pool task runs one chunk of arguments and
-    reads its cache fills once. The serial path returns no rows: its fills
-    stay in this process's cache, where run_claim reads them."""
+    reads its cache and memo fills once; the memo fills join this process's
+    memo as each chunk arrives. The serial path returns no rows: its fills
+    stay in this process, where run_claim reads them."""
     if jobs <= 1 or len(args) <= 1:
         return [fn(a) for a in args], []
     size = max(1, len(args) // (jobs * 8))
     chunks = [args[i:i + size] for i in range(0, len(args), size)]
+    payloads, rows = [], []
     with mp.get_context("fork").Pool(jobs) as pool:
-        results = list(pool.imap(functools.partial(_run_chunk, fn), chunks))
-    return ([out for outs, _ in results for out in outs],
-            [row for _, rows in results for row in rows])
+        for outs, chunk_rows, tables in pool.imap(functools.partial(_run_chunk, fn), chunks):
+            payloads += outs
+            rows += chunk_rows
+            engine.seed_memo(tables)
+    return payloads, rows
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +450,13 @@ def default_jobs() -> int:
 def run_claim(claim_id: str, params: dict[str, Any] | None = None,
               jobs: int = 1, store: str | None = None) -> VerificationReport:
     """Run one claim sweep. Results are deterministic in everything but wall
-    time, whatever the worker count."""
+    time, whatever the worker count.
+
+    With a store, the run adds the subgroup rows it computed. An m table
+    already built in this session (since the last engine.clear_cache()) is
+    read from the engine's memo and computes nothing, so it adds no rows,
+    whether jobs is 1 or more: pool workers return their tables to this
+    process for later claims."""
     if claim_id not in _CLAIMS:
         raise UnknownClaim(claim_id)
     runner, defaults, _ = _CLAIMS[claim_id]

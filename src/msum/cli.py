@@ -68,8 +68,9 @@ def cmd_m(q: int, e: int, fmt: str, store_flag: str | None) -> None:
         )
     except DomainError as exc:
         raise click.UsageError(str(exc))
+    # the text form prints no witness for q = 1 (mod e), where it has e terms
     try:
-        result = engine.m(q, e)
+        result = engine.m(q, e, with_witness=fmt == "json" or q % e != 1)
     except ModulusTooLarge as exc:
         raise click.UsageError(str(exc))
     qr = q % e

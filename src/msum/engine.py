@@ -20,10 +20,16 @@ BFS values go into a subgroup-keyed cache, because m depends only on the
 generated subgroup, which collapses sweeps over q. The cache only grows
 between clear_cache() calls, so cache_rows(start) lists every value filled
 since cache_size() read start; sweep workers return these to feed a store.
+A per-modulus memo keeps each m table of the session as an array of its
+generator classes' m in walk order; a hit rebuilds the table from the powers
+with no keying and no BFS. Workers return memo_rows(start) the same way, for
+seed_memo() to share with later claims. clear_cache() empties both.
 """
 from __future__ import annotations
 
 import hashlib
+import sys
+from array import array
 from dataclasses import dataclass
 from itertools import islice
 from math import gcd
@@ -60,6 +66,9 @@ __all__ = [
     "cache_size",
     "cache_rows",
     "seed_cache",
+    "memo_size",
+    "memo_rows",
+    "seed_memo",
 ]
 
 DENSE_LIMIT = 1 << 22  # largest modulus handled by the bitmask BFS
@@ -76,10 +85,6 @@ class SubgroupKey:
     modulus: int
     digest: bytes
 
-    @property
-    def hex(self) -> str:
-        return self.digest.hex()
-
 
 @dataclass(frozen=True)
 class LevelSets:
@@ -91,7 +96,6 @@ class LevelSets:
 
     modulus: int
     masks: tuple[int, ...]
-    frontier: int
 
     @property
     def m(self) -> int:
@@ -110,13 +114,15 @@ class LevelSets:
 # subgroup-keyed cache
 
 _cache: dict[tuple[int, bytes], int] = {}
+_memo: dict[int, array] = {}  # e -> class m values of m_table_for_modulus(e), walk order
 
 
 def _fingerprint(elements: tuple[int, ...]) -> bytes:
-    h = hashlib.blake2b(digest_size=16)
-    for x in elements:
-        h.update(x.to_bytes(8, "little"))
-    return h.digest()
+    """blake2b over the elements as 8-byte little-endian words."""
+    packed = array("Q", elements)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return hashlib.blake2b(packed.tobytes(), digest_size=16).digest()
 
 
 def subgroup_key(sub: UnitSubgroup) -> SubgroupKey:
@@ -125,6 +131,7 @@ def subgroup_key(sub: UnitSubgroup) -> SubgroupKey:
 
 def clear_cache() -> None:
     _cache.clear()
+    _memo.clear()
 
 
 def cache_size() -> int:
@@ -145,6 +152,19 @@ def cache_rows(start: int) -> list[tuple[int, bytes, int]]:
     """
     return [(e, digest, value)
             for (e, digest), value in islice(_cache.items(), start, None)]
+
+
+def memo_size() -> int:
+    return len(_memo)
+
+
+def memo_rows(start: int) -> list[tuple[int, array]]:
+    """(modulus, class values) rows memoized after the first `start`, as cache_rows."""
+    return list(islice(_memo.items(), start, None))
+
+
+def seed_memo(rows) -> None:
+    _memo.update(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +226,7 @@ def grow_level_sets(sub: UnitSubgroup) -> LevelSets:
     if sub.modulus > DENSE_LIMIT:
         raise ModulusTooLarge(f"modulus {sub.modulus} beyond dense BFS range")
     _, masks = _bfs_dense(sub.modulus, sub.elements, keep_masks=True)
-    frontier = masks[-1] & ~masks[-2] if len(masks) > 1 else masks[0]
-    return LevelSets(sub.modulus, tuple(masks), frontier)
+    return LevelSets(sub.modulus, tuple(masks))
 
 
 # ---------------------------------------------------------------------------
@@ -325,17 +344,12 @@ def _powers_of(q: int, e: int) -> list[int]:
     return powers
 
 
-def _to_exponents(residues: list[int], powers: list[int]) -> tuple[int, ...]:
-    exp_of = {v: i for i, v in enumerate(powers)}
-    return tuple(sorted(exp_of[r] for r in residues))
-
-
 def _dense_with_witness(e: int, elements: tuple[int, ...],
                         base: int) -> tuple[int, tuple[int, ...]]:
     value, masks = _bfs_dense(e, elements, keep_masks=True)
     _cache.setdefault((e, _fingerprint(elements)), value)
-    residues = _witness_residues(e, elements, masks)
-    return value, _to_exponents(residues, _powers_of(base, e))
+    exp_of = {v: i for i, v in enumerate(_powers_of(base, e))}
+    return value, tuple(sorted(exp_of[r] for r in _witness_residues(e, elements, masks)))
 
 
 def _check_coprime(q: int, e: int) -> None:
@@ -417,20 +431,31 @@ def m_table_for_modulus(e: int) -> dict[int, tuple[int, int]]:
     """q -> (m, ord) for every q in [1, e) coprime to e.
 
     Walks generator classes: one BFS per distinct subgroup, then every
-    generator of that subgroup inherits the value.
+    generator of that subgroup inherits the value (memoized per class).
     """
     if e > DENSE_LIMIT:
         raise ModulusTooLarge(f"modulus {e} beyond dense BFS range")
+    memo = _memo.get(e)
+    values = array("I") if memo is None else memo
+    coprime_exps: dict[int, list[int]] = {}  # order n -> j in [0, n) prime to n
     table: dict[int, tuple[int, int]] = {}
+    classes = 0
     for q in range(1, e):
         if q in table or gcd(q, e) != 1:
             continue
         powers = _powers_of(q, e)
         n = len(powers)
-        value = _cached_m_dense(e, tuple(sorted(powers)))
-        for j in range(n):
-            if gcd(j, n) == 1:
-                table[powers[j]] = (value, n)
+        exps = coprime_exps.get(n)
+        if exps is None:
+            exps = coprime_exps[n] = [j for j in range(n) if gcd(j, n) == 1]
+        if memo is None:
+            values.append(_cached_m_dense(e, tuple(sorted(powers))))
+        entry = (values[classes], n)
+        classes += 1
+        for j in exps:
+            table[powers[j]] = entry
+    if memo is None:
+        _memo[e] = values
     return table
 
 

@@ -59,19 +59,55 @@ def test_claim_payloads_match_golden_digests(claim):
     assert payload_digest(report) == GOLDEN_PAYLOADS[claim]["sha256"]
 
 
-@pytest.mark.parametrize("claim, params", [
-    ("theorem1", {"e_max": 80}),
-    ("two_power", {"k_max": 7}),
-    ("example16", {"ns": (11,)}),
+@pytest.mark.parametrize("claim, params, first", [
+    pytest.param("theorem1", {"e_max": 80}, None, id="theorem1-params0"),
+    pytest.param("two_power", {"k_max": 7}, None, id="two_power-params1"),
+    pytest.param("example16", {"ns": (11,)}, None, id="example16-params2"),
+    # a no-store claim earlier in the session memoizes the tables of e <= 50,
+    # so the stored claim adds rows only for the moduli above
+    pytest.param("divisibility", {"e_max": 80}, ("theorem1", {"e_max": 50}),
+                 id="divisibility-after-theorem1"),
 ])
-def test_store_rows_same_across_worker_counts(tmp_path, claim, params):
+def test_store_rows_same_across_worker_counts(tmp_path, claim, params, first):
     rows = []
     for jobs in (1, 2):
         engine.clear_cache()
+        if first:
+            run_claim(*first, jobs=jobs)
         path = tmp_path / f"jobs{jobs}.bin"
         run_claim(claim, params, jobs=jobs, store=str(path))
         rows.append(ResultStore(path).rows)
     assert rows[0] and rows[0] == rows[1]
+    if first:
+        assert min(e for e, _ in rows[0]) > first[1]["e_max"]
+
+
+def test_session_order_claims_match_golden_digests():
+    # back to back at jobs 2, each claim reading the tables earlier claims built
+    engine.clear_cache()
+    for claim, golden in sorted(GOLDEN_PAYLOADS.items()):
+        report = run_claim(claim, golden["params"], jobs=2)
+        assert payload_digest(report) == golden["sha256"], claim
+
+
+def test_tables_from_pool_workers_serve_later_claims(monkeypatch):
+    params = {"e_max": 150}
+    engine.clear_cache()
+    cold = run_claim("divisibility", params, jobs=1).payload()
+    engine.clear_cache()
+    run_claim("theorem1", params, jobs=2)
+
+    def no_bfs(*args, **kwargs):
+        raise RuntimeError("BFS ran for a memoized table")
+
+    # forked pool workers inherit the patch, so a BFS there fails the run too
+    monkeypatch.setattr(engine, "_bfs_dense", no_bfs)
+    for jobs in (1, 2):
+        assert run_claim("divisibility", params, jobs=jobs).payload() == cold, jobs
+    engine.clear_cache()
+    for jobs in (1, 2):
+        with pytest.raises(RuntimeError, match="BFS ran"):
+            run_claim("divisibility", params, jobs=jobs)
 
 
 def test_claim_with_no_checks_is_a_domain_error():

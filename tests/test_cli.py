@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 from click.testing import CliRunner
@@ -54,6 +56,21 @@ def test_m_beyond_engine_range_is_a_usage_error():
     assert res.exit_code == 2
     assert "beyond dense BFS range" in res.output
     assert "Traceback" not in res.output
+
+
+def test_m_text_for_q_congruent_one_builds_no_witness():
+    # the text form prints no witness for q = 1 (mod e); building the e-long one
+    # anyway needed about 8 GB at e = 10^9 + 7 and, under a 1 GiB address-space
+    # cap, died with MemoryError
+    code = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from msum.cli import main; main(['m', '1', '1000000007'])")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "m=1000000007 (q=1 mod e case)" in proc.stdout
 
 
 def test_m_json():
@@ -224,9 +241,6 @@ def test_store_env_and_flag_precedence(tmp_path):
 
 
 def test_module_entry_point():
-    import subprocess
-    import sys
-
     out = subprocess.run([sys.executable, "-m", "msum", "m", "4", "7"],
                          capture_output=True, text=True)
     assert out.returncode == 0 and "m=3" in out.stdout

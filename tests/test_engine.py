@@ -243,6 +243,28 @@ def test_m_table_matches_m_value():
             assert n == instance(q, e).n
 
 
+def test_fingerprint_matches_per_element_digest():
+    # blake2b over 8-byte little-endian words, as stores written with one
+    # update per element hold it
+    assert engine._fingerprint((1, 255, 256, 65537, 4194303)).hex() == \
+        "cf0a264e76aceda361c33cbb6d408188"
+    assert subgroup_key(unit_subgroup(4, 7)).digest.hex() == "5a01495da705c235c1e1eaee1ff1636f"
+
+
+def test_memoized_tables_equal_cold_builds(monkeypatch):
+    engine.clear_cache()
+    cold = {e: m_table_for_modulus(e) for e in range(1, 301)}
+    assert engine.memo_size() == 300
+
+    def no_keying(*args, **kwargs):
+        raise AssertionError("a memo hit keys or searches a subgroup")
+
+    monkeypatch.setattr(engine, "_fingerprint", no_keying)
+    monkeypatch.setattr(engine, "_bfs_dense", no_keying)
+    for e, table in cold.items():
+        assert list(m_table_for_modulus(e).items()) == list(table.items()), e
+
+
 def test_cache_round_trip():
     engine.clear_cache()
     m_value(4, 7)
