@@ -27,7 +27,6 @@ from .cyclo import (
 )
 from .engine import (
     LevelSets,
-    SubgroupKey,
     ceil_bound,
     grow_level_sets,
     is_m_two,
@@ -35,7 +34,6 @@ from .engine import (
     m_table_for_modulus,
     m_value,
     naive_m_oracle,
-    subgroup_key,
     two_power_m,
     verify_witness,
 )

@@ -5,12 +5,11 @@ conjecture4, corollary8, prop2, oracle) and the tower rows of example16 and
 example17 all run through one sweep: each claim supplies a check of one
 shard (a modulus, or a tower row), its shards and domain, and how its
 tallies become equality cases and extras; the sweep shards, sums and
-flattens. A shard owns every q of its modulus, so the subgroup cache never
-needs to cross worker boundaries; each pool task returns its cache fills
-(engine.cache_rows) for the store. It also returns the m tables it built
-(engine.memo_rows); the parent adopts them as they arrive, so the workers of
-later claims in the session inherit them and run no BFS for those moduli
-until engine.clear_cache() empties the memo. Reports merge in input order,
+flattens. A shard owns every q of its modulus, and each pool task returns
+the m tables it built (engine.cache_rows); the parent adopts them as they
+arrive, so they reach the store, and the workers of later claims in the
+session inherit them and run no BFS for those moduli until
+engine.clear_cache() empties the cache. Reports merge in input order,
 which makes them identical regardless of worker count. A run that makes no
 checks is a DomainError, never a vacuous pass. The expected tables embedded
 below are claims under test, not trusted data: every sweep recomputes them
@@ -114,28 +113,26 @@ EXAMPLE17_SEQUENCES = {
 # ---------------------------------------------------------------------------
 # parallel plumbing
 
-def _run_chunk(fn: Callable, chunk: list) -> tuple[list, list, list]:
-    start, memo_start = engine.cache_size(), engine.memo_size()
-    return [fn(a) for a in chunk], engine.cache_rows(start), engine.memo_rows(memo_start)
+def _run_chunk(fn: Callable, chunk: list) -> tuple[list, list]:
+    start = engine.cache_size()
+    return [fn(a) for a in chunk], engine.cache_rows(start)
 
 
-def _map_shards(fn: Callable, args: list, jobs: int) -> tuple[list, list]:
-    """Apply fn to each shard argument, in order; returns (payloads, cache rows
-    filled by pool workers). Each pool task runs one chunk of arguments and
-    reads its cache and memo fills once; the memo fills join this process's
-    memo as each chunk arrives. The serial path returns no rows: its fills
-    stay in this process, where run_claim reads them."""
+def _map_shards(fn: Callable, args: list, jobs: int) -> list:
+    """Apply fn to each shard argument, in order. Each pool task runs one chunk
+    of arguments and returns the tables it cached; they join this process's
+    cache as each chunk arrives, so every table built lands here at any job
+    count."""
     if jobs <= 1 or len(args) <= 1:
-        return [fn(a) for a in args], []
+        return [fn(a) for a in args]
     size = max(1, len(args) // (jobs * 8))
     chunks = [args[i:i + size] for i in range(0, len(args), size)]
-    payloads, rows = [], []
+    payloads = []
     with mp.get_context("fork").Pool(jobs) as pool:
-        for outs, chunk_rows, tables in pool.imap(functools.partial(_run_chunk, fn), chunks):
+        for outs, tables in pool.imap(functools.partial(_run_chunk, fn), chunks):
             payloads += outs
-            rows += chunk_rows
-            engine.seed_memo(tables)
-    return payloads, rows
+            engine.seed_cache(tables)
+    return payloads
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +156,12 @@ class _Sweep:
     def __call__(self, params: dict, jobs: int):
         domain, shards = self.plan(params)
         check = functools.partial(self.check, params=params)
-        payloads, rows = _map_shards(check, list(shards), jobs)
+        payloads = _map_shards(check, list(shards), jobs)
         checks = sum(p[0] for p in payloads)
         violations = [v for p in payloads for v in p[1]]
         tallies = [p[2] for p in payloads]
         equality, extras = self.finish(checks, tallies) if self.finish else (None, {})
-        return domain, checks, violations, equality, extras, rows
+        return domain, checks, violations, equality, extras
 
 
 def _upto(first: int, prefix: str) -> Callable[[dict], tuple[str, range]]:
@@ -302,12 +299,15 @@ def _example16_plan(params: dict) -> tuple[str, list]:
 
 
 # ---------------------------------------------------------------------------
-# other claim runners: (params, jobs) -> (domain, checks, violations, equality, extras, rows)
+# other claim runners: (params, jobs) -> (domain, checks, violations, equality, extras)
 
 def _run_prop9(params, jobs):
     p_max, q_max, pk_cap = params["p_max"], params["q_max"], params["pk_cap"]
     checks = 0
     violations = []
+    # (Z/p^k)* is cyclic for odd p, so ord_{p^k}(q) fixes <q>, and with it both
+    # m values and the order one level down: one check per (p, k, order)
+    verdicts: dict[tuple[int, int, int], bool] = {}
     for p in range(3, p_max + 1, 2):
         if not is_prime(p):
             continue
@@ -319,12 +319,15 @@ def _run_prop9(params, jobs):
                 i, d = ord_factorization(q, p, k)
                 if i > 0:
                     checks += 1
-                    if not check_prop9(q, p, k):
+                    key = (p, k, p**i * d)
+                    if key not in verdicts:
+                        verdicts[key] = check_prop9(q, p, k)
+                    if not verdicts[key]:
                         violations.append({"q": q, "p": p, "k": k})
                 k += 1
     return (
         f"odd p <= {p_max}, q <= {q_max}, p^k <= {pk_cap}, p | ord",
-        checks, violations, None, {}, [],
+        checks, violations, None, {},
     )
 
 
@@ -341,7 +344,7 @@ def _tower_table(table: Callable, exceptions: dict, r: int) -> Callable:
         violations += [{"p": p, "k": k, "kind": "exceptional_row_missing"}
                        for p, k in sorted(missing)]
         return (f"order-{r} towers, p = 1 (mod {r}), p <= {p_max}", len(rows), violations,
-                None, {}, [])
+                None, {})
     return run
 
 
@@ -367,7 +370,7 @@ def _run_corollary13(params, jobs):
                 "expected": sorted(want), "actual": sorted(got.entries),
             })
     return (f"exception sets for n in {list(params['ns'])}", checks, violations,
-            None, {}, [])
+            None, {})
 
 
 def _run_remark12(params, jobs):
@@ -384,7 +387,7 @@ def _run_remark12(params, jobs):
             violations.append({"n": n, "kind": "exceeds_smallest_prime"})
         if len(factorize(n)) == 1 and not thr > r - 1:
             violations.append({"n": n, "kind": "prime_power_lower_bound"})
-    return (f"2 <= n <= {n_max}", checks, violations, None, {}, [])
+    return (f"2 <= n <= {n_max}", checks, violations, None, {})
 
 
 _CLAIMS: dict[str, tuple[Callable, dict[str, Any], str]] = {
@@ -452,11 +455,11 @@ def run_claim(claim_id: str, params: dict[str, Any] | None = None,
     """Run one claim sweep. Results are deterministic in everything but wall
     time, whatever the worker count.
 
-    With a store, the run adds the subgroup rows it computed. An m table
-    already built in this session (since the last engine.clear_cache()) is
-    read from the engine's memo and computes nothing, so it adds no rows,
-    whether jobs is 1 or more: pool workers return their tables to this
-    process for later claims."""
+    With a store, the run adds the m tables it built, which pool workers
+    return to this process. A table already cached in this session (since
+    the last engine.clear_cache()) computes nothing, so it adds no record,
+    whether jobs is 1 or more. Values found outside tables (tower and witness
+    paths) are not stored."""
     if claim_id not in _CLAIMS:
         raise UnknownClaim(claim_id)
     runner, defaults, _ = _CLAIMS[claim_id]
@@ -471,12 +474,12 @@ def run_claim(claim_id: str, params: dict[str, Any] | None = None,
         engine.seed_cache(result_store.cache_rows())
     t0 = time.perf_counter()
     start = engine.cache_size()
-    domain, checks, violations, equality, extras, rows = runner(merged, jobs)
+    domain, checks, violations, equality, extras = runner(merged, jobs)
     elapsed = time.perf_counter() - t0
     if not checks:
         raise DomainError(f"claim {claim_id} makes no checks on {domain}")
     if result_store is not None:
-        result_store.add_rows(engine.cache_rows(start) + rows)
+        result_store.add_rows(engine.cache_rows(start))
         result_store.save()
     return VerificationReport(
         claim_id=claim_id,

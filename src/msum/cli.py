@@ -25,8 +25,7 @@ from .errors import (
     NotFoundWithinCap,
     UnknownClaim,
 )
-from .modular import instance, unit_subgroup
-from .store import ResultStore
+from .modular import instance
 from .towers import tower_sequence
 
 _FORMATS = click.Choice(["text", "json", "csv"])
@@ -56,28 +55,26 @@ def main() -> None:
 @click.argument("q", type=int)
 @click.argument("e", type=int)
 @click.option("--format", "fmt", type=_FORMATS, default="text", show_default=True)
-@click.option("--store", "store_flag", type=click.Path(), default=None,
-              help="Result store path (env MSUM_STORE is the fallback).")
-def cmd_m(q: int, e: int, fmt: str, store_flag: str | None) -> None:
+def cmd_m(q: int, e: int, fmt: str) -> None:
     """Compute m(Q, E) with a verified witness."""
+    # the text form prints no witness for q = 1 (mod e), where it has e terms
+    congruent_one = e > 1 and q % e == 1
     try:
+        # m first: a modulus beyond the engines' range fails at once, before
+        # the order computation in instance() factors it
+        result = engine.m(q, e, with_witness=fmt == "json" or not congruent_one)
         inst = instance(q, e)
     except NotCoprime:
         raise click.UsageError(
             f"q and e must be coprime; gcd({q},{e}) = {gcd(q, e)}"
         )
-    except DomainError as exc:
-        raise click.UsageError(str(exc))
-    # the text form prints no witness for q = 1 (mod e), where it has e terms
-    try:
-        result = engine.m(q, e, with_witness=fmt == "json" or q % e != 1)
-    except ModulusTooLarge as exc:
+    except (DomainError, ModulusTooLarge) as exc:
         raise click.UsageError(str(exc))
     qr = q % e
     closed = []
     if e == 1:
         closed.append("e=1")
-    if qr == 1 and e > 1:
+    if congruent_one:
         closed.append("q=1 (mod e)")
     if (e & (e - 1)) == 0 and e > 1:
         closed.append(f"two-power: m = {engine.two_power_m(q, e.bit_length() - 1)}")
@@ -86,12 +83,6 @@ def cmd_m(q: int, e: int, fmt: str, store_flag: str | None) -> None:
     if 1 < qr and inst.e1 > 1 and e < inst.e1 * inst.e1 + 2 * inst.e1:
         closed.append(f"small-modulus case: m = e1 = {inst.e1}")
     bound = engine.ceil_bound(inst)
-    store_path = _store_path(store_flag)
-    if store_path:
-        key = engine.subgroup_key(unit_subgroup(q, e))
-        st = ResultStore(store_path)
-        st.add(e, key.digest, result.value)
-        st.save()
     if fmt == "json":
         click.echo(json.dumps({
             "q": q, "e": e, "m": result.value, "witness": list(result.witness),
@@ -99,7 +90,7 @@ def cmd_m(q: int, e: int, fmt: str, store_flag: str | None) -> None:
             "closed_forms": closed,
         }, sort_keys=True))
         return
-    if q % e == 1:
+    if congruent_one:
         click.echo(f"m({q},{e}): m={result.value} (q=1 mod e case)")
     else:
         click.echo(f"m({q},{e}): m={result.value}, witness {_witness_text(q, result.witness)}")

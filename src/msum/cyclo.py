@@ -9,6 +9,8 @@ and then verified member by member against the engine.
 from __future__ import annotations
 
 import itertools
+import multiprocessing as mp
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -284,15 +286,8 @@ def _raw_tuples(n: int):
             yield (0,) + rest
 
 
-def _exponent_tuples(n: int):
-    """One canonical representative per cyclic-rotation class of _raw_tuples."""
-    phi = euler_phi(n)
-    for t in _raw_tuples(n):
-        if _canonical_rotation(t, n, phi) == t:
-            yield t
-
-
 def _scan_chunk(args) -> tuple[int, set[int]]:
+    """(count, Bezout denominators) of the canonical rotations in one chunk."""
     n, chunk = args
     phi = euler_phi(n)
     count = 0
@@ -389,33 +384,19 @@ def candidate_scan(n: int, jobs: int = 1) -> CandidateScan:
     """Enumerate all short exponent tuples, compute their Bezout denominators,
     and factor them. Stubborn cofactors are reported, never dropped.
 
-    Tuple enumeration is embarrassingly parallel; jobs > 1 shards it."""
+    Tuple enumeration is embarrassingly parallel: the tuples go out in chunks,
+    scanned in this process at jobs <= 1 and by a pool otherwise."""
     if n < 2:
         raise DomainError("n must be >= 2")
     d_values: set[int] = set()
     count = 0
-    if jobs <= 1:
-        for t in _exponent_tuples(n):
-            count += 1
-            d_values.add(bezout_denominator(_tuple_poly(t), n))
-    else:
-        import multiprocessing as mp
-
-        def chunks():
-            batch = []
-            for t in _raw_tuples(n):
-                batch.append(t)
-                if len(batch) >= 20_000:
-                    yield n, batch
-                    batch = []
-            if batch:
-                yield n, batch
-
-        ctx = mp.get_context("fork")
-        with ctx.Pool(jobs) as pool:
-            for c, ds in pool.imap_unordered(_scan_chunk, chunks()):
-                count += c
-                d_values |= ds
+    tuples = _raw_tuples(n)
+    chunks = ((n, batch) for batch in iter(lambda: list(itertools.islice(tuples, 20_000)), []))
+    with mp.get_context("fork").Pool(jobs) if jobs > 1 else nullcontext() as pool:
+        scan = pool.imap_unordered if jobs > 1 else map
+        for c, ds in scan(_scan_chunk, chunks):
+            count += c
+            d_values |= ds
     factored = []
     unresolved = []
     for d in sorted(d_values):

@@ -16,20 +16,19 @@ m() and m_prime_power() share one private dispatcher over three routes:
     over half-length sums searches t < r (r the smallest prime divisor of
     the order); m = r is returned only with a verified order-r witness.
 
-BFS values go into a subgroup-keyed cache, because m depends only on the
-generated subgroup, which collapses sweeps over q. The cache only grows
-between clear_cache() calls, so cache_rows(start) lists every value filled
-since cache_size() read start; sweep workers return these to feed a store.
-A per-modulus memo keeps each m table of the session as an array of its
-generator classes' m in walk order; a hit rebuilds the table from the powers
-with no keying and no BFS. Workers return memo_rows(start) the same way, for
-seed_memo() to share with later claims. clear_cache() empties both.
+The one cache holds per-modulus m tables: for each e, an array of the m of
+the generator classes of (Z/eZ)* in the order m_table_for_modulus walks
+them (m depends only on the generated subgroup, so one value serves every
+generator of a class). A hit rebuilds the table from the powers with no BFS.
+The cache only grows between clear_cache() calls, so cache_rows(start) lists
+every table built since cache_size() read start; sweep workers return these
+for seed_cache() to share with later claims and with the store. Single m
+queries run their BFS directly and are not cached.
 """
 from __future__ import annotations
 
-import hashlib
-import sys
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
 from math import gcd
@@ -50,8 +49,6 @@ __all__ = [
     "DENSE_LIMIT",
     "SPARSE_LIMIT",
     "LevelSets",
-    "SubgroupKey",
-    "subgroup_key",
     "grow_level_sets",
     "m",
     "m_value",
@@ -66,9 +63,6 @@ __all__ = [
     "cache_size",
     "cache_rows",
     "seed_cache",
-    "memo_size",
-    "memo_rows",
-    "seed_memo",
 ]
 
 DENSE_LIMIT = 1 << 22  # largest modulus handled by the bitmask BFS
@@ -76,14 +70,6 @@ SPARSE_LIMIT = 1 << 40  # largest modulus handled by the orbit engine
 
 _MUL_SPLIT = 19  # limb split for overflow-free int64 mulmod (needs modulus < 2^40)
 _SLICE_CELLS = 1 << 20  # grid cells per slice of an orbit level build (bounds peak memory)
-
-
-@dataclass(frozen=True)
-class SubgroupKey:
-    """Canonical fingerprint of a unit subgroup; equal subgroups, equal keys."""
-
-    modulus: int
-    digest: bytes
 
 
 @dataclass(frozen=True)
@@ -111,66 +97,37 @@ class LevelSets:
 
 
 # ---------------------------------------------------------------------------
-# subgroup-keyed cache
+# per-modulus table cache
 
-_cache: dict[tuple[int, bytes], int] = {}
-_memo: dict[int, array] = {}  # e -> class m values of m_table_for_modulus(e), walk order
-
-
-def _fingerprint(elements: tuple[int, ...]) -> bytes:
-    """blake2b over the elements as 8-byte little-endian words."""
-    packed = array("Q", elements)
-    if sys.byteorder == "big":
-        packed.byteswap()
-    return hashlib.blake2b(packed.tobytes(), digest_size=16).digest()
-
-
-def subgroup_key(sub: UnitSubgroup) -> SubgroupKey:
-    return SubgroupKey(sub.modulus, _fingerprint(sub.elements))
+_tables: dict[int, array] = {}  # e -> class m values of m_table_for_modulus(e), walk order
 
 
 def clear_cache() -> None:
-    _cache.clear()
-    _memo.clear()
+    _tables.clear()
 
 
 def cache_size() -> int:
-    return len(_cache)
+    return len(_tables)
 
 
 def seed_cache(rows) -> None:
-    """Preload (modulus, digest, m) rows, e.g. from a persisted ResultStore."""
-    for e, digest, value in rows:
-        _cache[(e, digest)] = value
+    """Adopt (modulus, class values) rows, from pool workers or a ResultStore."""
+    _tables.update(rows)
 
 
-def cache_rows(start: int) -> list[tuple[int, bytes, int]]:
-    """(modulus, digest, m) rows inserted after the first `start` entries.
+def cache_rows(start: int) -> list[tuple[int, array]]:
+    """(modulus, class values) rows cached after the first `start` tables.
 
     Between clear_cache() calls the cache only grows and keeps insertion
-    order, so a cache_size() taken earlier marks every row filled since.
+    order, so a cache_size() taken earlier marks every table built since.
     """
-    return [(e, digest, value)
-            for (e, digest), value in islice(_cache.items(), start, None)]
-
-
-def memo_size() -> int:
-    return len(_memo)
-
-
-def memo_rows(start: int) -> list[tuple[int, array]]:
-    """(modulus, class values) rows memoized after the first `start`, as cache_rows."""
-    return list(islice(_memo.items(), start, None))
-
-
-def seed_memo(rows) -> None:
-    _memo.update(rows)
+    return list(islice(_tables.items(), start, None))
 
 
 # ---------------------------------------------------------------------------
 # dense bitmask BFS
 
-def _bfs_dense(e: int, elements: tuple[int, ...], keep_masks: bool):
+def _bfs_dense(e: int, elements: Sequence[int], keep_masks: bool):
     """Returns (m, masks or None). Level masks are cumulative reachable sets."""
     full = (1 << e) - 1
     amask = 0
@@ -211,16 +168,6 @@ def _witness_residues(e: int, elements: tuple[int, ...], masks: list[int]) -> li
     return out
 
 
-def _cached_m_dense(e: int, elements: tuple[int, ...]) -> int:
-    key = (e, _fingerprint(elements))
-    hit = _cache.get(key)
-    if hit is not None:
-        return hit
-    value, _ = _bfs_dense(e, elements, keep_masks=False)
-    _cache.setdefault(key, value)
-    return value
-
-
 def grow_level_sets(sub: UnitSubgroup) -> LevelSets:
     """Full level-set profile of a subgroup, for growth-property checks."""
     if sub.modulus > DENSE_LIMIT:
@@ -253,8 +200,6 @@ def _m_orbit(p_mod: int, q: int, n: int, t_cap: int, want_witness: bool):
     only t < r is searched; if none vanishes, r is returned with that subgroup
     as witness once its sum is checked. Otherwise t runs up to t_cap.
     """
-    if p_mod >= SPARSE_LIMIT:
-        raise ModulusTooLarge(f"modulus {p_mod} beyond orbit engine range (2^40)")
     powers = [pow(q, i, p_mod) for i in range(n)]
     pw = np.array(powers, dtype=np.int64)
     step = n // t_cap
@@ -347,7 +292,6 @@ def _powers_of(q: int, e: int) -> list[int]:
 def _dense_with_witness(e: int, elements: tuple[int, ...],
                         base: int) -> tuple[int, tuple[int, ...]]:
     value, masks = _bfs_dense(e, elements, keep_masks=True)
-    _cache.setdefault((e, _fingerprint(elements)), value)
     exp_of = {v: i for i, v in enumerate(_powers_of(base, e))}
     return value, tuple(sorted(exp_of[r] for r in _witness_residues(e, elements, masks)))
 
@@ -369,8 +313,10 @@ def _route(q: int, e: int, pk: tuple[int, int] | None, want_witness: bool):
     if e <= DENSE_LIMIT:
         sub = unit_subgroup(q, e)
         if not want_witness:
-            return _cached_m_dense(e, sub.elements), None
+            return _bfs_dense(e, sub.elements, keep_masks=False)[0], None
         return _dense_with_witness(e, sub.elements, q)
+    if e >= SPARSE_LIMIT:  # before any factoring: trial division would stall
+        raise ModulusTooLarge(f"modulus {e} beyond orbit engine range (2^40)")
     if pk is None:
         pk = _prime_power_shape(e)
         if pk is None:
@@ -413,7 +359,7 @@ def _prime_power_shape(e: int) -> tuple[int, int] | None:
 
 
 def m_value(q: int, e: int) -> int:
-    """m(q,e) without witness reconstruction (cache-backed fast path)."""
+    """m(q,e) without witness reconstruction."""
     return m(q, e, with_witness=False).value
 
 
@@ -431,12 +377,14 @@ def m_table_for_modulus(e: int) -> dict[int, tuple[int, int]]:
     """q -> (m, ord) for every q in [1, e) coprime to e.
 
     Walks generator classes: one BFS per distinct subgroup, then every
-    generator of that subgroup inherits the value (memoized per class).
+    generator of that subgroup inherits the value. The class values are
+    cached per modulus; a cached array whose length is not the class count
+    (say, a corrupt seeded row) raises instead of answering.
     """
     if e > DENSE_LIMIT:
         raise ModulusTooLarge(f"modulus {e} beyond dense BFS range")
-    memo = _memo.get(e)
-    values = array("I") if memo is None else memo
+    cached = _tables.get(e)
+    values = array("I") if cached is None else cached
     coprime_exps: dict[int, list[int]] = {}  # order n -> j in [0, n) prime to n
     table: dict[int, tuple[int, int]] = {}
     classes = 0
@@ -448,14 +396,17 @@ def m_table_for_modulus(e: int) -> dict[int, tuple[int, int]]:
         exps = coprime_exps.get(n)
         if exps is None:
             exps = coprime_exps[n] = [j for j in range(n) if gcd(j, n) == 1]
-        if memo is None:
-            values.append(_cached_m_dense(e, tuple(sorted(powers))))
-        entry = (values[classes], n)
+        if cached is None:
+            values.append(_bfs_dense(e, powers, keep_masks=False)[0])
+        entry = (values[classes] if classes < len(values) else 0, n)
         classes += 1
         for j in exps:
             table[powers[j]] = entry
-    if memo is None:
-        _memo[e] = values
+    if classes != len(values):
+        raise MsumError(f"cached m table of modulus {e} has {len(values)} values "
+                        f"for {classes} generator classes")
+    if cached is None:
+        _tables[e] = values
     return table
 
 

@@ -1,34 +1,40 @@
-"""On-disk result store: a flat append-only table of computed m values.
+"""On-disk result store: an append-only file of per-modulus m tables.
+
+A table is the engine's cached row for one modulus e: the m of each
+generator class of (Z/eZ)*, in the order engine.m_table_for_modulus walks
+the classes.
 
 Layout (all integers little-endian):
-  header: magic "MSUMSTR1" (8) | version u32 | row_size u32 | e_min u64 | e_max u64
-  row:    e u64 | subgroup fingerprint (16) | m u64 | witness hash u64 | crc32 u32 | pad u32
+  header: magic "MSUMSTR1" (8) | version u32
+  record: e u64 | count u32 | count x m u32 | crc32 u32 over the record before it
 
-Row CRCs detect torn writes; the e-range in the header is refreshed on save.
-No database dependency, reproducible and diff-able.
+Record CRCs detect torn writes and flipped bits. save() only appends, so a
+file is never rewritten in place. No database dependency, reproducible and
+diff-able.
 """
 from __future__ import annotations
 
 import os
 import struct
 import zlib
+from array import array
 
 from .errors import StoreError
 
 MAGIC = b"MSUMSTR1"
-VERSION = 1
-_HEADER = struct.Struct("<8sIIQQ")
-_ROW = struct.Struct("<Q16sQQII")
-ROW_SIZE = _ROW.size
+VERSION = 2
+_HEADER = struct.Struct("<8sI")
+_RECORD = struct.Struct("<QI")  # e, count; the count values and the crc32 follow
+_CRC = struct.Struct("<I")
 
 
 class ResultStore:
-    """Append-only map (e, subgroup fingerprint) -> (m, witness hash)."""
+    """Append-only map e -> the m table of modulus e (class values in walk order)."""
 
     def __init__(self, path: str | os.PathLike):
         self.path = os.fspath(path)
-        self.rows: dict[tuple[int, bytes], tuple[int, int]] = {}
-        self._pending: list[tuple[int, bytes, int, int]] = []
+        self.tables: dict[int, array] = {}
+        self._pending: list[int] = []
         if os.path.exists(self.path):
             self._load()
 
@@ -37,62 +43,55 @@ class ResultStore:
             blob = fh.read()
         if len(blob) < _HEADER.size:
             raise StoreError(f"{self.path}: truncated header")
-        magic, version, row_size, _, _ = _HEADER.unpack_from(blob, 0)
+        magic, version = _HEADER.unpack_from(blob, 0)
         if magic != MAGIC:
             raise StoreError(f"{self.path}: bad magic {magic!r}")
         if version != VERSION:
             raise StoreError(f"{self.path}: unsupported version {version}")
-        if row_size != ROW_SIZE:
-            raise StoreError(f"{self.path}: row size {row_size} != {ROW_SIZE}")
-        body = blob[_HEADER.size:]
-        if len(body) % ROW_SIZE:
-            raise StoreError(f"{self.path}: trailing partial row")
-        for off in range(0, len(body), ROW_SIZE):
-            e, fp, m, whash, crc, _ = _ROW.unpack_from(body, off)
-            if crc != zlib.crc32(body[off:off + ROW_SIZE - 8]):
-                raise StoreError(f"{self.path}: row checksum mismatch at offset {off}")
-            self.rows[(e, fp)] = (m, whash)
+        off = _HEADER.size
+        while off < len(blob):
+            try:
+                e, count = _RECORD.unpack_from(blob, off)
+                end = off + _RECORD.size + 4 * count
+                values = struct.unpack_from(f"<{count}I", blob, off + _RECORD.size)
+                (crc,) = _CRC.unpack_from(blob, end)
+            except struct.error:
+                raise StoreError(f"{self.path}: partial record at offset {off}") from None
+            if crc != zlib.crc32(blob[off:end]):
+                raise StoreError(f"{self.path}: record checksum mismatch at offset {off}")
+            self._keep(e, array("I", values))
+            off = end + _CRC.size
 
-    def add(self, e: int, fingerprint: bytes, m: int, whash: int = 0) -> None:
-        key = (e, fingerprint)
-        old = self.rows.get(key)
-        if old is not None:
-            if old[0] != m:
-                raise StoreError(
-                    f"conflicting m for e={e}, key={fingerprint.hex()}: {old[0]} vs {m}"
-                )
-            return
-        self.rows[key] = (m, whash)
-        self._pending.append((e, fingerprint, m, whash))
+    def _keep(self, e: int, values: array) -> bool:
+        """Hold the table of e; False if an equal one is held already."""
+        old = self.tables.get(e)
+        if old is None:
+            self.tables[e] = values
+            return True
+        if old != values:
+            raise StoreError(f"{self.path}: conflicting m tables for e={e}")
+        return False
 
     def add_rows(self, rows) -> None:
-        for e, fp, m in rows:
-            self.add(e, fp, m)
-
-    @property
-    def e_range(self) -> tuple[int, int]:
-        if not self.rows:
-            return (0, 0)
-        es = [e for e, _ in self.rows]
-        return (min(es), max(es))
+        """Add (e, class values) rows, as engine.cache_rows lists them."""
+        for e, values in rows:
+            if self._keep(e, array("I", values)):
+                self._pending.append(e)
 
     def save(self) -> None:
-        """Append pending rows; refresh the header's e-range in place."""
-        e_min, e_max = self.e_range
-        header = _HEADER.pack(MAGIC, VERSION, ROW_SIZE, e_min, e_max)
-        fresh = not os.path.exists(self.path)
-        with open(self.path, "r+b" if not fresh else "wb") as fh:
-            fh.seek(0)
-            fh.write(header)
-            fh.seek(0, os.SEEK_END)
-            for e, fp, m, whash in self._pending:
-                body = _ROW.pack(e, fp, m, whash, 0, 0)[:-8]
-                fh.write(body + struct.pack("<II", zlib.crc32(body), 0))
+        """Append the pending tables, after a header if the file is new."""
+        with open(self.path, "ab") as fh:
+            if fh.tell() == 0:
+                fh.write(_HEADER.pack(MAGIC, VERSION))
+            for e in self._pending:
+                values = self.tables[e]
+                body = _RECORD.pack(e, len(values)) + struct.pack(f"<{len(values)}I", *values)
+                fh.write(body + _CRC.pack(zlib.crc32(body)))
         self._pending.clear()
 
-    def cache_rows(self):
-        """(e, fingerprint, m) triples for seeding the engine cache."""
-        return [(e, fp, m) for (e, fp), (m, _) in self.rows.items()]
+    def cache_rows(self) -> list[tuple[int, array]]:
+        """(e, class values) rows for seeding the engine cache."""
+        return list(self.tables.items())
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.tables)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
-from msum import campaign
+from msum import campaign, engine
 from msum.cli import main
 from msum.store import ResultStore
 
@@ -15,6 +15,13 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def run(*args, env=None):
     return CliRunner().invoke(main, list(args), env=env)
+
+
+def src_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            "OPENBLAS_NUM_THREADS": "1"}
 
 
 def golden(name: str) -> str:
@@ -64,13 +71,19 @@ def test_m_text_for_q_congruent_one_builds_no_witness():
     # cap, died with MemoryError
     code = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
             "from msum.cli import main; main(['m', '1', '1000000007'])")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-           "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "m=1000000007 (q=1 mod e case)" in proc.stdout
+
+
+def test_m_beyond_orbit_range_fails_at_once():
+    # 2^60 - 93 is prime; factoring it for its order, or trial division before
+    # the orbit engine's range check, went past 10 s
+    proc = subprocess.run([sys.executable, "-m", "msum", "m", "2", str(2**60 - 93)],
+                          env=src_env(), capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2, proc.stderr
+    assert "beyond orbit engine range" in proc.stderr
 
 
 def test_m_json():
@@ -228,16 +241,18 @@ def test_claims_listing():
 def test_store_env_and_flag_precedence(tmp_path):
     env_store = tmp_path / "env.bin"
     flag_store = tmp_path / "flag.bin"
-    res = run("m", "4", "7", env={"MSUM_STORE": str(env_store)})
+    args = ("verify", "divisibility", "--e-max", "20", "--jobs", "1",
+            "--report", str(tmp_path / "r.json"))
+    engine.clear_cache()  # tables cached earlier in the session add no records
+    res = run(*args, env={"MSUM_STORE": str(env_store)})
     assert res.exit_code == 0
-    assert env_store.exists()
-    before = len(ResultStore(env_store))
-    res = run("m", "9", "26", "--store", str(flag_store),
-              env={"MSUM_STORE": str(env_store)})
+    assert len(ResultStore(env_store)) == 20  # one table per modulus
+    written = env_store.read_bytes()
+    engine.clear_cache()
+    res = run(*args, "--store", str(flag_store), env={"MSUM_STORE": str(env_store)})
     assert res.exit_code == 0
-    assert flag_store.exists()
-    assert len(ResultStore(flag_store)) == 1
-    assert len(ResultStore(env_store)) == before  # flag beat the environment
+    assert len(ResultStore(flag_store)) == 20
+    assert env_store.read_bytes() == written  # flag beat the environment
 
 
 def test_module_entry_point():

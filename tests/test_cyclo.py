@@ -93,11 +93,14 @@ def test_bezout_identity_and_common_divisor_property():
 
 
 def test_bezout_divides_resultant():
-    from msum.cyclo import _exponent_tuples, _tuple_poly
+    from msum.cyclo import _canonical_rotation, _raw_tuples, _tuple_poly
 
     for n in (5, 7):
         phi_n = cyclotomic(n)
-        for t in _exponent_tuples(n):
+        phi = euler_phi(n)
+        for t in _raw_tuples(n):
+            if _canonical_rotation(t, n, phi) != t:
+                continue
             g = _tuple_poly(t)
             d = bezout_denominator(g, n)
             res = resultant(g, phi_n)

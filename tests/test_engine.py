@@ -19,7 +19,6 @@ from msum.engine import (
     m_table_for_modulus,
     m_value,
     naive_m_oracle,
-    subgroup_key,
     two_power_m,
     verify_witness,
 )
@@ -189,9 +188,7 @@ def test_m_depends_only_on_reduced_base(pair):
 
 
 def test_subgroup_key_identifies_subgroups():
-    # <2> = <8> mod 11 (8 = 2^3, gcd(3, 10) = 1) but <2> != <4>
-    assert subgroup_key(unit_subgroup(2, 11)) == subgroup_key(unit_subgroup(8, 11))
-    assert subgroup_key(unit_subgroup(2, 11)) != subgroup_key(unit_subgroup(4, 11))
+    # <2> = <8> mod 11 (8 = 2^3, gcd(3, 10) = 1)
     assert m_value(2, 11) == m_value(8, 11)
 
 
@@ -243,44 +240,55 @@ def test_m_table_matches_m_value():
             assert n == instance(q, e).n
 
 
-def test_fingerprint_matches_per_element_digest():
-    # blake2b over 8-byte little-endian words, as stores written with one
-    # update per element hold it
-    assert engine._fingerprint((1, 255, 256, 65537, 4194303)).hex() == \
-        "cf0a264e76aceda361c33cbb6d408188"
-    assert subgroup_key(unit_subgroup(4, 7)).digest.hex() == "5a01495da705c235c1e1eaee1ff1636f"
-
-
 def test_memoized_tables_equal_cold_builds(monkeypatch):
     engine.clear_cache()
     cold = {e: m_table_for_modulus(e) for e in range(1, 301)}
-    assert engine.memo_size() == 300
+    assert engine.cache_size() == 300
 
-    def no_keying(*args, **kwargs):
-        raise AssertionError("a memo hit keys or searches a subgroup")
+    def no_bfs(*args, **kwargs):
+        raise AssertionError("a cached table searched a subgroup")
 
-    monkeypatch.setattr(engine, "_fingerprint", no_keying)
-    monkeypatch.setattr(engine, "_bfs_dense", no_keying)
+    monkeypatch.setattr(engine, "_bfs_dense", no_bfs)
     for e, table in cold.items():
         assert list(m_table_for_modulus(e).items()) == list(table.items()), e
 
 
-def test_cache_round_trip():
+def test_cache_round_trip(monkeypatch):
     engine.clear_cache()
-    m_value(4, 7)
+    m_table_for_modulus(7)
     start = engine.cache_size()
-    assert start >= 1
-    m_value(3, 26)
+    assert start == 1
+    m_table_for_modulus(26)
+    m_value(3, 26)  # single queries are not cached
+    m(4, 35)  # nor witness queries
     rows = engine.cache_rows(start)
-    assert rows and all(len(r) == 3 for r in rows)
+    assert [e for e, _ in rows] == [26]
+    # one value per generator class: the subgroups of (Z/26Z)*, of orders 1, 2, 3, 4, 6, 12
+    assert len(rows[0][1]) == 6
     assert engine.cache_rows(engine.cache_size()) == []
-    # witness-path fills are rows too
-    start = engine.cache_size()
-    m(5, 26)
-    assert [r[0] for r in engine.cache_rows(start)] == [26]
+    table = m_table_for_modulus(26)
     engine.clear_cache()
+    assert engine.cache_size() == 0
     engine.seed_cache(rows)
-    assert engine.cache_size() == len(rows)
+    assert engine.cache_size() == 1
+
+    def no_bfs(*args, **kwargs):
+        raise AssertionError("a seeded table searched a subgroup")
+
+    monkeypatch.setattr(engine, "_bfs_dense", no_bfs)
+    assert m_table_for_modulus(26) == table
+
+
+@pytest.mark.parametrize("cut", ["short", "long"])
+def test_seeded_table_of_wrong_length_raises(cut):
+    engine.clear_cache()
+    m_table_for_modulus(26)
+    [(e, values)] = engine.cache_rows(0)
+    engine.clear_cache()
+    engine.seed_cache([(e, values[:-1] if cut == "short" else values + values[:1])])
+    with pytest.raises(MsumError, match="generator classes"):
+        m_table_for_modulus(26)
+    engine.clear_cache()
 
 
 def test_orbit_engine_matches_dense():
@@ -305,6 +313,18 @@ def test_modulus_too_large():
     sub = unit_subgroup(2, (1 << 23) + 1)
     with pytest.raises(ModulusTooLarge):
         m(sub.generator, sub.modulus)
+
+
+def test_modulus_beyond_orbit_range_fails_at_once():
+    # 2^60 - 93 is prime: trial division up to its square root, run before the
+    # orbit engine's range check, went past 10 s
+    code = ("from msum.engine import m\nfrom msum.errors import ModulusTooLarge\n"
+            "try:\n    m(2, 2**60 - 93)\nexcept ModulusTooLarge:\n    print('refused')")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=10)
+    assert proc.stdout.strip() == "refused", proc.stderr
 
 
 def test_m_prime_power_dense_and_witness():

@@ -1,46 +1,64 @@
+import struct
+from array import array
+
 import pytest
 
 from msum.errors import StoreError
 from msum.store import MAGIC, ResultStore
 
+T7 = array("I", [7, 3, 2, 2])  # m of <1>, <2>, <3>, <6> mod 7, in walk order
+T11 = array("I", [11, 2, 3, 2])  # m of <1>, <2>, <3>, <10> mod 11
+
+
+def saved(path, rows):
+    st = ResultStore(path)
+    st.add_rows(rows)
+    st.save()
+    return path
+
 
 def test_round_trip(tmp_path):
-    path = tmp_path / "s.bin"
-    st = ResultStore(path)
-    st.add(7, b"\x01" * 16, 3)
-    st.add(11, b"\x02" * 16, 5, whash=99)
-    st.save()
-    back = ResultStore(path)
-    assert back.rows[(7, b"\x01" * 16)] == (3, 0)
-    assert back.rows[(11, b"\x02" * 16)] == (5, 99)
-    assert back.e_range == (7, 11)
+    back = ResultStore(saved(tmp_path / "s.bin", [(7, T7), (11, T11)]))
+    assert back.tables == {7: T7, 11: T11}
+    assert back.cache_rows() == [(7, T7), (11, T11)]
+    assert len(back) == 2
 
 
 def test_append_after_reload(tmp_path):
-    path = tmp_path / "s.bin"
+    path = saved(tmp_path / "s.bin", [(7, T7)])
+    size = path.stat().st_size
     st = ResultStore(path)
-    st.add(7, b"\x01" * 16, 3)
+    st.add_rows([(11, [11, 2, 3, 2])])
     st.save()
-    st2 = ResultStore(path)
-    st2.add(9, b"\x03" * 16, 9)
-    st2.save()
-    assert len(ResultStore(path)) == 2
+    assert path.read_bytes()[:size] == saved(tmp_path / "t.bin", [(7, T7)]).read_bytes()
+    assert ResultStore(path).tables == {7: T7, 11: T11}
 
 
 def test_duplicate_rows_are_idempotent(tmp_path):
-    path = tmp_path / "s.bin"
+    path = saved(tmp_path / "s.bin", [(7, T7), (7, list(T7))])
+    size = path.stat().st_size
     st = ResultStore(path)
-    st.add(7, b"\x01" * 16, 3)
-    st.add(7, b"\x01" * 16, 3)
+    st.add_rows([(7, T7)])
     st.save()
+    assert path.stat().st_size == size
     assert len(ResultStore(path)) == 1
 
 
 def test_conflicting_m_raises(tmp_path):
     st = ResultStore(tmp_path / "s.bin")
-    st.add(7, b"\x01" * 16, 3)
-    with pytest.raises(StoreError):
-        st.add(7, b"\x01" * 16, 4)
+    st.add_rows([(7, T7)])
+    with pytest.raises(StoreError, match="conflicting"):
+        st.add_rows([(7, [7, 3, 2, 3])])
+    with pytest.raises(StoreError, match="conflicting"):
+        st.add_rows([(7, [7, 3, 2])])
+
+
+def test_conflicting_records_on_disk_raise(tmp_path):
+    path = saved(tmp_path / "s.bin", [(7, T7)])
+    other = saved(tmp_path / "t.bin", [(7, [7, 3, 2, 3])])
+    path.write_bytes(path.read_bytes() + other.read_bytes()[len(MAGIC) + 4:])
+    with pytest.raises(StoreError, match="conflicting"):
+        ResultStore(path)
 
 
 def test_bad_magic(tmp_path):
@@ -50,27 +68,39 @@ def test_bad_magic(tmp_path):
         ResultStore(path)
 
 
-def test_partial_row_detected(tmp_path):
+def test_version_1_file_is_refused(tmp_path):
     path = tmp_path / "s.bin"
-    st = ResultStore(path)
-    st.add(7, b"\x01" * 16, 3)
-    st.save()
-    blob = path.read_bytes()
-    path.write_bytes(blob[:-5])
-    with pytest.raises(StoreError):
+    # a version 1 header: magic, version, row size, e-range
+    path.write_bytes(struct.pack("<8sIIQQ", MAGIC, 1, 48, 7, 7))
+    with pytest.raises(StoreError, match="unsupported version 1"):
         ResultStore(path)
+
+
+def test_partial_row_detected(tmp_path):
+    blob = saved(tmp_path / "s.bin", [(7, T7)]).read_bytes()
+    path = tmp_path / "cut.bin"
+    for cut in (1, 4, 5, 13, 31):  # into the crc, the values, the count
+        path.write_bytes(blob[:-cut])
+        with pytest.raises(StoreError, match="partial record"):
+            ResultStore(path)
 
 
 def test_corrupted_row_detected(tmp_path):
-    path = tmp_path / "s.bin"
-    st = ResultStore(path)
-    st.add(7, b"\x01" * 16, 3)
-    st.save()
-    blob = bytearray(path.read_bytes())
-    blob[-12] ^= 0xFF  # flip a bit inside the m field
-    path.write_bytes(bytes(blob))
-    with pytest.raises(StoreError):
-        ResultStore(path)
+    blob = saved(tmp_path / "s.bin", [(7, T7)]).read_bytes()
+    path = tmp_path / "flipped.bin"
+    # record fields: e at 0, count at 8, m values at 12..27, crc at 28
+    for offset in (0, 8, 12, 16, 24, 28):
+        flipped = bytearray(blob)
+        flipped[len(MAGIC) + 4 + offset] ^= 0x01
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(StoreError):
+            ResultStore(path)
+
+
+def test_empty_store_saves_a_header(tmp_path):
+    path = saved(tmp_path / "s.bin", [])
+    assert path.read_bytes()[:len(MAGIC)] == MAGIC
+    assert len(ResultStore(path)) == 0
 
 
 def test_magic_constant_shape():
