@@ -1,15 +1,17 @@
 """Verification campaigns: one runnable claim per published statement.
 
-The per-modulus claims (theorem1, divisibility, lemma3, two_power,
-conjecture4, corollary8, prop2, oracle) and the tower rows of example16 and
-example17 all run through one sweep: each claim supplies a check of one
-shard (a modulus, or a tower row), its shards and domain, and how its
-tallies become equality cases and extras; the sweep shards, sums and
-flattens. A shard owns every q of its modulus, and each pool task returns
-the m tables it built (engine.cache_rows); the parent adopts them as they
-arrive, so they reach the store, and the workers of later claims in the
-session inherit them and run no BFS for those moduli until
-engine.clear_cache() empties the cache. Reports merge in input order,
+Every claim is a sweep: it plans its shards and domain, supplies a check of
+one shard, and says how the shards' tallies become equality cases and
+extras; run_claim shards, sums and flattens. The shards are moduli e for the
+per-modulus claims (theorem1, divisibility, lemma3, two_power, conjecture4,
+corollary8, prop2, oracle), odd primes p for prop9, primes p = 1 (mod r) for
+the order-r tower tables of prop14 and prop15, tower rows (p, n) for
+example16 and example17, and n for corollary13 and remark12. A shard owns
+all of its work (every q of its modulus, every q and k at its prime), and
+each pool task returns the m tables it built (engine.cache_rows); the parent
+adopts them as they arrive, so they reach the store, and the workers of
+later claims in the session inherit them and run no BFS for those moduli
+until engine.clear_cache() empties the cache. Reports merge in shard order,
 which makes them identical regardless of worker count. A run that makes no
 checks is a DomainError, never a vacuous pass. The expected tables embedded
 below are claims under test, not trusted data: every sweep recomputes them
@@ -21,7 +23,6 @@ import functools
 import multiprocessing as mp
 import os
 import time
-from dataclasses import dataclass
 from math import gcd
 from typing import Any, Callable
 
@@ -32,13 +33,7 @@ from .errors import DomainError, UnknownClaim
 from .modular import factorize, is_prime, rad, smallest_prime_divisor
 from .report import VerificationReport
 from .store import ResultStore
-from .towers import (
-    check_prop9,
-    ord_factorization,
-    prop14_table,
-    prop15_table,
-    tower_sequence,
-)
+from .towers import check_prop9, ord_factorization, tower_rows, tower_sequence
 
 __all__ = [
     "run_claim",
@@ -122,13 +117,13 @@ def _map_shards(fn: Callable, args: list, jobs: int) -> list:
     """Apply fn to each shard argument, in order. Each pool task runs one chunk
     of arguments and returns the tables it cached; they join this process's
     cache as each chunk arrives, so every table built lands here at any job
-    count."""
+    count. The pool has no more workers than chunks."""
     if jobs <= 1 or len(args) <= 1:
         return [fn(a) for a in args]
     size = max(1, len(args) // (jobs * 8))
     chunks = [args[i:i + size] for i in range(0, len(args), size)]
     payloads = []
-    with mp.get_context("fork").Pool(jobs) as pool:
+    with mp.get_context("fork").Pool(min(jobs, len(chunks))) as pool:
         for outs, tables in pool.imap(functools.partial(_run_chunk, fn), chunks):
             payloads += outs
             engine.seed_cache(tables)
@@ -136,33 +131,12 @@ def _map_shards(fn: Callable, args: list, jobs: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# per-modulus claims: one sweep, and a check per claim
-
-@dataclass(frozen=True)
-class _Sweep:
-    """A claim checked one shard at a time (a modulus, or a tower row).
-
-    plan(params) -> (domain, shards). check(shard, params) -> (checks,
-    violations, tally) runs on every shard, in pool workers when jobs > 1 (so
-    it is a module-level function). finish(checks, tallies) turns the tallies,
-    in shard order, into (equality_cases, extras); without it there are none.
-    Called as a claim runner.
-    """
-
-    check: Callable
-    plan: Callable[[dict], tuple[str, range | list]]
-    finish: Callable[[int, list], tuple] | None = None
-
-    def __call__(self, params: dict, jobs: int):
-        domain, shards = self.plan(params)
-        check = functools.partial(self.check, params=params)
-        payloads = _map_shards(check, list(shards), jobs)
-        checks = sum(p[0] for p in payloads)
-        violations = [v for p in payloads for v in p[1]]
-        tallies = [p[2] for p in payloads]
-        equality, extras = self.finish(checks, tallies) if self.finish else (None, {})
-        return domain, checks, violations, equality, extras
-
+# claims: a plan of shards, and a check of one shard
+#
+# plan(params) -> (domain, shards). check(shard, params) -> (checks,
+# violations, tally) runs on every shard, in pool workers when jobs > 1 (so
+# it is a module-level function). finish(checks, tallies) turns the tallies,
+# in shard order, into (equality_cases, extras); without it there are none.
 
 def _upto(first: int, prefix: str) -> Callable[[dict], tuple[str, range]]:
     """The plan of moduli first..e_max, over the domain "<prefix>e <= e_max"."""
@@ -277,6 +251,59 @@ def _oracle_check(e: int, params: dict):
     return len(table), violations, None
 
 
+def _prop9_plan(params: dict) -> tuple[str, list]:
+    p_max, q_max, pk_cap = params["p_max"], params["q_max"], params["pk_cap"]
+    return (f"odd p <= {p_max}, q <= {q_max}, p^k <= {pk_cap}, p | ord",
+            [p for p in range(3, p_max + 1, 2) if is_prime(p)])
+
+
+def _prop9_check(p: int, params: dict):
+    q_max, pk_cap = params["q_max"], params["pk_cap"]
+    checks = 0
+    violations = []
+    # (Z/p^k)* is cyclic for odd p, so ord_{p^k}(q) fixes <q>, and with it both
+    # m values and the order one level down: one check per (k, order)
+    verdicts: dict[tuple[int, int], bool] = {}
+    for q in range(2, q_max + 1):
+        if q % p == 0:
+            continue
+        k = 2
+        while p**k <= pk_cap:
+            i, d = ord_factorization(q, p, k)
+            if i > 0:
+                checks += 1
+                key = (k, p**i * d)
+                if key not in verdicts:
+                    verdicts[key] = check_prop9(q, p, k)
+                if not verdicts[key]:
+                    violations.append({"q": q, "p": p, "k": k})
+            k += 1
+    return checks, violations, None
+
+
+def _order_r_plan(r: int, exceptions: dict) -> Callable[[dict], tuple[str, list]]:
+    """The primes p = 1 (mod r) up to p_max, and the p of every listed
+    exception there, so a listed p that has no tower is reported too."""
+    def plan(params):
+        p_max = params["p_max"]
+        primes = {p for p in range(r + 1, p_max + 1, r) if is_prime(p)}
+        primes |= {p for p, _ in exceptions if p <= p_max}
+        return f"order-{r} towers, p = 1 (mod {r}), p <= {p_max}", sorted(primes)
+    return plan
+
+
+def _order_r_check(p: int, params: dict, r: int, exceptions: dict):
+    """m = r at every level of the order-r tower at p but the listed
+    exceptions, each of which must be among its rows."""
+    rows = tower_rows(p, r, params["k_cap"]) if p % r == 1 and is_prime(p) else []
+    violations = [{"p": p, "k": k, "expected": exceptions.get((p, k), r), "actual": mv}
+                  for _, k, mv in rows if mv != exceptions.get((p, k), r)]
+    missing = {pk for pk in exceptions if pk[0] == p} - {(p, k) for _, k, _ in rows}
+    violations += [{"p": p, "k": k, "kind": "exceptional_row_missing"}
+                   for _, k in sorted(missing)]
+    return len(rows), violations, None
+
+
 def _tower_check(item, params: dict):
     (p, n), expected = item
     report = tower_sequence(p, n, len(expected))
@@ -298,148 +325,100 @@ def _example16_plan(params: dict) -> tuple[str, list]:
             sorted((pn, seq) for pn, seq in EXAMPLE16.items() if pn[1] in ns))
 
 
-# ---------------------------------------------------------------------------
-# other claim runners: (params, jobs) -> (domain, checks, violations, equality, extras)
+_COROLLARY13 = {n: {(p, k, m) for (p, k), m in table.items()}
+                for n, table in ((5, PROP14_EXCEPTIONS), (7, PROP15_EXCEPTIONS))}
 
-def _run_prop9(params, jobs):
-    p_max, q_max, pk_cap = params["p_max"], params["q_max"], params["pk_cap"]
-    checks = 0
+
+def _corollary13_plan(params: dict) -> tuple[str, list]:
+    ns = list(params["ns"])
+    unlisted = sorted(set(ns) - set(_COROLLARY13))
+    if unlisted:
+        raise DomainError(f"corollary13 has no published exception set for n in {unlisted}")
+    return f"exception sets for n in {ns}", ns
+
+
+def _corollary13_check(n: int, params: dict):
+    got = corollary13_exceptions(n)
+    want = _COROLLARY13[n]
     violations = []
-    # (Z/p^k)* is cyclic for odd p, so ord_{p^k}(q) fixes <q>, and with it both
-    # m values and the order one level down: one check per (p, k, order)
-    verdicts: dict[tuple[int, int, int], bool] = {}
-    for p in range(3, p_max + 1, 2):
-        if not is_prime(p):
-            continue
-        for q in range(2, q_max + 1):
-            if q % p == 0:
-                continue
-            k = 2
-            while p**k <= pk_cap:
-                i, d = ord_factorization(q, p, k)
-                if i > 0:
-                    checks += 1
-                    key = (p, k, p**i * d)
-                    if key not in verdicts:
-                        verdicts[key] = check_prop9(q, p, k)
-                    if not verdicts[key]:
-                        violations.append({"q": q, "p": p, "k": k})
-                k += 1
-    return (
-        f"odd p <= {p_max}, q <= {q_max}, p^k <= {pk_cap}, p | ord",
-        checks, violations, None, {},
-    )
+    if not got.complete:
+        violations.append({"n": n, "kind": "incomplete", "unresolved": got.unresolved})
+    if set(got.entries) != want:
+        violations.append({
+            "n": n, "kind": "entries",
+            "expected": sorted(want), "actual": sorted(got.entries),
+        })
+    return 1, violations, None
 
 
-def _tower_table(table: Callable, exceptions: dict, r: int) -> Callable:
-    """Runner for an order-r tower table: m = r at every (p, k) but the listed
-    exceptions with p <= p_max, each of which must appear in the table."""
-    def run(params, jobs):
-        p_max = params["p_max"]
-        expected = {pk: mv for pk, mv in exceptions.items() if pk[0] <= p_max}
-        rows = table(p_max, params["k_cap"])
-        violations = [{"p": p, "k": k, "expected": expected.get((p, k), r), "actual": mv}
-                      for p, k, mv in rows if mv != expected.get((p, k), r)]
-        missing = set(expected) - {(p, k) for p, k, _ in rows}
-        violations += [{"p": p, "k": k, "kind": "exceptional_row_missing"}
-                       for p, k in sorted(missing)]
-        return (f"order-{r} towers, p = 1 (mod {r}), p <= {p_max}", len(rows), violations,
-                None, {})
-    return run
-
-
-def _run_corollary13(params, jobs):
-    expected = {
-        5: {(11, 1, 3), (61, 1, 4)},
-        7: {(p, k, m) for (p, k), m in PROP15_EXCEPTIONS.items()},
-    }
-    checks = 0
+def _remark12_check(n: int, params: dict):
     violations = []
-    for n in params["ns"]:
-        checks += 1
-        got = corollary13_exceptions(n)
-        want = expected.get(n)
-        if want is None:
-            violations.append({"n": n, "kind": "no_expected_list"})
-            continue
-        if not got.complete:
-            violations.append({"n": n, "kind": "incomplete", "unresolved": got.unresolved})
-        if set(got.entries) != want:
-            violations.append({
-                "n": n, "kind": "entries",
-                "expected": sorted(want), "actual": sorted(got.entries),
-            })
-    return (f"exception sets for n in {list(params['ns'])}", checks, violations,
-            None, {})
+    thr = threshold(n)
+    r = smallest_prime_divisor(n)
+    if thr != threshold(rad(n)):
+        violations.append({"n": n, "kind": "radical_invariance"})
+    if thr > r:
+        violations.append({"n": n, "kind": "exceeds_smallest_prime"})
+    if len(factorize(n)) == 1 and not thr > r - 1:
+        violations.append({"n": n, "kind": "prime_power_lower_bound"})
+    return 1, violations, None
 
 
-def _run_remark12(params, jobs):
-    n_max = params["n_max"]
-    checks = 0
-    violations = []
-    for n in range(2, n_max + 1):
-        checks += 1
-        thr = threshold(n)
-        r = smallest_prime_divisor(n)
-        if thr != threshold(rad(n)):
-            violations.append({"n": n, "kind": "radical_invariance"})
-        if thr > r:
-            violations.append({"n": n, "kind": "exceeds_smallest_prime"})
-        if len(factorize(n)) == 1 and not thr > r - 1:
-            violations.append({"n": n, "kind": "prime_power_lower_bound"})
-    return (f"2 <= n <= {n_max}", checks, violations, None, {})
-
-
-_CLAIMS: dict[str, tuple[Callable, dict[str, Any], str]] = {
-    "theorem1": (_Sweep(_theorem1_check, _upto(1, "coprime pairs, "),
-                        lambda checks, tallies: ([pair for t in tallies for pair in t], {})),
+# claim id -> (check, plan, finish, defaults, description)
+_CLAIMS: dict[str, tuple[Callable, Callable, Callable | None, dict[str, Any], str]] = {
+    "theorem1": (_theorem1_check, _upto(1, "coprime pairs, "),
+                 lambda checks, tallies: ([pair for t in tallies for pair in t], {}),
                  {"e_max": 1000},
                  "m <= ceil(e/n) for all coprime pairs; equality cases collected"),
-    "divisibility": (_Sweep(_divisibility_check, _upto(1, "coprime pairs, "), _e1_share),
+    "divisibility": (_divisibility_check, _upto(1, "coprime pairs, "), _e1_share,
                      {"e_max": 1000},
                      "e1 = gcd(e, q-1) divides m(q,e)"),
-    "lemma3": (_Sweep(_lemma3_check, _upto(3, "1 < q < "),
-                      lambda checks, tallies: (None, {"applicable_pairs": sum(tallies)})),
+    "lemma3": (_lemma3_check, _upto(3, "1 < q < "),
+               lambda checks, tallies: (None, {"applicable_pairs": sum(tallies)}),
                {"e_max": 600},
                "m = e1 whenever e < e1^2 + 2*e1"),
-    "two_power": (_Sweep(_two_power_check, _two_power_plan), {"k_max": 12},
+    "two_power": (_two_power_check, _two_power_plan, None, {"k_max": 12},
                   "closed form at e = 2^k equals BFS"),
-    "conjecture4": (_Sweep(_conjecture4_check, _upto(3, "1 < q < ")), {"e_max": 600},
+    "conjecture4": (_conjecture4_check, _upto(3, "1 < q < "), None, {"e_max": 600},
                     "m <= k*e1 whenever e < (e1+1)^(k+1) - 1"),
-    "corollary8": (_Sweep(_corollary8_check, _upto(3, "1 < q < e-1, ")), {"e_max": 1224},
+    "corollary8": (_corollary8_check, _upto(3, "1 < q < e-1, "), None, {"e_max": 1224},
                    "the ten-case classification of m >= e/6 matches brute force"),
-    "prop2": (_Sweep(_prop2_check, _prop2_plan), {"r": 6, "e_min": 1224, "e_max": 2000},
+    "prop2": (_prop2_check, _prop2_plan, None, {"r": 6, "e_min": 1224, "e_max": 2000},
               "(a,b) parametrization of m >= e/r beyond r^4 - 2r^2"),
-    "prop9": (_run_prop9, {"p_max": 50, "q_max": 50, "pk_cap": 100_000},
+    "prop9": (_prop9_check, _prop9_plan, None, {"p_max": 50, "q_max": 50, "pk_cap": 100_000},
               "order drop and m equality one level down when p | ord"),
-    "prop14": (_tower_table(prop14_table, PROP14_EXCEPTIONS, 5), {"p_max": 1000, "k_cap": 6},
+    "prop14": (functools.partial(_order_r_check, r=5, exceptions=PROP14_EXCEPTIONS),
+               _order_r_plan(5, PROP14_EXCEPTIONS), None, {"p_max": 1000, "k_cap": 6},
                "order-5 towers: m = 5 except (11,1) -> 3 and (61,1) -> 4"),
-    "prop15": (_tower_table(prop15_table, PROP15_EXCEPTIONS, 7), {"p_max": 2689, "k_cap": 6},
+    "prop15": (functools.partial(_order_r_check, r=7, exceptions=PROP15_EXCEPTIONS),
+               _order_r_plan(7, PROP15_EXCEPTIONS), None, {"p_max": 2689, "k_cap": 6},
                "order-7 towers: m = 7 except thirteen listed (p, 1)"),
-    "example16": (_Sweep(_tower_check, _example16_plan, _tower_decreases),
-                  {"ns": (11, 13, 17, 19)},
+    "example16": (_tower_check, _example16_plan, _tower_decreases, {"ns": (11, 13, 17, 19)},
                   "prime-order tower sequences match the published tables"),
-    "example17": (_Sweep(_tower_check, lambda p: (
+    "example17": (_tower_check, lambda params: (
                       "composite-order towers (r = 5 and r = 7 groups)",
-                      sorted(EXAMPLE17_PAIRS.items()) + sorted(EXAMPLE17_SEQUENCES.items()))),
-                  {}, "composite-order tower values match the published tables"),
-    "corollary13": (_run_corollary13, {"ns": (5, 7)},
+                      sorted(EXAMPLE17_PAIRS.items()) + sorted(EXAMPLE17_SEQUENCES.items())),
+                  None, {}, "composite-order tower values match the published tables"),
+    "corollary13": (_corollary13_check, _corollary13_plan, None, {"ns": (5, 7)},
                     "cyclotomic candidate sift reproduces the exception sets"),
-    "remark12": (_run_remark12, {"n_max": 10_000},
+    "remark12": (_remark12_check,
+                 lambda params: (f"2 <= n <= {params['n_max']}", range(2, params["n_max"] + 1)),
+                 None, {"n_max": 10_000},
                  "threshold: radical-invariant, <= r, and > r-1 for prime powers"),
-    "oracle": (_Sweep(_oracle_check, _upto(1, "all coprime pairs, ")), {"e_max": 200},
+    "oracle": (_oracle_check, _upto(1, "all coprime pairs, "), None, {"e_max": 200},
                "BFS engine equals the naive DP oracle"),
 }
 
 
 def list_claims() -> dict[str, str]:
-    return {cid: desc for cid, (_, _, desc) in _CLAIMS.items()}
+    return {cid: desc for cid, (*_, desc) in _CLAIMS.items()}
 
 
 def claim_defaults(claim_id: str) -> dict[str, Any]:
     if claim_id not in _CLAIMS:
         raise UnknownClaim(claim_id)
-    return dict(_CLAIMS[claim_id][1])
+    _, _, _, defaults, _ = _CLAIMS[claim_id]
+    return dict(defaults)
 
 
 def default_jobs() -> int:
@@ -452,8 +431,10 @@ def default_jobs() -> int:
 
 def run_claim(claim_id: str, params: dict[str, Any] | None = None,
               jobs: int = 1, store: str | None = None) -> VerificationReport:
-    """Run one claim sweep. Results are deterministic in everything but wall
-    time, whatever the worker count.
+    """Run one claim sweep: plan its shards, check them (in a pool when jobs >
+    1), merge the results in shard order and add the new tables to the store.
+    Results are deterministic in everything but wall time, whatever the
+    worker count.
 
     With a store, the run adds the m tables it built, which pool workers
     return to this process. A table already cached in this session (since
@@ -462,22 +443,26 @@ def run_claim(claim_id: str, params: dict[str, Any] | None = None,
     paths) are not stored."""
     if claim_id not in _CLAIMS:
         raise UnknownClaim(claim_id)
-    runner, defaults, _ = _CLAIMS[claim_id]
+    check, plan, finish, defaults, _ = _CLAIMS[claim_id]
     merged = dict(defaults)
     if params:
         unknown = set(params) - set(defaults)
         if unknown:
             raise UnknownClaim(f"claim {claim_id} takes no parameter {sorted(unknown)}")
         merged.update({k: v for k, v in params.items() if v is not None})
+    domain, shards = plan(merged)
     result_store = ResultStore(store) if store else None
     if result_store is not None:
         engine.seed_cache(result_store.cache_rows())
     t0 = time.perf_counter()
     start = engine.cache_size()
-    domain, checks, violations, equality, extras = runner(merged, jobs)
+    payloads = _map_shards(functools.partial(check, params=merged), list(shards), jobs)
     elapsed = time.perf_counter() - t0
+    checks = sum(p[0] for p in payloads)
     if not checks:
         raise DomainError(f"claim {claim_id} makes no checks on {domain}")
+    violations = [v for p in payloads for v in p[1]]
+    equality, extras = finish(checks, [p[2] for p in payloads]) if finish else (None, {})
     if result_store is not None:
         result_store.add_rows(engine.cache_rows(start))
         result_store.save()
@@ -491,4 +476,3 @@ def run_claim(claim_id: str, params: dict[str, Any] | None = None,
         equality_cases=equality,
         extras=extras,
     )
-

@@ -31,6 +31,7 @@ __all__ = [
     "fixed_base_tower",
     "tower_sequence",
     "prop10_search",
+    "tower_rows",
     "prop14_table",
     "prop15_table",
     "DEFAULT_MODULUS_CAP",
@@ -227,19 +228,21 @@ def prop10_search(p: int, n: int, k_cap: int,
     return k_hit, levels[k_hit - 1].generator
 
 
+def tower_rows(p: int, n: int, k_cap: int) -> list[tuple[int, int, int]]:
+    """(p, k, m) for the order-n tower at p, up to the level where m reaches
+    its limit; a tower still short of it at k_cap raises NotFoundWithinCap."""
+    report = tower_sequence(p, n, k_cap, stop_at_limit=True)
+    if report.K_hit is None:
+        raise NotFoundWithinCap(
+            f"tower (p={p}, n={n}) did not stabilize within k_cap={k_cap}"
+        )
+    return [(p, lv.k, lv.m) for lv in report.levels]
+
+
 def _order_n_table(n: int, p_max: int, k_cap: int) -> list[tuple[int, int, int]]:
-    rows = []
-    for p in range(n + 1, p_max + 1, n):
-        # primes with n | p-1 are 1 (mod n)
-        if not is_prime(p):
-            continue
-        report = tower_sequence(p, n, k_cap, stop_at_limit=True)
-        if report.K_hit is None:
-            raise NotFoundWithinCap(
-                f"tower (p={p}, n={n}) did not stabilize within k_cap={k_cap}"
-            )
-        rows.extend((p, lv.k, lv.m) for lv in report.levels)
-    return rows
+    # primes with n | p-1 are 1 (mod n)
+    return [row for p in range(n + 1, p_max + 1, n) if is_prime(p)
+            for row in tower_rows(p, n, k_cap)]
 
 
 def prop14_table(p_max: int, k_cap: int = 6) -> list[tuple[int, int, int]]:

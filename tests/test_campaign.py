@@ -1,10 +1,11 @@
 import hashlib
 import json
+import multiprocessing as mp
 from pathlib import Path
 
 import pytest
 
-from msum import engine
+from msum import campaign, cyclo, engine
 from msum.campaign import (
     EXAMPLE16,
     claim_defaults,
@@ -15,8 +16,8 @@ from msum.errors import DomainError, UnknownClaim
 from msum.report import VerificationReport
 from msum.store import ResultStore
 
-# payload digests of the per-modulus claims at small scale; the claims' params
-# sit next to each digest
+# payload digests of every claim at small scale; the claims' params sit next
+# to each digest
 GOLDEN_PAYLOADS = json.loads(
     (Path(__file__).parent / "golden" / "claim_payloads.json").read_text())
 
@@ -32,6 +33,10 @@ def test_list_claims_covers_the_campaign():
                 "corollary8", "prop2", "prop9", "prop14", "prop15", "example16",
                 "example17", "corollary13", "remark12", "oracle"]:
         assert cid in claims
+
+
+def test_golden_digests_cover_every_claim():
+    assert set(GOLDEN_PAYLOADS) == set(list_claims())
 
 
 def test_unknown_claim():
@@ -118,6 +123,34 @@ def test_claim_with_no_checks_is_a_domain_error():
         run_claim("prop2", {"e_max": 300})
     with pytest.raises(DomainError):
         run_claim("example16", {"ns": (5,)})
+
+
+def test_corollary13_without_published_set_fails_before_scanning(monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise RuntimeError("candidate scan started")
+
+    monkeypatch.setattr(cyclo, "candidate_scan", no_scan)
+    for ns in ((11,), (5, 11)):
+        with pytest.raises(DomainError, match="no published exception set"):
+            run_claim("corollary13", {"ns": ns})
+
+
+@pytest.mark.parametrize("claim, params, workers", [
+    ("corollary13", {"ns": (5, 7)}, 2),
+    ("remark12", {"n_max": 4}, 3),
+])
+def test_pool_has_no_more_workers_than_chunks(monkeypatch, claim, params, workers):
+    sizes = []
+    fork = mp.get_context("fork")
+
+    class Spy:
+        def Pool(self, processes):
+            sizes.append(processes)
+            return fork.Pool(processes)
+
+    monkeypatch.setattr(campaign.mp, "get_context", lambda method: Spy())
+    assert run_claim(claim, params, jobs=4).ok
+    assert sizes == [workers]
 
 
 def test_theorem1_tightness_scan():

@@ -4,9 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
-from msum import campaign, engine
+from msum import campaign, cyclo, engine
 from msum.cli import main
 from msum.store import ResultStore
 
@@ -187,11 +188,23 @@ def test_verify_domain_errors_are_usage_errors(tmp_path):
     assert not os.path.exists(report)
 
 
-def test_verify_cap_exceeded_exit_3(tmp_path):
-    # k_cap = 1 leaves the (11, 1) tower short of its limit of 5
-    res = run("verify", "prop14", "--p-max", "61", "--k-cap", "1",
+@pytest.mark.parametrize("jobs", ["1", "2"], ids=["jobs1", "jobs2"])
+def test_verify_cap_exceeded_exit_3(tmp_path, jobs):
+    # k_cap = 1 leaves the (11, 1) tower short of its limit of 5; at jobs 2 a
+    # pool worker raises the cap error
+    res = run("verify", "prop14", "--p-max", "61", "--k-cap", "1", "--jobs", jobs,
               "--report", str(tmp_path / "r.json"))
     assert res.exit_code == 3
+
+
+def test_verify_corollary13_without_published_set_is_usage_error(tmp_path, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise RuntimeError("candidate scan started")
+
+    monkeypatch.setattr(cyclo, "candidate_scan", no_scan)
+    res = run("verify", "corollary13", "--n", "11", "--report", str(tmp_path / "r.json"))
+    assert res.exit_code == 2
+    assert "no published exception set" in res.output
 
 
 def test_sequence_golden_text():
