@@ -1,20 +1,34 @@
 """m(q,e) engine.
 
 The minimal number of powers of q summing to 0 mod e is found by
-breadth-first sumset growth over Z/eZ: level t holds every residue reachable
-as a sum of at most t subgroup elements, and m is the first level containing
-0. Levels are bitmasks (one Python int per level), frontier-only expansion,
-witnesses reconstructed by walking the level masks backwards.
+breadth-first sumset growth over Z/eZ: level t holds the set A_t of residues
+reachable as a sum of at most t elements of H = <q>, and m is the first level
+containing 0. Witnesses are reconstructed by walking the level sets backwards.
 
-m() and m_prime_power() share one private dispatcher over three routes:
+Both orbit routes below rest on one closure fact. A_t is closed under
+multiplication by H (multiplying a sum of t elements of H by h in H gives
+another), so
+
+    A_t + H = H * (A_t + 1):
+
+a level costs one shift by 1 and one orbit closure, not a shift per element.
+
+m() and m_prime_power() share one private dispatcher over four routes:
   - q = 1 (mod e), answered in closed form (m = e);
-  - the bitmask BFS, for moduli up to DENSE_LIMIT;
+  - the bitmask BFS, for moduli up to DENSE_LIMIT and subgroup order n below
+    LABEL_MIN_ORDER: levels are Python ints, one shift per element of H;
+  - the orbit-label BFS, for moduli up to DENSE_LIMIT and n >= LABEL_MIN_ORDER:
+    every residue is labelled with the minimum of its H-orbit, and each level
+    is a roll by 1, a scatter of the labels hit and a gather back. The rule is
+    on n, not e: a level costs the bitmask BFS about n*e/64 word operations
+    and the label route a few passes over e, plus log2(n) label passes, so
+    large-e subgroups of small order (prime-power towers) stay on the bitmask;
   - a sparse orbit engine for odd prime powers beyond bitmask range
-    (up to 2^40): reachable sets are closed under multiplication by the
-    generator, so one canonical representative per orbit is stored, each
+    (up to 2^40): one canonical representative per orbit is stored, each
     level is built from a sliced base x powers grid, and meet-in-the-middle
     over half-length sums searches t < r (r the smallest prime divisor of
     the order); m = r is returned only with a verified order-r witness.
+The two dense routes give equal level sets, so equal m and equal witnesses.
 
 The one cache holds per-modulus m tables: for each e, an array of the m of
 the generator classes of (Z/eZ)* in the order m_table_for_modulus walks
@@ -40,13 +54,14 @@ from .modular import (
     MResult,
     PowerSumInstance,
     UnitSubgroup,
+    mul_order,
     order_mod_prime_power,
     smallest_prime_divisor,
-    unit_subgroup,
 )
 
 __all__ = [
     "DENSE_LIMIT",
+    "LABEL_MIN_ORDER",
     "SPARSE_LIMIT",
     "LevelSets",
     "grow_level_sets",
@@ -65,11 +80,13 @@ __all__ = [
     "seed_cache",
 ]
 
-DENSE_LIMIT = 1 << 22  # largest modulus handled by the bitmask BFS
+DENSE_LIMIT = 1 << 22  # largest modulus handled by the dense (bitmask and label) BFS
+LABEL_MIN_ORDER = 1024  # smallest subgroup order n a dense modulus sends to the label BFS
 SPARSE_LIMIT = 1 << 40  # largest modulus handled by the orbit engine
 
 _MUL_SPLIT = 19  # limb split for overflow-free int64 mulmod (needs modulus < 2^40)
 _SLICE_CELLS = 1 << 20  # grid cells per slice of an orbit level build (bounds peak memory)
+_LABEL_SLICE = 1 << 16  # residues per int64 slice of the label route's index arithmetic
 
 
 @dataclass(frozen=True)
@@ -150,15 +167,16 @@ def _bfs_dense(e: int, elements: Sequence[int], keep_masks: bool):
     return levels, masks
 
 
-def _witness_residues(e: int, elements: tuple[int, ...], masks: list[int]) -> list[int]:
-    """Walk the level masks back from 0; ties broken by smallest element added."""
+def _witness_residues(e: int, elements: Sequence[int], levels: list[bytes]) -> list[int]:
+    """Walk the level bitmaps (little-endian, bit x of byte x >> 3 for residue x)
+    back from 0; ties broken by smallest element added."""
     out = []
     x = 0
-    for t in range(len(masks) - 1, 0, -1):
-        prev = masks[t - 1]
+    for t in range(len(levels) - 1, 0, -1):
+        prev = levels[t - 1]
         for a in elements:
             y = (x - a) % e
-            if (prev >> y) & 1:
+            if prev[y >> 3] >> (y & 7) & 1:
                 out.append(a)
                 x = y
                 break
@@ -166,6 +184,93 @@ def _witness_residues(e: int, elements: tuple[int, ...], masks: list[int]) -> li
             raise MsumError("witness backtrack failed (engine bug)")
     out.append(x)
     return out
+
+
+# ---------------------------------------------------------------------------
+# dense orbit-label BFS (subgroups of order >= LABEL_MIN_ORDER)
+
+def _orbit_labels(e: int, q: int, n: int) -> np.ndarray:
+    """lab[x] = the minimum of the orbit {x * q^i} of every residue x, by
+    pointer doubling: the pass with c = q^(2^j) sets lab[x] to
+    min(lab[x], lab[x * c]), so afterwards lab[x] is a minimum over at least
+    the exponents i < 2^(j+1). Updating in place only widens that range, and
+    every value stays in the orbit, so ceil(log2 n) passes give the minimum."""
+    lab = np.arange(e, dtype=np.int32)
+    c, span = q, 1
+    while span < n:
+        for s in range(0, e, _LABEL_SLICE):
+            part = lab[s:s + _LABEL_SLICE]
+            x = np.arange(s, s + part.size, dtype=np.int64)  # x * c < 2^44 (e, c < 2^22)
+            x *= c
+            x %= e
+            np.minimum(part, lab[x], out=part)
+        c, span = c * c % e, 2 * span
+    return lab
+
+
+def _bfs_label(e: int, q: int, n: int, keep_levels: bool):
+    """Returns (m, level bitmaps or None) for H = <q> of order n >= 2.
+
+    By the closure fact of the module docstring, A_{t+1} = A_t | H*(F_t + 1)
+    with F_t = A_t - A_{t-1}: roll the frontier by 1, mark the orbit labels it
+    hits, and gather every residue whose label is marked. The cumulative sets
+    equal the bitmask BFS's, and are kept packed as _witness_residues reads them.
+    """
+    lab = _orbit_labels(e, q, n)
+    seen = lab == 1  # A_1 = H, the orbit of 1
+    frontier = seen.copy()
+    hit = np.empty(e, dtype=bool)
+    levels = [np.packbits(seen, bitorder="little").tobytes()] if keep_levels else None
+    value = 1
+    while not seen[0]:
+        hit.fill(False)
+        hit[lab[np.roll(frontier, 1)]] = True
+        frontier = hit[lab]
+        frontier &= ~seen
+        seen |= frontier
+        value += 1
+        if keep_levels:
+            levels.append(np.packbits(seen, bitorder="little").tobytes())
+    return value, levels
+
+
+def _power_array(q: int, e: int, n: int) -> np.ndarray:
+    """q^i mod e for i < n as int32, by doubling in int64 slices."""
+    pw = np.empty(n, dtype=np.int32)
+    pw[0] = 1
+    k = 1
+    while k < n:
+        c, take = pow(q, k, e), min(k, n - k)
+        for s in range(0, take, _LABEL_SLICE):
+            src = pw[s:min(s + _LABEL_SLICE, take)]
+            pw[k + s:k + s + src.size] = src.astype(np.int64) * c % e
+        k += take
+    return pw
+
+
+def _dense(e: int, q: int, n: int, want_witness: bool, elements: Sequence[int] = ()):
+    """(m, witness|None) for H = <q> of order n at modulus e <= DENSE_LIMIT:
+    the label BFS when n >= LABEL_MIN_ORDER, else the bitmask BFS over
+    `elements`: H sorted, or in any order when no witness is wanted (the
+    backtrack breaks ties by the smallest element); the sorted powers of q
+    when empty. Witness exponents refer to q."""
+    if n >= LABEL_MIN_ORDER:
+        value, levels = _bfs_label(e, q, n, want_witness)
+        if want_witness:  # H is the first level
+            members = np.unpackbits(np.frombuffer(levels[0], dtype=np.uint8), count=e,
+                                    bitorder="little")
+            elements = np.flatnonzero(members).tolist()
+    else:
+        elements = elements or sorted(_powers_of(q, e))
+        value, masks = _bfs_dense(e, elements, want_witness)
+        levels = masks and [mask.to_bytes((e + 7) // 8, "little") for mask in masks]
+    if not want_witness:
+        return value, None
+    residues = _witness_residues(e, elements, levels)
+    pw = _power_array(q, e, n)
+    order = np.argsort(pw)
+    exps = order[np.searchsorted(pw, residues, sorter=order)]
+    return value, tuple(sorted(exps.tolist()))
 
 
 def grow_level_sets(sub: UnitSubgroup) -> LevelSets:
@@ -190,7 +295,8 @@ def _m_orbit(p_mod: int, q: int, n: int, t_cap: int, want_witness: bool):
     """Minimal t with a vanishing t-sum over the orbit {q^i mod p_mod}.
 
     Requires ord(q) = n >= 2 and p_mod < 2^40. Reachable sets of exact s-sums
-    are orbit-closed, so each is stored as sorted orbit-minimum representatives.
+    are orbit-closed (the closure fact of the module docstring), so each is
+    stored as sorted orbit-minimum representatives.
     Level s + 1 is the canonical image of the grid level(s) x powers, built in
     slices of about _SLICE_CELLS cells and merged by one np.unique. 0 in f_t is
     a collision between representatives of f_s1 and -f_s2, s1 + s2 = t.
@@ -289,13 +395,6 @@ def _powers_of(q: int, e: int) -> list[int]:
     return powers
 
 
-def _dense_with_witness(e: int, elements: tuple[int, ...],
-                        base: int) -> tuple[int, tuple[int, ...]]:
-    value, masks = _bfs_dense(e, elements, keep_masks=True)
-    exp_of = {v: i for i, v in enumerate(_powers_of(base, e))}
-    return value, tuple(sorted(exp_of[r] for r in _witness_residues(e, elements, masks)))
-
-
 def _check_coprime(q: int, e: int) -> None:
     if q < 1 or e < 1:
         raise DomainError("q and e must be positive")
@@ -311,10 +410,7 @@ def _route(q: int, e: int, pk: tuple[int, int] | None, want_witness: bool):
         # every power is 1, so exactly e terms are needed
         return e, ((0,) * e if want_witness else None)
     if e <= DENSE_LIMIT:
-        sub = unit_subgroup(q, e)
-        if not want_witness:
-            return _bfs_dense(e, sub.elements, keep_masks=False)[0], None
-        return _dense_with_witness(e, sub.elements, q)
+        return _dense(e, q, mul_order(q, e), want_witness)
     if e >= SPARSE_LIMIT:  # before any factoring: trial division would stall
         raise ModulusTooLarge(f"modulus {e} beyond orbit engine range (2^40)")
     if pk is None:
@@ -397,7 +493,7 @@ def m_table_for_modulus(e: int) -> dict[int, tuple[int, int]]:
         if exps is None:
             exps = coprime_exps[n] = [j for j in range(n) if gcd(j, n) == 1]
         if cached is None:
-            values.append(_bfs_dense(e, powers, keep_masks=False)[0])
+            values.append(_dense(e, q, n, False, powers)[0])
         entry = (values[classes] if classes < len(values) else 0, n)
         classes += 1
         for j in exps:

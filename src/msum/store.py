@@ -9,11 +9,15 @@ Layout (all integers little-endian):
   record: e u64 | count u32 | count x m u32 | crc32 u32 over the record before it
 
 Record CRCs detect torn writes and flipped bits. save() only appends, so a
-file is never rewritten in place. No database dependency, reproducible and
-diff-able.
+file is never rewritten in place. Several processes may share one file: a
+save writes its header (if the file is empty) and all its records with one
+os.write on an O_APPEND descriptor under an exclusive flock, and a load reads
+under a shared flock, so no reader or writer sees another's append half done.
+No database dependency, reproducible and diff-able.
 """
 from __future__ import annotations
 
+import fcntl
 import os
 import struct
 import zlib
@@ -40,7 +44,10 @@ class ResultStore:
 
     def _load(self) -> None:
         with open(self.path, "rb") as fh:
+            fcntl.flock(fh, fcntl.LOCK_SH)
             blob = fh.read()
+        if not blob:  # created by a save that has not written yet
+            return
         if len(blob) < _HEADER.size:
             raise StoreError(f"{self.path}: truncated header")
         magic, version = _HEADER.unpack_from(blob, 0)
@@ -79,14 +86,26 @@ class ResultStore:
                 self._pending.append(e)
 
     def save(self) -> None:
-        """Append the pending tables, after a header if the file is new."""
-        with open(self.path, "ab") as fh:
-            if fh.tell() == 0:
-                fh.write(_HEADER.pack(MAGIC, VERSION))
-            for e in self._pending:
-                values = self.tables[e]
-                body = _RECORD.pack(e, len(values)) + struct.pack(f"<{len(values)}I", *values)
-                fh.write(body + _CRC.pack(zlib.crc32(body)))
+        """Append the pending tables, after a header if the file is empty.
+
+        The header is chosen under the lock, by the file's size: a writer that
+        created the file may not have written yet when another takes the lock.
+        """
+        records = []
+        for e in self._pending:
+            values = self.tables[e]
+            body = _RECORD.pack(e, len(values)) + struct.pack(f"<{len(values)}I", *values)
+            records.append(body + _CRC.pack(zlib.crc32(body)))
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            if os.fstat(fd).st_size == 0:
+                records.insert(0, _HEADER.pack(MAGIC, VERSION))
+            data = memoryview(b"".join(records))
+            while data:  # one write unless the kernel takes less
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         self._pending.clear()
 
     def cache_rows(self) -> list[tuple[int, array]]:

@@ -87,6 +87,15 @@ def test_m_beyond_orbit_range_fails_at_once():
     assert "beyond orbit engine range" in proc.stderr
 
 
+def test_m_large_dense_modulus_within_seconds():
+    # 2 generates all of (Z/1000003Z)*: the bitmask BFS shifted the level by
+    # each of its 10^6 elements and took about 85 s; the label route takes one level
+    proc = subprocess.run([sys.executable, "-m", "msum", "m", "2", "1000003"],
+                          env=src_env(), capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert "m(2,1000003): m=2, witness 2^0+2^500001" in proc.stdout
+
+
 def test_m_json():
     res = run("m", "4", "7", "--format", "json")
     doc = json.loads(res.output)

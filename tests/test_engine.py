@@ -291,6 +291,81 @@ def test_seeded_table_of_wrong_length_raises(cut):
     engine.clear_cache()
 
 
+def _label_vs_bitmask(q, e):
+    """Run both dense BFS routes on <q> mod e; require equal level sets, as
+    the bitmaps the witness backtrack reads, and equal witness residues."""
+    sub = unit_subgroup(q, e)
+    value, levels = engine._bfs_label(e, q, sub.order, keep_levels=True)
+    dense, masks = engine._bfs_dense(e, sub.elements, keep_masks=True)
+    bitmaps = [mask.to_bytes((e + 7) // 8, "little") for mask in masks]
+    assert (value, levels) == (dense, bitmaps), (q, e)
+    assert engine._witness_residues(e, sub.elements, levels) == \
+        engine._witness_residues(e, sub.elements, bitmaps), (q, e)
+    return value
+
+
+def test_label_route_matches_bitmask_and_oracle_small_exhaustive():
+    oracle = {}  # m depends only on the subgroup
+    for e in range(3, 301):
+        for q in range(2, e):
+            if gcd(q, e) == 1:
+                value = _label_vs_bitmask(q, e)
+                key = e, unit_subgroup(q, e).elements
+                if key not in oracle:
+                    oracle[key] = naive_m_oracle(q, e)
+                assert value == oracle[key], (q, e)
+
+
+def test_label_route_matches_bitmask_large_moduli(monkeypatch):
+    pairs = [(q, e) for e in (4099, 5000, 8191)
+             for q in sorted({x for d in (2, 3, 5, 7) for x in (d, e - d, d * d)})
+             if gcd(q, e) == 1]
+    assert {mul_order(q, e) >= engine.LABEL_MIN_ORDER for q, e in pairs} == {False, True}
+    for q, e in pairs:
+        _label_vs_bitmask(q, e)
+    # the witness exponents too, with every pair sent down each route in turn
+    results = {}
+    for threshold in (1, 1 << 30):
+        monkeypatch.setattr(engine, "LABEL_MIN_ORDER", threshold)
+        results[threshold] = [m(q, e) for q, e in pairs]
+    assert results[1] == results[1 << 30]
+
+
+def test_dense_dispatch_is_on_the_order(monkeypatch):
+    routes = []
+    label, bitmask = engine._bfs_label, engine._bfs_dense
+
+    def spy_label(e, q, n, *args):
+        routes.append(("label", n))
+        return label(e, q, n, *args)
+
+    def spy_bitmask(e, elements, *args, **kwargs):
+        routes.append(("bitmask", len(elements)))
+        return bitmask(e, elements, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_bfs_label", spy_label)
+    monkeypatch.setattr(engine, "_bfs_dense", spy_bitmask)
+    # a tower-style subgroup: large e = 953^2, order 17
+    m_prime_power(element_of_order(953, 2, 17), 953, 2)
+    assert routes == [("bitmask", 17)]
+    routes.clear()
+    m(2, 4099)  # 2 has order 4098
+    assert routes == [("label", 4098)]
+    routes.clear()
+    engine.clear_cache()
+    m_table_for_modulus(4099)  # one class per order, a divisor of 4098 = 2 * 3 * 683
+    engine.clear_cache()
+    assert sorted(routes) == [("bitmask", n) for n in (1, 2, 3, 6, 683)] + \
+        [("label", n) for n in (1366, 2049, 4098)]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_large_dense_modulus_is_fast(q):
+    # one label BFS level; the bitmask route took 85 s (q = 2) and 28 s (q = 3)
+    result = m(q, 1000003)
+    assert result.value == 2 and verify_witness(q, 1000003, result)
+
+
 def test_orbit_engine_matches_dense():
     for p, k, n in [(23, 3, 11), (53, 2, 13), (11, 2, 5), (101, 2, 25), (31, 1, 5)]:
         q = element_of_order(p, k, n)

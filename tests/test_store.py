@@ -1,5 +1,9 @@
+import os
 import struct
+import subprocess
+import sys
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -105,3 +109,32 @@ def test_empty_store_saves_a_header(tmp_path):
 
 def test_magic_constant_shape():
     assert len(MAGIC) == 8
+
+
+_WRITER = """
+import sys
+from array import array
+from msum.store import ResultStore
+path, w = sys.argv[1], int(sys.argv[2])
+for i in range(100):
+    e = 1000 * w + i
+    st = ResultStore(path)  # a torn append on disk raises here
+    st.add_rows([(e, array("I", range(e, e + 3000)))])  # a 12 KB record
+    st.save()
+"""
+
+
+def test_concurrent_writers_keep_every_table(tmp_path):
+    # records larger than a file buffer were split by buffered writes, and other
+    # writers' appends landed between the pieces
+    path = tmp_path / "s.bin"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    procs = [subprocess.Popen([sys.executable, "-c", _WRITER, str(path), str(w)], env=env,
+                              stderr=subprocess.PIPE, text=True) for w in (1, 2, 3)]
+    for proc in procs:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+    tables = ResultStore(path).tables
+    assert sorted(tables) == [1000 * w + i for w in (1, 2, 3) for i in range(100)]
+    assert all(values == array("I", range(e, e + 3000)) for e, values in tables.items())
