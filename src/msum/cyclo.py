@@ -1,10 +1,10 @@
 """Cyclotomic machinery for the finite exception sets of small-m prime powers.
 
 Exact integer polynomials (enough for X^n - 1 factor towers), the threshold
-n/(n - phi(n)), Bezout denominators over the rationals, and the candidate
-sift: every modulus e dividing Phi_n(q) with m(q,e) below the threshold must
-divide one of finitely many Bezout denominators, which are enumerated here
-and then verified member by member against the engine.
+n/(n - phi(n)), Bezout denominators, and the candidate sift: every modulus e
+dividing Phi_n(q) with m(q,e) below the threshold must divide one of finitely
+many Bezout denominators, which are enumerated here and then verified member
+by member against the engine.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import multiprocessing as mp
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from .engine import SPARSE_LIMIT, m_prime_power, verify_witness
@@ -55,15 +56,6 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial.make(out)
-
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if self.is_zero or other.is_zero:
             return IntPolynomial(())
@@ -96,24 +88,17 @@ class IntPolynomial:
         return IntPolynomial.make(quo), IntPolynomial.make(rem[:dd])
 
 
-_X_MINUS_1 = IntPolynomial((-1, 1))
-_cyclo_cache: dict[int, IntPolynomial] = {1: _X_MINUS_1}
-
-
+@cache
 def cyclotomic(n: int) -> IntPolynomial:
     """The n-th cyclotomic polynomial, by exact division of X^n - 1."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    hit = _cyclo_cache.get(n)
-    if hit is not None:
-        return hit
     num = IntPolynomial((-1,) + (0,) * (n - 1) + (1,))  # X^n - 1
     for d in range(1, n):
         if n % d == 0:
             num, rem = num.divmod_monic(cyclotomic(d))
             if not rem.is_zero:
                 raise MsumError("cyclotomic division was not exact (bug)")
-    _cyclo_cache[n] = num
     return num
 
 
@@ -124,87 +109,46 @@ def threshold(n: int) -> Fraction:
     return Fraction(n, n - euler_phi(n))
 
 
-# ---------------------------------------------------------------------------
-# rational-coefficient extended Euclid
-
-def _f_trim(a: list[Fraction]) -> list[Fraction]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _f_divmod(a: list[Fraction], b: list[Fraction]):
-    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    rem = list(a)
-    lead = b[-1]
-    for i in range(len(rem) - len(b), -1, -1):
-        c = rem[i + len(b) - 1] / lead
-        if c:
-            quo[i] = c
-            for j, bc in enumerate(b):
-                rem[i + j] -= c * bc
-    return _f_trim(quo), _f_trim(rem[: len(b) - 1])
-
-
-def _f_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _f_trim(out)
-
-
-def _f_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = list(a) + [Fraction(0)] * (len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _f_trim(out)
-
-
-def _xgcd_poly(f: list[Fraction], g: list[Fraction]):
-    """(r, s) with s*f = r (mod g), r the last nonzero remainder."""
-    r0, r1 = list(f), list(g)
-    s0, s1 = [Fraction(1)], []
-    while r1:
-        quo, rem = _f_divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _f_sub(s0, _f_mul(quo, s1))
-    return r0, s0
-
-
 def bezout_denominator(g: IntPolynomial, n: int) -> int:
-    """Minimal positive d with d = (da)(q)*g(q) + (db)(q)*Phi_n(q) for the
-    minimal-degree rational Bezout pair a*g + b*Phi_n = 1.
+    """Smallest positive integer d in the ideal (g, Phi_n) of Z[X]: the lcm of
+    the denominators of the coefficients of g^-1 mod Phi_n.
 
-    Every e dividing both g(q) and Phi_n(q) divides d. Only the g-side
-    cofactor is carried: Phi_n is monic, so b = (1 - a*g)/Phi_n brings in no
-    denominators beyond those of a.
+    Every e dividing both g(q) and Phi_n(q) divides d. One fraction-free
+    (Bareiss) Gauss-Jordan solve of M a = e_0, with M the phi(n) x phi(n)
+    matrix of multiplication by g mod Phi_n, leaves det M on the diagonal and
+    adj(M) e_0 in the augmented column, so d = |det M| / gcd(det M, adj(M) e_0).
+    M is singular exactly when Phi_n divides g, since Phi_n is irreducible.
     """
     phi_n = cyclotomic(n)
     if g.is_zero:
         raise DegenerateInput("g must be nonzero")
-    _, rem = g.divmod_monic(phi_n) if g.degree >= phi_n.degree else (None, g)
-    if rem.is_zero:
-        raise DegenerateInput(f"Phi_{n} divides g; denominator undefined")
-    r, s = _xgcd_poly(
-        [Fraction(c) for c in g.coeffs], [Fraction(c) for c in phi_n.coeffs]
-    )
-    if len(r) != 1:
-        raise MsumError("xgcd of coprime polynomials returned nonconstant gcd (bug)")
-    c = r[0]
-    d = 1
-    for x in s:
-        den = (x / c).denominator
-        d = d * den // gcd(d, den)
-    return d
+    size = phi_n.degree
+    cols = []  # column j is X^j * g mod Phi_n
+    col = g.divmod_monic(phi_n)[1]
+    for _ in range(size):
+        cols.append(col.coeffs + (0,) * (size - len(col.coeffs)))
+        col = IntPolynomial.make((0,) + col.coeffs).divmod_monic(phi_n)[1]
+    rows = [[c[i] for c in cols] + [int(i == 0)] for i in range(size)]
+    prev = 1
+    for k in range(size):
+        piv = next((i for i in range(k, size) if rows[i][k]), None)
+        if piv is None:
+            raise DegenerateInput(f"Phi_{n} divides g; denominator undefined")
+        rows[k], rows[piv] = rows[piv], rows[k]
+        pivot_row = rows[k]
+        p = pivot_row[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                a = row[k]
+                rows[i] = [(p * x - a * y) // prev for x, y in zip(row, pivot_row)]
+        prev = p
+    return abs(prev) // gcd(prev, *(row[size] for row in rows))
 
 
 def resultant(f: IntPolynomial, g: IntPolynomial) -> int:
     """Integer resultant via fraction-free (Bareiss) elimination of the
-    Sylvester matrix. Independent of the Euclidean route above."""
+    Sylvester matrix. Independent of bezout_denominator, which eliminates a
+    different matrix (multiplication by g mod Phi_n)."""
     if f.is_zero or g.is_zero:
         return 0
     dn, dm = f.degree, g.degree
@@ -414,21 +358,21 @@ def candidate_scan(n: int, jobs: int = 1) -> CandidateScan:
     )
 
 
-def _divisors(factors: tuple[tuple[int, int], ...]) -> list[int]:
-    out = [1]
-    for p, k in factors:
-        out = [d * p**j for d in out for j in range(k + 1)]
-    return out
+def _candidate_pool(scan: CandidateScan) -> set[int]:
+    """Union of the divisor sets of the factored Bezout denominators."""
+    pool: set[int] = set()
+    for _, factors in scan.factored:
+        divisors = [1]
+        for p, k in factors:
+            divisors = [d * p**j for d in divisors for j in range(k + 1)]
+        pool.update(divisors)
+    return pool
 
 
 def prop11_candidates(n: int, jobs: int = 1) -> set[int]:
     """Union of the divisor sets of all Bezout denominators: a finite superset
     of every e with e | Phi_n(q) and m(q,e) < threshold(n)."""
-    scan = candidate_scan(n, jobs=jobs)
-    out: set[int] = set()
-    for _, factors in scan.factored:
-        out.update(_divisors(factors))
-    return out
+    return _candidate_pool(candidate_scan(n, jobs=jobs))
 
 
 def corollary13_exceptions(n: int, k_cap: int | None = None,
@@ -438,10 +382,8 @@ def corollary13_exceptions(n: int, k_cap: int | None = None,
     is verified through an explicit witness."""
     scan = candidate_scan(n, jobs=jobs)
     thr = scan.threshold
-    pool: set[int] = set()
     pk_candidates: set[tuple[int, int]] = set()
     for _, factors in scan.factored:
-        pool.update(_divisors(factors))
         for p, a in factors:
             if p == 2 or p % n != 1:
                 continue
@@ -466,7 +408,7 @@ def corollary13_exceptions(n: int, k_cap: int | None = None,
         n=n,
         threshold=thr,
         entries=tuple(entries),
-        candidate_pool=frozenset(pool),
+        candidate_pool=frozenset(_candidate_pool(scan)),
         unresolved=tuple(unresolved),
         complete=not unresolved,
     )

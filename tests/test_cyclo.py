@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -7,6 +9,9 @@ import pytest
 from msum.cyclo import (
     ExceptionSet,
     IntPolynomial,
+    _canonical_rotation,
+    _raw_tuples,
+    _tuple_poly,
     bezout_denominator,
     candidate_scan,
     corollary13_exceptions,
@@ -22,6 +27,14 @@ from msum.modular import euler_phi, rad, smallest_prime_divisor
 
 def poly(*coeffs):
     return IntPolynomial.make(coeffs)
+
+
+def canonical_polys(n):
+    """(t, g) for every canonical exponent tuple t of the sift at n."""
+    phi = euler_phi(n)
+    for t in _raw_tuples(n):
+        if _canonical_rotation(t, n, phi) == t:
+            yield t, _tuple_poly(t)
 
 
 def test_cyclotomic_small():
@@ -74,34 +87,29 @@ def test_threshold_properties_to_2000():
 def test_bezout_denominator_basics():
     assert bezout_denominator(poly(1), 5) == 1
     assert bezout_denominator(poly(1, 1), 5) == 1  # Phi_5(-1) = 1
-    with pytest.raises(DegenerateInput):
-        bezout_denominator(cyclotomic(5), 5)
-    with pytest.raises(DegenerateInput):
-        bezout_denominator(IntPolynomial(()), 5)
+    # inputs of degree >= phi(n) are reduced mod Phi_n first
+    assert bezout_denominator(poly(3, 0, 0, 0, 0, 0, 0, 1), 5) == 61
+    assert bezout_denominator(poly(2, 5, 0, 0, 0, 0, 0, 0, 0, 1), 5) == 401
+    for g in (cyclotomic(5), cyclotomic(5) * poly(-1, 1), IntPolynomial(())):
+        with pytest.raises(DegenerateInput):
+            bezout_denominator(g, 5)
 
 
 def test_bezout_identity_and_common_divisor_property():
-    # d is hit by the Bezout combination, so any e dividing both g(q) and
-    # Phi_n(q) divides d; check on the tuple (0,1,2) for n = 5 at q = 3
-    g = poly(1, 1, 1)
-    d = bezout_denominator(g, 5)
-    phi5 = cyclotomic(5)
-    for q in range(2, 50):
-        common = gcd(g(q), phi5(q))
-        assert d % gcd(common, d) == 0
-        assert common == 0 or d % common == 0 or gcd(common, d) == common
+    # Prop. 11: d lies in the ideal (g, Phi_n), so gcd(g(q), Phi_n(q)) divides
+    # d at every integer q
+    for n in (5, 7):
+        phi_n = cyclotomic(n)
+        for t, g in canonical_polys(n):
+            d = bezout_denominator(g, n)
+            for q in range(2, 200):
+                assert d % gcd(g(q), phi_n(q)) == 0, (n, t, q)
 
 
 def test_bezout_divides_resultant():
-    from msum.cyclo import _canonical_rotation, _raw_tuples, _tuple_poly
-
     for n in (5, 7):
         phi_n = cyclotomic(n)
-        phi = euler_phi(n)
-        for t in _raw_tuples(n):
-            if _canonical_rotation(t, n, phi) != t:
-                continue
-            g = _tuple_poly(t)
+        for t, g in canonical_polys(n):
             d = bezout_denominator(g, n)
             res = resultant(g, phi_n)
             assert res != 0
@@ -132,6 +140,29 @@ def test_candidate_scan_reports_everything():
     assert scan.unresolved == ()
     assert all(d >= 1 for d in scan.d_values)
     assert set(scan.d_values) == {1, 2, 3, 4, 11, 61}
+
+
+def test_candidate_scan_pins_n7():
+    scan = candidate_scan(7)
+    assert scan.tuples_examined == 245
+    assert scan.d_values == (
+        1, 2, 3, 4, 5, 6, 8, 13, 29, 41, 43, 58, 71, 86, 113, 142, 197, 211,
+        379, 421, 463, 547, 757, 2689, 3053, 3277, 13021,
+    )
+
+
+@pytest.mark.slow
+def test_candidate_scan_pins_n11():
+    scan = candidate_scan(11, jobs=2)
+    assert scan.tuples_examined == 32065
+    assert len(scan.d_values) == 1649
+    digest = hashlib.sha256(json.dumps(list(scan.d_values)).encode()).hexdigest()
+    assert digest == "6175cf72c95dbe73d54b85a436866109365d9ea9ea3abd0864b8bc6b9a755ef4"
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_prop11_candidates_match_corollary13_pool(n):
+    assert prop11_candidates(n) == corollary13_exceptions(n).candidate_pool
 
 
 def test_corollary13_exceptions_n5():
