@@ -108,6 +108,9 @@ def cmd_m(q: int, e: int, fmt: str) -> None:
 def cmd_table(e_min: int, e_max: int, q_min: int, q_max: int | None,
               fmt: str, out: str | None) -> None:
     """Emit the grid of m values (e outer ascending, q inner ascending)."""
+    if e_max > engine.DENSE_LIMIT:  # refuse before building any lower table
+        raise click.UsageError(f"--e-max {e_max} beyond the table range "
+                               f"(e <= {engine.DENSE_LIMIT})")
     rows = []
     for e in range(max(e_min, 2), e_max + 1):
         table = engine.m_table_for_modulus(e)

@@ -18,7 +18,7 @@ from math import gcd
 
 from .engine import SPARSE_LIMIT, m_prime_power, verify_witness
 from .errors import DegenerateInput, DomainError, MsumError
-from .modular import element_of_order, euler_phi
+from .modular import element_of_order, euler_phi, trial_factor
 
 __all__ = [
     "IntPolynomial",
@@ -31,9 +31,6 @@ __all__ = [
     "candidate_scan",
     "corollary13_exceptions",
 ]
-
-TRIAL_LIMIT = 10**6  # trial-division bound when factoring Bezout denominators
-
 
 @dataclass(frozen=True)
 class IntPolynomial:
@@ -193,7 +190,7 @@ class CandidateScan:
     tuples_examined: int
     d_values: tuple[int, ...]
     factored: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]  # (d, factorization)
-    unresolved: tuple[tuple[int, int], ...]  # (d, stubborn cofactor)
+    unresolved: tuple[tuple[int, int], ...]  # (d, unresolved cofactor)
 
 
 @dataclass(frozen=True)
@@ -250,83 +247,9 @@ def _tuple_poly(t: tuple[int, ...]) -> IntPolynomial:
     return IntPolynomial.make(out)
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_VALID_BELOW = 3_317_044_064_679_887_385_961_981
-
-
-def _mr_prime(x: int) -> bool:
-    """Deterministic Miller-Rabin below ~3.3e24."""
-    if x >= _MR_VALID_BELOW:
-        raise DomainError(f"{x} too large for the deterministic prime test")
-    if x < 2:
-        return False
-    for p in _MR_BASES:
-        if x % p == 0:
-            return x == p
-    d = x - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        y = pow(a, d, x)
-        if y in (1, x - 1):
-            continue
-        for _ in range(r - 1):
-            y = y * y % x
-            if y == x - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _iroot(c: int, j: int) -> int:
-    if j == 1:
-        return c
-    x = int(round(c ** (1.0 / j)))
-    while (x + 1) ** j <= c:
-        x += 1
-    while x > 0 and x**j > c:
-        x -= 1
-    return x
-
-
-def _factor_candidate(d: int):
-    """Factor with trial division to 10^6; big cofactors resolved by direct
-    prime / prime-power tests. Returns (factors, stubborn_cofactor_or_0)."""
-    factors: list[tuple[int, int]] = []
-    c = d
-    p = 2
-    while p * p <= c and p <= TRIAL_LIMIT:
-        if c % p == 0:
-            k = 0
-            while c % p == 0:
-                c //= p
-                k += 1
-            factors.append((p, k))
-        p += 1 if p == 2 else 2
-    if c == 1:
-        return factors, 0
-    if p * p > c:
-        factors.append((c, 1))
-        return factors, 0
-    if c >= _MR_VALID_BELOW:
-        return factors, c  # beyond the deterministic primality range: report
-    if _mr_prime(c):
-        factors.append((c, 1))
-        return factors, 0
-    for j in range(2, c.bit_length()):
-        root = _iroot(c, j)
-        if root > 1 and root**j == c and _mr_prime(root):
-            factors.append((root, j))
-            return factors, 0
-    return factors, c
-
-
 def candidate_scan(n: int, jobs: int = 1) -> CandidateScan:
     """Enumerate all short exponent tuples, compute their Bezout denominators,
-    and factor them. Stubborn cofactors are reported, never dropped.
+    and factor them. Unresolved cofactors are reported, never dropped.
 
     Tuple enumeration is embarrassingly parallel: the tuples go out in chunks,
     scanned in this process at jobs <= 1 and by a pool otherwise."""
@@ -344,10 +267,10 @@ def candidate_scan(n: int, jobs: int = 1) -> CandidateScan:
     factored = []
     unresolved = []
     for d in sorted(d_values):
-        factors, stubborn = _factor_candidate(d)
+        factors, cofactor = trial_factor(d)
         factored.append((d, tuple(factors)))
-        if stubborn:
-            unresolved.append((d, stubborn))
+        if cofactor != 1:
+            unresolved.append((d, cofactor))
     return CandidateScan(
         n=n,
         threshold=threshold(n),

@@ -54,6 +54,7 @@ from .modular import (
     MResult,
     PowerSumInstance,
     UnitSubgroup,
+    factorize,
     mul_order,
     order_mod_prime_power,
     smallest_prime_divisor,
@@ -405,20 +406,21 @@ def _check_coprime(q: int, e: int) -> None:
 def _route(q: int, e: int, pk: tuple[int, int] | None, want_witness: bool):
     """(m, witness|None) for q reduced mod e > 1: the one dispatch over the
     q = 1 (mod e) case, the dense BFS and the orbit engine. pk is (p, k) when
-    the caller knows e = p^k; the orbit route finds it otherwise."""
+    the caller knows e = p^k; factorize finds it otherwise."""
     if q == 1:
         # every power is 1, so exactly e terms are needed
         return e, ((0,) * e if want_witness else None)
     if e <= DENSE_LIMIT:
         return _dense(e, q, mul_order(q, e), want_witness)
-    if e >= SPARSE_LIMIT:  # before any factoring: trial division would stall
+    if e >= SPARSE_LIMIT:  # before any factoring: factorize is exact below 2^40
         raise ModulusTooLarge(f"modulus {e} beyond orbit engine range (2^40)")
     if pk is None:
-        pk = _prime_power_shape(e)
-        if pk is None:
+        shape = factorize(e)
+        if len(shape) > 1 or shape[0][0] == 2:
             raise ModulusTooLarge(
                 f"modulus {e} beyond dense BFS range and not an odd prime power"
             )
+        pk = shape[0]
     p, k = pk
     n = order_mod_prime_power(q, p, k)
     if n % p == 0:
@@ -436,22 +438,6 @@ def m(q: int, e: int, with_witness: bool = True) -> MResult:
         return MResult(1, (0,))
     value, witness = _route(q % e, e, None, with_witness)
     return MResult(value, witness if witness is not None else ())
-
-
-def _prime_power_shape(e: int) -> tuple[int, int] | None:
-    """(p, k) if e is an odd-prime power, else None. Trial division only."""
-    if e % 2 == 0:
-        return None
-    d = 3
-    while d * d <= e:
-        if e % d == 0:
-            k = 0
-            while e % d == 0:
-                e //= d
-                k += 1
-            return (d, k) if e == 1 else None
-        d += 2
-    return (e, 1)
 
 
 def m_value(q: int, e: int) -> int:

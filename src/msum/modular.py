@@ -1,13 +1,16 @@
 """Exact modular arithmetic: orders, unit subgroups, and elementary arithmetic functions.
 
 Everything here is a pure function of its inputs; residues are canonical
-representatives in [0, e). Factorization is plain trial division, which is all
-that desk-scale moduli need.
+representatives in [0, e). This is the one module that factors or tests
+primality: `trial_factor` divides by 2 and the odd d up to min(sqrt, 2^20), so
+it settles every n < 2^40, and beyond that settles the cofactor left as a
+prime (deterministic Miller-Rabin, `is_prime`) or a prime power (integer
+root), or hands it back unresolved.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import DomainError, NotCoprime
 
@@ -17,12 +20,14 @@ __all__ = [
     "MResult",
     "gcd",
     "factorize",
+    "trial_factor",
     "mul_order",
     "unit_subgroup",
     "euler_phi",
     "rad",
     "smallest_prime_divisor",
     "is_prime",
+    "require_odd_prime",
     "p_adic_w",
     "find_primitive_root",
     "element_of_order",
@@ -62,37 +67,79 @@ class MResult:
     witness: tuple[int, ...]
 
 
-def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization by trial division, as (prime, exponent) pairs."""
+# The first 13 primes: strong-probable-prime tests to all of them are exact
+# below psi_13 (Sorenson & Webster, Math. Comp. 86 (2017)); the first 12 are
+# fooled by psi_12 = 318665857834031151167461 = 399165290221 * 798330580441.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_VALID_BELOW = 3_317_044_064_679_887_385_961_981  # psi_13
+
+
+def trial_factor(n: int) -> tuple[list[tuple[int, int]], int]:
+    """(factors, cofactor) of n >= 1: the (prime, exponent) pairs in ascending
+    order, and 1 when they multiply to n. Trial division stops at 2^20; the
+    cofactor left past it is settled as a prime or a prime power, or else
+    returned unresolved (no prime factor below 2^20, not a prime power)."""
     if n < 1:
         raise DomainError(f"cannot factor {n}")
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    k = (n & -n).bit_length() - 1
+    out = [(2, k)] if k else []
+    c = n >> k
+    d = 3
+    top = min(isqrt(c), 1 << 20)
+    while d <= top:
+        if c % d == 0:
             k = 0
-            while n % d == 0:
-                n //= d
+            while c % d == 0:
+                c //= d
                 k += 1
             out.append((d, k))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
+            top = min(isqrt(c), top)
+        d += 2
+    if c == 1:
+        return out, 1
+    if d * d > c:
+        return out + [(c, 1)], 1
+    if c < _MR_VALID_BELOW:  # where is_prime is exact
+        if is_prime(c):
+            return out + [(c, 1)], 1
+        for j in range(2, c.bit_length()):
+            root = round(c ** (1 / j))  # float error far below 1/2 while c < 2^82
+            if root**j == c and is_prime(root):
+                return out + [(root, j)], 1
+    return out, c
+
+
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization as (prime, exponent) pairs, ascending; exact for
+    every n < 2^40. Raises DomainError on a cofactor trial_factor leaves."""
+    factors, cofactor = trial_factor(n)
+    if cofactor != 1:
+        raise DomainError(f"cannot factor {n}: cofactor {cofactor} unresolved")
+    return factors
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact below psi_13 ~ 3.3e24; DomainError
+    at or above it."""
+    if n >= _MR_VALID_BELOW:
+        raise DomainError(f"{n} too large for the deterministic prime test")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    s = ((n - 1) & -(n - 1)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        y = pow(a, d, n)
+        if y == 1 or y == n - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -118,14 +165,12 @@ def rad(n: int) -> int:
 def smallest_prime_divisor(n: int) -> int:
     if n < 2:
         raise DomainError("smallest_prime_divisor requires n >= 2")
-    if n % 2 == 0:
-        return 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 2
-    return n
+    return factorize(n)[0][0]
+
+
+def require_odd_prime(p: int) -> None:
+    if p == 2 or not is_prime(p):
+        raise DomainError(f"{p} is not an odd prime")
 
 
 def _order_from_group_exponent(q: int, e: int, lam_factors: list[tuple[int, int]]) -> int:
@@ -166,8 +211,7 @@ def mul_order(q: int, e: int) -> int:
 
 def order_mod_prime_power(q: int, p: int, k: int) -> int:
     """ord_{p^k}(q) for odd prime p, using the known structure of the unit group."""
-    if p == 2 or not is_prime(p):
-        raise DomainError(f"{p} is not an odd prime")
+    require_odd_prime(p)
     if q % p == 0:
         raise DomainError(f"{p} divides q={q}")
     pk = p**k
@@ -199,8 +243,7 @@ def unit_subgroup(q: int, e: int) -> UnitSubgroup:
 def p_adic_w(q: int, n: int, p: int) -> int:
     """Largest w with q^n == 1 (mod p^w), by modular exponentiation at successive
     p-powers. Never forms q^n - 1 in full."""
-    if p == 2 or not is_prime(p):
-        raise DomainError(f"{p} is not an odd prime")
+    require_odd_prime(p)
     if q % p == 0:
         raise DomainError(f"p={p} divides q={q}")
     if q == 1:
@@ -218,8 +261,7 @@ def p_adic_w(q: int, n: int, p: int) -> int:
 def find_primitive_root(p: int, k: int = 1) -> int:
     """Deterministic generator of (Z/p^k)^x for odd prime p: the smallest
     primitive root mod p, adjusted by +p if it fails to generate mod p^2."""
-    if p == 2 or not is_prime(p):
-        raise DomainError(f"{p} is not an odd prime")
+    require_odd_prime(p)
     if k < 1:
         raise DomainError("k must be >= 1")
     prime_divs = [f for f, _ in factorize(p - 1)]

@@ -18,6 +18,7 @@ from .modular import (
     is_prime,
     order_mod_prime_power,
     p_adic_w,
+    require_odd_prime,
     smallest_prime_divisor,
 )
 
@@ -89,14 +90,9 @@ class FixedBaseTower:
         return tuple(en.m for en in self.entries)
 
 
-def _require_odd_prime(p: int) -> None:
-    if p == 2 or not is_prime(p):
-        raise DomainError(f"{p} is not an odd prime")
-
-
 def ord_factorization(q: int, p: int, k: int) -> tuple[int, int]:
     """(i, d) with ord_{p^k}(q) = p^i * d and d | p-1."""
-    _require_odd_prime(p)
+    require_odd_prime(p)
     if q % p == 0:
         raise DomainError(f"p={p} divides q={q}")
     n = order_mod_prime_power(q, p, k)
@@ -130,7 +126,7 @@ def fixed_base_tower(q: int, p: int, k_max: int) -> FixedBaseTower:
     stability m(q, p^k) = m(q, p^w) and tagged "stability"; everything else
     is computed outright.
     """
-    _require_odd_prime(p)
+    require_odd_prime(p)
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
     if q % p == 0:
@@ -197,7 +193,7 @@ def _tower_levels(p: int, n: int, k_max: int, stop_at_limit: bool,
 
 def tower_sequence(p: int, n: int, k_max: int, stop_at_limit: bool = False) -> TowerReport:
     """m at p, p^2, ..., p^k_max for a fresh element of exact order n per level."""
-    _require_odd_prime(p)
+    require_odd_prime(p)
     if n == 1 or (p - 1) % n != 0:
         raise DomainError(f"need 1 != n | p-1, got n={n}, p={p}")
     if k_max < 1:
@@ -214,7 +210,7 @@ def prop10_search(p: int, n: int, k_cap: int,
     """Least K with m = smallest prime divisor of n in the order-n tower,
     together with the generator used there. Existence is guaranteed but no
     bound is known, so hitting a cap is a loud error, never a truncation."""
-    _require_odd_prime(p)
+    require_odd_prime(p)
     if n == 1 or (p - 1) % n != 0:
         raise DomainError(f"need 1 != n | p-1, got n={n}, p={p}")
     levels, k_hit = _tower_levels(p, n, k_cap, stop_at_limit=True,

@@ -10,15 +10,20 @@ ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
 import spans
-from msum import campaign
+from msum import campaign, engine, towers
 
 tracer = spans.Tracer()
 spans.install(tracer)
 campaign.run_claim("corollary8", {"e_max": 30})
 campaign.run_claim("prop2", {"r": 3, "e_min": 8, "e_max": 40})
+towers.tower_sequence(11, 5, 3)
+assert engine.m(800233, 4194371).value == 5  # order 5 mod a prime past 2^22: orbit route
 seen = tracer.summary()
 for name in ("campaign.run_claim.corollary8", "classify.corollary8_modulus",
-             "classify.prop2_modulus", "engine.m_table_for_modulus"):
+             "classify.prop2_modulus", "engine.m_table_for_modulus",
+             "towers.tower_sequence", "engine.m.orbit",
+             "modular.order.order_mod_prime_power", "modular.order.element_of_order",
+             "modular.order.p_adic_w"):
     assert seen.get(name, {}).get("calls"), name
 """
 

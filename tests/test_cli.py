@@ -144,6 +144,13 @@ def test_table_q_range_clamped():
     assert qs <= {2, 3}
 
 
+def test_table_refuses_modulus_beyond_dense_range():
+    res = run("table", "--e-min", str(engine.DENSE_LIMIT + 1),
+              "--e-max", str(engine.DENSE_LIMIT + 1))
+    assert res.exit_code == 2
+    assert str(engine.DENSE_LIMIT) in res.output
+
+
 def test_verify_writes_report_and_exits_zero(tmp_path):
     runner = CliRunner()
     with runner.isolated_filesystem(temp_dir=tmp_path):

@@ -6,6 +6,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from msum import cyclo
 from msum.cyclo import (
     ExceptionSet,
     IntPolynomial,
@@ -140,6 +141,17 @@ def test_candidate_scan_reports_everything():
     assert scan.unresolved == ()
     assert all(d >= 1 for d in scan.d_values)
     assert set(scan.d_values) == {1, 2, 3, 4, 11, 61}
+
+
+def test_candidate_scan_reports_strong_pseudoprime_unresolved(monkeypatch):
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to the first
+    # 12 prime bases; the scan must report it, never take it for a prime
+    psi_12 = 318665857834031151167461
+    monkeypatch.setattr(cyclo, "bezout_denominator", lambda g, n: psi_12)
+    scan = candidate_scan(5)
+    assert scan.factored == ((psi_12, ()),)
+    assert scan.unresolved == ((psi_12, psi_12),)
+    assert not corollary13_exceptions(5).complete
 
 
 def test_candidate_scan_pins_n7():

@@ -1,4 +1,4 @@
-from math import gcd
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import given
@@ -11,13 +11,18 @@ from msum.modular import (
     factorize,
     find_primitive_root,
     instance,
+    is_prime,
     mul_order,
     order_mod_prime_power,
     p_adic_w,
     rad,
     smallest_prime_divisor,
+    trial_factor,
     unit_subgroup,
 )
+
+PSI_12 = 318665857834031151167461  # = 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981
 
 coprime_pairs = st.integers(2, 400).flatmap(
     lambda e: st.tuples(
@@ -104,6 +109,66 @@ def test_rad_from_factorization(n):
     for p, _ in factorize(n):
         prod *= p
     assert rad(n) == prod
+
+
+def prime_flags(limit):
+    flags = bytearray([1]) * limit
+    flags[:2] = b"\0\0"
+    for i in range(2, isqrt(limit - 1) + 1):
+        if flags[i]:
+            flags[i * i::i] = bytes(len(range(i * i, limit, i)))
+    return flags
+
+
+def test_is_prime_matches_sieve():
+    flags = prime_flags(10**5)
+    assert all(is_prime(n) == bool(flags[n]) for n in range(10**5))
+
+
+@pytest.mark.parametrize("n", [
+    # OEIS A014233: least strong pseudoprimes to the first 1, ..., 12 prime bases
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, PSI_12,
+    # Carmichael numbers
+    561, 1105, 1729,
+])
+def test_pseudoprimes_are_composite(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_refuses_beyond_its_exact_range():
+    with pytest.raises(DomainError):
+        is_prime(PSI_13)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (1, 10**5),
+    (10**6 - 10**4, 10**6),  # the slow end: primes need ~500 trial divisions
+    pytest.param(1, 10**6, marks=pytest.mark.slow),
+])
+def test_factorize_multiplies_back(lo, hi):
+    flags = prime_flags(hi)
+    for n in range(lo, hi):
+        factors = factorize(n)
+        assert prod(p**k for p, k in factors) == n
+        assert all(flags[p] and k > 0 for p, k in factors)
+        assert [p for p, _ in factors] == sorted({p for p, _ in factors})
+
+
+def test_factorize_primes_past_10_6():
+    # both factors lie in (10^6, 2^20): trial division must reach them
+    assert factorize(1000003 * 1000033) == [(1000003, 1), (1000033, 1)]
+    assert smallest_prime_divisor(1000003 * 1000033) == 1000003
+
+
+def test_trial_factor_settles_cofactors():
+    # 1048583 > 2^20: the square is left to the integer-root test
+    assert trial_factor(1048583**2) == ([(1048583, 2)], 1)
+    assert trial_factor(12 * 1048583) == ([(2, 2), (3, 1), (1048583, 1)], 1)
+    assert trial_factor(PSI_12) == ([], PSI_12)
+    assert trial_factor(3 * PSI_13) == ([(3, 1)], PSI_13)
+    with pytest.raises(DomainError):
+        factorize(PSI_12)
 
 
 def test_smallest_prime_divisor():
