@@ -292,6 +292,41 @@ def _mulmod_vec(x: np.ndarray, c: int, p_mod: int) -> np.ndarray:
     return (((x * c_hi % p_mod) << _MUL_SPLIT) + x * c_lo) % p_mod
 
 
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """The sorted distinct elements of int64 x, as numpy's unique gives them,
+    by one sort of the raveled array and a mask keeping each element that
+    differs from its predecessor. numpy's unique sends int64 input through a
+    hash table, 15-60x slower than a sort on the arrays this engine dedups."""
+    out = np.sort(x, axis=None)
+    keep = np.empty(out.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
+
+
+def _orbit_min_grid(base: np.ndarray, pw: np.ndarray, q: int, p_mod: int) -> np.ndarray:
+    """Orbit minima of the grid base x pw, pw[j] = q^j (mod p_mod) for j < n:
+    cell (b, j) is the minimum over i < n of q^i (b + q^j) = b q^i + q^(i+j).
+    Only the products b q^i take a mulmod; each i then costs one add of pw
+    rolled by i and a subtract of p_mod, both folded into the running
+    minimum. A sum s of two residues is below 2^41; in uint64, s - p_mod
+    wraps far above p_mod where s < p_mod, so the smaller of s and s - p_mod
+    is s mod p_mod, and an unreduced s >= p_mod never undercuts the minimum."""
+    n = pw.size
+    twice = np.concatenate((pw, pw)).view(np.uint64)  # twice[i:i + n] is pw rolled by i
+    best = np.full((base.size, n), p_mod, dtype=np.uint64)
+    cell = np.empty_like(best)
+    prod = base
+    for i in range(n):
+        if i:
+            prod = _mulmod_vec(prod, q, p_mod)
+        np.add(prod.view(np.uint64)[:, None], twice[i:i + n], out=cell)
+        np.minimum(best, cell, out=best)
+        cell -= p_mod
+        np.minimum(best, cell, out=best)
+    return best.view(np.int64)
+
+
 def _m_orbit(p_mod: int, q: int, n: int, t_cap: int, want_witness: bool):
     """Minimal t with a vanishing t-sum over the orbit {q^i mod p_mod}.
 
@@ -299,8 +334,10 @@ def _m_orbit(p_mod: int, q: int, n: int, t_cap: int, want_witness: bool):
     are orbit-closed (the closure fact of the module docstring), so each is
     stored as sorted orbit-minimum representatives.
     Level s + 1 is the canonical image of the grid level(s) x powers, built in
-    slices of about _SLICE_CELLS cells and merged by one np.unique. 0 in f_t is
-    a collision between representatives of f_s1 and -f_s2, s1 + s2 = t.
+    slices of about _SLICE_CELLS cells by _orbit_min_grid (one mulmod per
+    base and power, then adds: q^i (b + q^j) = b q^i + q^(i+j)) and merged
+    by _sorted_unique. 0 in f_t is a collision between representatives of
+    f_s1 and -f_s2, s1 + s2 = t.
 
     Closed stop: when r = t_cap divides n and h = q^(n/r) has h - 1 a unit,
     the order-r subgroup {h^j} sums to (h^r - 1)/(h - 1) = 0, so m <= r. Then
@@ -328,14 +365,14 @@ def _m_orbit(p_mod: int, q: int, n: int, t_cap: int, want_witness: bool):
     def level(s: int) -> np.ndarray:
         while len(reps) <= s:
             base = reps[-1]
-            parts = [np.unique(orbit_min((base[i:i + rows, None] + pw) % p_mod))
+            parts = [_sorted_unique(_orbit_min_grid(base[i:i + rows], pw, q, p_mod))
                      for i in range(0, base.size, rows)]
-            reps.append(np.unique(np.concatenate(parts)))
+            reps.append(_sorted_unique(np.concatenate(parts)))
         return reps[s]
 
     def neg_level(s: int) -> np.ndarray:
         if s not in negs:
-            negs[s] = np.unique(orbit_min((p_mod - level(s)) % p_mod))
+            negs[s] = _sorted_unique(orbit_min((p_mod - level(s)) % p_mod))
         return negs[s]
 
     def contains(s: int, z: int) -> bool:

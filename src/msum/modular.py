@@ -187,6 +187,15 @@ def _order_from_group_exponent(q: int, e: int, lam_factors: list[tuple[int, int]
     return n
 
 
+def _unit_exponent_factors(p: int, k: int) -> list[tuple[int, int]]:
+    """The exponent of (Z/p^k)*, prime p, k >= 1, factored: (p - 1) p^(k - 1)
+    for odd p, from a factoring of p - 1 alone; for p = 2, 2^(k - 1) up to
+    k = 2 and 2^(k - 2) from k = 3 on."""
+    if p == 2:
+        return [(2, k - 1 if k < 3 else k - 2)]
+    return factorize(p - 1) + [(p, k - 1)]
+
+
 def mul_order(q: int, e: int) -> int:
     """Multiplicative order of q modulo e (least s >= 1 with q^s == 1 mod e)."""
     if e < 1:
@@ -196,15 +205,11 @@ def mul_order(q: int, e: int) -> int:
     q %= e
     if gcd(q, e) != 1:
         raise NotCoprime(f"gcd({q},{e}) != 1")
-    # lcm of per-prime-power orders; group exponent of (Z/p^k)* is phi(p^k)
-    # except for 2^k, k >= 3, where it is phi/2.
+    # lcm of the per-prime-power orders
     n = 1
     for p, k in factorize(e):
         pk = p**k
-        lam = euler_phi(pk)
-        if p == 2 and k >= 3:
-            lam //= 2
-        ord_pk = _order_from_group_exponent(q % pk, pk, factorize(lam))
+        ord_pk = _order_from_group_exponent(q % pk, pk, _unit_exponent_factors(p, k))
         n = n * ord_pk // gcd(n, ord_pk)
     return n
 
@@ -215,10 +220,7 @@ def order_mod_prime_power(q: int, p: int, k: int) -> int:
     if q % p == 0:
         raise DomainError(f"{p} divides q={q}")
     pk = p**k
-    factors = factorize(p - 1)
-    if k > 1:
-        factors = factors + [(p, k - 1)]
-    return _order_from_group_exponent(q % pk, pk, factors)
+    return _order_from_group_exponent(q % pk, pk, _unit_exponent_factors(p, k))
 
 
 def unit_subgroup(q: int, e: int) -> UnitSubgroup:

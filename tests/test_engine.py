@@ -5,6 +5,7 @@ import sys
 from math import gcd
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -452,6 +453,71 @@ def test_orbit_engine_at_real_cap_matches_dense_and_oracle():
         orders.add(n)
     assert branches == {False, True}
     assert {25, 35, 119} <= orders
+
+
+# (q, e, m, witness) with e > 2^31, where _mulmod_vec takes its split branch,
+# as the orbit engine gave them before its levels were built by add tables
+ORBIT_PINS_ABOVE_2_31 = [
+    # m < r: a collision of two half-length sums
+    (1366559171, 2147486819, 6, (11, 23, 54, 208, 215, 318)),  # prime e, n = 17 * 19
+    (1802848008, 2147484197, 8, (1, 17, 40, 102, 112, 114, 133, 139)),  # prime e, n = 11 * 13
+    (21046810068, 381481**2, 6, (136, 161, 189, 213, 247, 280)),  # n = 17^2
+    # closed stops, m = r = n: the orbit queries of perfbench seed 1 above 2^31
+    (1997470394, 2212855681, 5, tuple(range(5))),
+    (68743079699, 143137741391, 5, tuple(range(5))),
+    (843445469, 2312744281, 7, tuple(range(7))),
+    (56557909468, 141339344329, 7, tuple(range(7))),
+    (1691308669, 2191831489, 11, tuple(range(11))),
+    (112902478745, 152872916923, 11, tuple(range(11))),
+    (1576392557, 2308706401, 13, tuple(range(13))),
+    (18310753879, 142809632083, 13, tuple(range(13))),
+]
+
+
+@pytest.mark.parametrize("q, e, mv, witness", ORBIT_PINS_ABOVE_2_31)
+def test_orbit_witness_pins_above_2_31(q, e, mv, witness):
+    assert e > 1 << 31
+    n = mul_order(q, e)
+    assert (mv < smallest_prime_divisor(n)) == (mv != n)  # the branch the pin covers
+    assert m(q, e) == MResult(mv, witness)
+    assert verify_witness(q, e, MResult(mv, witness))
+
+
+@pytest.mark.parametrize("shape", [(0,), (1000,), (40, 25), (7, 1)])
+def test_sorted_unique_equals_np_unique(shape):
+    rng = np.random.default_rng(sum(shape))
+    for x in (rng.integers(0, 300, size=shape), rng.integers(-2**40, 2**40, size=shape),
+              np.full(shape, 12345, dtype=np.int64)):
+        got = engine._sorted_unique(x)
+        assert got.dtype == np.int64 and np.array_equal(got, np.unique(x))
+
+
+@pytest.mark.parametrize("n", [2, 19, 119])
+@pytest.mark.parametrize("bits", [30, 37])
+def test_orbit_min_grid_equals_scalar_orbit_minimum(n, bits):
+    p = ((1 << bits) // (2 * n) + 1) * 2 * n + 1  # p = 1 (mod 2n) above 2^bits
+    while not is_prime(p):
+        p += 2 * n
+    q = element_of_order(p, 1, n)
+    powers = [pow(q, i, p) for i in range(n)]
+    rng = random.Random(n * bits)
+    base = [rng.randrange(p) for _ in range(12)] + [0, 1, p - 1]
+    grid = engine._orbit_min_grid(np.array(base, dtype=np.int64),
+                                  np.array(powers, dtype=np.int64), q, p)
+    assert grid.shape == (len(base), n)
+    for row, b in zip(grid.tolist(), base):
+        assert row == [min((b + x) * w % p for w in powers) for x in powers]
+
+
+def test_orbit_engine_never_calls_np_unique(monkeypatch):
+    # np.unique hashes int64 input, many times slower than the sort it replaced
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique called in the orbit engine")
+
+    monkeypatch.setattr(engine.np, "unique", refuse)
+    q17 = element_of_order(239, 4, 17)
+    mv, wit = engine._m_orbit(239**4, q17, 17, 18, want_witness=True)  # levels 1 to 9
+    assert mv == 17 and verify_witness(q17, 239**4, MResult(mv, wit))
 
 
 def test_orbit_closed_stop():

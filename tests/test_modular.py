@@ -1,3 +1,4 @@
+import random
 from math import gcd, isqrt, prod
 
 import pytest
@@ -234,6 +235,58 @@ def test_order_mod_prime_power_agrees_with_generic():
         for q in range(2, 30):
             if q % p:
                 assert order_mod_prime_power(q, p, k) == mul_order(q, p**k)
+
+
+def _orders_by_walk(e):
+    """q -> ord_e(q) for every unit q mod e, with no factoring: walk the
+    powers of each q not yet seen; q^j has order n / gcd(j, n) when q has
+    order n."""
+    order = {}
+    for q in range(1, e):
+        if q in order or gcd(q, e) != 1:
+            continue
+        powers, x = [1], q % e
+        while x != 1:
+            powers.append(x)
+            x = x * q % e
+        n = len(powers)
+        for j, x in enumerate(powers):
+            order.setdefault(x, n // gcd(j, n))
+    return order
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (2, 500),
+    (1950, 2000),
+    pytest.param(2, 2000, marks=pytest.mark.slow),  # 1.2 million pairs, 14 s
+])
+def test_mul_order_matches_brute_force(lo, hi):
+    for e in range(lo, hi + 1):
+        for q, n in _orders_by_walk(e).items():
+            assert mul_order(q, e) == n, (q, e)
+
+
+def test_mul_order_on_powers_of_two():
+    # (Z/2^k)* has exponent 2^(k - 2) from k = 3 on, not phi(2^k) = 2^(k - 1)
+    for k in range(1, 12):
+        e = 1 << k
+        for q, n in _orders_by_walk(e).items():
+            assert mul_order(q, e) == n, (q, e)
+        if k >= 3:
+            assert mul_order(3, e) == e // 4
+
+
+def test_mul_order_agrees_with_order_mod_prime_power_near_2_37():
+    rng = random.Random(37)
+    for k in (1, 2, 3):
+        p = round(2 ** (37 / k))
+        while not is_prime(p):
+            p += 1
+        e = p**k
+        for _ in range(3):
+            q = rng.randrange(2, e)
+            if q % p:
+                assert order_mod_prime_power(q, p, k) == mul_order(q, e), (q, p, k)
 
 
 def test_instance_fields():
