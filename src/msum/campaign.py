@@ -11,11 +11,14 @@ all of its work (every q of its modulus, every q and k at its prime), and
 each pool task returns the m tables it built (engine.cache_rows); the parent
 adopts them as they arrive, so they reach the store, and the workers of
 later claims in the session inherit them and run no BFS for those moduli
-until engine.clear_cache() empties the cache. Reports merge in shard order,
-which makes them identical regardless of worker count. A run that makes no
-checks is a DomainError, never a vacuous pass. The expected tables embedded
-below are claims under test, not trusted data: every sweep recomputes them
-with the engine.
+until engine.clear_cache() empties the cache. A per-modulus check reads the
+rows of its modulus (engine.m_table_for_modulus: the ascending units q with
+their m and n) and tests them as array predicates; corollary8 and prop2 pass
+only the q their cases allow to the reference classifiers of classify.
+Reports merge in shard order, which makes them identical regardless of
+worker count. A run that makes no checks is a DomainError, never a vacuous
+pass. The expected tables embedded below are claims under test, not trusted
+data: every sweep recomputes them with the engine.
 """
 from __future__ import annotations
 
@@ -23,8 +26,9 @@ import functools
 import multiprocessing as mp
 import os
 import time
-from math import gcd
 from typing import Any, Callable
+
+import numpy as np
 
 from . import engine
 from .classify import conjecture4_k_min, corollary8_modulus, prop2_modulus
@@ -143,36 +147,31 @@ def _upto(first: int, prefix: str) -> Callable[[dict], tuple[str, range]]:
     return lambda params: (f"{prefix}e <= {params['e_max']}", range(first, params["e_max"] + 1))
 
 
+def _violations(e: int, bad: np.ndarray, **columns: np.ndarray) -> list[dict]:
+    """One violation of modulus e per row where bad holds, ascending in q,
+    with the value of each named column in that row."""
+    names = list(columns)
+    picked = zip(*(columns[name][bad].tolist() for name in names))
+    return [{"e": e, **dict(zip(names, row))} for row in picked]
+
+
 def _theorem1_check(e: int, params: dict):
     """m <= ceil(e/n); the pairs 1 < q < e at equality are the tally. The sharp
     family e = 2(q-1), q odd (so e = 0 mod 4), must be among them."""
-    table = engine.m_table_for_modulus(e)
-    violations = []
-    equality = []
-    for q in sorted(table):
-        mv, n = table[q]
-        bound = -(-e // n)
-        if mv > bound:
-            violations.append({"q": q, "e": e, "m": mv, "bound": bound})
-        if mv == bound and q > 1:
-            equality.append((q, e))
+    q, mv, n = engine.m_table_for_modulus(e)
+    bound = -(-e // n)
+    violations = _violations(e, mv > bound, q=q, m=mv, bound=bound)
+    equality = [(qq, e) for qq in q[(mv == bound) & (q > 1)].tolist()]
     if e % 4 == 0 and (e // 2 + 1, e) not in equality:
         violations.append({"q": e // 2 + 1, "e": e, "kind": "example7_family_missing"})
-    return len(table), violations, equality
+    return q.size, violations, equality
 
 
 def _divisibility_check(e: int, params: dict):
-    table = engine.m_table_for_modulus(e)
-    violations = []
-    m_eq_e1 = 0
-    for q in sorted(table):
-        mv = table[q][0]
-        e1 = gcd(e, q - 1)
-        if mv % e1:
-            violations.append({"q": q, "e": e, "m": mv, "e1": e1})
-        if mv == e1:
-            m_eq_e1 += 1
-    return len(table), violations, m_eq_e1
+    q, mv, _ = engine.m_table_for_modulus(e)
+    e1 = np.gcd(e, q - 1)
+    return (q.size, _violations(e, mv % e1 != 0, q=q, m=mv, e1=e1),
+            int(np.count_nonzero(mv == e1)))
 
 
 def _e1_share(checks: int, tallies: list):
@@ -180,32 +179,26 @@ def _e1_share(checks: int, tallies: list):
     return None, {"m_equals_e1": hits, "m_equals_e1_fraction": round(hits / max(checks, 1), 4)}
 
 
+def _above_one(e: int):
+    """The rows (q, m) of modulus e with q > 1, and e1 = gcd(e, q - 1) of each."""
+    q, mv, _ = engine.m_table_for_modulus(e)
+    q, mv = q[1:], mv[1:]  # q = 1 leads the rows of every e > 1
+    return q, mv, np.gcd(e, q - 1)
+
+
 def _lemma3_check(e: int, params: dict):
-    table = engine.m_table_for_modulus(e)
-    qs = [q for q in sorted(table) if q > 1]
-    violations = []
-    applicable = 0
-    for q in qs:
-        mv = table[q][0]
-        e1 = gcd(e, q - 1)
-        if e < e1 * e1 + 2 * e1:
-            applicable += 1
-            if mv != e1:
-                violations.append({"q": q, "e": e, "m": mv, "e1": e1})
-    return len(qs), violations, applicable
+    q, mv, e1 = _above_one(e)
+    applies = e < e1 * e1 + 2 * e1
+    return (q.size, _violations(e, applies & (mv != e1), q=q, m=mv, e1=e1),
+            int(np.count_nonzero(applies)))
 
 
 def _conjecture4_check(e: int, params: dict):
-    table = engine.m_table_for_modulus(e)
-    qs = [q for q in sorted(table) if q > 1]
-    violations = []
-    for q in qs:
-        mv = table[q][0]
-        e1 = gcd(e, q - 1)
-        k = conjecture4_k_min(e, e1)
-        if mv > k * e1:
-            violations.append({"q": q, "e": e, "m": mv, "k_min": k, "e1": e1})
-    return len(qs), violations, None
+    q, mv, e1 = _above_one(e)
+    values = sorted(set(e1.tolist()))  # e1 divides e: one k_min per value it takes
+    k = np.array([conjecture4_k_min(e, v) for v in values], dtype=np.int64)
+    k = k[np.searchsorted(values, e1)]
+    return q.size, _violations(e, mv > k * e1, q=q, m=mv, k_min=k, e1=e1), None
 
 
 def _corollary8_check(e: int, params: dict):
@@ -230,25 +223,23 @@ def _two_power_plan(params: dict) -> tuple[str, list]:
 
 def _two_power_check(e: int, params: dict):
     k = e.bit_length() - 1
-    table = engine.m_table_for_modulus(e)
+    qs, ms, _ = engine.m_table_for_modulus(e)
     violations = []
-    for q in sorted(table):
-        mv = table[q][0]
+    for q, mv in zip(qs.tolist(), ms.tolist()):
         formula = engine.two_power_m(q, k)
         if formula != mv:
             violations.append({"q": q, "k": k, "formula": formula, "bfs": mv})
-    return len(table), violations, None
+    return qs.size, violations, None
 
 
 def _oracle_check(e: int, params: dict):
-    table = engine.m_table_for_modulus(e)
+    qs, ms, _ = engine.m_table_for_modulus(e)
     violations = []
-    for q in sorted(table):
-        mv = table[q][0]
+    for q, mv in zip(qs.tolist(), ms.tolist()):
         expected = engine.naive_m_oracle(q, e)
         if mv != expected:
             violations.append({"q": q, "e": e, "engine": mv, "oracle": expected})
-    return len(table), violations, None
+    return qs.size, violations, None
 
 
 def _prop9_plan(params: dict) -> tuple[str, list]:

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
 from .engine import m_table_for_modulus, m_value
 from .errors import ClassificationOverlap, DomainError, NotCoprime
 from .modular import PowerSumInstance
@@ -89,6 +91,9 @@ _FAMILIES = (
     ("vi", 5, 4, lambda q: q >= 13 and gcd(5, q) == 1 and q % 4 == 1),
     ("vii", 6, 5, lambda q: q >= 16 and gcd(6, q) == 1 and q % 5 == 1),
 )
+
+
+_NONE = Corollary8Case("none")
 
 
 def lemma3_applies(inst: PowerSumInstance) -> bool:
@@ -175,21 +180,44 @@ def conjecture4_check(q: int, e: int) -> tuple[int, bool]:
     return k_min, m_value(q, e) <= k_min * e1
 
 
+def _corollary8_candidates(e: int) -> list[int]:
+    """The ascending coprime 1 < q < e-1 that some case of the m >= e/6
+    classification can match at modulus e: the finite lists, case (i)
+    q = e/a + 1 for a | e with 2 <= a <= 6, and q = 1 + b*e/a for each
+    family (a, b), coprime, so a | e. classify_large answers "none" for every
+    other q."""
+    qs = set(LIST_M2.get(e, ())) | {q for e2, q in LIST_N2_DOUBLE if e2 == e}
+    qs.update(LIST_SMALL.get(e, ((), 0))[0])
+    qs.update(e // a + 1 for a in range(2, 7) if e % a == 0)
+    qs.update(1 + b * e // a for _, a, b, _ in _FAMILIES if e % a == 0)
+    return sorted(q for q in qs if 1 < q < e - 1 and gcd(q, e) == 1)
+
+
+def _prop2_candidates(e: int, r: int) -> list[int]:
+    """The ascending coprime 1 < q < e with e*b = a*(q-1) for some coprime
+    b < a <= r, so a | e: the only q that star_params(q, e, r) can accept."""
+    qs = {1 + b * e // a for a in range(2, r + 1) if e % a == 0
+          for b in range(1, a) if gcd(a, b) == 1}
+    return sorted(q for q in qs if 1 < q < e and gcd(q, e) == 1)
+
+
 def corollary8_modulus(e: int) -> tuple[int, list[dict]]:
     """One modulus worth of the m >= e/6 classification sweep: over the coprime
     1 < q < e-1 the classifier must match brute force exactly, both in the
     m >= e/6 dichotomy and in the predicted values. Returns (checks,
-    violations)."""
-    checks = 0
+    violations).
+
+    classify_large judges only the candidates of _corollary8_candidates;
+    every other q is case "none", and breaks the dichotomy iff 6*m >= e."""
+    qs, ms, _ = m_table_for_modulus(e)
+    inner = (qs > 1) & (qs < e - 1)
+    qs, ms = qs[inner], ms[inner]
+    cases = {c: classify_large(c, e) for c in _corollary8_candidates(e)}
+    judged = 6 * ms >= e
+    judged[np.searchsorted(qs, list(cases))] = True  # every candidate is among qs
     violations = []
-    table = m_table_for_modulus(e)
-    for q in range(2, e - 1):
-        got = table.get(q)
-        if got is None:
-            continue
-        mv = got[0]
-        checks += 1
-        case = classify_large(q, e)
+    for q, mv in zip(qs[judged].tolist(), ms[judged].tolist()):
+        case = cases.get(q, _NONE)
         large = 6 * mv >= e
         if large != (case.tag != "none"):
             violations.append({
@@ -201,24 +229,25 @@ def corollary8_modulus(e: int) -> tuple[int, list[dict]]:
                 "q": q, "e": e, "kind": "prediction", "case": case.tag,
                 "expected": case.m_predicted, "actual": mv,
             })
-    return checks, violations
+    return qs.size, violations
 
 
 def prop2_modulus(e: int, r: int) -> tuple[int, list[dict]]:
     """One modulus worth of the (a,b)-parametrization sweep: direction (i) for
     every pair admitting the parametrization and, where e > r^4 - 2r^2, the
-    converse for every pair with m >= e/r. Returns (checks, violations)."""
+    converse for every pair with m >= e/r. Returns (checks, violations).
+
+    star_params judges only the candidates of _prop2_candidates; it rejects
+    every other q."""
     cutoff = r**4 - 2 * r * r
-    checks = 0
+    qs, ms, _ = m_table_for_modulus(e)
+    qs, ms = qs[1:], ms[1:]  # q = 1 leads the rows of every e > 1
+    params = {c: star_params(c, e, r) for c in _prop2_candidates(e, r)}
+    judged = r * ms >= e if e > cutoff else np.zeros(qs.size, dtype=bool)
+    judged[np.searchsorted(qs, list(params))] = True  # every candidate is among qs
     violations: list[dict] = []
-    table = m_table_for_modulus(e)
-    for q in range(2, e):
-        got = table.get(q)
-        if got is None:
-            continue
-        mv = got[0]
-        checks += 1
-        sp = star_params(q, e, r)
+    for q, mv in zip(qs[judged].tolist(), ms[judged].tolist()):
+        sp = params.get(q)
         e1 = gcd(e, q - 1)
         if sp is not None:
             if not (mv == e1 == e // sp.a and mv * r >= e):
@@ -230,4 +259,4 @@ def prop2_modulus(e: int, r: int) -> tuple[int, list[dict]]:
             violations.append({
                 "q": q, "e": e, "kind": "direction_ii", "m": mv,
             })
-    return checks, violations
+    return qs.size, violations

@@ -14,6 +14,7 @@ import sys
 from math import gcd
 
 import click
+import numpy as np
 
 from . import campaign, engine
 from .cyclo import corollary13_exceptions
@@ -113,13 +114,13 @@ def cmd_table(e_min: int, e_max: int, q_min: int, q_max: int | None,
                                f"(e <= {engine.DENSE_LIMIT})")
     rows = []
     for e in range(max(e_min, 2), e_max + 1):
-        table = engine.m_table_for_modulus(e)
-        hi = min(q_max, e - 1) if q_max is not None else e - 1
-        for q in range(max(q_min, 1), hi + 1):
-            got = table.get(q)
-            if got is None:
-                continue
-            rows.append({"e": e, "q": q, "n": got[1], "e1": gcd(e, q - 1), "m": got[0]})
+        q, mv, n = engine.m_table_for_modulus(e)
+        keep = q >= q_min
+        if q_max is not None:
+            keep &= q <= q_max
+        q, mv, n = q[keep], mv[keep], n[keep]
+        rows += [{"e": e, "q": qq, "n": nn, "e1": ee, "m": mm} for qq, nn, ee, mm in
+                 zip(q.tolist(), n.tolist(), np.gcd(e, q - 1).tolist(), mv.tolist())]
     if fmt == "json":
         text = json.dumps({"rows": rows}, sort_keys=True)
     else:

@@ -33,11 +33,15 @@ The two dense routes give equal level sets, so equal m and equal witnesses.
 The one cache holds per-modulus m tables: for each e, an array of the m of
 the generator classes of (Z/eZ)* in the order m_table_for_modulus walks
 them (m depends only on the generated subgroup, so one value serves every
-generator of a class). A hit rebuilds the table from the powers with no BFS.
-The cache only grows between clear_cache() calls, so cache_rows(start) lists
-every table built since cache_size() read start; sweep workers return these
-for seed_cache() to share with later claims and with the store. Single m
-queries run their BFS directly and are not cached.
+generator of a class). The first m_table_for_modulus(e) of a session walks
+the classes once, running a BFS only for values not already cached, and
+keeps beside the values the class of each unit and the order of each class;
+every later call expands these into rows (the ascending units q with their m
+and n) by two array lookups, with no walk. The cache only grows between
+clear_cache() calls, so cache_rows(start) lists every table built since
+cache_size() read start; sweep workers return these for seed_cache() to
+share with later claims and with the store. Single m queries run their BFS
+directly and are not cached.
 """
 from __future__ import annotations
 
@@ -46,6 +50,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +70,7 @@ __all__ = [
     "LABEL_MIN_ORDER",
     "SPARSE_LIMIT",
     "LevelSets",
+    "ModulusRows",
     "grow_level_sets",
     "m",
     "m_value",
@@ -117,7 +123,29 @@ class LevelSets:
 # ---------------------------------------------------------------------------
 # per-modulus table cache
 
-_tables: dict[int, array] = {}  # e -> class m values of m_table_for_modulus(e), walk order
+class ModulusRows(NamedTuple):
+    """The m table of one modulus e as aligned int64 arrays: the ascending q
+    in [1, e) coprime to e, m(q, e) and the order n of q."""
+
+    q: np.ndarray
+    m: np.ndarray
+    n: np.ndarray
+
+
+class _Table:
+    """The cache entry of one modulus: the class values in walk order, as
+    the store keeps them, and once a walk has checked them against the
+    classes, the class index of each unit (ascending) and the order of each
+    class."""
+
+    __slots__ = ("values", "cls", "order")
+
+    def __init__(self, values):
+        self.values = values
+        self.cls = self.order = None
+
+
+_tables: dict[int, _Table] = {}  # e -> the cache entry of modulus e
 
 
 def clear_cache() -> None:
@@ -129,8 +157,12 @@ def cache_size() -> int:
 
 
 def seed_cache(rows) -> None:
-    """Adopt (modulus, class values) rows, from pool workers or a ResultStore."""
-    _tables.update(rows)
+    """Adopt (modulus, class values) rows, from pool workers or a ResultStore.
+    A row equal to the one cached keeps the entry, and with it the walk."""
+    for e, values in rows:
+        held = _tables.get(e)
+        if held is None or held.values != values:
+            _tables[e] = _Table(values)
 
 
 def cache_rows(start: int) -> list[tuple[int, array]]:
@@ -139,7 +171,7 @@ def cache_rows(start: int) -> list[tuple[int, array]]:
     Between clear_cache() calls the cache only grows and keeps insertion
     order, so a cache_size() taken earlier marks every table built since.
     """
-    return list(islice(_tables.items(), start, None))
+    return [(e, entry.values) for e, entry in islice(_tables.items(), start, None)]
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +376,21 @@ def _m_orbit(p_mod: int, q: int, n: int, t_cap: int, want_witness: bool):
     only t < r is searched; if none vanishes, r is returned with that subgroup
     as witness once its sum is checked. Otherwise t runs up to t_cap.
     """
-    powers = [pow(q, i, p_mod) for i in range(n)]
-    pw = np.array(powers, dtype=np.int64)
+    pw = np.ones(n, dtype=np.int64)  # q^i mod p_mod, by doubling
+    k = 1
+    while k < n:
+        take = min(k, n - k)
+        pw[k:k + take] = _mulmod_vec(pw[:take], pow(q, k, p_mod), p_mod)
+        k += take
     step = n // t_cap
     closed = n % t_cap == 0 and gcd(pow(q, step, p_mod) - 1, p_mod) == 1
 
     def orbit_min(x: np.ndarray) -> np.ndarray:
+        """The orbit minimum of each element of x, looping over the shorter
+        axis: one product of the powers per element, or n - 1 steps of x."""
+        if x.size < n:
+            return np.array([_mulmod_vec(pw, v, p_mod).min() for v in x.tolist()],
+                            dtype=np.int64)
         best = x.copy()
         cur = x
         for _ in range(n - 1):
@@ -397,6 +438,7 @@ def _m_orbit(p_mod: int, q: int, n: int, t_cap: int, want_witness: bool):
         return t_cap, (witness if want_witness else None)
     if not want_witness:
         return t, None
+    powers = pw.tolist()
 
     def realize(z: int, s: int) -> list[int]:
         exps = []
@@ -492,41 +534,67 @@ def m_prime_power(q: int, p: int, k: int, want_witness: bool = False):
     return _route(q % e, e, (p, k), want_witness)
 
 
-def m_table_for_modulus(e: int) -> dict[int, tuple[int, int]]:
-    """q -> (m, ord) for every q in [1, e) coprime to e.
+def _units(e: int) -> np.ndarray:
+    """The ascending q in [1, e) coprime to e, as int64: a sieve by the
+    prime divisors of e."""
+    unit = np.ones(e, dtype=bool)
+    unit[0] = False
+    for p, _ in factorize(e):
+        unit[::p] = False
+    return np.flatnonzero(unit)
 
-    Walks generator classes: one BFS per distinct subgroup, then every
-    generator of that subgroup inherits the value. The class values are
-    cached per modulus; a cached array whose length is not the class count
-    (say, a corrupt seeded row) raises instead of answering.
-    """
-    if e > DENSE_LIMIT:
-        raise ModulusTooLarge(f"modulus {e} beyond dense BFS range")
-    cached = _tables.get(e)
-    values = array("I") if cached is None else cached
+
+def _walk(e: int, entry: _Table | None, units: np.ndarray) -> _Table:
+    """Walk the generator classes of (Z/eZ)* in ascending order of their
+    least element: one BFS per class whose value is not cached, and every
+    generator of the subgroup joins its class. Leaves the class of each of
+    `units` (the ascending units of e) in the cache entry, with the order
+    of each class. A cached array whose length is not the class count
+    (say, a corrupt seeded row) raises instead of answering."""
+    values = array("I") if entry is None else entry.values
     coprime_exps: dict[int, list[int]] = {}  # order n -> j in [0, n) prime to n
-    table: dict[int, tuple[int, int]] = {}
-    classes = 0
-    for q in range(1, e):
-        if q in table or gcd(q, e) != 1:
+    label = array("I", [0]) * e  # 1 + the class of each generator walked so far
+    order: list[int] = []
+    for q in units.tolist():
+        if label[q]:
             continue
         powers = _powers_of(q, e)
         n = len(powers)
         exps = coprime_exps.get(n)
         if exps is None:
             exps = coprime_exps[n] = [j for j in range(n) if gcd(j, n) == 1]
-        if cached is None:
+        if entry is None:
             values.append(_dense(e, q, n, False, powers)[0])
-        entry = (values[classes] if classes < len(values) else 0, n)
-        classes += 1
+        order.append(n)
         for j in exps:
-            table[powers[j]] = entry
-    if classes != len(values):
+            label[powers[j]] = len(order)
+    if len(order) != len(values):
         raise MsumError(f"cached m table of modulus {e} has {len(values)} values "
-                        f"for {classes} generator classes")
-    if cached is None:
-        _tables[e] = values
-    return table
+                        f"for {len(order)} generator classes")
+    if entry is None:
+        entry = _tables[e] = _Table(values)
+    index = np.min_scalar_type(len(order))  # uint8 below 256 classes, uint16 below 2^16
+    entry.cls = (np.frombuffer(label, dtype=np.uint32)[units] - 1).astype(index)
+    entry.order = np.array(order, dtype=np.min_scalar_type(e))
+    return entry
+
+
+def m_table_for_modulus(e: int) -> ModulusRows:
+    """The rows (q, m, n) of every q in [1, e) coprime to e, ascending in q.
+
+    The first call of a session walks the generator classes of e (see
+    _walk); later calls read the class of each unit, and the m and order of
+    each class, from the cache entry.
+    """
+    if e > DENSE_LIMIT:
+        raise ModulusTooLarge(f"modulus {e} beyond dense BFS range")
+    units = _units(e)
+    entry = _tables.get(e)
+    if entry is None or entry.cls is None:
+        entry = _walk(e, entry, units)
+    cls = entry.cls
+    return ModulusRows(units, np.asarray(entry.values, dtype=np.uint32)[cls].astype(np.int64),
+                       entry.order[cls].astype(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 A table is the engine's cached row for one modulus e: the m of each
 generator class of (Z/eZ)*, in the order engine.m_table_for_modulus walks
-the classes.
+the classes. The engine expands a row it adopts into per-q rows by one walk
+of the classes per session; the store keeps only the class values.
 
 Layout (all integers little-endian):
   header: magic "MSUMSTR1" (8) | version u32

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import multiprocessing as mp
+from array import array
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,10 @@ from msum.campaign import (
     list_claims,
     run_claim,
 )
+from msum.classify import classify_large, conjecture4_k_min, star_params
+from msum.engine import two_power_m
 from msum.errors import DomainError, UnknownClaim
+from msum.modular import mul_order
 from msum.report import VerificationReport
 from msum.store import ResultStore
 
@@ -224,3 +229,150 @@ def test_example16_data_is_complete():
     assert len(EXAMPLE16) == 25
     assert EXAMPLE16[(23, 11)] == (3, 5, 9, 9, 11)
     assert all(seq[-1] == n for (_, n), seq in EXAMPLE16.items())
+
+
+
+# (e, q) -> a wrong m for the generator class of q, seeded in place of the
+# computed one; together they break every claim of test_claims_report_each_wrong_m.
+# 65543 = 2^16 + 7 must not read as 7.
+WRONG_M = {(24, 5): 23, (32, 3): 2, (35, 4): 6, (40, 3): 11, (48, 5): 12, (48, 25): 6,
+           (60, 7): 65543, (61, 2): 31}
+ROWS_CLAIMS = {
+    "theorem1": {"e_max": 64},
+    "divisibility": {"e_max": 64},
+    "lemma3": {"e_max": 64},
+    "conjecture4": {"e_max": 64},
+    "two_power": {"k_max": 6},
+    "corollary8": {"e_max": 64},
+    "prop2": {"r": 2, "e_min": 8, "e_max": 64},
+}
+
+
+def _pair_table(e: int, values) -> dict[int, tuple[int, int, int]]:
+    """q -> (m, n, class) over the units of e from class values in walk
+    order: the per-pair table the claims read before they took rows, walked
+    with pow and mul_order."""
+    table: dict[int, tuple[int, int, int]] = {}
+    classes = 0
+    for q in range(1, e):
+        if q in table or gcd(q, e) != 1:
+            continue
+        n = mul_order(q, e)
+        for j in range(n):
+            if gcd(j, n) == 1:
+                table[pow(q, j, e)] = (values[classes], n, classes)
+        classes += 1
+    assert classes == len(values), e
+    return table
+
+
+def _reference_report(claim: str, tables: dict) -> tuple[list, object]:
+    """(violations, equality cases or extras) of one claim by a loop over the
+    pairs of its moduli, as the claims ran before they became array
+    predicates."""
+    r = ROWS_CLAIMS["prop2"]["r"]
+    violations, tally = [], []
+    for e, table in tables.items():
+        for q in sorted(table):
+            mv, n, _ = table[q]
+            e1 = gcd(e, q - 1)
+            if claim == "theorem1":
+                bound = -(-e // n)
+                if mv > bound:
+                    violations.append({"q": q, "e": e, "m": mv, "bound": bound})
+                if mv == bound and q > 1:
+                    tally.append([q, e])
+            elif claim == "divisibility":
+                if mv % e1:
+                    violations.append({"q": q, "e": e, "m": mv, "e1": e1})
+                tally.append(mv == e1)
+            elif claim == "lemma3" and q > 1 and e < e1 * e1 + 2 * e1:
+                tally.append(q)
+                if mv != e1:
+                    violations.append({"q": q, "e": e, "m": mv, "e1": e1})
+            elif claim == "conjecture4" and q > 1:
+                k = conjecture4_k_min(e, e1)
+                if mv > k * e1:
+                    violations.append({"q": q, "e": e, "m": mv, "k_min": k, "e1": e1})
+            elif claim == "two_power":
+                k = e.bit_length() - 1
+                if two_power_m(q, k) != mv:
+                    violations.append({"q": q, "k": k, "formula": two_power_m(q, k), "bfs": mv})
+            elif claim == "corollary8" and 1 < q < e - 1:
+                case = classify_large(q, e)
+                large = 6 * mv >= e
+                if large != (case.tag != "none"):
+                    violations.append({"q": q, "e": e, "m": mv, "kind": "dichotomy",
+                                       "expected": "case" if large else "none",
+                                       "actual": case.tag})
+                elif case.tag != "none" and case.m_predicted != mv:
+                    violations.append({"q": q, "e": e, "kind": "prediction", "case": case.tag,
+                                       "expected": case.m_predicted, "actual": mv})
+            elif claim == "prop2" and q > 1:
+                sp = star_params(q, e, r)
+                if sp is not None and not (mv == e1 == e // sp.a and mv * r >= e):
+                    violations.append({"q": q, "e": e, "kind": "direction_i",
+                                       "a": sp.a, "b": sp.b, "e1": e1, "m": mv})
+                if e > r**4 - 2 * r * r and mv * r >= e and sp is None:
+                    violations.append({"q": q, "e": e, "kind": "direction_ii", "m": mv})
+        if claim == "theorem1" and e % 4 == 0 and [e // 2 + 1, e] not in tally:
+            violations.append({"q": e // 2 + 1, "e": e, "kind": "example7_family_missing"})
+    if claim == "theorem1":
+        return violations, tally
+    if claim == "divisibility":
+        hits = sum(tally)
+        return violations, {"m_equals_e1": hits, "m_equals_e1_fraction": round(hits / len(tally), 4)}
+    if claim == "lemma3":
+        return violations, {"applicable_pairs": len(tally)}
+    return violations, None
+
+
+@pytest.fixture
+def wrong_m_tables():
+    """Seed the class values of WRONG_M over the built rows of e <= 64;
+    yields the per-pair tables those values give, and empties the cache after."""
+    engine.clear_cache()
+    for e in range(1, 65):
+        engine.m_table_for_modulus(e)
+    rows = dict(engine.cache_rows(0))
+    for (e, q), wrong in WRONG_M.items():
+        mv, _, cls = _pair_table(e, rows[e])[q]
+        assert mv != wrong, (e, q)
+        rows[e] = array("I", rows[e])
+        rows[e][cls] = wrong
+    engine.seed_cache(rows.items())  # a differing row replaces the entry and its walk
+    yield {e: _pair_table(e, values) for e, values in rows.items()}
+    engine.clear_cache()
+
+
+@pytest.mark.parametrize("claim", sorted(ROWS_CLAIMS))
+def test_claims_report_each_wrong_m(wrong_m_tables, claim):
+    report = run_claim(claim, ROWS_CLAIMS[claim])
+    shards = campaign._CLAIMS[claim][1](ROWS_CLAIMS[claim])[1]
+    violations, tally = _reference_report(claim, {e: wrong_m_tables[e] for e in shards})
+    assert violations, claim  # the wrong values are seen at all
+    assert report.violations == violations
+    if claim == "theorem1":
+        assert [list(pair) for pair in report.equality_cases] == tally
+    elif tally is not None:
+        assert report.extras == tally
+
+
+def test_rows_are_walked_once_per_modulus_per_session(monkeypatch):
+    params = {"e_max": 150}
+    engine.clear_cache()
+    run_claim("theorem1", params)
+    rows = engine.cache_rows(0)
+
+    def walk(q, e):
+        raise AssertionError(f"the classes of modulus {e} were walked again")
+
+    monkeypatch.setattr(engine, "_powers_of", walk)
+    engine.seed_cache(rows)  # as a store-backed run does: equal rows keep the walk
+    for claim in ("divisibility", "conjecture4", "corollary8"):
+        assert run_claim(claim, params).ok, claim
+    engine.clear_cache()
+    engine.seed_cache(rows)
+    with pytest.raises(AssertionError, match="walked again"):
+        engine.m_table_for_modulus(150)
+    engine.clear_cache()

@@ -10,6 +10,8 @@ from msum.classify import (
     LIST_N2_DOUBLE,
     LIST_SMALL,
     StarParams,
+    _corollary8_candidates,
+    _prop2_candidates,
     classify_large,
     conjecture4_check,
     lemma3_applies,
@@ -153,3 +155,18 @@ def test_verify_prop2_r2():
 def test_verify_prop2_rejects_bad_r():
     with pytest.raises(DomainError):
         run_claim("prop2", {"r": 1, "e_min": 8, "e_max": 100})
+
+
+def test_candidate_sets_hold_every_classified_pair():
+    # corollary8_modulus and prop2_modulus call the reference classifiers only
+    # on their candidates and take every other q as unmatched; here the
+    # reference judges every pair
+    for e in range(3, 1225):
+        units = [q for q in range(2, e) if gcd(q, e) == 1]
+        candidates = _corollary8_candidates(e)
+        assert candidates == sorted(set(candidates)) and set(candidates) <= set(units)
+        cased = {q for q in units if q < e - 1 and classify_large(q, e).tag != "none"}
+        assert cased <= set(candidates), (e, sorted(cased - set(candidates)))
+        for r in (2, 3, 6):
+            hits = {q for q in units if star_params(q, e, r) is not None}
+            assert hits <= set(_prop2_candidates(e, r)), (e, r)

@@ -109,8 +109,8 @@ def test_naive_oracle_spot_values():
 
 def test_engine_equals_oracle_small_exhaustive():
     for e in range(1, 121):
-        table = m_table_for_modulus(e)
-        for q, (mv, _) in table.items():
+        rows = m_table_for_modulus(e)
+        for q, mv in zip(rows.q.tolist(), rows.m.tolist()):
             assert mv == naive_m_oracle(q, e), (q, e)
 
 
@@ -146,8 +146,8 @@ def test_two_power_examples():
 def test_two_power_matches_bfs_small():
     for k in range(1, 9):
         e = 1 << k
-        table = m_table_for_modulus(e)
-        for q, (mv, _) in table.items():
+        rows = m_table_for_modulus(e)
+        for q, mv in zip(rows.q.tolist(), rows.m.tolist()):
             assert two_power_m(q, k) == mv, (q, k)
 
 
@@ -232,26 +232,51 @@ def test_witness_deterministic():
     assert m(3, 26).witness == a
 
 
+def _listed(rows):
+    """The rows (q, m, n) of a modulus as three lists, for comparing tables."""
+    return [column.tolist() for column in rows]
+
+
 def test_m_table_matches_m_value():
     for e in (1, 2, 7, 24, 96):
-        table = m_table_for_modulus(e)
-        assert set(table) == {q for q in range(1, e) if gcd(q, e) == 1}
-        for q, (mv, n) in table.items():
+        rows = m_table_for_modulus(e)
+        assert all(column.dtype == np.int64 for column in rows)
+        qs, ms, ns = _listed(rows)
+        assert qs == [q for q in range(1, e) if gcd(q, e) == 1]  # ascending
+        assert len(ms) == len(ns) == len(qs)
+        for q, mv, n in zip(qs, ms, ns):
             assert mv == m_value(q, e)
             assert n == instance(q, e).n
 
 
+def test_rows_of_a_modulus_past_255_classes():
+    # 1729 = 7 * 13 * 19 has 276 generator classes, past what a uint8 class
+    # index can number
+    engine.clear_cache()
+    qs, ms, ns = _listed(m_table_for_modulus(1729))
+    [(_, values)] = engine.cache_rows(0)
+    assert len(values) == 276
+    assert qs == [q for q in range(1, 1729) if gcd(q, 1729) == 1]
+    assert ns == [mul_order(q, 1729) for q in qs]
+    assert ms == [m_value(q, 1729) for q in qs]
+
+
 def test_memoized_tables_equal_cold_builds(monkeypatch):
     engine.clear_cache()
-    cold = {e: m_table_for_modulus(e) for e in range(1, 301)}
+    cold = {e: _listed(m_table_for_modulus(e)) for e in range(1, 301)}
     assert engine.cache_size() == 300
+    seeded = engine.cache_rows(0)
 
     def no_bfs(*args, **kwargs):
         raise AssertionError("a cached table searched a subgroup")
 
     monkeypatch.setattr(engine, "_bfs_dense", no_bfs)
-    for e, table in cold.items():
-        assert list(m_table_for_modulus(e).items()) == list(table.items()), e
+    for e, table in cold.items():  # the rows of the walk that built the values
+        assert _listed(m_table_for_modulus(e)) == table, e
+    engine.clear_cache()
+    engine.seed_cache(seeded)
+    for e, table in cold.items():  # a fresh walk over seeded values
+        assert _listed(m_table_for_modulus(e)) == table, e
 
 
 def test_cache_round_trip(monkeypatch):
@@ -267,7 +292,7 @@ def test_cache_round_trip(monkeypatch):
     # one value per generator class: the subgroups of (Z/26Z)*, of orders 1, 2, 3, 4, 6, 12
     assert len(rows[0][1]) == 6
     assert engine.cache_rows(engine.cache_size()) == []
-    table = m_table_for_modulus(26)
+    table = _listed(m_table_for_modulus(26))
     engine.clear_cache()
     assert engine.cache_size() == 0
     engine.seed_cache(rows)
@@ -277,7 +302,7 @@ def test_cache_round_trip(monkeypatch):
         raise AssertionError("a seeded table searched a subgroup")
 
     monkeypatch.setattr(engine, "_bfs_dense", no_bfs)
-    assert m_table_for_modulus(26) == table
+    assert _listed(m_table_for_modulus(26)) == table
 
 
 @pytest.mark.parametrize("cut", ["short", "long"])
@@ -518,6 +543,28 @@ def test_orbit_engine_never_calls_np_unique(monkeypatch):
     q17 = element_of_order(239, 4, 17)
     mv, wit = engine._m_orbit(239**4, q17, 17, 18, want_witness=True)  # levels 1 to 9
     assert mv == 17 and verify_witness(q17, 239**4, MResult(mv, wit))
+
+
+def test_orbit_engine_large_order_takes_vector_steps(monkeypatch):
+    # 4194319 is a prime just past the dense range and 2 has order
+    # n = 3 * 699053 there, so the search stops closed at r = 3. Negating a
+    # level by n - 1 one-element mulmods takes 16 s here, and the powers by n
+    # calls to pow seconds more: both must be O(log n) vector steps.
+    calls = []
+    mulmod = engine._mulmod_vec
+
+    def counted(*args):
+        calls.append(args)
+        return mulmod(*args)
+
+    monkeypatch.setattr(engine, "_mulmod_vec", counted)
+    e = 4194319
+    n = mul_order(2, e)
+    assert is_prime(e) and e > engine.DENSE_LIMIT and n == 3 * 699053
+    result = m(2, e)
+    assert result.value == 3 and verify_witness(2, e, result)
+    assert result.witness == (0, n // 3, 2 * n // 3)
+    assert 0 < len(calls) <= 2 * n.bit_length()
 
 
 def test_orbit_closed_stop():
