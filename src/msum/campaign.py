@@ -8,10 +8,11 @@ corollary8, prop2, oracle), odd primes p for prop9, primes p = 1 (mod r) for
 the order-r tower tables of prop14 and prop15, tower rows (p, n) for
 example16 and example17, and n for corollary13 and remark12. A shard owns
 all of its work (every q of its modulus, every q and k at its prime), and
-each pool task returns the m tables it built (engine.cache_rows); the parent
-adopts them as they arrive, so they reach the store, and the workers of
-later claims in the session inherit them and run no BFS for those moduli
-until engine.clear_cache() empties the cache. A per-modulus check reads the
+each pool task returns the m tables it built with their walks
+(engine.cache_walks); the parent adopts them in shard order, so they reach
+the store, and the workers of later claims in the session inherit them and
+neither search nor walk those moduli again until engine.clear_cache()
+empties the cache. A per-modulus check reads the
 rows of its modulus (engine.m_table_for_modulus: the ascending units q with
 their m and n) and tests them as array predicates; corollary8 and prop2 pass
 only the q their cases allow to the reference classifiers of classify.
@@ -112,26 +113,37 @@ EXAMPLE17_SEQUENCES = {
 # ---------------------------------------------------------------------------
 # parallel plumbing
 
-def _run_chunk(fn: Callable, chunk: list) -> tuple[list, list]:
-    start = engine.cache_size()
-    return [fn(a) for a in chunk], engine.cache_rows(start)
+def _run_chunk(fn: Callable, chunk: list) -> list[tuple[Any, list]]:
+    """(fn(a), the tables a cached, with their walks) for each a of chunk."""
+    done = []
+    for a in chunk:
+        start = engine.cache_size()
+        done.append((fn(a), engine.cache_walks(start)))
+    return done
 
 
 def _map_shards(fn: Callable, args: list, jobs: int) -> list:
-    """Apply fn to each shard argument, in order. Each pool task runs one chunk
-    of arguments and returns the tables it cached; they join this process's
-    cache as each chunk arrives, so every table built lands here at any job
-    count. The pool has no more workers than chunks."""
+    """Apply fn to each shard argument, in order.
+
+    Shard cost grows along args (per-modulus work about as e^2), so the
+    shards are dealt by stride to min(len(args), 8 * jobs) chunks,
+    args[i::count], rather than cut into runs that leave the last one to one
+    worker. Each pool task runs one chunk and returns, per shard, its payload
+    and the tables it cached with their walks. The payloads are put back in
+    shard order, and this process adopts the tables in that order, so its
+    cache and the store rows come out as at jobs 1, and the workers of later
+    claims inherit every table walked. The pool has no more workers than
+    chunks."""
     if jobs <= 1 or len(args) <= 1:
         return [fn(a) for a in args]
-    size = max(1, len(args) // (jobs * 8))
-    chunks = [args[i:i + size] for i in range(0, len(args), size)]
-    payloads = []
-    with mp.get_context("fork").Pool(min(jobs, len(chunks))) as pool:
-        for outs, tables in pool.imap(functools.partial(_run_chunk, fn), chunks):
-            payloads += outs
-            engine.seed_cache(tables)
-    return payloads
+    count = min(len(args), jobs * 8)
+    done = [None] * len(args)
+    chunks = [args[i::count] for i in range(count)]
+    with mp.get_context("fork").Pool(min(jobs, count)) as pool:
+        for i, results in enumerate(pool.imap(functools.partial(_run_chunk, fn), chunks)):
+            done[i::count] = results
+    engine.seed_cache([row for _, tables in done for row in tables])
+    return [payload for payload, _ in done]
 
 
 # ---------------------------------------------------------------------------

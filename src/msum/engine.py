@@ -16,7 +16,10 @@ a level costs one shift by 1 and one orbit closure, not a shift per element.
 m() and m_prime_power() share one private dispatcher over four routes:
   - q = 1 (mod e), answered in closed form (m = e);
   - the bitmask BFS, for moduli up to DENSE_LIMIT and subgroup order n below
-    LABEL_MIN_ORDER: levels are Python ints, one shift per element of H;
+    LABEL_MIN_ORDER: levels are Python ints, one shift per element of H.
+    When only m is wanted and n >= _HALF_MIN_ORDER it stops at level
+    ceil(m/2), meeting each level with the negation of itself and of the
+    level before (a bit reversal); witness searches build every level;
   - the orbit-label BFS, for moduli up to DENSE_LIMIT and n >= LABEL_MIN_ORDER:
     every residue is labelled with the minimum of its H-orbit, and each level
     is a roll by 1, a scatter of the labels hit and a gather back. The rule is
@@ -39,9 +42,10 @@ keeps beside the values the class of each unit and the order of each class;
 every later call expands these into rows (the ascending units q with their m
 and n) by two array lookups, with no walk. The cache only grows between
 clear_cache() calls, so cache_rows(start) lists every table built since
-cache_size() read start; sweep workers return these for seed_cache() to
-share with later claims and with the store. Single m queries run their BFS
-directly and are not cached.
+cache_size() read start, and cache_walks(start) the same tables with their
+walks; sweep workers return the latter for seed_cache() to share with later
+claims, which walk no modulus again, and with the store, which keeps the
+values alone. Single m queries run their BFS directly and are not cached.
 """
 from __future__ import annotations
 
@@ -84,16 +88,19 @@ __all__ = [
     "clear_cache",
     "cache_size",
     "cache_rows",
+    "cache_walks",
     "seed_cache",
 ]
 
 DENSE_LIMIT = 1 << 22  # largest modulus handled by the dense (bitmask and label) BFS
 LABEL_MIN_ORDER = 1024  # smallest subgroup order n a dense modulus sends to the label BFS
+_HALF_MIN_ORDER = 8  # smallest subgroup order n whose bitmask BFS for m alone stops at ceil(m/2)
 SPARSE_LIMIT = 1 << 40  # largest modulus handled by the orbit engine
 
 _MUL_SPLIT = 19  # limb split for overflow-free int64 mulmod (needs modulus < 2^40)
 _SLICE_CELLS = 1 << 20  # grid cells per slice of an orbit level build (bounds peak memory)
 _LABEL_SLICE = 1 << 16  # residues per int64 slice of the label route's index arithmetic
+_BIT_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte's bits reversed
 
 
 @dataclass(frozen=True)
@@ -157,12 +164,16 @@ def cache_size() -> int:
 
 
 def seed_cache(rows) -> None:
-    """Adopt (modulus, class values) rows, from pool workers or a ResultStore.
-    A row equal to the one cached keeps the entry, and with it the walk."""
-    for e, values in rows:
+    """Adopt (modulus, class values) rows from a ResultStore, or the rows of
+    cache_walks() from pool workers, which carry the walk of each table. A
+    row equal to the one cached keeps the entry, and with it the walk; a
+    carried walk serves an entry not walked yet."""
+    for e, values, *walk in rows:
         held = _tables.get(e)
         if held is None or held.values != values:
-            _tables[e] = _Table(values)
+            held = _tables[e] = _Table(values)
+        if walk and held.cls is None:
+            held.cls, held.order = walk
 
 
 def cache_rows(start: int) -> list[tuple[int, array]]:
@@ -174,11 +185,27 @@ def cache_rows(start: int) -> list[tuple[int, array]]:
     return [(e, entry.values) for e, entry in islice(_tables.items(), start, None)]
 
 
+def cache_walks(start: int) -> list[tuple[int, array, np.ndarray | None, np.ndarray | None]]:
+    """The rows of cache_rows(start), each with the walk of its table: the
+    class index of each unit and the order of each class (None if not
+    walked). seed_cache() adopts them without walking the classes again."""
+    return [(e, entry.values, entry.cls, entry.order)
+            for e, entry in islice(_tables.items(), start, None)]
+
+
 # ---------------------------------------------------------------------------
 # dense bitmask BFS
 
 def _bfs_dense(e: int, elements: Sequence[int], keep_masks: bool):
-    """Returns (m, masks or None). Level masks are cumulative reachable sets."""
+    """Returns (m, masks or None). Level masks are cumulative reachable sets.
+
+    With masks kept, every level up to m is built. Without, and with
+    len(elements) >= _HALF_MIN_ORDER, the search stops at level s = ceil(m/2):
+    for t >= 2, 0 lies in A_t iff A_ceil(t/2) meets -A_floor(t/2) (split a
+    vanishing sum of t' <= t terms, t' >= 2 as 0 is not in H, into halves of
+    ceil(t'/2) and floor(t'/2) terms), so level s tests t = 2s - 1 against
+    -A_(s-1) and t = 2s against -A_s. Negating a set costs a bit reversal,
+    about as much as 8-10 shifts of a level, hence the order gate."""
     full = (1 << e) - 1
     amask = 0
     for a in elements:
@@ -186,8 +213,21 @@ def _bfs_dense(e: int, elements: Sequence[int], keep_masks: bool):
     seen = amask
     frontier = amask
     masks = [seen] if keep_masks else None
+    half = not keep_masks and len(elements) >= _HALF_MIN_ORDER
+    size = (e + 7) // 8
+    shift = 8 * size - e - 1  # reversed over 8*size bits, residue x lands at e - x + shift
+    neg = 0  # -A_(s-1); the empty set at s = 1, where t = 1 is no candidate
     levels = 1
-    while not (seen & 1):
+    while True:
+        if half:
+            if seen & neg:
+                return 2 * levels - 1, None
+            rev = int.from_bytes(seen.to_bytes(size, "little").translate(_BIT_REVERSE), "big")
+            neg = rev >> shift if shift >= 0 else rev << 1  # -0 lands on bit e, past every set
+            if seen & neg:
+                return 2 * levels, None
+        elif seen & 1:
+            return levels, masks
         acc = 0
         for a in elements:
             acc |= frontier << a
@@ -197,7 +237,6 @@ def _bfs_dense(e: int, elements: Sequence[int], keep_masks: bool):
         levels += 1
         if keep_masks:
             masks.append(seen)
-    return levels, masks
 
 
 def _witness_residues(e: int, elements: Sequence[int], levels: list[bytes]) -> list[int]:

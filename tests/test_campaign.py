@@ -56,10 +56,10 @@ def test_unknown_claim():
 def test_reports_deterministic_across_worker_counts():
     for claim, golden in sorted(GOLDEN_PAYLOADS.items()):
         payloads = []
-        for jobs in (1, 2):
+        for jobs in (1, 2, 3):  # three workers deal the shards to strided chunks unevenly
             engine.clear_cache()  # the pool workers compute, not inherit
             payloads.append(run_claim(claim, golden["params"], jobs=jobs).payload())
-        assert payloads[0] == payloads[1], claim
+        assert payloads[0] == payloads[1] == payloads[2], claim
 
 
 @pytest.mark.parametrize("claim", sorted(GOLDEN_PAYLOADS))
@@ -79,15 +79,17 @@ def test_claim_payloads_match_golden_digests(claim):
                  id="divisibility-after-theorem1"),
 ])
 def test_store_rows_same_across_worker_counts(tmp_path, claim, params, first):
-    rows = []
-    for jobs in (1, 2):
+    rows, blobs = [], []
+    for jobs in (1, 2, 3):
         engine.clear_cache()
         if first:
             run_claim(*first, jobs=jobs)
         path = tmp_path / f"jobs{jobs}.bin"
         run_claim(claim, params, jobs=jobs, store=str(path))
         rows.append(ResultStore(path).tables)
-    assert rows[0] == rows[1]
+        blobs.append(path.read_bytes() if path.exists() else None)
+    assert rows[0] == rows[1] == rows[2]
+    assert blobs[0] == blobs[1] == blobs[2]  # the records too come in shard order
     # tower values come from no m table, so example16 stores none
     assert bool(rows[0]) == (claim != "example16")
     if first:
@@ -120,6 +122,27 @@ def test_tables_from_pool_workers_serve_later_claims(monkeypatch):
     for jobs in (1, 2):
         with pytest.raises(RuntimeError, match="BFS ran"):
             run_claim("divisibility", params, jobs=jobs)
+
+
+def test_no_worker_walks_a_modulus_twice(monkeypatch):
+    params = {"e_max": 150}
+    engine.clear_cache()
+    cold = {claim: run_claim(claim, params, jobs=1).payload()
+            for claim in ("divisibility", "conjecture4")}
+    engine.clear_cache()
+    run_claim("theorem1", params, jobs=2)
+
+    def walk(q, e):
+        raise RuntimeError(f"the classes of modulus {e} were walked again")
+
+    # forked pool workers inherit the patch, so a walk there fails the run too
+    monkeypatch.setattr(engine, "_powers_of", walk)
+    for claim, payload in cold.items():
+        assert run_claim(claim, params, jobs=2).payload() == payload, claim
+    engine.clear_cache()
+    with pytest.raises(RuntimeError, match="walked again"):
+        run_claim("divisibility", params, jobs=2)
+    engine.clear_cache()
 
 
 def test_claim_with_no_checks_is_a_domain_error():

@@ -357,6 +357,60 @@ def test_label_route_matches_bitmask_large_moduli(monkeypatch):
     assert results[1] == results[1 << 30]
 
 
+def _classes(e):
+    """(q, powers of q) for the least q of each generator class of (Z/eZ)*."""
+    walked = set()
+    for q in range(1, e):
+        if gcd(q, e) == 1 and q not in walked:
+            powers = engine._powers_of(q, e)
+            walked.update(powers[j] for j in range(len(powers)) if gcd(j, len(powers)) == 1)
+            yield q, powers
+
+
+def test_half_depth_stop_matches_full_search_and_oracle():
+    # the m of a table (no masks kept: the half-depth stop from order 8 on)
+    # against the witness search, which builds every level
+    for e in range(2, 401):
+        for q, powers in _classes(e):
+            n = len(powers)
+            value = engine._dense(e, q, n, False, powers)[0]
+            assert value == engine._dense(e, q, n, True)[0], (q, e)
+            if e <= 300:
+                assert value == naive_m_oracle(q, e), (q, e)
+
+
+# (q, e) with m: orders n on both sides of the half-depth gate, all below
+# LABEL_MIN_ORDER, and m of both parities
+HALF_DEPTH_SPOTS = [
+    (90242, 99999, 82), (31979, 99999, 271), (75068, 99999, 271), (56395, 99999, 9),
+    (11809, 99999, 369), (64778, 99999, 5), (78265, 99999, 9),
+    (975347, 999999, 6), (850378, 999999, 33), (463303, 999999, 63), (916093, 999999, 27),
+    (81064, 999999, 18),
+    (837343, 1000033, 3), (649529, 1000033, 2), (562951, 1000033, 11),
+]
+
+
+def test_half_depth_stop_at_large_moduli():
+    orders = set()
+    for q, e, mv in HALF_DEPTH_SPOTS:
+        n = mul_order(q, e)
+        orders.add(n >= engine._HALF_MIN_ORDER)
+        assert n < engine.LABEL_MIN_ORDER, (q, e)
+        value = engine._dense(e, q, n, False, engine._powers_of(q, e))[0]
+        full, witness = engine._dense(e, q, n, True)
+        assert value == full == len(witness) == mv, (q, e)
+        assert verify_witness(q, e, witness), (q, e)
+    assert orders == {False, True}
+
+
+@pytest.mark.slow
+def test_half_depth_stop_matches_full_search_to_2049():
+    for e in range(2, 2050):
+        for q, powers in _classes(e):
+            value = engine._dense(e, q, len(powers), False, powers)[0]
+            assert value == engine._bfs_dense(e, powers, keep_masks=True)[0], (q, e)
+
+
 def test_dense_dispatch_is_on_the_order(monkeypatch):
     routes = []
     label, bitmask = engine._bfs_label, engine._bfs_dense
