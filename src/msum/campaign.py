@@ -8,12 +8,13 @@ corollary8, prop2, oracle), odd primes p for prop9, primes p = 1 (mod r) for
 the order-r tower tables of prop14 and prop15, tower rows (p, n) for
 example16 and example17, and n for corollary13 and remark12. A shard owns
 all of its work (every q of its modulus, every q and k at its prime), and
-each pool task returns the m tables it built with their walks
-(engine.cache_walks); the parent adopts them in shard order, so they reach
-the store, and the workers of later claims in the session inherit them and
-neither search nor walk those moduli again until engine.clear_cache()
-empties the cache. A per-modulus check reads the
-rows of its modulus (engine.m_table_for_modulus: the ascending units q with
+each pool task returns the m tables it built (engine.cache_rows, each a
+complete walked table); the parent adopts them in shard order, so they
+reach the store. Tables seeded from a store are walked in the parent before
+the pool forks. Either way the workers of later claims in the session
+inherit every table and neither search nor walk those moduli again until
+engine.clear_cache() empties the cache. A per-modulus check reads the rows
+of its modulus (engine.m_table_for_modulus: the ascending units q with
 their m and n) and tests them as array predicates; corollary8 and prop2 pass
 only the q their cases allow to the reference classifiers of classify.
 Reports merge in shard order, which makes them identical regardless of
@@ -114,11 +115,11 @@ EXAMPLE17_SEQUENCES = {
 # parallel plumbing
 
 def _run_chunk(fn: Callable, chunk: list) -> list[tuple[Any, list]]:
-    """(fn(a), the tables a cached, with their walks) for each a of chunk."""
+    """(fn(a), the tables a cached) for each a of chunk."""
     done = []
     for a in chunk:
         start = engine.cache_size()
-        done.append((fn(a), engine.cache_walks(start)))
+        done.append((fn(a), engine.cache_rows(start)))
     return done
 
 
@@ -129,11 +130,10 @@ def _map_shards(fn: Callable, args: list, jobs: int) -> list:
     shards are dealt by stride to min(len(args), 8 * jobs) chunks,
     args[i::count], rather than cut into runs that leave the last one to one
     worker. Each pool task runs one chunk and returns, per shard, its payload
-    and the tables it cached with their walks. The payloads are put back in
-    shard order, and this process adopts the tables in that order, so its
-    cache and the store rows come out as at jobs 1, and the workers of later
-    claims inherit every table walked. The pool has no more workers than
-    chunks."""
+    and the tables it cached. The payloads are put back in shard order, and
+    this process adopts the tables in that order, so its cache and the store
+    rows come out as at jobs 1, and the workers of later claims inherit every
+    table. The pool has no more workers than chunks."""
     if jobs <= 1 or len(args) <= 1:
         return [fn(a) for a in args]
     count = min(len(args), jobs * 8)

@@ -47,6 +47,15 @@ def _witness_text(q: int, witness: tuple[int, ...]) -> str:
     return "+".join(f"{q}^{a}" for a in witness)
 
 
+def _emit(text: str, out: str | None) -> None:
+    """Write text to the --out file, or echo it when there is none."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        click.echo(text)
+
+
 @click.group()
 def main() -> None:
     """Minimal vanishing sums of powers: compute m(q,e), tables and verifications."""
@@ -129,11 +138,7 @@ def cmd_table(e_min: int, e_max: int, q_min: int, q_max: int | None,
         writer.writeheader()
         writer.writerows(rows)
         text = buf.getvalue().rstrip("\n")
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        click.echo(text)
+    _emit(text, out)
 
 
 @main.command("verify")
@@ -240,11 +245,7 @@ def cmd_sequence(p: int, n: int, k_max: int, fmt: str, out: str | None) -> None:
         if report.decreases:
             lines.append(f"note: m decreased at k in {list(report.decreases)}")
         text = "\n".join(lines)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        click.echo(text)
+    _emit(text, out)
 
 
 @main.command("exceptions")
@@ -281,11 +282,7 @@ def cmd_exceptions(n: int, k_cap: int | None, jobs: int, fmt: str,
         lines.append(f"candidates: {len(result.candidate_pool)}; "
                      f"unresolved: {len(result.unresolved)}; {status}")
         text = "\n".join(lines)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        click.echo(text)
+    _emit(text, out)
 
 
 if __name__ == "__main__":

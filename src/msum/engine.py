@@ -33,19 +33,21 @@ m() and m_prime_power() share one private dispatcher over four routes:
     the order); m = r is returned only with a verified order-r witness.
 The two dense routes give equal level sets, so equal m and equal witnesses.
 
-The one cache holds per-modulus m tables: for each e, an array of the m of
-the generator classes of (Z/eZ)* in the order m_table_for_modulus walks
-them (m depends only on the generated subgroup, so one value serves every
-generator of a class). The first m_table_for_modulus(e) of a session walks
-the classes once, running a BFS only for values not already cached, and
-keeps beside the values the class of each unit and the order of each class;
-every later call expands these into rows (the ascending units q with their m
-and n) by two array lookups, with no walk. The cache only grows between
-clear_cache() calls, so cache_rows(start) lists every table built since
-cache_size() read start, and cache_walks(start) the same tables with their
-walks; sweep workers return the latter for seed_cache() to share with later
-claims, which walk no modulus again, and with the store, which keeps the
-values alone. Single m queries run their BFS directly and are not cached.
+The one cache holds per-modulus m tables. The entry of modulus e is a
+complete, immutable _Table: the m of each generator class of (Z/eZ)* in the
+order _walk visits the classes (m depends only on the generated subgroup, so
+one value serves every generator of a class), the class of each unit and the
+order of each class. _walk is its only builder: it walks the classes once,
+running a BFS per class unless it is given the class values, which it then
+checks against the class count. m_table_for_modulus(e) builds the entry on a
+miss and expands it into rows (the ascending units q with their m and n) by
+two array lookups. The cache only grows between clear_cache() calls, so
+cache_rows(start) lists every entry built since cache_size() read start, as
+(e, values, cls, order) rows. seed_cache() adopts those rows from pool
+workers as they are, and walks the (e, values) rows of a store when it
+seeds them, so no claim of the session walks a modulus again; the store
+keeps the values alone. Single m queries run their BFS directly and are not
+cached.
 """
 from __future__ import annotations
 
@@ -88,7 +90,6 @@ __all__ = [
     "clear_cache",
     "cache_size",
     "cache_rows",
-    "cache_walks",
     "seed_cache",
 ]
 
@@ -139,17 +140,14 @@ class ModulusRows(NamedTuple):
     n: np.ndarray
 
 
-class _Table:
-    """The cache entry of one modulus: the class values in walk order, as
-    the store keeps them, and once a walk has checked them against the
-    classes, the class index of each unit (ascending) and the order of each
-    class."""
+class _Table(NamedTuple):
+    """The cache entry of one modulus: the m of each generator class in walk
+    order, as the store keeps them, the class index of each unit (ascending)
+    and the order of each class."""
 
-    __slots__ = ("values", "cls", "order")
-
-    def __init__(self, values):
-        self.values = values
-        self.cls = self.order = None
+    values: array
+    cls: np.ndarray
+    order: np.ndarray
 
 
 _tables: dict[int, _Table] = {}  # e -> the cache entry of modulus e
@@ -164,33 +162,23 @@ def cache_size() -> int:
 
 
 def seed_cache(rows) -> None:
-    """Adopt (modulus, class values) rows from a ResultStore, or the rows of
-    cache_walks() from pool workers, which carry the walk of each table. A
-    row equal to the one cached keeps the entry, and with it the walk; a
-    carried walk serves an entry not walked yet."""
+    """Adopt the (e, values, cls, order) rows of cache_rows(), as they are, or
+    walk the classes of (e, class values) rows from a ResultStore. A row
+    whose values equal those held keeps the held entry."""
     for e, values, *walk in rows:
         held = _tables.get(e)
         if held is None or held.values != values:
-            held = _tables[e] = _Table(values)
-        if walk and held.cls is None:
-            held.cls, held.order = walk
+            _tables[e] = _Table(values, *walk) if walk else _walk(e, values)
 
 
-def cache_rows(start: int) -> list[tuple[int, array]]:
-    """(modulus, class values) rows cached after the first `start` tables.
+def cache_rows(start: int) -> list[tuple[int, array, np.ndarray, np.ndarray]]:
+    """The (e, values, cls, order) rows of the entries cached after the first
+    `start`.
 
     Between clear_cache() calls the cache only grows and keeps insertion
     order, so a cache_size() taken earlier marks every table built since.
     """
-    return [(e, entry.values) for e, entry in islice(_tables.items(), start, None)]
-
-
-def cache_walks(start: int) -> list[tuple[int, array, np.ndarray | None, np.ndarray | None]]:
-    """The rows of cache_rows(start), each with the walk of its table: the
-    class index of each unit and the order of each class (None if not
-    walked). seed_cache() adopts them without walking the classes again."""
-    return [(e, entry.values, entry.cls, entry.order)
-            for e, entry in islice(_tables.items(), start, None)]
+    return [(e, *entry) for e, entry in islice(_tables.items(), start, None)]
 
 
 # ---------------------------------------------------------------------------
@@ -521,10 +509,9 @@ def _check_coprime(q: int, e: int) -> None:
         raise NotCoprime(f"gcd({q},{e}) = {gcd(q, e)} != 1")
 
 
-def _route(q: int, e: int, pk: tuple[int, int] | None, want_witness: bool):
+def _route(q: int, e: int, want_witness: bool):
     """(m, witness|None) for q reduced mod e > 1: the one dispatch over the
-    q = 1 (mod e) case, the dense BFS and the orbit engine. pk is (p, k) when
-    the caller knows e = p^k; factorize finds it otherwise."""
+    q = 1 (mod e) case, the dense BFS and the orbit engine."""
     if q == 1:
         # every power is 1, so exactly e terms are needed
         return e, ((0,) * e if want_witness else None)
@@ -532,14 +519,12 @@ def _route(q: int, e: int, pk: tuple[int, int] | None, want_witness: bool):
         return _dense(e, q, mul_order(q, e), want_witness)
     if e >= SPARSE_LIMIT:  # before any factoring: factorize is exact below 2^40
         raise ModulusTooLarge(f"modulus {e} beyond orbit engine range (2^40)")
-    if pk is None:
-        shape = factorize(e)
-        if len(shape) > 1 or shape[0][0] == 2:
-            raise ModulusTooLarge(
-                f"modulus {e} beyond dense BFS range and not an odd prime power"
-            )
-        pk = shape[0]
-    p, k = pk
+    shape = factorize(e)
+    if len(shape) > 1 or shape[0][0] == 2:
+        raise ModulusTooLarge(
+            f"modulus {e} beyond dense BFS range and not an odd prime power"
+        )
+    [(p, k)] = shape
     n = order_mod_prime_power(q, p, k)
     if n % p == 0:
         raise ModulusTooLarge(
@@ -554,7 +539,7 @@ def m(q: int, e: int, with_witness: bool = True) -> MResult:
     _check_coprime(q, e)
     if e == 1:
         return MResult(1, (0,))
-    value, witness = _route(q % e, e, None, with_witness)
+    value, witness = _route(q % e, e, with_witness)
     return MResult(value, witness if witness is not None else ())
 
 
@@ -570,7 +555,7 @@ def m_prime_power(q: int, p: int, k: int, want_witness: bool = False):
     in that regime must reduce k first (the order drop of the tower module).
     """
     e = p**k
-    return _route(q % e, e, (p, k), want_witness)
+    return _route(q % e, e, want_witness)
 
 
 def _units(e: int) -> np.ndarray:
@@ -583,14 +568,16 @@ def _units(e: int) -> np.ndarray:
     return np.flatnonzero(unit)
 
 
-def _walk(e: int, entry: _Table | None, units: np.ndarray) -> _Table:
-    """Walk the generator classes of (Z/eZ)* in ascending order of their
-    least element: one BFS per class whose value is not cached, and every
-    generator of the subgroup joins its class. Leaves the class of each of
-    `units` (the ascending units of e) in the cache entry, with the order
-    of each class. A cached array whose length is not the class count
-    (say, a corrupt seeded row) raises instead of answering."""
-    values = array("I") if entry is None else entry.values
+def _walk(e: int, values: array | None = None) -> _Table:
+    """The cache entry of modulus e, from one walk of the generator classes
+    of (Z/eZ)* in ascending order of their least element: every generator of
+    a subgroup joins its class, and each class gets one BFS, unless `values`
+    gives the m of each class. Given values whose length is not the class
+    count (say, a corrupt stored row) raise MsumError."""
+    units = _units(e)
+    search = values is None
+    if search:
+        values = array("I")
     coprime_exps: dict[int, list[int]] = {}  # order n -> j in [0, n) prime to n
     label = array("I", [0]) * e  # 1 + the class of each generator walked so far
     order: list[int] = []
@@ -602,7 +589,7 @@ def _walk(e: int, entry: _Table | None, units: np.ndarray) -> _Table:
         exps = coprime_exps.get(n)
         if exps is None:
             exps = coprime_exps[n] = [j for j in range(n) if gcd(j, n) == 1]
-        if entry is None:
+        if search:
             values.append(_dense(e, q, n, False, powers)[0])
         order.append(n)
         for j in exps:
@@ -610,30 +597,26 @@ def _walk(e: int, entry: _Table | None, units: np.ndarray) -> _Table:
     if len(order) != len(values):
         raise MsumError(f"cached m table of modulus {e} has {len(values)} values "
                         f"for {len(order)} generator classes")
-    if entry is None:
-        entry = _tables[e] = _Table(values)
     index = np.min_scalar_type(len(order))  # uint8 below 256 classes, uint16 below 2^16
-    entry.cls = (np.frombuffer(label, dtype=np.uint32)[units] - 1).astype(index)
-    entry.order = np.array(order, dtype=np.min_scalar_type(e))
-    return entry
+    return _Table(values, (np.frombuffer(label, dtype=np.uint32)[units] - 1).astype(index),
+                  np.array(order, dtype=np.min_scalar_type(e)))
 
 
 def m_table_for_modulus(e: int) -> ModulusRows:
     """The rows (q, m, n) of every q in [1, e) coprime to e, ascending in q.
 
-    The first call of a session walks the generator classes of e (see
-    _walk); later calls read the class of each unit, and the m and order of
-    each class, from the cache entry.
+    The first call of a session for a modulus not seeded builds its cache
+    entry (see _walk); every call reads the class of each unit, and the m
+    and order of each class, from that entry.
     """
     if e > DENSE_LIMIT:
         raise ModulusTooLarge(f"modulus {e} beyond dense BFS range")
-    units = _units(e)
     entry = _tables.get(e)
-    if entry is None or entry.cls is None:
-        entry = _walk(e, entry, units)
-    cls = entry.cls
-    return ModulusRows(units, np.asarray(entry.values, dtype=np.uint32)[cls].astype(np.int64),
-                       entry.order[cls].astype(np.int64))
+    if entry is None:
+        entry = _tables[e] = _walk(e)
+    values, cls, order = entry
+    return ModulusRows(_units(e), np.asarray(values, dtype=np.uint32)[cls].astype(np.int64),
+                       order[cls].astype(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ class VerificationReport:
             "ok": self.ok,
         }
         if self.equality_cases is not None:
-            out["equality_cases"] = [list(pair) for pair in self.equality_cases]
+            out["equality_cases"] = self.equality_cases  # tuples encode as JSON arrays
         if self.extras:
             out["extras"] = {k: self.extras[k] for k in sorted(self.extras)}
         return out

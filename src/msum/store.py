@@ -1,9 +1,9 @@
 """On-disk result store: an append-only file of per-modulus m tables.
 
 A table is the engine's cached row for one modulus e: the m of each
-generator class of (Z/eZ)*, in the order engine.m_table_for_modulus walks
-the classes. The engine expands a row it adopts into per-q rows by one walk
-of the classes per session; the store keeps only the class values.
+generator class of (Z/eZ)*, in the order the engine walks the classes. The
+engine walks the classes of a row once, when it seeds the row into its
+cache; the store keeps only the class values.
 
 Layout (all integers little-endian):
   header: magic "MSUMSTR1" (8) | version u32
@@ -81,8 +81,9 @@ class ResultStore:
         return False
 
     def add_rows(self, rows) -> None:
-        """Add (e, class values) rows, as engine.cache_rows lists them."""
-        for e, values in rows:
+        """Add (e, class values, ...) rows, as cache_rows() or
+        engine.cache_rows() lists them; only the class values are kept."""
+        for e, values, *_ in rows:
             if self._keep(e, array("I", values)):
                 self._pending.append(e)
 

@@ -145,6 +145,27 @@ def test_no_worker_walks_a_modulus_twice(monkeypatch):
     engine.clear_cache()
 
 
+def test_no_worker_walks_a_stored_modulus_twice(tmp_path, monkeypatch):
+    params = {"e_max": 150}
+    engine.clear_cache()
+    cold = {claim: run_claim(claim, params, jobs=1).payload()
+            for claim in ("conjecture4", "corollary8")}
+    engine.clear_cache()
+    path = str(tmp_path / "store.bin")
+    run_claim("theorem1", params, jobs=2, store=path)
+    engine.clear_cache()
+    run_claim("divisibility", params, jobs=2, store=path)  # seeds the stored rows
+
+    def walk(q, e):
+        raise RuntimeError(f"the classes of modulus {e} were walked again")
+
+    # forked pool workers inherit the patch, so a walk there fails the run too
+    monkeypatch.setattr(engine, "_powers_of", walk)
+    for claim, payload in cold.items():
+        assert run_claim(claim, params, jobs=2, store=path).payload() == payload, claim
+    engine.clear_cache()
+
+
 def test_claim_with_no_checks_is_a_domain_error():
     # prop2's default e_min is 1224, so e <= 300 leaves nothing to check
     with pytest.raises(DomainError):
@@ -357,13 +378,13 @@ def wrong_m_tables():
     engine.clear_cache()
     for e in range(1, 65):
         engine.m_table_for_modulus(e)
-    rows = dict(engine.cache_rows(0))
+    rows = {e: values for e, values, *_ in engine.cache_rows(0)}
     for (e, q), wrong in WRONG_M.items():
         mv, _, cls = _pair_table(e, rows[e])[q]
         assert mv != wrong, (e, q)
         rows[e] = array("I", rows[e])
         rows[e][cls] = wrong
-    engine.seed_cache(rows.items())  # a differing row replaces the entry and its walk
+    engine.seed_cache(rows.items())  # a differing row is walked anew and replaces the entry
     yield {e: _pair_table(e, values) for e, values in rows.items()}
     engine.clear_cache()
 
@@ -385,17 +406,16 @@ def test_rows_are_walked_once_per_modulus_per_session(monkeypatch):
     params = {"e_max": 150}
     engine.clear_cache()
     run_claim("theorem1", params)
-    rows = engine.cache_rows(0)
+    rows = [(e, values) for e, values, *_ in engine.cache_rows(0)]  # as a store holds them
 
     def walk(q, e):
         raise AssertionError(f"the classes of modulus {e} were walked again")
 
     monkeypatch.setattr(engine, "_powers_of", walk)
-    engine.seed_cache(rows)  # as a store-backed run does: equal rows keep the walk
+    engine.seed_cache(rows)  # as a store-backed run does: equal rows keep the entry
     for claim in ("divisibility", "conjecture4", "corollary8"):
         assert run_claim(claim, params).ok, claim
     engine.clear_cache()
-    engine.seed_cache(rows)
     with pytest.raises(AssertionError, match="walked again"):
-        engine.m_table_for_modulus(150)
+        engine.seed_cache(rows)
     engine.clear_cache()

@@ -254,7 +254,7 @@ def test_rows_of_a_modulus_past_255_classes():
     # index can number
     engine.clear_cache()
     qs, ms, ns = _listed(m_table_for_modulus(1729))
-    [(_, values)] = engine.cache_rows(0)
+    [(_, values, *_)] = engine.cache_rows(0)
     assert len(values) == 276
     assert qs == [q for q in range(1, 1729) if gcd(q, 1729) == 1]
     assert ns == [mul_order(q, 1729) for q in qs]
@@ -265,7 +265,7 @@ def test_memoized_tables_equal_cold_builds(monkeypatch):
     engine.clear_cache()
     cold = {e: _listed(m_table_for_modulus(e)) for e in range(1, 301)}
     assert engine.cache_size() == 300
-    seeded = engine.cache_rows(0)
+    seeded = [(e, values) for e, values, *_ in engine.cache_rows(0)]  # as a store holds them
 
     def no_bfs(*args, **kwargs):
         raise AssertionError("a cached table searched a subgroup")
@@ -288,9 +288,12 @@ def test_cache_round_trip(monkeypatch):
     m_value(3, 26)  # single queries are not cached
     m(4, 35)  # nor witness queries
     rows = engine.cache_rows(start)
-    assert [e for e, _ in rows] == [26]
+    assert [e for e, *_ in rows] == [26]
     # one value per generator class: the subgroups of (Z/26Z)*, of orders 1, 2, 3, 4, 6, 12
-    assert len(rows[0][1]) == 6
+    _, values, cls, order = rows[0]
+    assert len(values) == 6
+    assert sorted(order.tolist()) == [1, 2, 3, 4, 6, 12]
+    assert cls.size == 12  # one class index per unit of 26
     assert engine.cache_rows(engine.cache_size()) == []
     table = _listed(m_table_for_modulus(26))
     engine.clear_cache()
@@ -301,7 +304,11 @@ def test_cache_round_trip(monkeypatch):
     def no_bfs(*args, **kwargs):
         raise AssertionError("a seeded table searched a subgroup")
 
+    def no_walk(q, e):
+        raise AssertionError("a seeded table walked its classes")
+
     monkeypatch.setattr(engine, "_bfs_dense", no_bfs)
+    monkeypatch.setattr(engine, "_powers_of", no_walk)
     assert _listed(m_table_for_modulus(26)) == table
 
 
@@ -309,11 +316,11 @@ def test_cache_round_trip(monkeypatch):
 def test_seeded_table_of_wrong_length_raises(cut):
     engine.clear_cache()
     m_table_for_modulus(26)
-    [(e, values)] = engine.cache_rows(0)
+    [(e, values, *_)] = engine.cache_rows(0)
     engine.clear_cache()
-    engine.seed_cache([(e, values[:-1] if cut == "short" else values + values[:1])])
     with pytest.raises(MsumError, match="generator classes"):
-        m_table_for_modulus(26)
+        engine.seed_cache([(e, values[:-1] if cut == "short" else values + values[:1])])
+    assert engine.cache_size() == 0
     engine.clear_cache()
 
 
