@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import cache
 from math import gcd
 
-from .engine import SPARSE_LIMIT, m_prime_power, verify_witness
-from .errors import DegenerateInput, DomainError, MsumError
+from .engine import m_prime_power, verify_witness
+from .errors import DegenerateInput, DomainError, ModulusTooLarge, MsumError
 from .modular import element_of_order, euler_phi, trial_factor
 
 __all__ = [
@@ -302,7 +302,9 @@ def corollary13_exceptions(n: int, k_cap: int | None = None,
                            jobs: int = 1) -> ExceptionSet:
     """Sift the candidates to prime powers p^k with n | p-1, then keep those
     whose order-n element really has m below the threshold; every kept entry
-    is verified through an explicit witness."""
+    is verified through an explicit witness. A p^k left unsifted, as k exceeds
+    k_cap or p^k is beyond every route of the engine, is listed as unresolved
+    (p^k, p^k), and the set is then not complete."""
     scan = candidate_scan(n, jobs=jobs)
     thr = scan.threshold
     pk_candidates: set[tuple[int, int]] = set()
@@ -310,19 +312,20 @@ def corollary13_exceptions(n: int, k_cap: int | None = None,
         for p, a in factors:
             if p == 2 or p % n != 1:
                 continue
-            for j in range(1, a + 1):
-                if k_cap is not None and j > k_cap:
-                    break
-                pk_candidates.add((p, j))
+            pk_candidates.update((p, j) for j in range(1, a + 1))
     entries = []
     unresolved = list(scan.unresolved)
     for p, k in sorted(pk_candidates):
         e = p**k
-        if e > SPARSE_LIMIT:
+        if k_cap is not None and k > k_cap:
             unresolved.append((e, e))
             continue
         q = element_of_order(p, k, n)
-        mv, wit = m_prime_power(q, p, k, want_witness=True)
+        try:
+            mv, wit = m_prime_power(q, p, k, want_witness=True)
+        except ModulusTooLarge:
+            unresolved.append((e, e))
+            continue
         if Fraction(mv) < thr:
             if not verify_witness(q, e, wit) or len(wit) != mv:
                 raise MsumError(f"witness verification failed at (p={p}, k={k})")

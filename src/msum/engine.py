@@ -13,7 +13,10 @@ another), so
 
 a level costs one shift by 1 and one orbit closure, not a shift per element.
 
-m() and m_prime_power() share one private dispatcher over four routes:
+Every m the module computes, for m(), m_prime_power() and each generator
+class of a table walk, goes through one private dispatcher, _route. It
+alone picks among four routes, and it refuses a modulus that no route takes
+with ModulusTooLarge:
   - q = 1 (mod e), answered in closed form (m = e);
   - the bitmask BFS, for moduli up to DENSE_LIMIT and subgroup order n below
     LABEL_MIN_ORDER: levels are Python ints, one shift per element of H.
@@ -31,23 +34,25 @@ m() and m_prime_power() share one private dispatcher over four routes:
     level is built from a sliced base x powers grid, and meet-in-the-middle
     over half-length sums searches t < r (r the smallest prime divisor of
     the order); m = r is returned only with a verified order-r witness.
-The two dense routes give equal level sets, so equal m and equal witnesses.
+The two dense routes give equal level sets, so equal m and equal witnesses:
+both backtrack over H sorted and map the witness residues to exponents of q
+through one power table of q.
 
 The one cache holds per-modulus m tables. The entry of modulus e is a
 complete, immutable _Table: the m of each generator class of (Z/eZ)* in the
 order _walk visits the classes (m depends only on the generated subgroup, so
 one value serves every generator of a class), the class of each unit and the
-order of each class. _walk is its only builder: it walks the classes once,
-running a BFS per class unless it is given the class values, which it then
-checks against the class count. m_table_for_modulus(e) builds the entry on a
-miss and expands it into rows (the ascending units q with their m and n) by
-two array lookups. The cache only grows between clear_cache() calls, so
+order of each class. _walk is its only builder: it walks the classes once
+and sends each through _route (the class of 1 takes the closed form) unless
+it is given the class values, which it then checks against the class count.
+m_table_for_modulus(e) builds the entry on a miss and expands it into rows
+(the ascending units q with their m and n) by two array lookups. The cache only grows between clear_cache() calls, so
 cache_rows(start) lists every entry built since cache_size() read start, as
 (e, values, cls, order) rows. seed_cache() adopts those rows from pool
 workers as they are, and walks the (e, values) rows of a store when it
 seeds them, so no claim of the session walks a modulus again; the store
-keeps the values alone. Single m queries run their BFS directly and are not
-cached.
+keeps the values alone. Single m queries go through _route as well and are
+not cached.
 """
 from __future__ import annotations
 
@@ -60,7 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ModulusTooLarge, MsumError, NotCoprime
+from .errors import DomainError, ModulusTooLarge, MsumError
 from .modular import (
     MResult,
     PowerSumInstance,
@@ -68,6 +73,7 @@ from .modular import (
     factorize,
     mul_order,
     order_mod_prime_power,
+    require_coprime,
     smallest_prime_divisor,
 )
 
@@ -185,7 +191,9 @@ def cache_rows(start: int) -> list[tuple[int, array, np.ndarray, np.ndarray]]:
 # dense bitmask BFS
 
 def _bfs_dense(e: int, elements: Sequence[int], keep_masks: bool):
-    """Returns (m, masks or None). Level masks are cumulative reachable sets.
+    """(m, masks or None) for the subgroup H whose `elements` are given in
+    any order; _route sends no H = {1} here. Level masks are cumulative
+    reachable sets.
 
     With masks kept, every level up to m is built. Without, and with
     len(elements) >= _HALF_MIN_ORDER, the search stops at level s = ceil(m/2):
@@ -294,45 +302,6 @@ def _bfs_label(e: int, q: int, n: int, keep_levels: bool):
     return value, levels
 
 
-def _power_array(q: int, e: int, n: int) -> np.ndarray:
-    """q^i mod e for i < n as int32, by doubling in int64 slices."""
-    pw = np.empty(n, dtype=np.int32)
-    pw[0] = 1
-    k = 1
-    while k < n:
-        c, take = pow(q, k, e), min(k, n - k)
-        for s in range(0, take, _LABEL_SLICE):
-            src = pw[s:min(s + _LABEL_SLICE, take)]
-            pw[k + s:k + s + src.size] = src.astype(np.int64) * c % e
-        k += take
-    return pw
-
-
-def _dense(e: int, q: int, n: int, want_witness: bool, elements: Sequence[int] = ()):
-    """(m, witness|None) for H = <q> of order n at modulus e <= DENSE_LIMIT:
-    the label BFS when n >= LABEL_MIN_ORDER, else the bitmask BFS over
-    `elements`: H sorted, or in any order when no witness is wanted (the
-    backtrack breaks ties by the smallest element); the sorted powers of q
-    when empty. Witness exponents refer to q."""
-    if n >= LABEL_MIN_ORDER:
-        value, levels = _bfs_label(e, q, n, want_witness)
-        if want_witness:  # H is the first level
-            members = np.unpackbits(np.frombuffer(levels[0], dtype=np.uint8), count=e,
-                                    bitorder="little")
-            elements = np.flatnonzero(members).tolist()
-    else:
-        elements = elements or sorted(_powers_of(q, e))
-        value, masks = _bfs_dense(e, elements, want_witness)
-        levels = masks and [mask.to_bytes((e + 7) // 8, "little") for mask in masks]
-    if not want_witness:
-        return value, None
-    residues = _witness_residues(e, elements, levels)
-    pw = _power_array(q, e, n)
-    order = np.argsort(pw)
-    exps = order[np.searchsorted(pw, residues, sorter=order)]
-    return value, tuple(sorted(exps.tolist()))
-
-
 def grow_level_sets(sub: UnitSubgroup) -> LevelSets:
     """Full level-set profile of a subgroup, for growth-property checks."""
     if sub.modulus > DENSE_LIMIT:
@@ -349,6 +318,17 @@ def _mulmod_vec(x: np.ndarray, c: int, p_mod: int) -> np.ndarray:
         return x * c % p_mod
     c_hi, c_lo = divmod(c, 1 << _MUL_SPLIT)
     return (((x * c_hi % p_mod) << _MUL_SPLIT) + x * c_lo) % p_mod
+
+
+def _power_table(q: int, p_mod: int, n: int) -> np.ndarray:
+    """q^i mod p_mod for i < n as int64, by doubling; p_mod < 2^40."""
+    pw = np.ones(n, dtype=np.int64)
+    k = 1
+    while k < n:
+        take = min(k, n - k)
+        pw[k:k + take] = _mulmod_vec(pw[:take], pow(q, k, p_mod), p_mod)
+        k += take
+    return pw
 
 
 def _sorted_unique(x: np.ndarray) -> np.ndarray:
@@ -403,12 +383,7 @@ def _m_orbit(p_mod: int, q: int, n: int, t_cap: int, want_witness: bool):
     only t < r is searched; if none vanishes, r is returned with that subgroup
     as witness once its sum is checked. Otherwise t runs up to t_cap.
     """
-    pw = np.ones(n, dtype=np.int64)  # q^i mod p_mod, by doubling
-    k = 1
-    while k < n:
-        take = min(k, n - k)
-        pw[k:k + take] = _mulmod_vec(pw[:take], pow(q, k, p_mod), p_mod)
-        k += take
+    pw = _power_table(q, p_mod, n)
     step = n // t_cap
     closed = n % t_cap == 0 and gcd(pow(q, step, p_mod) - 1, p_mod) == 1
 
@@ -502,21 +477,30 @@ def _powers_of(q: int, e: int) -> list[int]:
     return powers
 
 
-def _check_coprime(q: int, e: int) -> None:
-    if q < 1 or e < 1:
-        raise DomainError("q and e must be positive")
-    if gcd(q, e) != 1:
-        raise NotCoprime(f"gcd({q},{e}) = {gcd(q, e)} != 1")
-
-
-def _route(q: int, e: int, want_witness: bool):
+def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[int] = ()):
     """(m, witness|None) for q reduced mod e > 1: the one dispatch over the
-    q = 1 (mod e) case, the dense BFS and the orbit engine."""
+    routes of the module docstring. A table walk passes the order n of q and
+    its powers as `elements`, in any order, so neither is computed again.
+    Witness exponents refer to q."""
     if q == 1:
         # every power is 1, so exactly e terms are needed
         return e, ((0,) * e if want_witness else None)
     if e <= DENSE_LIMIT:
-        return _dense(e, q, mul_order(q, e), want_witness)
+        n = n or mul_order(q, e)
+        if n >= LABEL_MIN_ORDER:
+            value, levels = _bfs_label(e, q, n, want_witness)
+        else:
+            value, masks = _bfs_dense(e, elements or _powers_of(q, e), want_witness)
+            levels = masks and [mask.to_bytes((e + 7) // 8, "little") for mask in masks]
+        if not want_witness:
+            return value, None
+        # H sorted, as the backtrack breaks ties by the smallest element, and
+        # the exponent of each residue, from one table of the powers of q
+        pw = _power_table(q, e, n)
+        order = np.argsort(pw)
+        elements = pw[order].tolist()
+        exps = order[np.searchsorted(pw, _witness_residues(e, elements, levels), sorter=order)]
+        return value, tuple(sorted(exps.tolist()))
     if e >= SPARSE_LIMIT:  # before any factoring: factorize is exact below 2^40
         raise ModulusTooLarge(f"modulus {e} beyond orbit engine range (2^40)")
     shape = factorize(e)
@@ -536,7 +520,7 @@ def _route(q: int, e: int, want_witness: bool):
 
 def m(q: int, e: int, with_witness: bool = True) -> MResult:
     """m(q,e) with a verified-style witness whose exponents refer to q itself."""
-    _check_coprime(q, e)
+    require_coprime(q, e)
     if e == 1:
         return MResult(1, (0,))
     value, witness = _route(q % e, e, with_witness)
@@ -571,9 +555,9 @@ def _units(e: int) -> np.ndarray:
 def _walk(e: int, values: array | None = None) -> _Table:
     """The cache entry of modulus e, from one walk of the generator classes
     of (Z/eZ)* in ascending order of their least element: every generator of
-    a subgroup joins its class, and each class gets one BFS, unless `values`
-    gives the m of each class. Given values whose length is not the class
-    count (say, a corrupt stored row) raise MsumError."""
+    a subgroup joins its class, and _route answers each class from its order
+    and powers, unless `values` gives the m of each class. Given values whose
+    length is not the class count (say, a corrupt stored row) raise MsumError."""
     units = _units(e)
     search = values is None
     if search:
@@ -590,7 +574,7 @@ def _walk(e: int, values: array | None = None) -> _Table:
         if exps is None:
             exps = coprime_exps[n] = [j for j in range(n) if gcd(j, n) == 1]
         if search:
-            values.append(_dense(e, q, n, False, powers)[0])
+            values.append(_route(q, e, False, n, powers)[0])
         order.append(n)
         for j in exps:
             label[powers[j]] = len(order)
@@ -667,7 +651,7 @@ def verify_witness(q: int, e: int, witness) -> bool:
 def naive_m_oracle(q: int, e: int) -> int:
     """Independent m oracle: plain set DP over (count, residue), no bitmasks,
     no frontier tricks. Test use only; e capped at 500."""
-    _check_coprime(q, e)
+    require_coprime(q, e)
     if e > 500:
         raise DomainError("naive oracle is capped at e <= 500")
     if e == 1:

@@ -28,6 +28,7 @@ __all__ = [
     "smallest_prime_divisor",
     "is_prime",
     "require_odd_prime",
+    "require_coprime",
     "p_adic_w",
     "find_primitive_root",
     "element_of_order",
@@ -173,6 +174,13 @@ def require_odd_prime(p: int) -> None:
         raise DomainError(f"{p} is not an odd prime")
 
 
+def require_coprime(q: int, e: int) -> None:
+    if q < 1 or e < 1:
+        raise DomainError("q and e must be positive")
+    if gcd(q, e) != 1:
+        raise NotCoprime(f"gcd({q},{e}) = {gcd(q, e)} != 1")
+
+
 def _order_from_group_exponent(q: int, e: int, lam_factors: list[tuple[int, int]]) -> int:
     """Exact order of q mod e given a factored multiple of the group exponent."""
     n = 1
@@ -292,8 +300,5 @@ def element_of_order(p: int, k: int, n: int) -> int:
 
 def instance(q: int, e: int) -> PowerSumInstance:
     """Validate and package a coprime pair with its derived quantities."""
-    if q < 1 or e < 1:
-        raise DomainError("q and e must be positive")
-    if gcd(q, e) != 1:
-        raise NotCoprime(f"gcd({q},{e}) = {gcd(q, e)} != 1")
+    require_coprime(q, e)
     return PowerSumInstance(q=q, e=e, n=mul_order(q, e), e1=gcd(e, q - 1))

@@ -261,6 +261,14 @@ def test_exceptions_json():
     assert doc["complete"] is True
 
 
+def test_exceptions_capped_sift_is_not_complete():
+    # k_cap = 0 sifts no prime power; the 13 published entries go unresolved
+    res = run("exceptions", "7", "--k-cap", "0")
+    assert res.exit_code == 0
+    assert res.output.rstrip("\n").splitlines()[1:] == [
+        "  (none)", "candidates: 28; unresolved: 13; candidates, verified members"]
+
+
 def test_claims_listing():
     res = run("claims")
     assert res.exit_code == 0

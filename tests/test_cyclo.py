@@ -194,6 +194,9 @@ def test_corollary13_exceptions_n4_empty():
 def test_corollary13_respects_k_cap():
     exc = corollary13_exceptions(5, k_cap=0)
     assert exc.entries == ()
+    # every (p, k) the cap cuts is left open, so the set is not complete
+    assert exc.unresolved == ((11, 11), (61, 61))
+    assert exc.complete is False
 
 
 def _phi_n_roots_mod_e(n: int, e_max: int):

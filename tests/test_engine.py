@@ -380,8 +380,8 @@ def test_half_depth_stop_matches_full_search_and_oracle():
     for e in range(2, 401):
         for q, powers in _classes(e):
             n = len(powers)
-            value = engine._dense(e, q, n, False, powers)[0]
-            assert value == engine._dense(e, q, n, True)[0], (q, e)
+            value = engine._route(q, e, False, n, powers)[0]
+            assert value == engine._route(q, e, True)[0], (q, e)
             if e <= 300:
                 assert value == naive_m_oracle(q, e), (q, e)
 
@@ -403,8 +403,8 @@ def test_half_depth_stop_at_large_moduli():
         n = mul_order(q, e)
         orders.add(n >= engine._HALF_MIN_ORDER)
         assert n < engine.LABEL_MIN_ORDER, (q, e)
-        value = engine._dense(e, q, n, False, engine._powers_of(q, e))[0]
-        full, witness = engine._dense(e, q, n, True)
+        value = engine._route(q, e, False, n, engine._powers_of(q, e))[0]
+        full, witness = engine._route(q, e, True)
         assert value == full == len(witness) == mv, (q, e)
         assert verify_witness(q, e, witness), (q, e)
     assert orders == {False, True}
@@ -414,7 +414,7 @@ def test_half_depth_stop_at_large_moduli():
 def test_half_depth_stop_matches_full_search_to_2049():
     for e in range(2, 2050):
         for q, powers in _classes(e):
-            value = engine._dense(e, q, len(powers), False, powers)[0]
+            value = engine._route(q, e, False, len(powers), powers)[0]
             assert value == engine._bfs_dense(e, powers, keep_masks=True)[0], (q, e)
 
 
@@ -442,8 +442,31 @@ def test_dense_dispatch_is_on_the_order(monkeypatch):
     engine.clear_cache()
     m_table_for_modulus(4099)  # one class per order, a divisor of 4098 = 2 * 3 * 683
     engine.clear_cache()
-    assert sorted(routes) == [("bitmask", n) for n in (1, 2, 3, 6, 683)] + \
+    # the class of order 1 takes the closed form, no search
+    assert sorted(routes) == [("bitmask", n) for n in (2, 3, 6, 683)] + \
         [("label", n) for n in (1366, 2049, 4098)]
+
+
+def test_table_walks_answer_the_class_of_one_in_closed_form(monkeypatch):
+    orders = []
+    label, bitmask = engine._bfs_label, engine._bfs_dense
+
+    def spy_label(e, q, n, *args):
+        orders.append(n)
+        return label(e, q, n, *args)
+
+    def spy_bitmask(e, elements, *args, **kwargs):
+        orders.append(len(elements))
+        return bitmask(e, elements, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_bfs_label", spy_label)
+    monkeypatch.setattr(engine, "_bfs_dense", spy_bitmask)
+    engine.clear_cache()
+    for e in range(2, 301):
+        rows = m_table_for_modulus(e)
+        assert (rows.q[0], rows.m[0], rows.n[0]) == (1, e, 1), e
+    engine.clear_cache()
+    assert orders and 1 not in orders  # no search of the subgroup {1}
 
 
 @pytest.mark.parametrize("q", [2, 3])
