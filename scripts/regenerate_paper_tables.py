@@ -22,7 +22,7 @@ def write_tower_csv(path, rows):
         writer.writerows(rows)
 
 
-def tower_rows(p, n, k_max):
+def tower_csv_rows(p, n, k_max):
     report = tower_sequence(p, n, k_max)
     return [(p, n, lv.k, lv.modulus, lv.generator, lv.ord, lv.m, lv.w, report.limit)
             for lv in report.levels]
@@ -36,15 +36,15 @@ def main() -> int:
 
     rows = []
     for (p, n), seq in sorted(EXAMPLE16.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-        rows.extend(tower_rows(p, n, len(seq)))
+        rows.extend(tower_csv_rows(p, n, len(seq)))
     write_tower_csv(os.path.join(args.out, "example16.csv"), rows)
     print(f"example16.csv: {len(rows)} rows")
 
     rows = []
     for (p, n), seq in sorted(EXAMPLE17_PAIRS.items()):
-        rows.extend(tower_rows(p, n, len(seq)))
+        rows.extend(tower_csv_rows(p, n, len(seq)))
     for (p, n), seq in sorted(EXAMPLE17_SEQUENCES.items()):
-        rows.extend(tower_rows(p, n, len(seq)))
+        rows.extend(tower_csv_rows(p, n, len(seq)))
     write_tower_csv(os.path.join(args.out, "example17.csv"), rows)
     print(f"example17.csv: {len(rows)} rows")
 

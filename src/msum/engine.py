@@ -30,10 +30,13 @@ with ModulusTooLarge:
     and the label route a few passes over e, plus log2(n) label passes, so
     large-e subgroups of small order (prime-power towers) stay on the bitmask;
   - a sparse orbit engine for odd prime powers beyond bitmask range
-    (up to 2^40): one canonical representative per orbit is stored, each
-    level is built from a sliced base x powers grid, and meet-in-the-middle
-    over half-length sums searches t < r (r the smallest prime divisor of
-    the order); m = r is returned only with a verified order-r witness.
+    (up to 2^40): one canonical representative (the orbit minimum) per orbit
+    is stored, in two plain lists of sorted arrays, reps[s] for the exact
+    s-sums and negs[s] for their negations; each level is built from a
+    sliced base x powers grid, and meet-in-the-middle over half-length sums
+    searches t < r (r the smallest prime divisor of the order); m = r is
+    returned only with a verified order-r witness. The witness backtrack
+    tests every power of a level at once, against reps of the level below.
 The two dense routes give equal level sets, so equal m and equal witnesses:
 both backtrack over H sorted and map the witness residues to exponents of q
 through one power table of q.
@@ -51,8 +54,9 @@ cache_rows(start) lists every entry built since cache_size() read start, as
 (e, values, cls, order) rows. seed_cache() adopts those rows from pool
 workers as they are, and walks the (e, values) rows of a store when it
 seeds them, so no claim of the session walks a modulus again; the store
-keeps the values alone. Single m queries go through _route as well and are
-not cached.
+keeps the values alone. A seeded row that differs from a held entry raises
+MsumError, as m depends on (e, class) alone. Single m queries go through
+_route as well and are not cached.
 """
 from __future__ import annotations
 
@@ -170,11 +174,16 @@ def cache_size() -> int:
 def seed_cache(rows) -> None:
     """Adopt the (e, values, cls, order) rows of cache_rows(), as they are, or
     walk the classes of (e, class values) rows from a ResultStore. A row
-    whose values equal those held keeps the held entry."""
+    whose values equal those held keeps the held entry. m is a function of
+    (e, class), so a row whose values differ can only be a bad store row or
+    an engine fault: it raises MsumError and the held entry stays."""
     for e, values, *walk in rows:
         held = _tables.get(e)
-        if held is None or held.values != values:
+        if held is None:
             _tables[e] = _Table(values, *walk) if walk else _walk(e, values)
+        elif held.values != values:
+            raise MsumError(f"seeded m table of modulus {e} differs from the one "
+                            f"this session holds")
 
 
 def cache_rows(start: int) -> list[tuple[int, array, np.ndarray, np.ndarray]]:
@@ -366,66 +375,61 @@ def _orbit_min_grid(base: np.ndarray, pw: np.ndarray, q: int, p_mod: int) -> np.
     return best.view(np.int64)
 
 
+def _orbit_min(x: np.ndarray, pw: np.ndarray, q: int, p_mod: int) -> np.ndarray:
+    """The orbit minimum of each element of int64 x under the n powers pw of
+    q (pw[j] = q^j mod p_mod), looping over the shorter axis: one product of
+    the powers per element, or n - 1 steps of x."""
+    n = pw.size
+    if x.size < n:
+        return np.array([_mulmod_vec(pw, v, p_mod).min() for v in x.tolist()],
+                        dtype=np.int64)
+    best = x.copy()
+    cur = x
+    for _ in range(n - 1):
+        cur = _mulmod_vec(cur, q, p_mod)
+        np.minimum(best, cur, out=best)
+    return best
+
+
 def _m_orbit(p_mod: int, q: int, n: int, t_cap: int, want_witness: bool):
     """Minimal t with a vanishing t-sum over the orbit {q^i mod p_mod}.
 
     Requires ord(q) = n >= 2 and p_mod < 2^40. Reachable sets of exact s-sums
     are orbit-closed (the closure fact of the module docstring), so each is
-    stored as sorted orbit-minimum representatives.
-    Level s + 1 is the canonical image of the grid level(s) x powers, built in
-    slices of about _SLICE_CELLS cells by _orbit_min_grid (one mulmod per
-    base and power, then adds: q^i (b + q^j) = b q^i + q^(i+j)) and merged
-    by _sorted_unique. 0 in f_t is a collision between representatives of
-    f_s1 and -f_s2, s1 + s2 = t.
+    stored as sorted orbit-minimum representatives: reps[s] for the s-sums,
+    negs[s] for their negations. 0 in f_t is a collision between reps[s1]
+    and negs[s2], s1 = ceil(t/2) and s2 = floor(t/2), so each step of t adds
+    at most one entry to each list. Level s + 1 is the canonical image of the
+    grid reps[s] x powers, built in slices of about _SLICE_CELLS cells by
+    _orbit_min_grid (one mulmod per base and power, then adds:
+    q^i (b + q^j) = b q^i + q^(i+j)) and merged by _sorted_unique.
 
     Closed stop: when r = t_cap divides n and h = q^(n/r) has h - 1 a unit,
     the order-r subgroup {h^j} sums to (h^r - 1)/(h - 1) = 0, so m <= r. Then
     only t < r is searched; if none vanishes, r is returned with that subgroup
     as witness once its sum is checked. Otherwise t runs up to t_cap.
+
+    The witness backtrack takes, at each level, the least exponent j whose
+    remainder z - q^j has its orbit minimum in the level below; reps[0] = {0}
+    makes the last step find the exponent of the power left.
     """
     pw = _power_table(q, p_mod, n)
     step = n // t_cap
     closed = n % t_cap == 0 and gcd(pow(q, step, p_mod) - 1, p_mod) == 1
-
-    def orbit_min(x: np.ndarray) -> np.ndarray:
-        """The orbit minimum of each element of x, looping over the shorter
-        axis: one product of the powers per element, or n - 1 steps of x."""
-        if x.size < n:
-            return np.array([_mulmod_vec(pw, v, p_mod).min() for v in x.tolist()],
-                            dtype=np.int64)
-        best = x.copy()
-        cur = x
-        for _ in range(n - 1):
-            cur = _mulmod_vec(cur, q, p_mod)
-            np.minimum(best, cur, out=best)
-        return best
-
-    # level 1 is the orbit of 1, whose minimum is 1; -0 = 0
-    reps = [np.array([0], dtype=np.int64), np.array([1], dtype=np.int64)]
-    negs = {0: reps[0]}
     rows = max(1, _SLICE_CELLS // n)
-
-    def level(s: int) -> np.ndarray:
-        while len(reps) <= s:
-            base = reps[-1]
-            parts = [_sorted_unique(_orbit_min_grid(base[i:i + rows], pw, q, p_mod))
-                     for i in range(0, base.size, rows)]
-            reps.append(_sorted_unique(np.concatenate(parts)))
-        return reps[s]
-
-    def neg_level(s: int) -> np.ndarray:
-        if s not in negs:
-            negs[s] = _sorted_unique(orbit_min((p_mod - level(s)) % p_mod))
-        return negs[s]
-
-    def contains(s: int, z: int) -> bool:
-        arr = reps[s]
-        i = int(np.searchsorted(arr, z))
-        return i < arr.size and int(arr[i]) == z
-
+    # level 0 is {0}, level 1 the orbit of 1, whose minimum is 1; -0 = 0
+    reps = [np.array([0], dtype=np.int64), np.array([1], dtype=np.int64)]
+    negs = [reps[0]]
     for t in range(1, t_cap if closed else t_cap + 1):
-        s1 = (t + 1) // 2
-        common = np.intersect1d(level(s1), neg_level(t - s1), assume_unique=True)
+        s1, s2 = (t + 1) // 2, t // 2
+        if len(reps) <= s1:
+            base = reps[-1]
+            reps.append(_sorted_unique(np.concatenate([
+                _sorted_unique(_orbit_min_grid(base[i:i + rows], pw, q, p_mod))
+                for i in range(0, base.size, rows)])))
+        if len(negs) <= s2:
+            negs.append(_sorted_unique(_orbit_min((p_mod - reps[s2]) % p_mod, pw, q, p_mod)))
+        common = np.intersect1d(reps[s1], negs[s2], assume_unique=True)
         if common.size:
             break
     else:
@@ -440,26 +444,19 @@ def _m_orbit(p_mod: int, q: int, n: int, t_cap: int, want_witness: bool):
         return t_cap, (witness if want_witness else None)
     if not want_witness:
         return t, None
-    powers = pw.tolist()
-
-    def realize(z: int, s: int) -> list[int]:
-        exps = []
-        for lvl in range(s, 1, -1):
-            for l, power in enumerate(powers):
-                z2 = (z - power) % p_mod
-                if contains(lvl - 1, min(z2 * w % p_mod for w in powers)):
-                    exps.append(l)
-                    z = z2
-                    break
-            else:
-                raise MsumError("orbit witness backtrack failed (engine bug)")
-        exps.append(powers.index(z))
-        return exps
-
     c = int(common[0])
-    witness = realize(c, s1)
-    if t - s1:
-        witness += realize((p_mod - c) % p_mod, t - s1)
+    witness = []
+    for z, s in ((c, s1), ((p_mod - c) % p_mod, s2)):
+        for lvl in range(s, 0, -1):
+            rest = (z - pw) % p_mod
+            below = reps[lvl - 1]
+            mins = _orbit_min(rest, pw, q, p_mod)
+            at = np.minimum(np.searchsorted(below, mins), below.size - 1)
+            hits = np.flatnonzero(below[at] == mins)
+            if not hits.size:
+                raise MsumError("orbit witness backtrack failed (engine bug)")
+            witness.append(int(hits[0]))
+            z = int(rest[hits[0]])
     return t, tuple(sorted(witness))
 
 

@@ -35,10 +35,7 @@ __all__ = [
     "tower_rows",
     "prop14_table",
     "prop15_table",
-    "DEFAULT_MODULUS_CAP",
 ]
-
-DEFAULT_MODULUS_CAP = 10**8  # unbounded searches stop loudly past this modulus
 
 
 @dataclass(frozen=True)
@@ -139,10 +136,7 @@ def fixed_base_tower(q: int, p: int, k_max: int) -> FixedBaseTower:
     stable_m: int | None = None
     for k in range(1, k_max + 1):
         pk = p**k
-        if k <= w:
-            i, d = 0, n1
-        else:
-            i, d = k - w, n1
+        i, d = max(0, k - w), n1
         ordv = p**i * d
         if k > w and stable_m is not None and pk > DENSE_LIMIT:
             entries.append(FixedBaseLevel(k, pk, i, d, ordv, stable_m, "stability"))
@@ -162,77 +156,66 @@ def _congruent_one_tower(q: int, p: int, k_max: int) -> FixedBaseTower:
     for k in range(1, k_max + 1):
         pk = p**k
         mv = pk if q == 1 else gcd(pk, q - 1)
-        ordv = order_mod_prime_power(q, p, k)
-        i = 0
-        o = ordv
-        while o % p == 0:
-            o //= p
-            i += 1
-        entries.append(FixedBaseLevel(k, pk, i, o, ordv, mv, "closed_form"))
+        i, d = ord_factorization(q, p, k)
+        entries.append(FixedBaseLevel(k, pk, i, d, p**i * d, mv, "closed_form"))
     return FixedBaseTower(q, p, w, tuple(entries))
 
 
-def _tower_levels(p: int, n: int, k_max: int, stop_at_limit: bool,
-                  modulus_cap: int | None) -> tuple[list[TowerLevel], int | None]:
-    r = smallest_prime_divisor(n)
-    levels: list[TowerLevel] = []
-    k_hit = None
-    for k in range(1, k_max + 1):
-        pk = p**k
-        if modulus_cap is not None and pk > modulus_cap:
-            break
-        gen = element_of_order(p, k, n)
-        mv = m_prime_power(gen, p, k)[0]
-        levels.append(TowerLevel(k, pk, gen, n, mv, p_adic_w(gen, n, p)))
-        if mv == r and k_hit is None:
-            k_hit = k
-            if stop_at_limit:
-                break
-    return levels, k_hit
-
-
 def tower_sequence(p: int, n: int, k_max: int, stop_at_limit: bool = False) -> TowerReport:
-    """m at p, p^2, ..., p^k_max for a fresh element of exact order n per level."""
+    """m at p, p^2, ..., p^k_max for a fresh element of exact order n per level.
+
+    The one walk over the levels of such a tower. K_hit is the first level
+    where m reaches r, the smallest prime divisor of n; with stop_at_limit
+    the walk ends there. No modulus cap applies: a level past the orbit
+    engine's range raises its ModulusTooLarge.
+    """
     require_odd_prime(p)
     if n == 1 or (p - 1) % n != 0:
         raise DomainError(f"need 1 != n | p-1, got n={n}, p={p}")
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
-    levels, k_hit = _tower_levels(p, n, k_max, stop_at_limit, modulus_cap=None)
+    r = smallest_prime_divisor(n)
+    levels: list[TowerLevel] = []
+    k_hit = None
+    for k in range(1, k_max + 1):
+        gen = element_of_order(p, k, n)
+        mv = m_prime_power(gen, p, k)[0]
+        levels.append(TowerLevel(k, p**k, gen, n, mv, p_adic_w(gen, n, p)))
+        if mv == r and k_hit is None:
+            k_hit = k
+            if stop_at_limit:
+                break
     decreases = tuple(
         levels[j].k for j in range(1, len(levels)) if levels[j].m < levels[j - 1].m
     )
     return TowerReport(p, n, tuple(levels), levels[-1].m, k_hit, decreases)
 
 
-def prop10_search(p: int, n: int, k_cap: int,
-                  modulus_cap: int | None = DEFAULT_MODULUS_CAP) -> tuple[int, int]:
-    """Least K with m = smallest prime divisor of n in the order-n tower,
-    together with the generator used there. Existence is guaranteed but no
-    bound is known, so hitting a cap is a loud error, never a truncation."""
-    require_odd_prime(p)
-    if n == 1 or (p - 1) % n != 0:
-        raise DomainError(f"need 1 != n | p-1, got n={n}, p={p}")
-    levels, k_hit = _tower_levels(p, n, k_cap, stop_at_limit=True,
-                                  modulus_cap=modulus_cap)
-    if k_hit is None:
-        capped = "modulus cap" if len(levels) < k_cap else f"k_cap={k_cap}"
-        raise NotFoundWithinCap(
-            f"m did not reach {smallest_prime_divisor(n)} for (p={p}, n={n}) "
-            f"within {capped}"
-        )
-    return k_hit, levels[k_hit - 1].generator
-
-
-def tower_rows(p: int, n: int, k_cap: int) -> list[tuple[int, int, int]]:
-    """(p, k, m) for the order-n tower at p, up to the level where m reaches
-    its limit; a tower still short of it at k_cap raises NotFoundWithinCap."""
+def _walk_to_limit(p: int, n: int, k_cap: int) -> TowerReport:
+    # the walk up to K; existence is guaranteed but no bound is known, so a
+    # tower still short of r at k_cap is a loud error, never a truncation
     report = tower_sequence(p, n, k_cap, stop_at_limit=True)
     if report.K_hit is None:
         raise NotFoundWithinCap(
-            f"tower (p={p}, n={n}) did not stabilize within k_cap={k_cap}"
+            f"m did not reach {smallest_prime_divisor(n)} for (p={p}, n={n}) "
+            f"within k_cap={k_cap}"
         )
-    return [(p, lv.k, lv.m) for lv in report.levels]
+    return report
+
+
+def prop10_search(p: int, n: int, k_cap: int) -> tuple[int, int]:
+    """Least K <= k_cap with m = smallest prime divisor of n in the order-n
+    tower, together with the generator used there; NotFoundWithinCap if the
+    tower is still short of it at k_cap."""
+    report = _walk_to_limit(p, n, k_cap)
+    return report.K_hit, report.levels[-1].generator
+
+
+def tower_rows(p: int, n: int, k_cap: int) -> list[tuple[int, int, int]]:
+    """(p, k, m) for the order-n tower at p, up to the level K where m reaches
+    its limit; a tower still short of it at k_cap raises NotFoundWithinCap,
+    as prop10_search does."""
+    return [(p, lv.k, lv.m) for lv in _walk_to_limit(p, n, k_cap).levels]
 
 
 def _order_n_table(n: int, p_max: int, k_cap: int) -> list[tuple[int, int, int]]:

@@ -16,7 +16,7 @@ from msum.campaign import (
 )
 from msum.classify import classify_large, conjecture4_k_min, star_params
 from msum.engine import two_power_m
-from msum.errors import DomainError, UnknownClaim
+from msum.errors import DomainError, MsumError, UnknownClaim
 from msum.modular import mul_order
 from msum.report import VerificationReport
 from msum.store import ResultStore
@@ -384,7 +384,8 @@ def wrong_m_tables():
         assert mv != wrong, (e, q)
         rows[e] = array("I", rows[e])
         rows[e][cls] = wrong
-    engine.seed_cache(rows.items())  # a differing row is walked anew and replaces the entry
+    engine.clear_cache()  # a seeded row may not replace a held table
+    engine.seed_cache(rows.items())
     yield {e: _pair_table(e, values) for e, values in rows.items()}
     engine.clear_cache()
 
@@ -400,6 +401,21 @@ def test_claims_report_each_wrong_m(wrong_m_tables, claim):
         assert [list(pair) for pair in report.equality_cases] == tally
     elif tally is not None:
         assert report.extras == tally
+
+
+def test_seeded_row_that_differs_from_a_held_table_raises():
+    # m is a function of (e, class): a differing row is a bad store row or an
+    # engine fault, and must neither replace the table nor reach a claim
+    engine.clear_cache()
+    held = engine.m_table_for_modulus(7)
+    [(e, values, *_)] = engine.cache_rows(0)
+    wrong = array("I", [v + 1 for v in values])
+    with pytest.raises(MsumError, match="modulus 7"):
+        engine.seed_cache([(e, wrong)])
+    assert engine.cache_rows(0)[0][1] == values
+    assert engine.m_table_for_modulus(7).m.tolist() == held.m.tolist()
+    assert run_claim("divisibility", {"e_max": 7}).ok
+    engine.clear_cache()
 
 
 def test_rows_are_walked_once_per_modulus_per_session(monkeypatch):

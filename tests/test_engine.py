@@ -592,6 +592,25 @@ def test_orbit_witness_pins_above_2_31(q, e, mv, witness):
     assert verify_witness(q, e, MResult(mv, witness))
 
 
+# (q, e, m, witness) of orbit-engine collisions, m < r, as its scalar
+# backtrack gave them: at every level the least exponent that fits is taken,
+# so a backtrack taking any other hit changes these witnesses
+ORBIT_LEAST_EXPONENT_PINS = [
+    (20728, 32719, 7, (6, 7, 8, 8, 9, 10, 16)),  # n = 19
+    (17793, 32719, 5, (9, 16, 18, 18, 31)),  # n = 41
+    (10193, 68891, 5, (20, 25, 48, 71, 75)),  # n = 83
+    (5448, 7993, 5, (2, 4, 10, 12, 27)),  # n = 37
+]
+
+
+@pytest.mark.parametrize("q, e, mv, witness", ORBIT_LEAST_EXPONENT_PINS)
+def test_orbit_witness_takes_least_exponents(q, e, mv, witness):
+    n = mul_order(q, e)
+    assert mv < smallest_prime_divisor(n)
+    assert engine._m_orbit(e, q, n, smallest_prime_divisor(n), want_witness=True) == (mv, witness)
+    assert verify_witness(q, e, MResult(mv, witness))
+
+
 @pytest.mark.parametrize("shape", [(0,), (1000,), (40, 25), (7, 1)])
 def test_sorted_unique_equals_np_unique(shape):
     rng = np.random.default_rng(sum(shape))
@@ -601,12 +620,17 @@ def test_sorted_unique_equals_np_unique(shape):
         assert got.dtype == np.int64 and np.array_equal(got, np.unique(x))
 
 
-@pytest.mark.parametrize("n", [2, 19, 119])
-@pytest.mark.parametrize("bits", [30, 37])
-def test_orbit_min_grid_equals_scalar_orbit_minimum(n, bits):
+def _prime_1_mod_2n(n, bits):
     p = ((1 << bits) // (2 * n) + 1) * 2 * n + 1  # p = 1 (mod 2n) above 2^bits
     while not is_prime(p):
         p += 2 * n
+    return p
+
+
+@pytest.mark.parametrize("n", [2, 19, 119])
+@pytest.mark.parametrize("bits", [30, 37])
+def test_orbit_min_grid_equals_scalar_orbit_minimum(n, bits):
+    p = _prime_1_mod_2n(n, bits)
     q = element_of_order(p, 1, n)
     powers = [pow(q, i, p) for i in range(n)]
     rng = random.Random(n * bits)
@@ -616,6 +640,22 @@ def test_orbit_min_grid_equals_scalar_orbit_minimum(n, bits):
     assert grid.shape == (len(base), n)
     for row, b in zip(grid.tolist(), base):
         assert row == [min((b + x) * w % p for w in powers) for x in powers]
+
+
+@pytest.mark.parametrize("n", [2, 19, 119])
+@pytest.mark.parametrize("bits", [30, 37])
+@pytest.mark.parametrize("shorter", [True, False], ids=["products", "steps"])
+def test_orbit_min_equals_scalar_orbit_minimum(n, bits, shorter):
+    # fewer elements than n: one product of the powers per element;
+    # otherwise n - 1 steps of the whole array
+    p = _prime_1_mod_2n(n, bits)
+    q = element_of_order(p, 1, n)
+    powers = [pow(q, i, p) for i in range(n)]
+    rng = random.Random(n * bits)
+    x = ([0, 1, p - 1] + [rng.randrange(p) for _ in range(n + 2)])[:n - 1 if shorter else n + 5]
+    got = engine._orbit_min(np.array(x, dtype=np.int64), np.array(powers, dtype=np.int64), q, p)
+    assert got.dtype == np.int64
+    assert got.tolist() == [min(v * w % p for w in powers) for v in x]
 
 
 def test_orbit_engine_never_calls_np_unique(monkeypatch):

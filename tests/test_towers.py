@@ -1,5 +1,6 @@
 import pytest
 
+from msum.campaign import EXAMPLE16
 from msum.engine import m_value
 from msum.errors import DomainError, NotFoundWithinCap
 from msum.modular import element_of_order, mul_order, smallest_prime_divisor
@@ -10,6 +11,7 @@ from msum.towers import (
     prop10_search,
     prop14_table,
     prop15_table,
+    tower_rows,
     tower_sequence,
 )
 
@@ -102,10 +104,19 @@ def test_prop10_search():
     assert prop10_search(61, 5, 3)[0] == 2
     k, gen = prop10_search(23, 11, 6)
     assert k == 5 and mul_order(gen, 23**5) == 11
-    with pytest.raises(NotFoundWithinCap):
+    with pytest.raises(NotFoundWithinCap, match="k_cap=1"):
         prop10_search(11, 5, 1)
-    with pytest.raises(NotFoundWithinCap):
-        prop10_search(23, 11, 6, modulus_cap=1000)
+    with pytest.raises(NotFoundWithinCap, match="k_cap=1"):
+        tower_rows(11, 5, 1)  # the same check and message as prop10_search
+
+
+@pytest.mark.parametrize("p, n", sorted(pn for pn in EXAMPLE16 if pn[1] <= 17))
+def test_prop10_search_reaches_example16_levels(p, n):
+    # no modulus cap: (239, 17) reaches K = 4 at 239^4, about 3.3 * 10^9
+    seq = EXAMPLE16[p, n]
+    k, gen = prop10_search(p, n, len(seq))
+    assert k == len(seq)
+    assert mul_order(gen, p**k) == n
 
 
 def test_prop14_table_small():
