@@ -10,8 +10,6 @@ from .classify import (
     Corollary8Case,
     StarParams,
     classify_large,
-    conjecture4_check,
-    lemma3_applies,
     star_params,
 )
 from .campaign import list_claims, run_claim
@@ -22,18 +20,14 @@ from .cyclo import (
     corollary13_exceptions,
     cyclotomic,
     prop11_candidates,
-    resultant,
     threshold,
 )
 from .engine import (
-    LevelSets,
     ceil_bound,
-    grow_level_sets,
     is_m_two,
     m,
     m_table_for_modulus,
     m_value,
-    naive_m_oracle,
     two_power_m,
     verify_witness,
 )
@@ -51,16 +45,13 @@ from .errors import (
 from .modular import (
     MResult,
     PowerSumInstance,
-    UnitSubgroup,
     element_of_order,
     euler_phi,
-    find_primitive_root,
     instance,
     mul_order,
     p_adic_w,
     rad,
     smallest_prime_divisor,
-    unit_subgroup,
 )
 from .report import VerificationReport
 from .store import ResultStore

@@ -417,13 +417,6 @@ def list_claims() -> dict[str, str]:
     return {cid: desc for cid, (*_, desc) in _CLAIMS.items()}
 
 
-def claim_defaults(claim_id: str) -> dict[str, Any]:
-    if claim_id not in _CLAIMS:
-        raise UnknownClaim(claim_id)
-    _, _, _, defaults, _ = _CLAIMS[claim_id]
-    return dict(defaults)
-
-
 def default_jobs() -> int:
     """Worker count for a sweep when none is given: the CPUs this process may
     run on (its affinity mask), or the machine's count where that is unknown."""

@@ -1,9 +1,10 @@
 """Structural classification of pairs with large m.
 
-Implements the small-modulus criterion m = e1 (when e < e1^2 + 2*e1), the
-(a,b) parametrization of pairs with m >= e/r, the full ten-case analysis of
-m >= e/6 (three of the cases are finite lists, kept as data and re-verified
-against the engine by the test suite), and the k*e1 conjecture check.
+Implements the (a,b) parametrization of pairs with m >= e/r, the full
+ten-case analysis of m >= e/6 (three of the cases are finite lists, kept as
+data and re-verified against the engine by the test suite), and the least k
+of the k*e1 conjecture. The lemma3 and conjecture4 claims of msum.campaign
+check the small-modulus criterion m = e1 and the conjecture over whole tables.
 """
 from __future__ import annotations
 
@@ -12,9 +13,8 @@ from math import gcd
 
 import numpy as np
 
-from .engine import m_table_for_modulus, m_value
+from .engine import m_table_for_modulus
 from .errors import ClassificationOverlap, DomainError, NotCoprime
-from .modular import PowerSumInstance
 
 __all__ = [
     "StarParams",
@@ -22,12 +22,10 @@ __all__ = [
     "LIST_M2",
     "LIST_N2_DOUBLE",
     "LIST_SMALL",
-    "lemma3_applies",
     "star_params",
     "classify_large",
     "corollary8_modulus",
     "prop2_modulus",
-    "conjecture4_check",
     "conjecture4_k_min",
 ]
 
@@ -96,13 +94,6 @@ _FAMILIES = (
 _NONE = Corollary8Case("none")
 
 
-def lemma3_applies(inst: PowerSumInstance) -> bool:
-    """True iff e < e1^2 + 2*e1; the caller may then assert m = e1."""
-    if not 1 < inst.q < inst.e:
-        raise DomainError("lemma requires 1 < q < e")
-    return inst.e < inst.e1 * inst.e1 + 2 * inst.e1
-
-
 def star_params(q: int, e: int, r: int) -> StarParams | None:
     """The unique (a, b) candidate a = e/e1, b = (q-1)/e1, if it satisfies
     gcd(a,b) = 1, b < a <= r, ab <= q, and e*b = a*(q-1); otherwise None."""
@@ -167,17 +158,6 @@ def conjecture4_k_min(e: int, e1: int) -> int:
         k += 1
         bound = bound * (e1 + 1) + e1
     return k
-
-
-def conjecture4_check(q: int, e: int) -> tuple[int, bool]:
-    """(k_min, holds): whether m(q,e) <= k_min * e1 at the tightest applicable k."""
-    if not 1 < q < e:
-        raise DomainError("conjecture check requires 1 < q < e")
-    if gcd(q, e) != 1:
-        raise NotCoprime(f"gcd({q},{e}) != 1")
-    e1 = gcd(e, q - 1)
-    k_min = conjecture4_k_min(e, e1)
-    return k_min, m_value(q, e) <= k_min * e1
 
 
 def _corollary8_candidates(e: int) -> list[int]:

@@ -62,7 +62,6 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import islice
 from math import gcd
 from typing import NamedTuple
@@ -73,7 +72,6 @@ from .errors import DomainError, ModulusTooLarge, MsumError
 from .modular import (
     MResult,
     PowerSumInstance,
-    UnitSubgroup,
     factorize,
     mul_order,
     order_mod_prime_power,
@@ -85,9 +83,7 @@ __all__ = [
     "DENSE_LIMIT",
     "LABEL_MIN_ORDER",
     "SPARSE_LIMIT",
-    "LevelSets",
     "ModulusRows",
-    "grow_level_sets",
     "m",
     "m_value",
     "m_table_for_modulus",
@@ -112,30 +108,6 @@ _MUL_SPLIT = 19  # limb split for overflow-free int64 mulmod (needs modulus < 2^
 _SLICE_CELLS = 1 << 20  # grid cells per slice of an orbit level build (bounds peak memory)
 _LABEL_SLICE = 1 << 16  # residues per int64 slice of the label route's index arithmetic
 _BIT_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte's bits reversed
-
-
-@dataclass(frozen=True)
-class LevelSets:
-    """Cumulative reachable sets A_1 c A_2 c ... of the sumset growth.
-
-    masks[t-1] is the bitmask of residues expressible as a sum of at most t
-    subgroup elements; the last level is the first containing 0.
-    """
-
-    modulus: int
-    masks: tuple[int, ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.masks)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(mask.bit_count() for mask in self.masks)
-
-    def level(self, t: int) -> list[int]:
-        mask = self.masks[t - 1]
-        return [i for i in range(self.modulus) if (mask >> i) & 1]
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +281,6 @@ def _bfs_label(e: int, q: int, n: int, keep_levels: bool):
         if keep_levels:
             levels.append(np.packbits(seen, bitorder="little").tobytes())
     return value, levels
-
-
-def grow_level_sets(sub: UnitSubgroup) -> LevelSets:
-    """Full level-set profile of a subgroup, for growth-property checks."""
-    if sub.modulus > DENSE_LIMIT:
-        raise ModulusTooLarge(f"modulus {sub.modulus} beyond dense BFS range")
-    _, masks = _bfs_dense(sub.modulus, sub.elements, keep_masks=True)
-    return LevelSets(sub.modulus, tuple(masks))
 
 
 # ---------------------------------------------------------------------------

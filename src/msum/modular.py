@@ -18,7 +18,6 @@ __all__ = [
     "PowerSumInstance",
     "UnitSubgroup",
     "MResult",
-    "gcd",
     "factorize",
     "trial_factor",
     "mul_order",

@@ -10,7 +10,6 @@ import pytest
 from msum import campaign, cyclo, engine
 from msum.campaign import (
     EXAMPLE16,
-    claim_defaults,
     list_claims,
     run_claim,
 )
@@ -49,8 +48,6 @@ def test_unknown_claim():
         run_claim("nosuchclaim")
     with pytest.raises(UnknownClaim):
         run_claim("theorem1", {"bogus_param": 3})
-    with pytest.raises(UnknownClaim):
-        claim_defaults("nosuchclaim")
 
 
 def test_reports_deterministic_across_worker_counts():

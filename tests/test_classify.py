@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from msum import campaign
 from msum.campaign import run_claim
 from msum.classify import (
     LIST_M2,
@@ -13,8 +14,7 @@ from msum.classify import (
     _corollary8_candidates,
     _prop2_candidates,
     classify_large,
-    conjecture4_check,
-    lemma3_applies,
+    conjecture4_k_min,
     star_params,
 )
 from msum.engine import is_m_two, m_value
@@ -22,22 +22,43 @@ from msum.errors import DomainError
 from msum.modular import instance, mul_order
 
 
+def _units_above_one(e):
+    return [q for q in range(2, e) if gcd(q, e) == 1]
+
+
+def _lemma3_applies(q, e):
+    """The premise of Lemma 3 for a coprime pair 1 < q < e: e < e1^2 + 2*e1."""
+    inst = instance(q, e)
+    return inst.e < inst.e1 * inst.e1 + 2 * inst.e1
+
+
+def _assert_lemma3_claim_matches(e):
+    """The lemma3 claim's check of modulus e against a loop over its pairs:
+    the same checks, the same violating q and the same applicable count."""
+    qs = _units_above_one(e)
+    applies = [q for q in qs if _lemma3_applies(q, e)]
+    wrong = [q for q in applies if m_value(q, e) != instance(q, e).e1]
+    checks, violations, count = campaign._lemma3_check(e, {})
+    assert (checks, [v["q"] for v in violations], count) == (len(qs), wrong, len(applies)), e
+
+
 def test_lemma3_examples():
-    assert lemma3_applies(instance(5, 8))
+    assert _lemma3_applies(5, 8)
     assert m_value(5, 8) == instance(5, 8).e1 == 4
-    assert not lemma3_applies(instance(2, 5))
+    assert not _lemma3_applies(2, 5)
     # e1(4,7) = gcd(7,3) = 1, so the inequality 7 < 3 fails
-    assert not lemma3_applies(instance(4, 7))
+    assert not _lemma3_applies(4, 7)
+    assert campaign._lemma3_check(8, {})[2] == 1  # q = 5 alone
+    for e in (5, 7, 8):
+        _assert_lemma3_claim_matches(e)
 
 
 def test_lemma3_conclusion_holds_when_applicable():
     for e in range(3, 250):
-        for q in range(2, e):
-            if gcd(q, e) != 1:
-                continue
-            inst = instance(q, e)
-            if lemma3_applies(inst):
-                assert m_value(q, e) == inst.e1, (q, e)
+        for q in _units_above_one(e):
+            if _lemma3_applies(q, e):
+                assert m_value(q, e) == instance(q, e).e1, (q, e)
+        _assert_lemma3_claim_matches(e)
 
 
 def test_star_params_examples():
@@ -126,9 +147,28 @@ def test_largest_exceptional_case(c):
     assert (cap, 2 * c - 1) in qualifying
 
 
+def _conjecture4(q, e):
+    """(k_min, holds) for a coprime pair 1 < q < e: whether m(q, e) <= k*e1
+    at the least k with e < (e1+1)^(k+1) - 1."""
+    e1 = instance(q, e).e1
+    k_min = conjecture4_k_min(e, e1)
+    return k_min, m_value(q, e) <= k_min * e1
+
+
+def _assert_conjecture4_claim_matches(e):
+    """The conjecture4 claim's check of modulus e against a loop over its
+    pairs: the same checks and the same violating q."""
+    qs = _units_above_one(e)
+    wrong = [q for q in qs if not _conjecture4(q, e)[1]]
+    checks, violations, _ = campaign._conjecture4_check(e, {})
+    assert (checks, [v["q"] for v in violations]) == (len(qs), wrong), e
+
+
 def test_conjecture4_examples():
-    assert conjecture4_check(5, 8) == (1, True)
-    assert conjecture4_check(2, 5) == (2, True)
+    assert _conjecture4(5, 8) == (1, True)
+    assert _conjecture4(2, 5) == (2, True)
+    for e in (5, 8):
+        _assert_conjecture4_claim_matches(e)
 
 
 @given(st.integers(2, 60))
@@ -138,8 +178,9 @@ def test_conjecture4_when_e1_is_q_minus_1(q):
         return
     e = 2 * (q - 1)
     if e > q and gcd(q, e) == 1:
-        _, holds = conjecture4_check(q, e)
+        _, holds = _conjecture4(q, e)
         assert holds
+        _assert_conjecture4_claim_matches(e)
 
 
 def test_verify_corollary8_small():

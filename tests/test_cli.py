@@ -103,6 +103,11 @@ def test_m_json():
     assert doc["n"] == 3 and doc["e1"] == 1 and doc["ceil_bound"] == 3
 
 
+def test_m_format_csv_is_usage_error():
+    res = run("m", "4", "7", "--format", "csv")
+    assert res.exit_code == 2
+
+
 def test_m_grouped_witness_for_long_sums():
     res = run("m", "8", "63")  # m = 14: witness rendered in grouped form
     assert res.exit_code == 0
@@ -191,6 +196,28 @@ def test_verify_unknown_claim_usage_error():
     res = run("verify", "nosuch")
     assert res.exit_code == 2
     assert "unknown claim" in res.output
+
+
+def test_verify_flag_the_claim_does_not_take_is_usage_error(tmp_path):
+    report = tmp_path / "r.json"
+    res = run("verify", "theorem1", "--r", "3", "--k-cap", "2", "--jobs", "1",
+              "--report", str(report))
+    assert res.exit_code == 2
+    assert "takes no parameter ['k_cap', 'r']" in res.output
+    assert not report.exists()
+
+
+def test_verify_refused_store_is_usage_error(tmp_path):
+    store = tmp_path / "garbage.bin"
+    store.write_bytes(b"not a result store at all")
+    out = subprocess.run(
+        [sys.executable, "-m", "msum", "verify", "divisibility", "--e-max", "10",
+         "--jobs", "1", "--store", str(store), "--report", str(tmp_path / "r.json")],
+        capture_output=True, text=True, env=src_env())
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert f"{store}: bad magic" in out.stderr
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_verify_domain_errors_are_usage_errors(tmp_path):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from msum import engine
 from msum.engine import (
     ceil_bound,
-    grow_level_sets,
     is_m_two,
     m,
     m_prime_power,
@@ -193,36 +192,41 @@ def test_subgroup_key_identifies_subgroups():
     assert m_value(2, 11) == m_value(8, 11)
 
 
+def _level_sets(q, e):
+    """(n, [A_1, ..., A_m]): the subgroup order and the cumulative level sets
+    of the bitmask BFS of <q> mod e, each as the sorted list of its residues."""
+    sub = unit_subgroup(q, e)
+    _, masks = engine._bfs_dense(e, sub.elements, keep_masks=True)
+    return sub.order, [[i for i in range(e) if (mask >> i) & 1] for mask in masks]
+
+
 def test_level_growth_property():
     # before 0 appears, each level has at least (level index) * n residues
     for q, e in [(4, 7), (2, 101), (3, 80), (7, 200), (5, 121), (2, 169)]:
-        sub = unit_subgroup(q, e)
-        levels = grow_level_sets(sub)
-        n = sub.order
-        sizes = levels.sizes
-        for t, size in enumerate(sizes[:-1], start=1):
-            assert size >= t * n, (q, e, t)
-        assert levels.m == m_value(q, e)
+        n, levels = _level_sets(q, e)
+        for t, level in enumerate(levels[:-1], start=1):
+            assert len(level) >= t * n, (q, e, t)
+        assert len(levels) == m_value(q, e)
 
 
 def test_level_sets_accessors():
-    ls = grow_level_sets(unit_subgroup(4, 7))
-    assert ls.level(1) == [1, 2, 4]
-    assert ls.m == 3
-    assert ls.sizes[-1] > ls.sizes[0]
+    _, levels = _level_sets(4, 7)
+    assert levels[0] == [1, 2, 4]
+    assert len(levels) == 3
+    assert len(levels[-1]) > len(levels[0])
 
 
 def test_level_sets_grow_by_subgroup_sums():
     for q, e in [(4, 7), (2, 45), (3, 100)]:
-        sub = unit_subgroup(q, e)
-        ls = grow_level_sets(sub)
-        prev = set(sub.elements)
-        assert set(ls.level(1)) == prev
-        for t in range(2, ls.m + 1):
-            grown = prev | {(x + a) % e for x in prev for a in sub.elements}
-            assert set(ls.level(t)) == grown, (q, e, t)
+        elements = unit_subgroup(q, e).elements
+        _, levels = _level_sets(q, e)
+        prev = set(elements)
+        assert set(levels[0]) == prev
+        for t in range(2, len(levels) + 1):
+            grown = prev | {(x + a) % e for x in prev for a in elements}
+            assert set(levels[t - 1]) == grown, (q, e, t)
             prev = grown
-        assert 0 in prev and all(0 not in ls.level(t) for t in range(1, ls.m))
+        assert 0 in prev and all(0 not in level for level in levels[:-1])
 
 
 def test_witness_deterministic():
