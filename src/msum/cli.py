@@ -2,8 +2,9 @@
 
 Everything printed here is a rendering of library results; the paper tables
 are regenerated, never pasted. Exit codes: 0 verified / ok, 1 violations
-found, 2 usage error (among them a flag the claim does not take and a store
-the loader refuses), 3 search cap exceeded.
+found, 2 usage error (among them a flag the claim does not take, a store
+the loader refuses or cannot read or write, and a report path that cannot be
+written), 3 search cap exceeded.
 """
 from __future__ import annotations
 
@@ -190,9 +191,12 @@ def cmd_verify(claim_id: str, e_max, e_min, p_max, q_max, k_cap, k_max, n_max, r
     except (DomainError, StoreError) as exc:
         raise click.UsageError(str(exc))
     path = report_path or os.path.join("reports", f"{claim_id}.json")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json() + "\n")
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(report.to_json() + "\n")
+    except OSError as exc:  # a directory, say, or a path under a file
+        raise click.UsageError(f"cannot write report {path}: {exc.strerror}")
     click.echo(report.to_json() if fmt == "json" else report.render_text())
     click.echo(f"report written to {path}", err=True)
     sys.exit(0 if report.ok else 1)

@@ -29,14 +29,20 @@ with ModulusTooLarge:
     on n, not e: a level costs the bitmask BFS about n*e/64 word operations
     and the label route a few passes over e, plus log2(n) label passes, so
     large-e subgroups of small order (prime-power towers) stay on the bitmask;
-  - a sparse orbit engine for odd prime powers beyond bitmask range
-    (up to 2^40): one canonical representative (the orbit minimum) per orbit
-    is stored, in two plain lists of sorted arrays, reps[s] for the exact
-    s-sums and negs[s] for their negations; each level is built from a
-    sliced base x powers grid, and meet-in-the-middle over half-length sums
-    searches t < r (r the smallest prime divisor of the order); m = r is
-    returned only with a verified order-r witness. The witness backtrack
-    tests every power of a level at once, against reps of the level below.
+  - a sparse orbit engine for odd prime powers p^k beyond bitmask range
+    (up to 2^40): one canonical orbit key per orbit is stored, in two plain
+    lists of sorted arrays, reps[s] for the exact s-sums and negs[s] for
+    their negations; each level is the keys of a sliced base x powers grid,
+    and meet-in-the-middle over half-length sums searches t < r (r the
+    smallest prime divisor of the order); m = r is returned only with a
+    verified order-r witness. On a prime modulus the key is the orbit
+    minimum. On p^k with k >= 2 (n | p - 1) it is the orbit minimum only
+    until a level's grid outgrows p; from then on a unit's key is its one
+    orbit element whose residue mod p has discrete log below (p - 1)/n,
+    read from a table over the p residues, and a multiple of p keeps its
+    minimum. The witness backtrack starts from the least orbit minimum of a
+    colliding orbit, so the witness does not depend on the key, and tests
+    every power of a level at once, against the keys of the level below.
 The two dense routes give equal level sets, so equal m and equal witnesses:
 both backtrack over H sorted and map the witness residues to exponents of q
 through one power table of q.
@@ -73,6 +79,7 @@ from .modular import (
     MResult,
     PowerSumInstance,
     factorize,
+    find_primitive_root,
     mul_order,
     order_mod_prime_power,
     require_coprime,
@@ -104,8 +111,8 @@ LABEL_MIN_ORDER = 1024  # smallest subgroup order n a dense modulus sends to the
 _HALF_MIN_ORDER = 8  # smallest subgroup order n whose bitmask BFS for m alone stops at ceil(m/2)
 SPARSE_LIMIT = 1 << 40  # largest modulus handled by the orbit engine
 
-_MUL_SPLIT = 19  # limb split for overflow-free int64 mulmod (needs modulus < 2^40)
-_SLICE_CELLS = 1 << 20  # grid cells per slice of an orbit level build (bounds peak memory)
+_MUL_SPLIT = 20  # limb split for overflow-free int64 mulmod (needs modulus < 2^40)
+_SLICE_CELLS = 1 << 17  # grid cells per slice of an orbit level build (bounds peak memory)
 _LABEL_SLICE = 1 << 16  # residues per int64 slice of the label route's index arithmetic
 _BIT_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte's bits reversed
 
@@ -286,11 +293,32 @@ def _bfs_label(e: int, q: int, n: int, keep_levels: bool):
 # ---------------------------------------------------------------------------
 # sparse orbit engine (prime-power moduli beyond bitmask range)
 
-def _mulmod_vec(x: np.ndarray, c: int, p_mod: int) -> np.ndarray:
-    if p_mod < 1 << 31:  # x * c < 2^62 fits int64 as is
-        return x * c % p_mod
-    c_hi, c_lo = divmod(c, 1 << _MUL_SPLIT)
-    return (((x * c_hi % p_mod) << _MUL_SPLIT) + x * c_lo) % p_mod
+def _mod(x, m: int):
+    """x mod m for an int64 array or an int x and an int m > 0. An array
+    takes x - (x // m) m: numpy divides an array by a scalar with libdivide's
+    multiply and shift, but takes its remainder by hardware division, 2-3x
+    slower (2^17 int64 elements: 0.2 ms against 0.5 ms)."""
+    if not isinstance(x, np.ndarray):
+        return x % m
+    out = x // m
+    out *= m
+    return np.subtract(x, out, out=out)
+
+
+def _mulmod_vec(x: np.ndarray, c, p_mod: int) -> np.ndarray:
+    """x * c (mod p_mod) for p_mod < 2^40, int64 x and an int or int64
+    array c, nonnegative, one of them below p_mod and the other below
+    2 p_mod. Beyond 2^31, x is split at _MUL_SPLIT bits, x * c =
+    (x >> s) (c 2^s) + (x mod 2^s) c with c 2^s reduced, so that both
+    products and their sum stay below 2^62."""
+    if p_mod < 1 << 31:  # x * c < 2 p_mod^2 < 2^63 fits int64 as is
+        return _mod(x * c, p_mod)
+    out = x >> _MUL_SPLIT
+    out *= _mod(c << _MUL_SPLIT, p_mod)
+    low = x & (1 << _MUL_SPLIT) - 1
+    low *= c
+    out += low
+    return _mod(out, p_mod)
 
 
 def _power_table(q: int, p_mod: int, n: int) -> np.ndarray:
@@ -304,50 +332,87 @@ def _power_table(q: int, p_mod: int, n: int) -> np.ndarray:
     return pw
 
 
-def _sorted_unique(x: np.ndarray) -> np.ndarray:
+def _sorted_unique(x: np.ndarray, kind: str | None = None) -> np.ndarray:
     """The sorted distinct elements of int64 x, as numpy's unique gives them,
-    by one sort of the raveled array and a mask keeping each element that
-    differs from its predecessor. numpy's unique sends int64 input through a
-    hash table, 15-60x slower than a sort on the arrays this engine dedups."""
-    out = np.sort(x, axis=None)
+    by one sort of the raveled array (of the given numpy kind) and a mask
+    keeping each element that differs from its predecessor. A contiguous x
+    is sorted in place, saving a copy, so callers pass arrays they no longer
+    need. numpy's unique sends int64 input through a hash table, 15-60x
+    slower than a sort on the arrays this engine dedups."""
+    out = x.ravel()
+    out.sort(kind=kind)
     keep = np.empty(out.size, dtype=bool)
     keep[:1] = True
     np.not_equal(out[1:], out[:-1], out=keep[1:])
     return out[keep]
 
 
-def _orbit_min_grid(base: np.ndarray, pw: np.ndarray, q: int, p_mod: int) -> np.ndarray:
-    """Orbit minima of the grid base x pw, pw[j] = q^j (mod p_mod) for j < n:
-    cell (b, j) is the minimum over i < n of q^i (b + q^j) = b q^i + q^(i+j).
-    Only the products b q^i take a mulmod; each i then costs one add of pw
-    rolled by i and a subtract of p_mod, both folded into the running
-    minimum. A sum s of two residues is below 2^41; in uint64, s - p_mod
-    wraps far above p_mod where s < p_mod, so the smaller of s and s - p_mod
-    is s mod p_mod, and an unreduced s >= p_mod never undercuts the minimum."""
-    n = pw.size
-    twice = np.concatenate((pw, pw)).view(np.uint64)  # twice[i:i + n] is pw rolled by i
-    best = np.full((base.size, n), p_mod, dtype=np.uint64)
-    cell = np.empty_like(best)
-    prod = base
-    for i in range(n):
-        if i:
-            prod = _mulmod_vec(prod, q, p_mod)
-        np.add(prod.view(np.uint64)[:, None], twice[i:i + n], out=cell)
-        np.minimum(best, cell, out=best)
-        cell -= p_mod
-        np.minimum(best, cell, out=best)
-    return best.view(np.int64)
+class _Orbits(NamedTuple):
+    """The orbits of H = <q>, of order n, acting by multiplication on
+    Z/p_mod, p_mod = p^k: the powers pw[j] = q^j (mod p_mod) for j < n and,
+    once a run has built it, the key table of _key_table (None before)."""
+
+    p_mod: int
+    p: int
+    q: int
+    pw: np.ndarray
+    mult: np.ndarray | None = None
+
+
+def _key_table(orb: _Orbits) -> np.ndarray:
+    """mult[r] = q^i (mod p_mod) for each residue r mod p, where i < n sends
+    every unit x = r (mod p) to its canonical orbit element x q^i: the one
+    whose residue mod p has a discrete log, to the least primitive root g,
+    below d = (p - 1)/n. Needs k >= 2 and n | p - 1, so that q mod p has
+    order n as well. Each unit mod p is g^b q^a for exactly one b < d and
+    a < n, and its log is b (mod d), as d divides the log of q; so one outer
+    product of the two power tables and one scatter fill the table,
+    mult[g^b q^a] = q^(n - a), in O(log p) vector steps. mult[0] is a
+    placeholder: non-units keep their orbit minimum."""
+    p, n = orb.p, orb.pw.size
+    g_pw = _power_table(find_primitive_root(p), p, (p - 1) // n)
+    cells = _mod(g_pw[:, None] * _power_table(orb.q % p, p, n), p)  # below p^2 < 2^40
+    mult = np.ones(p, dtype=np.int64)
+    mult[cells] = orb.pw[-np.arange(n) % n]
+    return mult
+
+
+def _orbit_key(x: np.ndarray, orb: _Orbits) -> np.ndarray:
+    """The canonical orbit key of each element of int64 x, 0 <= x < 2 p_mod:
+    the one element of its orbit that every element of that orbit maps to.
+
+    Without a key table it is the orbit minimum. With one, a unit's key is
+    x mult[x mod p], one gather and one mulmod whatever n is; a multiple of
+    p (0 included, about one element in p) keeps its orbit minimum. Unit
+    and non-unit orbits are disjoint, so the two kinds of key never give one
+    orbit two keys."""
+    if orb.mult is None:
+        return _orbit_min(x, orb.pw, orb.q, orb.p_mod)
+    r = _mod(x, orb.p)
+    key = _mulmod_vec(x, orb.mult[r], orb.p_mod)
+    fix = np.flatnonzero(r == 0)
+    if fix.size:
+        key[fix] = _orbit_min(x[fix], orb.pw, orb.q, orb.p_mod)
+    return key
+
+
+def _grid_keys(base: np.ndarray, orb: _Orbits) -> np.ndarray:
+    """The canonical orbit keys of the grid base x pw, as a (base.size, n)
+    array: cell (b, j) keys b + q^j (mod p_mod)."""
+    cell = base[:, None] + orb.pw  # below 2 p_mod, which every key reduces
+    return _orbit_key(cell.ravel(), orb).reshape(cell.shape)
 
 
 def _orbit_min(x: np.ndarray, pw: np.ndarray, q: int, p_mod: int) -> np.ndarray:
-    """The orbit minimum of each element of int64 x under the n powers pw of
-    q (pw[j] = q^j mod p_mod), looping over the shorter axis: one product of
-    the powers per element, or n - 1 steps of x."""
+    """The orbit minimum of each element of int64 x, 0 <= x < 2 p_mod,
+    under the n powers pw of q (pw[j] = q^j mod p_mod), looping over the
+    shorter axis: one product of the powers per element, or n - 1 steps of
+    x. It is the canonical orbit key where _orbit_key has no key table."""
     n = pw.size
     if x.size < n:
         return np.array([_mulmod_vec(pw, v, p_mod).min() for v in x.tolist()],
                         dtype=np.int64)
-    best = x.copy()
+    best = _mod(x, p_mod)
     cur = x
     for _ in range(n - 1):
         cur = _mulmod_vec(cur, q, p_mod)
@@ -355,44 +420,65 @@ def _orbit_min(x: np.ndarray, pw: np.ndarray, q: int, p_mod: int) -> np.ndarray:
     return best
 
 
-def _m_orbit(p_mod: int, q: int, n: int, t_cap: int, want_witness: bool):
+def _m_orbit(p_mod: int, q: int, n: int, t_cap: int, want_witness: bool, p: int = 0):
     """Minimal t with a vanishing t-sum over the orbit {q^i mod p_mod}.
 
-    Requires ord(q) = n >= 2 and p_mod < 2^40. Reachable sets of exact s-sums
-    are orbit-closed (the closure fact of the module docstring), so each is
-    stored as sorted orbit-minimum representatives: reps[s] for the s-sums,
-    negs[s] for their negations. 0 in f_t is a collision between reps[s1]
-    and negs[s2], s1 = ceil(t/2) and s2 = floor(t/2), so each step of t adds
-    at most one entry to each list. Level s + 1 is the canonical image of the
-    grid reps[s] x powers, built in slices of about _SLICE_CELLS cells by
-    _orbit_min_grid (one mulmod per base and power, then adds:
-    q^i (b + q^j) = b q^i + q^(i+j)) and merged by _sorted_unique.
+    Requires ord(q) = n >= 2 and p_mod = p^k < 2^40; _route passes the prime
+    p, a direct call may leave it to be factored out. Reachable sets of
+    exact s-sums are orbit-closed (the closure fact of the module
+    docstring), so each is stored as the sorted canonical orbit keys of
+    _orbit_key: reps[s] for the s-sums, negs[s] for their negations. 0 in
+    f_t is a collision between reps[s1] and negs[s2], s1 = ceil(t/2) and
+    s2 = floor(t/2), so each step of t adds at most one entry to each list.
+    Level s + 1 is the keys of the grid reps[s] x powers (_grid_keys), built
+    in slices of about _SLICE_CELLS cells, each merged into the level as it
+    is made.
+
+    Keys are orbit minima until a level's grid first has more cells than p,
+    when k >= 2 and n | p - 1 (the whole orbit route of _route); then the
+    key table is built, a few passes over the p residues against n - 1
+    mulmods saved per cell of this grid and of every later one, and the few
+    keys held so far are re-keyed. A prime modulus, or a q whose order mod p
+    is not n (a direct call such as _m_orbit(25, 6, 5, 5)), keeps orbit
+    minima: its table would need an entry per residue of p_mod, or would
+    not be exact.
 
     Closed stop: when r = t_cap divides n and h = q^(n/r) has h - 1 a unit,
     the order-r subgroup {h^j} sums to (h^r - 1)/(h - 1) = 0, so m <= r. Then
     only t < r is searched; if none vanishes, r is returned with that subgroup
     as witness once its sum is checked. Otherwise t runs up to t_cap.
 
-    The witness backtrack takes, at each level, the least exponent j whose
-    remainder z - q^j has its orbit minimum in the level below; reps[0] = {0}
-    makes the last step find the exponent of the power left.
+    The witness backtrack starts from the least orbit minimum among the
+    orbits of the collision, so the witness does not depend on the keys. At
+    each level it takes the least exponent j whose remainder z - q^j has its
+    key in the level below; reps[0] = {0} makes the last step find the
+    exponent of the power left.
     """
-    pw = _power_table(q, p_mod, n)
+    orb = _Orbits(p_mod, p or factorize(p_mod)[0][0], q, _power_table(q, p_mod, n))
+    keyed = orb.p < p_mod and (orb.p - 1) % n == 0  # k >= 2, and q mod p has order n
     step = n // t_cap
     closed = n % t_cap == 0 and gcd(pow(q, step, p_mod) - 1, p_mod) == 1
     rows = max(1, _SLICE_CELLS // n)
-    # level 0 is {0}, level 1 the orbit of 1, whose minimum is 1; -0 = 0
+    # level 0 is {0}, level 1 the orbit of 1, keyed 1 by both keys; -0 = 0
     reps = [np.array([0], dtype=np.int64), np.array([1], dtype=np.int64)]
     negs = [reps[0]]
     for t in range(1, t_cap if closed else t_cap + 1):
         s1, s2 = (t + 1) // 2, t // 2
         if len(reps) <= s1:
             base = reps[-1]
-            reps.append(_sorted_unique(np.concatenate([
-                _sorted_unique(_orbit_min_grid(base[i:i + rows], pw, q, p_mod))
-                for i in range(0, base.size, rows)])))
+            if keyed and orb.mult is None and base.size * n > orb.p:
+                orb = orb._replace(mult=_key_table(orb))
+                reps[2:] = [_sorted_unique(_orbit_key(x, orb)) for x in reps[2:]]
+                negs[1:] = [_sorted_unique(_orbit_key(x, orb)) for x in negs[1:]]
+                base = reps[-1]
+            level = np.empty(0, dtype=np.int64)
+            for i in range(0, base.size, rows):
+                part = _sorted_unique(_grid_keys(base[i:i + rows], orb))
+                # a stable sort is numpy's timsort: one linear merge of two sorted runs
+                level = _sorted_unique(np.concatenate((level, part)), kind="stable")
+            reps.append(level)
         if len(negs) <= s2:
-            negs.append(_sorted_unique(_orbit_min((p_mod - reps[s2]) % p_mod, pw, q, p_mod)))
+            negs.append(_sorted_unique(_orbit_key(p_mod - reps[s2], orb)))
         common = np.intersect1d(reps[s1], negs[s2], assume_unique=True)
         if common.size:
             break
@@ -408,15 +494,15 @@ def _m_orbit(p_mod: int, q: int, n: int, t_cap: int, want_witness: bool):
         return t_cap, (witness if want_witness else None)
     if not want_witness:
         return t, None
-    c = int(common[0])
+    c = int(_orbit_min(common, orb.pw, q, p_mod).min())
     witness = []
     for z, s in ((c, s1), ((p_mod - c) % p_mod, s2)):
         for lvl in range(s, 0, -1):
-            rest = (z - pw) % p_mod
+            rest = (z - orb.pw) % p_mod
             below = reps[lvl - 1]
-            mins = _orbit_min(rest, pw, q, p_mod)
-            at = np.minimum(np.searchsorted(below, mins), below.size - 1)
-            hits = np.flatnonzero(below[at] == mins)
+            keys = _orbit_key(rest, orb)
+            at = np.minimum(np.searchsorted(below, keys), below.size - 1)
+            hits = np.flatnonzero(below[at] == keys)
             if not hits.size:
                 raise MsumError("orbit witness backtrack failed (engine bug)")
             witness.append(int(hits[0]))
@@ -476,7 +562,7 @@ def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[in
             f"modulus {p}^{k}: order {n} divisible by {p}; reduce k first "
             f"(the order drop of the tower module)"
         )
-    return _m_orbit(e, q, n, smallest_prime_divisor(n), want_witness)
+    return _m_orbit(e, q, n, smallest_prime_divisor(n), want_witness, p)
 
 
 def m(q: int, e: int, with_witness: bool = True) -> MResult:

@@ -14,7 +14,8 @@ file is never rewritten in place. Several processes may share one file: a
 save writes its header (if the file is empty) and all its records with one
 os.write on an O_APPEND descriptor under an exclusive flock, and a load reads
 under a shared flock, so no reader or writer sees another's append half done.
-No database dependency, reproducible and diff-able.
+A file that is refused, or that cannot be read or written (a directory, say),
+raises StoreError. No database dependency, reproducible and diff-able.
 """
 from __future__ import annotations
 
@@ -44,9 +45,12 @@ class ResultStore:
             self._load()
 
     def _load(self) -> None:
-        with open(self.path, "rb") as fh:
-            fcntl.flock(fh, fcntl.LOCK_SH)
-            blob = fh.read()
+        try:
+            with open(self.path, "rb") as fh:
+                fcntl.flock(fh, fcntl.LOCK_SH)
+                blob = fh.read()
+        except OSError as exc:  # a directory, say, or a file it may not read
+            raise StoreError(f"{self.path}: {exc.strerror}") from None
         if not blob:  # created by a save that has not written yet
             return
         if len(blob) < _HEADER.size:
@@ -98,7 +102,10 @@ class ResultStore:
             values = self.tables[e]
             body = _RECORD.pack(e, len(values)) + struct.pack(f"<{len(values)}I", *values)
             records.append(body + _CRC.pack(zlib.crc32(body)))
-        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        try:
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        except OSError as exc:
+            raise StoreError(f"{self.path}: {exc.strerror}") from None
         try:
             fcntl.flock(fd, fcntl.LOCK_EX)
             if os.fstat(fd).st_size == 0:

@@ -220,6 +220,37 @@ def test_verify_refused_store_is_usage_error(tmp_path):
     assert not (tmp_path / "r.json").exists()
 
 
+def _verify_in_subprocess(tmp_path, *args):
+    return subprocess.run(
+        [sys.executable, "-m", "msum", "verify", *args, "--e-max", "10", "--jobs", "1"],
+        capture_output=True, text=True, env=src_env(), cwd=tmp_path)
+
+
+def test_verify_store_that_is_a_directory_is_usage_error(tmp_path):
+    # an unreadable store is a usage error: one line, exit 2, no report
+    store = tmp_path / "store_dir"
+    store.mkdir()
+    report = tmp_path / "r.json"
+    out = _verify_in_subprocess(tmp_path, "divisibility", "--store", str(store),
+                                "--report", str(report))
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert f"{store}: Is a directory" in out.stderr
+    assert not report.exists() and not (tmp_path / "reports").exists()
+
+
+def test_verify_report_that_is_a_directory_is_usage_error(tmp_path):
+    # an unwritable report path is a usage error, never exit 1, the code of
+    # "violations found"
+    report = tmp_path / "report_dir"
+    report.mkdir()
+    out = _verify_in_subprocess(tmp_path, "theorem1", "--report", str(report))
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert f"cannot write report {report}: Is a directory" in out.stderr
+    assert list(report.iterdir()) == [] and not (tmp_path / "reports").exists()
+
+
 def test_verify_domain_errors_are_usage_errors(tmp_path):
     report = str(tmp_path / "r.json")
     res = run("verify", "prop2", "--r", "1", "--e-min", "8", "--e-max", "100",

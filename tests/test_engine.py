@@ -615,6 +615,49 @@ def test_orbit_witness_takes_least_exponents(q, e, mv, witness):
     assert verify_witness(q, e, MResult(mv, witness))
 
 
+# (p, k, n, q, m, witness) of the orbit engine at p^k, k >= 2, as it gave them
+# while every level was keyed by orbit minima: the order-19 Example 16 rows at
+# p^3 and p^4, two Example 17 rows at p^2 and the 239^4 closed stops, through
+# m_prime_power; then two collisions at p^2 and the open search to t_cap = 18
+# at 239^4, through _m_orbit with r as t_cap (18 in the last row)
+ORBIT_PRIME_POWER_ROUTE_PINS = [
+    (571, 3, 19, 23982978, 16, (0, 0, 1, 3, 3, 3, 5, 5, 8, 9, 14, 14, 15, 15, 15, 18)),
+    (571, 4, 19, 48428029838, 19, tuple(range(19))),
+    (761, 3, 19, 39159275, 17, (0, 2, 4, 4, 4, 5, 5, 5, 5, 7, 9, 11, 11, 15, 15, 16, 16)),
+    (761, 4, 19, 24278268730, 19, tuple(range(19))),
+    (2311, 2, 35, 3599329, 5, (0, 7, 14, 21, 28)),
+    (3851, 2, 35, 6572844, 5, (0, 7, 14, 21, 28)),
+    (239, 4, 17, 1271202971, 17, tuple(range(17))),
+    (239, 4, 119, 1785899586, 7, (0, 17, 34, 51, 68, 85, 102)),
+]
+ORBIT_PRIME_POWER_DIRECT_PINS = [
+    (239, 2, 119, 11521, 4, (25, 46, 61, 107)),
+    (911, 2, 91, 281204, 6, (1, 8, 22, 45, 51, 71)),
+    (239, 4, 17, 1271202971, 17, tuple(range(17))),
+]
+
+
+def test_orbit_prime_power_pins(monkeypatch):
+    built = []
+    key_table = engine._key_table
+
+    def spy(orb):
+        built.append(orb.p_mod)
+        return key_table(orb)
+
+    monkeypatch.setattr(engine, "_key_table", spy)
+    for p, k, n, q, mv, witness in ORBIT_PRIME_POWER_ROUTE_PINS:
+        assert p**k > engine.DENSE_LIMIT and element_of_order(p, k, n) == q
+        assert m_prime_power(q, p, k, want_witness=True) == (mv, witness), (p, k, n)
+        assert verify_witness(q, p**k, MResult(mv, witness))
+    for (p, k, n, q, mv, witness), cap in zip(ORBIT_PRIME_POWER_DIRECT_PINS, (7, 7, 18)):
+        assert element_of_order(p, k, n) == q
+        assert engine._m_orbit(p**k, q, n, cap, want_witness=True) == (mv, witness), (p, k, n)
+        assert verify_witness(q, p**k, MResult(mv, witness))
+    # the collisions at 571^3, 761^3 and 911^2 backtrack through keyed levels
+    assert {571**3, 761**3, 911**2} <= set(built)
+
+
 @pytest.mark.parametrize("shape", [(0,), (1000,), (40, 25), (7, 1)])
 def test_sorted_unique_equals_np_unique(shape):
     rng = np.random.default_rng(sum(shape))
@@ -634,16 +677,74 @@ def _prime_1_mod_2n(n, bits):
 @pytest.mark.parametrize("n", [2, 19, 119])
 @pytest.mark.parametrize("bits", [30, 37])
 def test_orbit_min_grid_equals_scalar_orbit_minimum(n, bits):
+    # a prime modulus has no key table: the grid builder keys each cell by
+    # its orbit minimum
     p = _prime_1_mod_2n(n, bits)
     q = element_of_order(p, 1, n)
     powers = [pow(q, i, p) for i in range(n)]
     rng = random.Random(n * bits)
     base = [rng.randrange(p) for _ in range(12)] + [0, 1, p - 1]
-    grid = engine._orbit_min_grid(np.array(base, dtype=np.int64),
-                                  np.array(powers, dtype=np.int64), q, p)
+    orb = engine._Orbits(p, p, q, np.array(powers, dtype=np.int64))
+    grid = engine._grid_keys(np.array(base, dtype=np.int64), orb)
     assert grid.shape == (len(base), n)
     for row, b in zip(grid.tolist(), base):
         assert row == [min((b + x) * w % p for w in powers) for x in powers]
+
+
+def _keyed(p, k, n):
+    """The _Orbits of an element of order n mod p^k, with its key table."""
+    e = p**k
+    q = element_of_order(p, k, n)
+    orb = engine._Orbits(e, p, q, engine._power_table(q, e, n))
+    return orb._replace(mult=engine._key_table(orb))
+
+
+@pytest.mark.parametrize("p, k, n", [(23, 5, 11), (761, 3, 19), (4423, 2, 67), (239, 4, 119)])
+def test_keyed_grid_names_each_orbit_by_one_key(p, k, n):
+    # with a key table a cell's key need not be its orbit minimum: equal keys
+    # must mark exactly the cells of one orbit, and each key lie in its orbit
+    orb = _keyed(p, k, n)
+    e, powers = p**k, orb.pw.tolist()
+    rng = random.Random(p * k)
+    base = [rng.randrange(e) for _ in range(10)] + [0, 1, e - 1]
+    base += [(p * rng.randrange(e // p) - powers[j]) % e for j in (0, 1, n - 1)]  # cells 0 (mod p)
+    grid = engine._grid_keys(np.array(base, dtype=np.int64), orb)
+    assert grid.shape == (len(base), n)
+    names = {}
+    for row, b in zip(grid.tolist(), base):
+        for key, x in zip(row, powers):
+            orbit = {(b + x) * w % e for w in powers}
+            assert key in orbit
+            assert names.setdefault(min(orbit), key) == key
+    assert len(set(names.values())) == len(names)
+    assert any(b % p == 0 for b in ((c + x) % e for c in base for x in powers))
+
+
+_KEYED_SHAPES = [(p, k, n) for p in range(3, 3000) if is_prime(p) for k in (2, 3, 4)
+                 if p**k < engine.SPARSE_LIMIT for n in range(2, p) if (p - 1) % n == 0]
+
+
+@given(st.sampled_from(_KEYED_SHAPES), st.lists(st.integers(0, 2**40), min_size=1, max_size=8),
+       st.lists(st.integers(0, 2**40), max_size=3))
+def test_orbit_key_is_one_element_per_orbit(shape, units, multiples):
+    # units, multiples of p and 0, reduced and not (x < 2 p^k, as grid cells
+    # come): the key is constant on each orbit {x q^i}, lies in it, and two
+    # elements share a key exactly when they share an orbit minimum
+    p, k, n = shape
+    orb = _keyed(p, k, n)
+    e, powers = p**k, orb.pw.tolist()
+    xs = [u % e for u in units] + [p * v % e for v in multiples] + [0]
+    key = dict(zip(xs, engine._orbit_key(np.array(xs, dtype=np.int64), orb).tolist()))
+    for x in xs:
+        orbit = [x * w % e for w in powers]
+        assert key[x] in orbit
+        keys = engine._orbit_key(np.array(orbit + [y + e for y in orbit], dtype=np.int64), orb)
+        assert set(keys.tolist()) == {key[x]}
+    mins = dict(zip(xs, engine._orbit_min(np.array(xs, dtype=np.int64), orb.pw, orb.q, e).tolist()))
+    for x in xs:
+        assert mins[x] == min(x * w % e for w in powers)
+        for y in xs:
+            assert (key[x] == key[y]) == (mins[x] == mins[y])
 
 
 @pytest.mark.parametrize("n", [2, 19, 119])
