@@ -24,11 +24,12 @@ with ModulusTooLarge:
     ceil(m/2), meeting each level with the negation of itself and of the
     level before (a bit reversal); witness searches build every level;
   - the orbit-label BFS, for moduli up to DENSE_LIMIT and n >= LABEL_MIN_ORDER:
-    every residue is labelled with the minimum of its H-orbit, and each level
-    is a roll by 1, a scatter of the labels hit and a gather back. The rule is
-    on n, not e: a level costs the bitmask BFS about n*e/64 word operations
-    and the label route a few passes over e, plus log2(n) label passes, so
-    large-e subgroups of small order (prime-power towers) stay on the bitmask;
+    every residue is labelled with the minimum of its H-orbit (an upward
+    walk scatters the orbit of each unlabelled residue it meets), and each
+    level is a roll by 1, a scatter of the labels hit and a gather back. The
+    rule is on n, not e: a level costs the bitmask BFS about n*e/64 word
+    operations and the label route a few passes over e, so large-e
+    subgroups of small order (prime-power towers) stay on the bitmask;
   - a sparse orbit engine for odd prime powers p^k beyond bitmask range
     (up to 2^40): one canonical orbit key per orbit is stored, in two plain
     lists of sorted arrays, reps[s] for the exact s-sums and negs[s] for
@@ -43,9 +44,10 @@ with ModulusTooLarge:
     minimum. The witness backtrack starts from the least orbit minimum of a
     colliding orbit, so the witness does not depend on the key, and tests
     every power of a level at once, against the keys of the level below.
-The two dense routes give equal level sets, so equal m and equal witnesses:
-both backtrack over H sorted and map the witness residues to exponents of q
-through one power table of q.
+The two dense routes give equal level sets, so equal m and equal witnesses,
+which _dense_witness reads back as exponents of q. _route checks every
+witness it returns (length m, sum 0 mod e) or raises MsumError; the closed
+form's e ones are never summed.
 
 The one cache holds per-modulus m tables. The entry of modulus e is a
 complete, immutable _Table: the m of each generator class of (Z/eZ)* in the
@@ -69,7 +71,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Sequence
 from itertools import islice
-from math import gcd
+from math import gcd, isqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -113,7 +115,6 @@ SPARSE_LIMIT = 1 << 40  # largest modulus handled by the orbit engine
 
 _MUL_SPLIT = 20  # limb split for overflow-free int64 mulmod (needs modulus < 2^40)
 _SLICE_CELLS = 1 << 17  # grid cells per slice of an orbit level build (bounds peak memory)
-_LABEL_SLICE = 1 << 16  # residues per int64 slice of the label route's index arithmetic
 _BIT_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte's bits reversed
 
 
@@ -223,60 +224,56 @@ def _bfs_dense(e: int, elements: Sequence[int], keep_masks: bool):
             masks.append(seen)
 
 
-def _witness_residues(e: int, elements: Sequence[int], levels: list[bytes]) -> list[int]:
-    """Walk the level bitmaps (little-endian, bit x of byte x >> 3 for residue x)
-    back from 0; ties broken by smallest element added."""
-    out = []
+def _dense_witness(e: int, pw: np.ndarray, levels: list[np.ndarray]) -> tuple[int, ...]:
+    """The sorted exponents of a vanishing m-sum of the powers pw of q, read
+    back from the packed level bitmaps A_1, ..., A_m of either dense BFS:
+    from x = 0, each step tests every remainder x - pw[j] against the level
+    below and takes the hit of least pw[j]; what is left in A_1 is a power."""
+    exps = []
     x = 0
-    for t in range(len(levels) - 1, 0, -1):
-        prev = levels[t - 1]
-        for a in elements:
-            y = (x - a) % e
-            if prev[y >> 3] >> (y & 7) & 1:
-                out.append(a)
-                x = y
-                break
-        else:
+    for level in reversed(levels[:-1]):
+        rest = _mod(x - pw, e)
+        hits = np.flatnonzero(level[rest >> 3] >> (rest & 7) & 1)
+        if not hits.size:
             raise MsumError("witness backtrack failed (engine bug)")
-    out.append(x)
-    return out
+        j = int(hits[pw[hits].argmin()])
+        exps.append(j)
+        x = int(rest[j])
+    exps += np.flatnonzero(pw == x)[:1].tolist()
+    return tuple(sorted(exps))
 
 
 # ---------------------------------------------------------------------------
 # dense orbit-label BFS (subgroups of order >= LABEL_MIN_ORDER)
 
-def _orbit_labels(e: int, q: int, n: int) -> np.ndarray:
-    """lab[x] = the minimum of the orbit {x * q^i} of every residue x, by
-    pointer doubling: the pass with c = q^(2^j) sets lab[x] to
-    min(lab[x], lab[x * c]), so afterwards lab[x] is a minimum over at least
-    the exponents i < 2^(j+1). Updating in place only widens that range, and
-    every value stays in the orbit, so ceil(log2 n) passes give the minimum."""
-    lab = np.arange(e, dtype=np.int32)
-    c, span = q, 1
-    while span < n:
-        for s in range(0, e, _LABEL_SLICE):
-            part = lab[s:s + _LABEL_SLICE]
-            x = np.arange(s, s + part.size, dtype=np.int64)  # x * c < 2^44 (e, c < 2^22)
-            x *= c
-            x %= e
-            np.minimum(part, lab[x], out=part)
-        c, span = c * c % e, 2 * span
+def _orbit_labels(e: int, pw: np.ndarray) -> np.ndarray:
+    """lab[x] = the minimum of the orbit {x * pw[j]} of every residue x, pw
+    the powers of q (mod e). The residues are walked upward in blocks of
+    4 sqrt(e), one vector test each: a residue still unlabelled when reached
+    is the least element of its orbit, so one scatter of x * pw labels it."""
+    lab = np.full(e, -1, dtype=np.int32)
+    block = 4 * isqrt(e)
+    for s in range(0, e, block):
+        for x in (np.flatnonzero(lab[s:s + block] < 0) + s).tolist():
+            if lab[x] < 0:
+                lab[_mulmod_vec(pw, x, e)] = x
     return lab
 
 
-def _bfs_label(e: int, q: int, n: int, keep_levels: bool):
-    """Returns (m, level bitmaps or None) for H = <q> of order n >= 2.
+def _bfs_label(e: int, pw: np.ndarray, keep_levels: bool):
+    """Returns (m, level bitmaps or None) for H = <q> of order n >= 2, powers pw.
 
     By the closure fact of the module docstring, A_{t+1} = A_t | H*(F_t + 1)
     with F_t = A_t - A_{t-1}: roll the frontier by 1, mark the orbit labels it
     hits, and gather every residue whose label is marked. The cumulative sets
-    equal the bitmask BFS's, and are kept packed as _witness_residues reads them.
+    equal the bitmask BFS's, and are kept packed as uint8 arrays (bit x of
+    byte x >> 3 for residue x), as _dense_witness reads them.
     """
-    lab = _orbit_labels(e, q, n)
+    lab = _orbit_labels(e, pw)
     seen = lab == 1  # A_1 = H, the orbit of 1
     frontier = seen.copy()
     hit = np.empty(e, dtype=bool)
-    levels = [np.packbits(seen, bitorder="little").tobytes()] if keep_levels else None
+    levels = [np.packbits(seen, bitorder="little")] if keep_levels else None
     value = 1
     while not seen[0]:
         hit.fill(False)
@@ -286,7 +283,7 @@ def _bfs_label(e: int, q: int, n: int, keep_levels: bool):
         seen |= frontier
         value += 1
         if keep_levels:
-            levels.append(np.packbits(seen, bitorder="little").tobytes())
+            levels.append(np.packbits(seen, bitorder="little"))
     return value, levels
 
 
@@ -528,45 +525,44 @@ def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[in
     """(m, witness|None) for q reduced mod e > 1: the one dispatch over the
     routes of the module docstring. A table walk passes the order n of q and
     its powers as `elements`, in any order, so neither is computed again.
-    Witness exponents refer to q."""
+    Witness exponents refer to q; a witness that fails its check raises
+    MsumError."""
     if q == 1:
-        # every power is 1, so exactly e terms are needed
+        # every power is 1, so exactly e terms are needed; this witness is never summed
         return e, ((0,) * e if want_witness else None)
     if e <= DENSE_LIMIT:
         n = n or mul_order(q, e)
+        pw = _power_table(q, e, n) if want_witness or n >= LABEL_MIN_ORDER else None
         if n >= LABEL_MIN_ORDER:
-            value, levels = _bfs_label(e, q, n, want_witness)
+            value, levels = _bfs_label(e, pw, want_witness)
         else:
             value, masks = _bfs_dense(e, elements or _powers_of(q, e), want_witness)
-            levels = masks and [mask.to_bytes((e + 7) // 8, "little") for mask in masks]
-        if not want_witness:
-            return value, None
-        # H sorted, as the backtrack breaks ties by the smallest element, and
-        # the exponent of each residue, from one table of the powers of q
-        pw = _power_table(q, e, n)
-        order = np.argsort(pw)
-        elements = pw[order].tolist()
-        exps = order[np.searchsorted(pw, _witness_residues(e, elements, levels), sorter=order)]
-        return value, tuple(sorted(exps.tolist()))
-    if e >= SPARSE_LIMIT:  # before any factoring: factorize is exact below 2^40
+            levels = masks and [np.frombuffer(mask.to_bytes((e + 7) // 8, "little"), np.uint8)
+                                for mask in masks]
+        witness = _dense_witness(e, pw, levels) if want_witness else None
+    elif e >= SPARSE_LIMIT:  # before any factoring: factorize is exact below 2^40
         raise ModulusTooLarge(f"modulus {e} beyond orbit engine range (2^40)")
-    shape = factorize(e)
-    if len(shape) > 1 or shape[0][0] == 2:
-        raise ModulusTooLarge(
-            f"modulus {e} beyond dense BFS range and not an odd prime power"
-        )
-    [(p, k)] = shape
-    n = order_mod_prime_power(q, p, k)
-    if n % p == 0:
-        raise ModulusTooLarge(
-            f"modulus {p}^{k}: order {n} divisible by {p}; reduce k first "
-            f"(the order drop of the tower module)"
-        )
-    return _m_orbit(e, q, n, smallest_prime_divisor(n), want_witness, p)
+    else:
+        shape = factorize(e)
+        if len(shape) > 1 or shape[0][0] == 2:
+            raise ModulusTooLarge(
+                f"modulus {e} beyond dense BFS range and not an odd prime power"
+            )
+        [(p, k)] = shape
+        n = order_mod_prime_power(q, p, k)
+        if n % p == 0:
+            raise ModulusTooLarge(
+                f"modulus {p}^{k}: order {n} divisible by {p}; reduce k first "
+                f"(the order drop of the tower module)"
+            )
+        value, witness = _m_orbit(e, q, n, smallest_prime_divisor(n), want_witness, p)
+    if witness is not None and not verify_witness(q, e, MResult(value, witness)):
+        raise MsumError(f"the witness of m({q}, {e}) = {value} fails its check (engine bug)")
+    return value, witness
 
 
 def m(q: int, e: int, with_witness: bool = True) -> MResult:
-    """m(q,e) with a verified-style witness whose exponents refer to q itself."""
+    """m(q,e) with a witness, checked by _route, whose exponents refer to q itself."""
     require_coprime(q, e)
     if e == 1:
         return MResult(1, (0,))

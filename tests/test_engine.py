@@ -330,15 +330,45 @@ def test_seeded_table_of_wrong_length_raises(cut):
 
 def _label_vs_bitmask(q, e):
     """Run both dense BFS routes on <q> mod e; require equal level sets, as
-    the bitmaps the witness backtrack reads, and equal witness residues."""
+    the bitmaps the witness backtrack reads, and equal witnesses."""
     sub = unit_subgroup(q, e)
-    value, levels = engine._bfs_label(e, q, sub.order, keep_levels=True)
+    pw = engine._power_table(q, e, sub.order)
+    value, levels = engine._bfs_label(e, pw, keep_levels=True)
     dense, masks = engine._bfs_dense(e, sub.elements, keep_masks=True)
     bitmaps = [mask.to_bytes((e + 7) // 8, "little") for mask in masks]
-    assert (value, levels) == (dense, bitmaps), (q, e)
-    assert engine._witness_residues(e, sub.elements, levels) == \
-        engine._witness_residues(e, sub.elements, bitmaps), (q, e)
+    assert (value, [level.tobytes() for level in levels]) == (dense, bitmaps), (q, e)
+    packed = [np.frombuffer(bitmap, dtype=np.uint8) for bitmap in bitmaps]
+    assert engine._dense_witness(e, pw, levels) == engine._dense_witness(e, pw, packed), (q, e)
     return value
+
+
+def test_orbit_labels_are_orbit_minima_small_exhaustive():
+    for e in range(3, 301):
+        residues = np.arange(e, dtype=np.int64)
+        minima = {}  # the labels depend only on the subgroup
+        for q in range(2, e):
+            if gcd(q, e) == 1:  # q >= 2, so ord(q) >= 2
+                pw = engine._power_table(q, e, mul_order(q, e))
+                key = tuple(np.sort(pw).tolist())
+                if key not in minima:
+                    minima[key] = (residues[:, None] * pw % e).min(axis=1).tolist()
+                assert engine._orbit_labels(e, pw).tolist() == minima[key], (q, e)
+
+
+@pytest.mark.parametrize("q, e", [(2, 4194301), (68, 4194301), (2, 3000009), (65, 2100224),
+                                  (5, 2100224)])
+def test_orbit_labels_are_orbit_minima_large_moduli(q, e):
+    # 3000009 = 3 * 1000003 and 2100224 = 2^10 * 7 * 293 have non-unit orbits
+    # of several sizes; seeded residues, 0 and a multiple of each prime factor
+    n = mul_order(q, e)
+    assert n >= engine.LABEL_MIN_ORDER
+    pw = engine._power_table(q, e, n)
+    lab = engine._orbit_labels(e, pw)
+    rng = np.random.default_rng(e)
+    x = np.concatenate(([0, 1, e - 1], [p * rng.integers(e // p) for p, _ in factorize(e)],
+                        rng.integers(0, e, size=40)))
+    for v in x.tolist():
+        assert lab[v] == (v * pw % e).min(), (q, e, v)
 
 
 def test_label_route_matches_bitmask_and_oracle_small_exhaustive():
@@ -426,9 +456,9 @@ def test_dense_dispatch_is_on_the_order(monkeypatch):
     routes = []
     label, bitmask = engine._bfs_label, engine._bfs_dense
 
-    def spy_label(e, q, n, *args):
-        routes.append(("label", n))
-        return label(e, q, n, *args)
+    def spy_label(e, pw, *args):
+        routes.append(("label", pw.size))
+        return label(e, pw, *args)
 
     def spy_bitmask(e, elements, *args, **kwargs):
         routes.append(("bitmask", len(elements)))
@@ -455,9 +485,9 @@ def test_table_walks_answer_the_class_of_one_in_closed_form(monkeypatch):
     orders = []
     label, bitmask = engine._bfs_label, engine._bfs_dense
 
-    def spy_label(e, q, n, *args):
-        orders.append(n)
-        return label(e, q, n, *args)
+    def spy_label(e, pw, *args):
+        orders.append(pw.size)
+        return label(e, pw, *args)
 
     def spy_bitmask(e, elements, *args, **kwargs):
         orders.append(len(elements))
@@ -478,6 +508,68 @@ def test_large_dense_modulus_is_fast(q):
     # one label BFS level; the bitmask route took 85 s (q = 2) and 28 s (q = 3)
     result = m(q, 1000003)
     assert result.value == 2 and verify_witness(q, 1000003, result)
+
+
+# (q, e, n, witness) of every dense perfbench query with m = 3, seeds 1-3,
+# n = ord(q) on both sides of LABEL_MIN_ORDER, as the backtrack gave them
+# that takes, at each level, the hit of least element q^j (not of least
+# exponent j): several of these change under any other tie-break
+DENSE_WITNESS_PINS = [
+    # seed 1
+    (648, 1279, 9, (0, 3, 6)), (576, 1201, 75, (0, 25, 50)), (1886, 2161, 15, (0, 5, 10)),
+    (225, 2341, 117, (0, 39, 78)), (2865, 5011, 15, (0, 5, 10)), (2343, 4423, 201, (0, 67, 134)),
+    (1885, 8863, 21, (0, 7, 14)), (7069, 9697, 303, (0, 167, 252)), (11768, 18253, 27, (0, 9, 18)),
+    (3844, 19081, 477, (0, 257, 342)), (10772, 37489, 33, (0, 11, 22)),
+    (17209, 34147, 813, (0, 149, 525)), (5697, 70921, 45, (0, 15, 30)),
+    (3511, 69499, 1287, (0, 698, 1256)), (140988, 144439, 57, (0, 19, 38)),
+    (73277, 153913, 1749, (0, 214, 539)), (100204, 270601, 75, (0, 25, 50)),
+    (47608, 277993, 3159, (0, 517, 2319)),
+    # seed 2
+    (104, 1297, 9, (0, 3, 6)), (751, 1201, 75, (0, 25, 50)), (100, 2161, 15, (0, 5, 10)),
+    (637, 2341, 117, (0, 39, 78)), (2632, 4951, 15, (0, 5, 10)), (3886, 4423, 201, (0, 67, 134)),
+    (6820, 9283, 21, (0, 7, 14)), (3859, 8821, 315, (0, 293, 305)), (14390, 18253, 27, (0, 9, 18)),
+    (18362, 20011, 435, (0, 36, 160)), (19258, 38611, 33, (0, 11, 22)),
+    (21015, 34981, 795, (0, 126, 374)), (36608, 68491, 45, (0, 15, 30)),
+    (19073, 77419, 1173, (0, 51, 503)), (69555, 132679, 63, (0, 21, 42)),
+    (84663, 149521, 1869, (0, 113, 1613)), (67506, 266701, 75, (0, 25, 50)),
+    (117313, 319117, 2751, (0, 917, 1834)),
+    # seed 3
+    (184, 1279, 9, (0, 3, 6)), (1126, 1201, 75, (0, 25, 50)), (2151, 2161, 15, (0, 5, 10)),
+    (1288, 2341, 117, (0, 39, 78)), (2447, 4861, 15, (0, 5, 10)), (2708, 4261, 213, (0, 19, 146)),
+    (8025, 8863, 21, (0, 7, 14)), (5327, 8821, 315, (0, 37, 160)), (17816, 18253, 27, (0, 9, 18)),
+    (2772, 17443, 513, (0, 287, 393)), (29641, 38281, 33, (0, 11, 22)),
+    (7011, 39043, 723, (0, 207, 528)), (33665, 68491, 45, (0, 15, 30)),
+    (23283, 77023, 1167, (0, 428, 887)), (85950, 146719, 57, (0, 19, 38)),
+    (37182, 160357, 1743, (0, 1123, 1531)), (47694, 295873, 69, (0, 23, 46)),
+    (311535, 319117, 2751, (0, 917, 1834)),
+]
+
+
+def test_dense_witness_pins():
+    routes = set()
+    for q, e, n, witness in DENSE_WITNESS_PINS:
+        assert mul_order(q, e) == n, (q, e)
+        routes.add(n >= engine.LABEL_MIN_ORDER)
+        assert m(q, e) == MResult(3, witness), (q, e)
+    assert routes == {False, True}
+
+
+@pytest.mark.parametrize("q, e, mv", [(4, 7, 3), (2, 4099, 2)], ids=["bitmask", "label"])
+@pytest.mark.parametrize("fault", ["length", "sum"])
+def test_a_wrong_dense_witness_raises(monkeypatch, q, e, mv, fault):
+    backtrack = engine._dense_witness
+
+    def wrong(e, pw, levels):
+        if fault == "length":  # a vanishing sum of 2m terms
+            return backtrack(e, pw, levels) * 2
+        return (0,) * len(levels)  # m terms, each 1: the sum is m, not 0 mod e
+
+    monkeypatch.setattr(engine, "_dense_witness", wrong)
+    with pytest.raises(MsumError, match="fails its check"):
+        m(q, e)
+    with pytest.raises(MsumError, match="fails its check"):
+        m_prime_power(q, e, 1, want_witness=True)
+    assert m_value(q, e) == mv  # no witness, nothing to check
 
 
 def test_orbit_engine_matches_dense():
