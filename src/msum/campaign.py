@@ -438,7 +438,7 @@ def run_claim(claim_id: str, params: dict[str, Any] | None = None,
     whether jobs is 1 or more. Values found outside tables (tower and witness
     paths) are not stored."""
     if claim_id not in _CLAIMS:
-        raise UnknownClaim(claim_id)
+        raise UnknownClaim(f"unknown claim '{claim_id}' (known: {', '.join(sorted(_CLAIMS))})")
     check, plan, finish, defaults, _ = _CLAIMS[claim_id]
     merged = dict(defaults)
     if params:

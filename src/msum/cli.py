@@ -1,10 +1,14 @@
 """Command line entry points.
 
 Everything printed here is a rendering of library results; the paper tables
-are regenerated, never pasted. Exit codes: 0 verified / ok, 1 violations
-found, 2 usage error (among them a flag the claim does not take, a store
-the loader refuses or cannot read or write, and a report path that cannot be
-written), 3 search cap exceeded.
+are regenerated, never pasted. Exit codes, the same for every command:
+0 verified / ok; 1 violations found (`verify` only); 2 the command could not
+answer: a usage error, a refused input (among them a pair that is not
+coprime, a modulus beyond the engines' range, an unknown claim or a flag the
+claim does not take, a store the loader refuses or cannot read or write, and
+a report path that cannot be written) or a failed internal check; 3 a bounded
+search hit its cap. One handler, `_Main.invoke`, maps every package error to
+2 or 3 with one line on stderr.
 """
 from __future__ import annotations
 
@@ -12,32 +16,15 @@ import csv
 import io
 import json
 import os
-import sys
-from math import gcd
 
 import click
 import numpy as np
 
 from . import campaign, engine
 from .cyclo import corollary13_exceptions
-from .errors import (
-    DomainError,
-    ModulusTooLarge,
-    MsumError,
-    NotCoprime,
-    NotFoundWithinCap,
-    StoreError,
-    UnknownClaim,
-)
+from .errors import MsumError, NotFoundWithinCap
 from .modular import instance
 from .towers import tower_sequence
-
-_FORMATS = click.Choice(["text", "json", "csv"])
-
-
-def _store_path(flag_value: str | None) -> str | None:
-    # flags beat the environment
-    return flag_value or os.environ.get("MSUM_STORE") or None
 
 
 def _witness_text(q: int, witness: tuple[int, ...]) -> str:
@@ -59,7 +46,21 @@ def _emit(text: str, out: str | None) -> None:
         click.echo(text)
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; its invoke is the one handler of package errors."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except NotFoundWithinCap as exc:
+            click.echo(f"cap exceeded: {exc.args[0]}", err=True)
+            ctx.exit(3)
+        except MsumError as exc:  # args[0]: str() would quote an UnknownClaim, a KeyError
+            click.echo(f"Error: {exc.args[0]}", err=True)
+            ctx.exit(2)
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Minimal vanishing sums of powers: compute m(q,e), tables and verifications."""
 
@@ -71,20 +72,12 @@ def main() -> None:
               default="text", show_default=True)
 def cmd_m(q: int, e: int, fmt: str) -> None:
     """Compute m(Q, E) with a verified witness."""
-    # the text form prints no witness for q = 1 (mod e), where it has e terms
+    # no witness for q = 1 (mod e), where it has e terms
     congruent_one = e > 1 and q % e == 1
-    try:
-        # m first: a modulus beyond the engines' range fails at once, before
-        # the order computation in instance() factors it
-        result = engine.m(q, e, with_witness=fmt == "json" or not congruent_one)
-        inst = instance(q, e)
-    except NotCoprime:
-        raise click.UsageError(
-            f"q and e must be coprime; gcd({q},{e}) = {gcd(q, e)}"
-        )
-    except (DomainError, ModulusTooLarge) as exc:
-        raise click.UsageError(str(exc))
-    qr = q % e
+    # m first: a modulus beyond the engines' range fails at once, before the
+    # order computation in instance() factors it
+    result = engine.m(q, e, with_witness=not congruent_one)
+    inst = instance(q, e)
     closed = []
     if e == 1:
         closed.append("e=1")
@@ -94,12 +87,13 @@ def cmd_m(q: int, e: int, fmt: str) -> None:
         closed.append(f"two-power: m = {engine.two_power_m(q, e.bit_length() - 1)}")
     if engine.is_m_two(inst):
         closed.append("m=2 criterion")
-    if 1 < qr and inst.e1 > 1 and e < inst.e1 * inst.e1 + 2 * inst.e1:
+    if 1 < q % e and inst.e1 > 1 and e < inst.e1 * inst.e1 + 2 * inst.e1:
         closed.append(f"small-modulus case: m = e1 = {inst.e1}")
     bound = engine.ceil_bound(inst)
     if fmt == "json":
         click.echo(json.dumps({
-            "q": q, "e": e, "m": result.value, "witness": list(result.witness),
+            "q": q, "e": e, "m": result.value,
+            "witness": None if congruent_one else list(result.witness),
             "n": inst.n, "e1": inst.e1, "ceil_bound": bound,
             "closed_forms": closed,
         }, sort_keys=True))
@@ -117,7 +111,8 @@ def cmd_m(q: int, e: int, fmt: str) -> None:
 @click.option("--e-max", type=int, required=True)
 @click.option("--q-min", type=int, default=1, show_default=True)
 @click.option("--q-max", type=int, default=None, help="Default: e-1 per modulus.")
-@click.option("--format", "fmt", type=_FORMATS, default="csv", show_default=True)
+@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
+              default="csv", show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="Default: stdout.")
 def cmd_table(e_min: int, e_max: int, q_min: int, q_max: int | None,
               fmt: str, out: str | None) -> None:
@@ -159,37 +154,22 @@ def cmd_table(e_min: int, e_max: int, q_min: int, q_max: int | None,
               help="Restrict list-driven claims to these n (repeatable).")
 @click.option("--jobs", type=int, default=None,
               help="Default: the CPUs this process may run on.")
-@click.option("--store", "store_flag", type=click.Path(), default=None)
+@click.option("--store", "store_flag", type=click.Path(), default=None,
+              envvar="MSUM_STORE", help="Default: $MSUM_STORE, if set.")
 @click.option("--report", "report_path", type=click.Path(), default=None,
               help="Default: ./reports/<claim_id>.json")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]),
               default="text", show_default=True)
-def cmd_verify(claim_id: str, e_max, e_min, p_max, q_max, k_cap, k_max, n_max, r,
-               ns, jobs, store_flag, report_path, fmt) -> None:
+def cmd_verify(claim_id: str, jobs: int | None, store_flag: str | None,
+               report_path: str | None, fmt: str, **flags) -> None:
     """Run one verification claim and write its report."""
-    flags = {
-        "e_max": e_max, "e_min": e_min, "p_max": p_max, "q_max": q_max,
-        "k_cap": k_cap, "k_max": k_max, "n_max": n_max, "r": r,
-        "ns": tuple(ns) if ns else None,
-    }
-    claims = campaign.list_claims()
-    if claim_id not in claims:
-        known = ", ".join(sorted(claims))
-        raise click.UsageError(f"unknown claim '{claim_id}' (known: {known})")
-    params = {k: v for k, v in flags.items() if v is not None}
-    try:
-        report = campaign.run_claim(
-            claim_id, params,
-            jobs=jobs if jobs is not None else campaign.default_jobs(),
-            store=_store_path(store_flag),
-        )
-    except NotFoundWithinCap as exc:
-        click.echo(f"cap exceeded: {exc}", err=True)
-        sys.exit(3)
-    except UnknownClaim as exc:  # a flag the claim does not take; str() would quote it
-        raise click.UsageError(exc.args[0])
-    except (DomainError, StoreError) as exc:
-        raise click.UsageError(str(exc))
+    # run_claim checks the claim id and its parameters; an unset flag is None, or () for --n
+    params = {k: v for k, v in flags.items() if v not in (None, ())}
+    report = campaign.run_claim(
+        claim_id, params,
+        jobs=jobs if jobs is not None else campaign.default_jobs(),
+        store=store_flag,
+    )
     path = report_path or os.path.join("reports", f"{claim_id}.json")
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -199,7 +179,7 @@ def cmd_verify(claim_id: str, e_max, e_min, p_max, q_max, k_cap, k_max, n_max, r
         raise click.UsageError(f"cannot write report {path}: {exc.strerror}")
     click.echo(report.to_json() if fmt == "json" else report.render_text())
     click.echo(f"report written to {path}", err=True)
-    sys.exit(0 if report.ok else 1)
+    raise SystemExit(0 if report.ok else 1)
 
 
 @main.command("claims")
@@ -213,14 +193,12 @@ def cmd_claims() -> None:
 @click.argument("p", type=int)
 @click.argument("n", type=int)
 @click.argument("k_max", type=int)
-@click.option("--format", "fmt", type=_FORMATS, default="text", show_default=True)
+@click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
+              default="text", show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 def cmd_sequence(p: int, n: int, k_max: int, fmt: str, out: str | None) -> None:
     """Tower of m values at p, p^2, ..., p^K_MAX for order-n generators."""
-    try:
-        report = tower_sequence(p, n, k_max)
-    except (DomainError, MsumError) as exc:
-        raise click.UsageError(str(exc))
+    report = tower_sequence(p, n, k_max)
     if fmt == "json":
         text = json.dumps({
             "p": p, "n": n, "k_max": k_max,
@@ -266,10 +244,7 @@ def cmd_sequence(p: int, n: int, k_max: int, fmt: str, out: str | None) -> None:
 def cmd_exceptions(n: int, k_cap: int | None, jobs: int, fmt: str,
                    out: str | None) -> None:
     """Exception set for order n: prime powers p^k with m below n/(n-phi(n))."""
-    try:
-        result = corollary13_exceptions(n, k_cap, jobs=jobs)
-    except (DomainError, MsumError) as exc:
-        raise click.UsageError(str(exc))
+    result = corollary13_exceptions(n, k_cap, jobs=jobs)
     if fmt == "json":
         text = json.dumps({
             "n": n,

@@ -177,7 +177,7 @@ def require_coprime(q: int, e: int) -> None:
     if q < 1 or e < 1:
         raise DomainError("q and e must be positive")
     if gcd(q, e) != 1:
-        raise NotCoprime(f"gcd({q},{e}) = {gcd(q, e)} != 1")
+        raise NotCoprime(f"q and e must be coprime; gcd({q},{e}) = {gcd(q, e)}")
 
 
 def _order_from_group_exponent(q: int, e: int, lam_factors: list[tuple[int, int]]) -> int:

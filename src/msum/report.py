@@ -46,7 +46,7 @@ class VerificationReport:
     def to_json(self) -> str:
         doc = self.payload()
         doc["elapsed_seconds"] = round(self.elapsed, 3)
-        return json.dumps(doc, indent=2, sort_keys=True, default=_jsonable)
+        return json.dumps(doc, indent=2, sort_keys=True)
 
     def render_text(self) -> str:
         lines = [
@@ -56,7 +56,7 @@ class VerificationReport:
             f"  violations: {len(self.violations)}",
         ]
         for v in self.violations[:20]:
-            lines.append("    " + json.dumps(v, sort_keys=True, default=_jsonable))
+            lines.append("    " + json.dumps(v, sort_keys=True))
         if len(self.violations) > 20:
             lines.append(f"    ... {len(self.violations) - 20} more")
         if self.equality_cases is not None:
@@ -66,10 +66,3 @@ class VerificationReport:
         lines.append(f"  elapsed: {self.elapsed:.2f}s")
         return "\n".join(lines)
 
-
-def _jsonable(obj: Any):
-    if isinstance(obj, (tuple, set, frozenset)):
-        return list(obj)
-    if isinstance(obj, bytes):
-        return obj.hex()
-    raise TypeError(f"not JSON-serializable: {type(obj)}")

@@ -170,8 +170,8 @@ def tower_sequence(p: int, n: int, k_max: int, stop_at_limit: bool = False) -> T
     engine's range raises its ModulusTooLarge.
     """
     require_odd_prime(p)
-    if n == 1 or (p - 1) % n != 0:
-        raise DomainError(f"need 1 != n | p-1, got n={n}, p={p}")
+    if n < 2 or (p - 1) % n != 0:
+        raise DomainError(f"need 1 < n | p-1, got n={n}, p={p}")
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
     r = smallest_prime_divisor(n)

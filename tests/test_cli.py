@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from msum import campaign, cyclo, engine
+from msum import campaign, classify, cli, cyclo, engine
 from msum.cli import main
+from msum.errors import ClassificationOverlap, NotFoundWithinCap
 from msum.store import ResultStore
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -78,6 +79,31 @@ def test_m_text_for_q_congruent_one_builds_no_witness():
     assert "m=1000000007 (q=1 mod e case)" in proc.stdout
 
 
+def test_m_json_for_q_congruent_one_builds_no_witness():
+    res = run("m", "1", "9", "--format", "json")
+    assert res.exit_code == 0
+    doc = json.loads(res.output)
+    assert doc["m"] == 9 and doc["witness"] is None
+    assert "q=1 (mod e)" in doc["closed_forms"]
+    # the e-long witness needed about 8 GB here and died with MemoryError under the cap
+    code = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from msum.cli import main; main(['m', '1', '1000000007', '--format', 'json'])")
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["m"] == 1000000007 and doc["witness"] is None
+
+
+def test_m_engine_fault_is_one_error_line(monkeypatch):
+    # a witness that fails the engine's check is a failed internal check:
+    # exit 2 with one line, never a traceback with exit 1 ("violations found")
+    monkeypatch.setattr(engine, "_dense_witness", lambda e, pw, levels: (0,) * len(levels))
+    res = run("m", "4", "7")
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert res.output == "Error: the witness of m(4, 7) = 3 fails its check (engine bug)\n"
+
+
 def test_m_beyond_orbit_range_fails_at_once():
     # 2^60 - 93 is prime; factoring it for its order, or trial division before
     # the orbit engine's range check, went past 10 s
@@ -134,6 +160,12 @@ def test_table_json_schema():
     for row in doc["rows"]:
         assert set(row) == {"e", "q", "n", "e1", "m"}
         assert all(isinstance(v, int) for v in row.values())
+
+
+def test_table_format_text_is_usage_error():
+    # text would print the same CSV: one behaviour, one spelling
+    res = run("table", "--e-max", "6", "--format", "text")
+    assert res.exit_code == 2
 
 
 def test_table_out_file(tmp_path):
@@ -196,6 +228,13 @@ def test_verify_unknown_claim_usage_error():
     res = run("verify", "nosuch")
     assert res.exit_code == 2
     assert "unknown claim" in res.output
+
+
+def test_verify_unknown_claim_lists_the_known_ones():
+    res = run("verify", "nosuch", "--e-max", "10")
+    assert res.exit_code == 2
+    known = ", ".join(sorted(campaign.list_claims()))
+    assert res.output == f"Error: unknown claim 'nosuch' (known: {known})\n"
 
 
 def test_verify_flag_the_claim_does_not_take_is_usage_error(tmp_path):
@@ -271,6 +310,19 @@ def test_verify_cap_exceeded_exit_3(tmp_path, jobs):
     assert res.exit_code == 3
 
 
+def test_verify_classifier_overlap_is_one_error_line(tmp_path, monkeypatch):
+    def overlap(q, e):
+        raise ClassificationOverlap(f"(q={q}, e={e}) matched ['i', 'v'] with conflicting m")
+
+    monkeypatch.setattr(classify, "classify_large", overlap)
+    report = tmp_path / "r.json"
+    res = run("verify", "corollary8", "--e-max", "30", "--jobs", "1", "--report", str(report))
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert res.output.startswith("Error: (q=") and res.output.count("\n") == 1
+    assert "conflicting m" in res.output
+    assert not report.exists()
+
+
 def test_verify_corollary13_without_published_set_is_usage_error(tmp_path, monkeypatch):
     def no_scan(*args, **kwargs):
         raise RuntimeError("candidate scan started")
@@ -302,6 +354,23 @@ def test_sequence_json():
 def test_sequence_usage_error():
     res = run("sequence", "23", "7", "3")  # 7 does not divide 22
     assert res.exit_code == 2
+
+
+def test_sequence_order_zero_is_refused():
+    # n = 0 divided p - 1 by zero: a traceback with exit 1
+    res = run("sequence", "23", "0", "3")
+    assert res.exit_code == 2
+    assert res.output == "Error: need 1 < n | p-1, got n=0, p=23\n"
+
+
+def test_sequence_cap_exceeded_exit_3(monkeypatch):
+    def capped(p, n, k_max):
+        raise NotFoundWithinCap(f"m did not reach 11 for (p={p}, n={n}) within k_cap={k_max}")
+
+    monkeypatch.setattr(cli, "tower_sequence", capped)
+    res = run("sequence", "23", "11", "2")
+    assert res.exit_code == 3
+    assert res.output == "cap exceeded: m did not reach 11 for (p=23, n=11) within k_cap=2\n"
 
 
 def test_exceptions_golden():
