@@ -120,6 +120,8 @@ def cmd_table(e_min: int, e_max: int, q_min: int, q_max: int | None,
     if e_max > engine.DENSE_LIMIT:  # refuse before building any lower table
         raise click.UsageError(f"--e-max {e_max} beyond the table range "
                                f"(e <= {engine.DENSE_LIMIT})")
+    if max(e_min, 2) > e_max:  # as verify refuses a domain with no checks
+        raise click.UsageError(f"no modulus e >= 2 in --e-min {e_min} .. --e-max {e_max}")
     rows = []
     for e in range(max(e_min, 2), e_max + 1):
         q, mv, n = engine.m_table_for_modulus(e)

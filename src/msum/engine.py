@@ -15,9 +15,13 @@ a level costs one shift by 1 and one orbit closure, not a shift per element.
 
 Every m the module computes, for m(), m_prime_power() and each generator
 class of a table walk, goes through one private dispatcher, _route. It
-alone picks among four routes, and it refuses a modulus that no route takes
+alone picks among five routes, and it refuses a modulus that no route takes
 with ModulusTooLarge:
   - q = 1 (mod e), answered in closed form (m = e);
+  - the order-2 scan, for moduli up to DENSE_LIMIT, H = {1, q} and no
+    witness wanted: one numpy pass over b in [1, e) finds the least
+    a + b with a + b q = 0 (mod e), an exhaustive search (a witness search
+    takes the bitmask BFS);
   - the bitmask BFS, for moduli up to DENSE_LIMIT and subgroup order n below
     LABEL_MIN_ORDER: levels are Python ints, one shift per element of H.
     When only m is wanted and n >= _HALF_MIN_ORDER it stops at level
@@ -56,21 +60,23 @@ one value serves every generator of a class), the class of each unit and the
 order of each class. _walk is its only builder: it walks the classes once
 and sends each through _route (the class of 1 takes the closed form) unless
 it is given the class values, which it then checks against the class count.
+A class of order n labels its generators, the powers q^j with j prime to n,
+through one byte mask per order, sieved by the primes of n.
 m_table_for_modulus(e) builds the entry on a miss and expands it into rows
-(the ascending units q with their m and n) by two array lookups. The cache only grows between clear_cache() calls, so
-cache_rows(start) lists every entry built since cache_size() read start, as
-(e, values, cls, order) rows. seed_cache() adopts those rows from pool
-workers as they are, and walks the (e, values) rows of a store when it
-seeds them, so no claim of the session walks a modulus again; the store
-keeps the values alone. A seeded row that differs from a held entry raises
-MsumError, as m depends on (e, class) alone. Single m queries go through
-_route as well and are not cached.
+(the ascending units q with their m and n) by two array lookups. The cache
+only grows between clear_cache() calls, so cache_rows(start) lists every
+entry built since cache_size() read start, as (e, values, cls, order) rows.
+seed_cache() adopts those rows from pool workers as they are, and walks the
+(e, values) rows of a store when it seeds them, so no claim of the session
+walks a modulus again; the store keeps the values alone. A seeded row that
+differs from a held entry raises MsumError, as m depends on (e, class)
+alone. Single m queries go through _route as well and are not cached.
 """
 from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence
-from itertools import islice
+from itertools import compress, islice
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -243,6 +249,18 @@ def _dense_witness(e: int, pw: np.ndarray, levels: list[np.ndarray]) -> tuple[in
     return tuple(sorted(exps))
 
 
+def _scan_pair(q: int, e: int) -> int:
+    """m for H = {1, q} of order 2, by exhaustive search: the least a + b >= 1
+    with a + b q = 0 (mod e), a ones and b copies of q. For b in [1, e) the
+    least a is -b q (mod e); b = 0 needs a = e, and b >= e gives a + b >= e.
+    One pass over b, in place, holds two e-long int64 arrays."""
+    b = np.arange(1, e, dtype=np.int64)
+    s = b * (e - q)  # below e^2 <= 2^44
+    np.remainder(s, e, out=s)
+    s += b
+    return min(e, int(s.min()))
+
+
 # ---------------------------------------------------------------------------
 # dense orbit-label BFS (subgroups of order >= LABEL_MIN_ORDER)
 
@@ -250,13 +268,20 @@ def _orbit_labels(e: int, pw: np.ndarray) -> np.ndarray:
     """lab[x] = the minimum of the orbit {x * pw[j]} of every residue x, pw
     the powers of q (mod e). The residues are walked upward in blocks of
     4 sqrt(e), one vector test each: a residue still unlabelled when reached
-    is the least element of its orbit, so one scatter of x * pw labels it."""
+    is the least element of its orbit, so one scatter labels it. The orbit
+    of x with gcd(x, e) = g has k = ord(q mod e/g) elements, x * pw[:k], as
+    x q^j = x (mod e) iff q^j = 1 (mod e/g); k is found once per g."""
     lab = np.full(e, -1, dtype=np.int32)
     block = 4 * isqrt(e)
+    sizes = {1: pw.size}  # g -> the orbit size of every x with gcd(x, e) = g
     for s in range(0, e, block):
         for x in (np.flatnonzero(lab[s:s + block] < 0) + s).tolist():
             if lab[x] < 0:
-                lab[_mulmod_vec(pw, x, e)] = x
+                g = gcd(x, e)
+                k = sizes.get(g)
+                if k is None:
+                    k = sizes[g] = mul_order(int(pw[1]), e // g)
+                lab[_mulmod_vec(pw[:k], x, e)] = x
     return lab
 
 
@@ -532,6 +557,8 @@ def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[in
         return e, ((0,) * e if want_witness else None)
     if e <= DENSE_LIMIT:
         n = n or mul_order(q, e)
+        if n == 2 and not want_witness:
+            return _scan_pair(q, e), None
         pw = _power_table(q, e, n) if want_witness or n >= LABEL_MIN_ORDER else None
         if n >= LABEL_MIN_ORDER:
             value, levels = _bfs_label(e, pw, want_witness)
@@ -605,7 +632,7 @@ def _walk(e: int, values: array | None = None) -> _Table:
     search = values is None
     if search:
         values = array("I")
-    coprime_exps: dict[int, list[int]] = {}  # order n -> j in [0, n) prime to n
+    coprime: dict[int, bytearray] = {}  # order n -> byte j is 1 iff j in [0, n) is prime to n
     label = array("I", [0]) * e  # 1 + the class of each generator walked so far
     order: list[int] = []
     for q in units.tolist():
@@ -613,14 +640,16 @@ def _walk(e: int, values: array | None = None) -> _Table:
             continue
         powers = _powers_of(q, e)
         n = len(powers)
-        exps = coprime_exps.get(n)
-        if exps is None:
-            exps = coprime_exps[n] = [j for j in range(n) if gcd(j, n) == 1]
+        mask = coprime.get(n)
+        if mask is None:
+            mask = coprime[n] = bytearray(b"\1") * n
+            for p, _ in factorize(n):
+                mask[::p] = bytes(-(-n // p))
         if search:
             values.append(_route(q, e, False, n, powers)[0])
         order.append(n)
-        for j in exps:
-            label[powers[j]] = len(order)
+        for g in compress(powers, mask):
+            label[g] = len(order)
     if len(order) != len(values):
         raise MsumError(f"cached m table of modulus {e} has {len(values)} values "
                         f"for {len(order)} generator classes")

@@ -188,6 +188,15 @@ def test_table_refuses_modulus_beyond_dense_range():
     assert str(engine.DENSE_LIMIT) in res.output
 
 
+@pytest.mark.parametrize("bounds", [("--e-max", "1"), ("--e-min", "9", "--e-max", "8")])
+def test_table_refuses_an_empty_range(bounds):
+    # a bare CSV header with exit 0 would read as an answer
+    res = run("table", *bounds)
+    assert res.exit_code == 2
+    assert "no modulus" in res.output
+    assert "e,q,n,e1,m" not in res.output
+
+
 def test_verify_writes_report_and_exits_zero(tmp_path):
     runner = CliRunner()
     with runner.isolated_filesystem(temp_dir=tmp_path):

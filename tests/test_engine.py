@@ -454,7 +454,7 @@ def test_half_depth_stop_matches_full_search_to_2049():
 
 def test_dense_dispatch_is_on_the_order(monkeypatch):
     routes = []
-    label, bitmask = engine._bfs_label, engine._bfs_dense
+    label, bitmask, scan = engine._bfs_label, engine._bfs_dense, engine._scan_pair
 
     def spy_label(e, pw, *args):
         routes.append(("label", pw.size))
@@ -464,8 +464,13 @@ def test_dense_dispatch_is_on_the_order(monkeypatch):
         routes.append(("bitmask", len(elements)))
         return bitmask(e, elements, *args, **kwargs)
 
+    def spy_scan(q, e):
+        routes.append(("scan", 2))
+        return scan(q, e)
+
     monkeypatch.setattr(engine, "_bfs_label", spy_label)
     monkeypatch.setattr(engine, "_bfs_dense", spy_bitmask)
+    monkeypatch.setattr(engine, "_scan_pair", spy_scan)
     # a tower-style subgroup: large e = 953^2, order 17
     m_prime_power(element_of_order(953, 2, 17), 953, 2)
     assert routes == [("bitmask", 17)]
@@ -476,9 +481,48 @@ def test_dense_dispatch_is_on_the_order(monkeypatch):
     engine.clear_cache()
     m_table_for_modulus(4099)  # one class per order, a divisor of 4098 = 2 * 3 * 683
     engine.clear_cache()
-    # the class of order 1 takes the closed form, no search
-    assert sorted(routes) == [("bitmask", n) for n in (2, 3, 6, 683)] + \
-        [("label", n) for n in (1366, 2049, 4098)]
+    # the class of order 1 takes the closed form, no search, and the class
+    # of order 2 (no witness wanted) the scan
+    assert sorted(routes) == [("bitmask", n) for n in (3, 6, 683)] + \
+        [("label", n) for n in (1366, 2049, 4098)] + [("scan", 2)]
+
+
+def _order_two(e_max):
+    """(q, e) for every q of order 2 mod e, 2 < e <= e_max: q^2 = 1, q != 1.
+    Each is the one generator of its class {1, q}."""
+    for e in range(3, e_max + 1):
+        x = np.arange(2, e, dtype=np.int64)
+        for q in x[x * x % e == 1].tolist():
+            yield q, e
+
+
+def test_order_two_scan_matches_bitmask_to_2049():
+    pairs = list(_order_two(2049))
+    assert len(pairs) == 8633
+    for q, e in pairs:
+        assert engine._scan_pair(q, e) == engine._bfs_dense(e, [1, q], False)[0], (q, e)
+
+
+def test_order_two_scan_matches_oracle():
+    for q, e in _order_two(500):
+        assert engine._scan_pair(q, e) == m_value(q, e) == naive_m_oracle(q, e), (q, e)
+
+
+def test_order_two_witness_takes_the_bitmask(monkeypatch):
+    routes = []
+    bitmask = engine._bfs_dense
+
+    def spy_bitmask(e, elements, *args, **kwargs):
+        routes.append(sorted(elements))
+        return bitmask(e, elements, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_bfs_dense", spy_bitmask)
+    for q, e in [(6, 7), (4, 15), (4097, 8192), (4194302, 4194303)]:
+        routes.clear()
+        result = m(q, e)
+        assert routes == [[1, q]], (q, e)
+        assert result.value == m_value(q, e) and verify_witness(q, e, result), (q, e)
+    assert len(routes) == 1  # m_value took the scan
 
 
 def test_table_walks_answer_the_class_of_one_in_closed_form(monkeypatch):
