@@ -7,20 +7,18 @@ per-modulus claims (theorem1, divisibility, lemma3, two_power, conjecture4,
 corollary8, prop2, oracle), odd primes p for prop9, primes p = 1 (mod r) for
 the order-r tower tables of prop14 and prop15, tower rows (p, n) for
 example16 and example17, and n for corollary13 and remark12. A shard owns
-all of its work (every q of its modulus, every q and k at its prime), and
-each pool task returns the m tables it built (engine.cache_rows, each a
-complete walked table); the parent adopts them in shard order, so they
-reach the store. Tables seeded from a store are walked in the parent before
-the pool forks. Either way the workers of later claims in the session
-inherit every table and neither search nor walk those moduli again until
+all of its work (every q of its modulus, every q and k at its prime). Each
+pool task returns the whole m tables it built (engine.cache_rows), which the
+parent adopts in shard order, as it adopts a store's rows before the pool
+forks, so no claim of the session searches or walks those moduli again until
 engine.clear_cache() empties the cache. A per-modulus check reads the rows
-of its modulus (engine.m_table_for_modulus: the ascending units q with
-their m and n) and tests them as array predicates; corollary8 and prop2 pass
-only the q their cases allow to the reference classifiers of classify.
-Reports merge in shard order, which makes them identical regardless of
-worker count. A run that makes no checks is a DomainError, never a vacuous
-pass. The expected tables embedded below are claims under test, not trusted
-data: every sweep recomputes them with the engine.
+of its modulus (engine.m_table_for_modulus: the ascending units q with their
+m and n) and tests them as array predicates; corollary8 and prop2 pass only
+the q their cases allow to the reference classifiers of classify. Reports
+merge in shard order, which makes them identical regardless of worker count.
+A run that makes no checks is a DomainError, never a vacuous pass. The
+expected tables embedded below are claims under test, not trusted data:
+every sweep recomputes them with the engine.
 """
 from __future__ import annotations
 
@@ -430,13 +428,9 @@ def run_claim(claim_id: str, params: dict[str, Any] | None = None,
     """Run one claim sweep: plan its shards, check them (in a pool when jobs >
     1), merge the results in shard order and add the new tables to the store.
     Results are deterministic in everything but wall time, whatever the
-    worker count.
-
-    With a store, the run adds the m tables it built, which pool workers
-    return to this process. A table already cached in this session (since
-    the last engine.clear_cache()) computes nothing, so it adds no record,
-    whether jobs is 1 or more. Values found outside tables (tower and witness
-    paths) are not stored."""
+    worker count. A store seeds the cache with its tables as they are, and
+    gains a record for each table the run built, at any jobs; values found
+    outside tables (tower and witness paths) are not stored."""
     if claim_id not in _CLAIMS:
         raise UnknownClaim(f"unknown claim '{claim_id}' (known: {', '.join(sorted(_CLAIMS))})")
     check, plan, finish, defaults, _ = _CLAIMS[claim_id]
@@ -448,8 +442,7 @@ def run_claim(claim_id: str, params: dict[str, Any] | None = None,
         merged.update({k: v for k, v in params.items() if v is not None})
     domain, shards = plan(merged)
     result_store = ResultStore(store) if store else None
-    if result_store is not None:
-        engine.seed_cache(result_store.cache_rows())
+    engine.seed_cache(result_store.cache_rows() if result_store else ())
     t0 = time.perf_counter()
     start = engine.cache_size()
     payloads = _map_shards(functools.partial(check, params=merged), list(shards), jobs)

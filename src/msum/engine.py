@@ -54,23 +54,21 @@ witness it returns (length m, sum 0 mod e) or raises MsumError; the closed
 form's e ones are never summed.
 
 The one cache holds per-modulus m tables. The entry of modulus e is a
-complete, immutable _Table: the m of each generator class of (Z/eZ)* in the
-order _walk visits the classes (m depends only on the generated subgroup, so
-one value serves every generator of a class), the class of each unit and the
-order of each class. _walk is its only builder: it walks the classes once
-and sends each through _route (the class of 1 takes the closed form) unless
-it is given the class values, which it then checks against the class count.
-A class of order n labels its generators, the powers q^j with j prime to n,
-through one byte mask per order, sieved by the primes of n.
+complete, immutable _Table: the m and the order of each generator class of
+(Z/eZ)* in the order _walk visits the classes (m depends only on the
+generated subgroup), and the class of each unit. _walk, its only builder,
+sends each class once through _route (the class of 1 takes the closed form)
+and labels the generators of a class of order n, the powers q^j with j prime
+to n, by one byte mask per order, sieved by the primes of n.
 m_table_for_modulus(e) builds the entry on a miss and expands it into rows
 (the ascending units q with their m and n) by two array lookups. The cache
-only grows between clear_cache() calls, so cache_rows(start) lists every
-entry built since cache_size() read start, as (e, values, cls, order) rows.
-seed_cache() adopts those rows from pool workers as they are, and walks the
-(e, values) rows of a store when it seeds them, so no claim of the session
-walks a modulus again; the store keeps the values alone. A seeded row that
-differs from a held entry raises MsumError, as m depends on (e, class)
-alone. Single m queries go through _route as well and are not cached.
+only grows between clear_cache() calls, so cache_rows(start) lists the
+entries built since cache_size() read start, as (e, values, cls, order)
+rows: the one row shape of pool workers and of a ResultStore. seed_cache()
+adopts such rows as they are, so nothing walks or searches a modulus they
+supplied; a row that differs from a held entry in any column raises
+MsumError, as m depends on (e, class) alone. Single m queries go through
+_route as well and are not cached.
 """
 from __future__ import annotations
 
@@ -138,10 +136,10 @@ class ModulusRows(NamedTuple):
 
 class _Table(NamedTuple):
     """The cache entry of one modulus: the m of each generator class in walk
-    order, as the store keeps them, the class index of each unit (ascending)
-    and the order of each class."""
+    order, the class index of each unit (ascending, at the least unsigned
+    width that numbers the classes) and the order of each class (uint32)."""
 
-    values: array
+    values: np.ndarray
     cls: np.ndarray
     order: np.ndarray
 
@@ -158,21 +156,22 @@ def cache_size() -> int:
 
 
 def seed_cache(rows) -> None:
-    """Adopt the (e, values, cls, order) rows of cache_rows(), as they are, or
-    walk the classes of (e, class values) rows from a ResultStore. A row
-    whose values equal those held keeps the held entry. m is a function of
-    (e, class), so a row whose values differ can only be a bad store row or
-    an engine fault: it raises MsumError and the held entry stays."""
-    for e, values, *walk in rows:
+    """Adopt (e, values, cls, order) rows, from cache_rows() or a ResultStore,
+    as they are. A row equal to the held entry keeps it. m is a function of
+    (e, class), so a row that differs in any column can only be a bad store
+    row or an engine fault: it raises MsumError and the held entry stays."""
+    for e, *row in rows:
         held = _tables.get(e)
         if held is None:
-            _tables[e] = _Table(values, *walk) if walk else _walk(e, values)
-        elif held.values != values:
+            _tables[e] = _Table(*row)
+        # equal widths compare as bytes, several times faster than np.array_equal
+        elif not all(a.tobytes() == b.tobytes() if a.dtype == b.dtype else np.array_equal(a, b)
+                     for a, b in zip(held, row)):
             raise MsumError(f"seeded m table of modulus {e} differs from the one "
                             f"this session holds")
 
 
-def cache_rows(start: int) -> list[tuple[int, array, np.ndarray, np.ndarray]]:
+def cache_rows(start: int) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """The (e, values, cls, order) rows of the entries cached after the first
     `start`.
 
@@ -622,19 +621,14 @@ def _units(e: int) -> np.ndarray:
     return np.flatnonzero(unit)
 
 
-def _walk(e: int, values: array | None = None) -> _Table:
+def _walk(e: int) -> _Table:
     """The cache entry of modulus e, from one walk of the generator classes
-    of (Z/eZ)* in ascending order of their least element: every generator of
-    a subgroup joins its class, and _route answers each class from its order
-    and powers, unless `values` gives the m of each class. Given values whose
-    length is not the class count (say, a corrupt stored row) raise MsumError."""
+    of (Z/eZ)* in ascending order of their least element; _route answers
+    each class from its order and powers."""
     units = _units(e)
-    search = values is None
-    if search:
-        values = array("I")
+    values, order = [], []  # the m and the order of each class
     coprime: dict[int, bytearray] = {}  # order n -> byte j is 1 iff j in [0, n) is prime to n
     label = array("I", [0]) * e  # 1 + the class of each generator walked so far
-    order: list[int] = []
     for q in units.tolist():
         if label[q]:
             continue
@@ -645,34 +639,30 @@ def _walk(e: int, values: array | None = None) -> _Table:
             mask = coprime[n] = bytearray(b"\1") * n
             for p, _ in factorize(n):
                 mask[::p] = bytes(-(-n // p))
-        if search:
-            values.append(_route(q, e, False, n, powers)[0])
+        values.append(_route(q, e, False, n, powers)[0])
         order.append(n)
         for g in compress(powers, mask):
             label[g] = len(order)
-    if len(order) != len(values):
-        raise MsumError(f"cached m table of modulus {e} has {len(values)} values "
-                        f"for {len(order)} generator classes")
     index = np.min_scalar_type(len(order))  # uint8 below 256 classes, uint16 below 2^16
-    return _Table(values, (np.frombuffer(label, dtype=np.uint32)[units] - 1).astype(index),
-                  np.array(order, dtype=np.min_scalar_type(e)))
+    return _Table(np.array(values, dtype=np.uint32),
+                  (np.frombuffer(label, dtype=np.uint32)[units] - 1).astype(index),
+                  np.array(order, dtype=np.uint32))
 
 
 def m_table_for_modulus(e: int) -> ModulusRows:
-    """The rows (q, m, n) of every q in [1, e) coprime to e, ascending in q.
-
-    The first call of a session for a modulus not seeded builds its cache
-    entry (see _walk); every call reads the class of each unit, and the m
-    and order of each class, from that entry.
-    """
+    """The rows (q, m, n) of every q in [1, e) coprime to e, ascending in q,
+    for e >= 1. The first call of a session for a modulus not seeded builds
+    its cache entry (see _walk); every call reads the class of each unit,
+    and the m and order of each class, from that entry."""
+    if e < 1:
+        raise DomainError("modulus must be >= 1")
     if e > DENSE_LIMIT:
         raise ModulusTooLarge(f"modulus {e} beyond dense BFS range")
     entry = _tables.get(e)
     if entry is None:
         entry = _tables[e] = _walk(e)
     values, cls, order = entry
-    return ModulusRows(_units(e), np.asarray(values, dtype=np.uint32)[cls].astype(np.int64),
-                       order[cls].astype(np.int64))
+    return ModulusRows(_units(e), values[cls].astype(np.int64), order[cls].astype(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 import hashlib
 import json
 import multiprocessing as mp
-from array import array
 from math import gcd
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from msum import campaign, cyclo, engine
@@ -83,7 +83,8 @@ def test_store_rows_same_across_worker_counts(tmp_path, claim, params, first):
             run_claim(*first, jobs=jobs)
         path = tmp_path / f"jobs{jobs}.bin"
         run_claim(claim, params, jobs=jobs, store=str(path))
-        rows.append(ResultStore(path).tables)
+        rows.append({e: [column.tolist() for column in table]
+                     for e, table in ResultStore(path).tables.items()})
         blobs.append(path.read_bytes() if path.exists() else None)
     assert rows[0] == rows[1] == rows[2]
     assert blobs[0] == blobs[1] == blobs[2]  # the records too come in shard order
@@ -142,24 +143,35 @@ def test_no_worker_walks_a_modulus_twice(monkeypatch):
     engine.clear_cache()
 
 
-def test_no_worker_walks_a_stored_modulus_twice(tmp_path, monkeypatch):
-    params = {"e_max": 150}
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_stored_moduli_are_neither_searched_nor_walked(tmp_path, monkeypatch, jobs):
+    # in a fresh cache, a store-backed run adopts every stored table as it is
     engine.clear_cache()
-    cold = {claim: run_claim(claim, params, jobs=1).payload()
-            for claim in ("conjecture4", "corollary8")}
+    cold = {claim: run_claim(claim, {"e_max": 160}, jobs=1).payload()
+            for claim in ("divisibility", "conjecture4", "corollary8")}
     engine.clear_cache()
     path = str(tmp_path / "store.bin")
-    run_claim("theorem1", params, jobs=2, store=path)
+    run_claim("theorem1", {"e_max": 150}, store=path)
+    stored = set(ResultStore(path).tables)
+    assert stored == set(range(1, 151))
     engine.clear_cache()
-    run_claim("divisibility", params, jobs=2, store=path)  # seeds the stored rows
+    fresh = []  # the moduli searched in this process: those above the store
+    route, powers_of = engine._route, engine._powers_of
 
-    def walk(q, e):
-        raise RuntimeError(f"the classes of modulus {e} were walked again")
+    def spy(real):
+        def call(q, e, *args):
+            if e in stored:  # forked pool workers inherit the patch and raise too
+                raise RuntimeError(f"stored modulus {e} was searched or walked")
+            fresh.append(e)
+            return real(q, e, *args)
+        return call
 
-    # forked pool workers inherit the patch, so a walk there fails the run too
-    monkeypatch.setattr(engine, "_powers_of", walk)
+    monkeypatch.setattr(engine, "_route", spy(route))
+    monkeypatch.setattr(engine, "_powers_of", spy(powers_of))
     for claim, payload in cold.items():
-        assert run_claim(claim, params, jobs=2, store=path).payload() == payload, claim
+        assert run_claim(claim, {"e_max": 160}, jobs=jobs, store=path).payload() == payload
+    if jobs == 1:  # the spy saw the moduli the store did not hold
+        assert set(fresh) == set(range(151, 161))
     engine.clear_cache()
 
 
@@ -375,15 +387,14 @@ def wrong_m_tables():
     engine.clear_cache()
     for e in range(1, 65):
         engine.m_table_for_modulus(e)
-    rows = {e: values for e, values, *_ in engine.cache_rows(0)}
+    rows = {e: (values.copy(), cls, order) for e, values, cls, order in engine.cache_rows(0)}
     for (e, q), wrong in WRONG_M.items():
-        mv, _, cls = _pair_table(e, rows[e])[q]
+        mv, _, cls = _pair_table(e, rows[e][0])[q]
         assert mv != wrong, (e, q)
-        rows[e] = array("I", rows[e])
-        rows[e][cls] = wrong
+        rows[e][0][cls] = wrong
     engine.clear_cache()  # a seeded row may not replace a held table
-    engine.seed_cache(rows.items())
-    yield {e: _pair_table(e, values) for e, values in rows.items()}
+    engine.seed_cache((e, *row) for e, row in rows.items())
+    yield {e: _pair_table(e, values) for e, (values, *_) in rows.items()}
     engine.clear_cache()
 
 
@@ -405,30 +416,15 @@ def test_seeded_row_that_differs_from_a_held_table_raises():
     # engine fault, and must neither replace the table nor reach a claim
     engine.clear_cache()
     held = engine.m_table_for_modulus(7)
-    [(e, values, *_)] = engine.cache_rows(0)
-    wrong = array("I", [v + 1 for v in values])
-    with pytest.raises(MsumError, match="modulus 7"):
-        engine.seed_cache([(e, wrong)])
-    assert engine.cache_rows(0)[0][1] == values
+    [(e, values, cls, order)] = engine.cache_rows(0)
+    # the values, the class of each unit or the order of each class
+    for wrong in ((values + 1, cls, order), (values, cls[::-1].copy(), order),
+                  (values, cls, order * 2)):
+        with pytest.raises(MsumError, match="modulus 7"):
+            engine.seed_cache([(e, *wrong)])
+    assert [column.tolist() for column in engine.cache_rows(0)[0][1:]] == \
+        [values.tolist(), cls.tolist(), order.tolist()]
+    engine.seed_cache([(e, values, cls.astype(np.uint16), order)])  # equal at another width
     assert engine.m_table_for_modulus(7).m.tolist() == held.m.tolist()
     assert run_claim("divisibility", {"e_max": 7}).ok
-    engine.clear_cache()
-
-
-def test_rows_are_walked_once_per_modulus_per_session(monkeypatch):
-    params = {"e_max": 150}
-    engine.clear_cache()
-    run_claim("theorem1", params)
-    rows = [(e, values) for e, values, *_ in engine.cache_rows(0)]  # as a store holds them
-
-    def walk(q, e):
-        raise AssertionError(f"the classes of modulus {e} were walked again")
-
-    monkeypatch.setattr(engine, "_powers_of", walk)
-    engine.seed_cache(rows)  # as a store-backed run does: equal rows keep the entry
-    for claim in ("divisibility", "conjecture4", "corollary8"):
-        assert run_claim(claim, params).ok, claim
-    engine.clear_cache()
-    with pytest.raises(AssertionError, match="walked again"):
-        engine.seed_cache(rows)
     engine.clear_cache()

@@ -1,7 +1,9 @@
 import json
 import os
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -285,6 +287,23 @@ def test_verify_store_that_is_a_directory_is_usage_error(tmp_path):
     assert "Traceback" not in out.stderr
     assert f"{store}: Is a directory" in out.stderr
     assert not report.exists() and not (tmp_path / "reports").exists()
+
+
+def test_verify_version_2_store_is_usage_error(tmp_path):
+    # a store of an older format is refused, not rebuilt: one line, exit 2,
+    # and the file is left as it was
+    body = struct.pack("<QI4I", 7, 4, 7, 3, 2, 2)  # the v2 record of e = 7: its class values
+    store = tmp_path / "v2.bin"
+    store.write_bytes(struct.pack("<8sI", b"MSUMSTR1", 2) + body
+                      + struct.pack("<I", zlib.crc32(body)))
+    before = store.read_bytes()
+    out = subprocess.run(
+        [sys.executable, "-m", "msum", "verify", "theorem1", "--e-max", "10",
+         "--store", str(store)], capture_output=True, text=True, env=src_env(), cwd=tmp_path)
+    assert out.returncode == 2
+    assert out.stderr == f"Error: {store}: unsupported version 2\n"
+    assert store.read_bytes() == before
+    assert not (tmp_path / "reports").exists()
 
 
 def test_verify_report_that_is_a_directory_is_usage_error(tmp_path):

@@ -2,16 +2,30 @@ import os
 import struct
 import subprocess
 import sys
-from array import array
+import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from msum import engine
 from msum.errors import StoreError
 from msum.store import MAGIC, ResultStore
 
-T7 = array("I", [7, 3, 2, 2])  # m of <1>, <2>, <3>, <6> mod 7, in walk order
-T11 = array("I", [11, 2, 3, 2])  # m of <1>, <2>, <3>, <10> mod 11
+
+def row(e, values, cls, order):
+    """An (e, values, cls, order) row as engine.cache_rows() lists it."""
+    return (e, np.array(values, np.uint32), np.array(cls, np.uint8), np.array(order, np.uint32))
+
+
+# the classes <1>, <2>, <3>, <6> mod 7 and <1>, <2>, <3>, <10> mod 11, in walk order
+R7 = row(7, [7, 3, 2, 2], [0, 1, 2, 1, 2, 3], [1, 3, 6, 2])
+R11 = row(11, [11, 2, 3, 2], [0, 1, 2, 2, 2, 1, 1, 1, 2, 3], [1, 10, 5, 2])
+
+
+def listed(rows):
+    """Rows as plain lists, for comparing tables."""
+    return [(e, *(column.tolist() for column in columns)) for e, *columns in rows]
 
 
 def saved(path, rows):
@@ -21,28 +35,52 @@ def saved(path, rows):
     return path
 
 
+def test_rows_are_engine_rows():
+    engine.clear_cache()
+    engine.m_table_for_modulus(7)
+    engine.m_table_for_modulus(11)
+    assert listed(engine.cache_rows(0)) == listed([R7, R11])
+    engine.clear_cache()
+
+
 def test_round_trip(tmp_path):
-    back = ResultStore(saved(tmp_path / "s.bin", [(7, T7), (11, T11)]))
-    assert back.tables == {7: T7, 11: T11}
-    assert back.cache_rows() == [(7, T7), (11, T11)]
+    back = ResultStore(saved(tmp_path / "s.bin", [R7, R11]))
+    assert listed(back.cache_rows()) == listed([R7, R11])
+    assert sorted(back.tables) == [7, 11]
     assert len(back) == 2
 
 
+def test_round_trip_keeps_the_engine_class_width(tmp_path):
+    # 1729 = 7 * 13 * 19 has 276 generator classes, so the engine numbers
+    # them in uint16; seeding the loaded row searches and walks nothing
+    engine.clear_cache()
+    engine.m_table_for_modulus(1729)
+    rows = engine.cache_rows(0)
+    back = ResultStore(saved(tmp_path / "s.bin", rows)).cache_rows()
+    assert [column.dtype for column in back[0][1:]] == [np.uint32, np.uint16, np.uint32]
+    assert listed(back) == listed(rows)
+    expected = [column.tolist() for column in engine.m_table_for_modulus(1729)]
+    engine.clear_cache()
+    engine.seed_cache(back)
+    assert [column.tolist() for column in engine.m_table_for_modulus(1729)] == expected
+    engine.clear_cache()
+
+
 def test_append_after_reload(tmp_path):
-    path = saved(tmp_path / "s.bin", [(7, T7)])
+    path = saved(tmp_path / "s.bin", [R7])
     size = path.stat().st_size
     st = ResultStore(path)
-    st.add_rows([(11, [11, 2, 3, 2])])
+    st.add_rows([(11, [11, 2, 3, 2], R11[2], [1, 10, 5, 2])])
     st.save()
-    assert path.read_bytes()[:size] == saved(tmp_path / "t.bin", [(7, T7)]).read_bytes()
-    assert ResultStore(path).tables == {7: T7, 11: T11}
+    assert path.read_bytes()[:size] == saved(tmp_path / "t.bin", [R7]).read_bytes()
+    assert listed(ResultStore(path).cache_rows()) == listed([R7, R11])
 
 
 def test_duplicate_rows_are_idempotent(tmp_path):
-    path = saved(tmp_path / "s.bin", [(7, T7), (7, list(T7))])
+    path = saved(tmp_path / "s.bin", [R7, (7, list(R7[1]), R7[2], list(R7[3]))])
     size = path.stat().st_size
     st = ResultStore(path)
-    st.add_rows([(7, T7)])
+    st.add_rows([R7])
     st.save()
     assert path.stat().st_size == size
     assert len(ResultStore(path)) == 1
@@ -50,16 +88,17 @@ def test_duplicate_rows_are_idempotent(tmp_path):
 
 def test_conflicting_m_raises(tmp_path):
     st = ResultStore(tmp_path / "s.bin")
-    st.add_rows([(7, T7)])
-    with pytest.raises(StoreError, match="conflicting"):
-        st.add_rows([(7, [7, 3, 2, 3])])
-    with pytest.raises(StoreError, match="conflicting"):
-        st.add_rows([(7, [7, 3, 2])])
+    st.add_rows([R7])
+    # a row that differs in any column: values, a value short, classes, orders
+    for other in (row(7, [7, 3, 2, 3], R7[2], R7[3]), row(7, [7, 3, 2], R7[2], R7[3]),
+                  row(7, R7[1], [0, 2, 1, 2, 1, 3], R7[3]), row(7, R7[1], R7[2], [1, 3, 6, 1])):
+        with pytest.raises(StoreError, match="conflicting"):
+            st.add_rows([other])
 
 
 def test_conflicting_records_on_disk_raise(tmp_path):
-    path = saved(tmp_path / "s.bin", [(7, T7)])
-    other = saved(tmp_path / "t.bin", [(7, [7, 3, 2, 3])])
+    path = saved(tmp_path / "s.bin", [R7])
+    other = saved(tmp_path / "t.bin", [row(7, [7, 3, 2, 3], R7[2], R7[3])])
     path.write_bytes(path.read_bytes() + other.read_bytes()[len(MAGIC) + 4:])
     with pytest.raises(StoreError, match="conflicting"):
         ResultStore(path)
@@ -78,27 +117,73 @@ def test_version_1_file_is_refused(tmp_path):
     path.write_bytes(struct.pack("<8sIIQQ", MAGIC, 1, 48, 7, 7))
     with pytest.raises(StoreError, match="unsupported version 1"):
         ResultStore(path)
+    # and a version 2 file, whose record of e = 7 held the class values alone
+    # (e u64 | count u32 | count x m u32 | crc32 u32); the file is left as it was
+    body = struct.pack("<QI4I", 7, 4, 7, 3, 2, 2)
+    v2 = struct.pack("<8sI", MAGIC, 2) + body + struct.pack("<I", zlib.crc32(body))
+    path.write_bytes(v2)
+    with pytest.raises(StoreError, match="unsupported version 2"):
+        ResultStore(path)
+    assert path.read_bytes() == v2
 
 
 def test_partial_row_detected(tmp_path):
-    blob = saved(tmp_path / "s.bin", [(7, T7)]).read_bytes()
+    blob = saved(tmp_path / "s.bin", [R7]).read_bytes()
     path = tmp_path / "cut.bin"
-    for cut in (1, 4, 5, 13, 31):  # into the crc, the values, the count
+    # into the crc, the class indices, the orders, the values, the record header
+    for cut in (1, 4, 5, 13, 31, 45):
         path.write_bytes(blob[:-cut])
         with pytest.raises(StoreError, match="partial record"):
             ResultStore(path)
 
 
 def test_corrupted_row_detected(tmp_path):
-    blob = saved(tmp_path / "s.bin", [(7, T7)]).read_bytes()
+    blob = saved(tmp_path / "s.bin", [R7]).read_bytes()
     path = tmp_path / "flipped.bin"
-    # record fields: e at 0, count at 8, m values at 12..27, crc at 28
-    for offset in (0, 8, 12, 16, 24, 28):
+    # record fields: e at 0, classes at 8, units at 12, width at 16, m values
+    # at 20..35, orders at 36..51, class indices at 52..57, crc at 58
+    for offset in (0, 8, 12, 16, 20, 24, 36, 52, 58):
         flipped = bytearray(blob)
         flipped[len(MAGIC) + 4 + offset] ^= 0x01
         path.write_bytes(bytes(flipped))
         with pytest.raises(StoreError):
             ResultStore(path)
+
+
+def record(e, values, cls, order, width=1) -> bytes:
+    """One record with a valid crc, at the given class index width."""
+    body = (struct.pack("<QIII", e, len(values), len(cls), width)
+            + struct.pack(f"<{len(values)}I", *values) + struct.pack(f"<{len(order)}I", *order)
+            + b"".join(c.to_bytes(width, "little") for c in cls))
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param(record(0, [], [], []), id="e-zero"),
+    pytest.param(record(2**22 + 1, [], [], []), id="e-past-dense-limit"),
+    # two primes below 2^32, which factorize, and so euler_phi, cannot split
+    pytest.param(record(4294967291 * 4294967279, [], [], []), id="e-huge"),
+    pytest.param(record(7, [7, 3, 2, 2], [0, 1, 2, 1, 3], [1, 3, 6, 2]), id="units-short"),
+    pytest.param(record(7, [7, 3, 2, 2], [0, 1, 2, 1, 2, 3, 3], [1, 3, 6, 2]), id="units-long"),
+    pytest.param(record(1, [1], [0], [1]), id="e-one-with-a-unit"),
+    # a class index >= the class count, as a row short of one class value
+    pytest.param(record(7, [7, 3, 2], [0, 1, 2, 1, 2, 3], [1, 3, 6]), id="class-index-past-count"),
+    # a class count above the largest class index + 1, as a row with a value too many
+    pytest.param(record(7, [7, 3, 2, 2, 7], [0, 1, 2, 1, 2, 3], [1, 3, 6, 2, 1]),
+                 id="class-count-past-indices"),
+    pytest.param(record(7, [7, 3, 2, 2], [0, 1, 2, 1, 2, 3], [1, 3, 6, 2], width=3),
+                 id="width-3"),
+    pytest.param(record(7, [7, 3, 2, 2], [0, 1, 2, 1, 2, 3], [1, 3, 6, 2], width=8),
+                 id="width-8"),
+])
+def test_record_that_is_not_a_table_of_its_modulus_is_refused(tmp_path, bad):
+    good = saved(tmp_path / "good.bin", [R7]).read_bytes()
+    # the helper writes the layout of the store's own records
+    assert good[len(MAGIC) + 4:] == record(7, [7, 3, 2, 2], [0, 1, 2, 1, 2, 3], [1, 3, 6, 2])
+    path = tmp_path / "s.bin"
+    path.write_bytes(good[:len(MAGIC) + 4] + bad)
+    with pytest.raises(StoreError, match="not an m table"):
+        ResultStore(path)
 
 
 def test_empty_store_saves_a_header(tmp_path):
@@ -113,13 +198,16 @@ def test_magic_constant_shape():
 
 _WRITER = """
 import sys
-from array import array
+import numpy as np
+from msum.modular import euler_phi
 from msum.store import ResultStore
 path, w = sys.argv[1], int(sys.argv[2])
 for i in range(100):
-    e = 1000 * w + i
+    e = 4000 + 3 * i + w
+    units = euler_phi(e)  # at least 800, so a record of over 9.6 KB
+    cls = np.arange(units, dtype=np.uint32)  # each unit its own class
     st = ResultStore(path)  # a torn append on disk raises here
-    st.add_rows([(e, array("I", range(e, e + 3000)))])  # a 12 KB record
+    st.add_rows([(e, np.arange(e, e + units, dtype=np.uint32), cls, cls + 1)])
     st.save()
 """
 
@@ -136,5 +224,8 @@ def test_concurrent_writers_keep_every_table(tmp_path):
         _, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, err
     tables = ResultStore(path).tables
-    assert sorted(tables) == [1000 * w + i for w in (1, 2, 3) for i in range(100)]
-    assert all(values == array("I", range(e, e + 3000)) for e, values in tables.items())
+    assert sorted(tables) == [4000 + 3 * i + w for i in range(100) for w in (1, 2, 3)]
+    for e, (values, cls, order) in tables.items():
+        assert 4 * values.size + 4 * order.size + 4 * cls.size > 8192
+        assert values.tolist() == list(range(e, e + values.size))
+        assert order.tolist() == list(range(1, values.size + 1)) == (cls + 1).tolist()
