@@ -131,6 +131,10 @@ def cmd_table(e_min: int, e_max: int, q_min: int, q_max: int | None,
         q, mv, n = q[keep], mv[keep], n[keep]
         rows += [{"e": e, "q": qq, "n": nn, "e1": ee, "m": mm} for qq, nn, ee, mm in
                  zip(q.tolist(), n.tolist(), np.gcd(e, q - 1).tolist(), mv.tolist())]
+    if not rows:  # a q range past every e, or whose q all share a factor with e
+        q_hi = "e-1" if q_max is None else q_max
+        raise click.UsageError(f"no q coprime to e in --q-min {q_min} .. --q-max {q_hi} "
+                               f"for e in {max(e_min, 2)} .. {e_max}")
     if fmt == "json":
         text = json.dumps({"rows": rows}, sort_keys=True)
     else:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd
 
-from .engine import m_prime_power, verify_witness
+from .engine import m_prime_power
 from .errors import DegenerateInput, DomainError, ModulusTooLarge, MsumError
 from .modular import element_of_order, euler_phi, trial_factor
 
@@ -26,7 +26,6 @@ __all__ = [
     "cyclotomic",
     "threshold",
     "bezout_denominator",
-    "resultant",
     "prop11_candidates",
     "candidate_scan",
     "corollary13_exceptions",
@@ -52,22 +51,6 @@ class IntPolynomial:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero or other.is_zero:
-            return IntPolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial.make(out)
-
-    def __call__(self, x: int) -> int:
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
 
     def divmod_monic(self, den: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
         """Division by a monic polynomial; stays in integers."""
@@ -140,44 +123,6 @@ def bezout_denominator(g: IntPolynomial, n: int) -> int:
                 rows[i] = [(p * x - a * y) // prev for x, y in zip(row, pivot_row)]
         prev = p
     return abs(prev) // gcd(prev, *(row[size] for row in rows))
-
-
-def resultant(f: IntPolynomial, g: IntPolynomial) -> int:
-    """Integer resultant via fraction-free (Bareiss) elimination of the
-    Sylvester matrix. Independent of bezout_denominator, which eliminates a
-    different matrix (multiplication by g mod Phi_n)."""
-    if f.is_zero or g.is_zero:
-        return 0
-    dn, dm = f.degree, g.degree
-    if dn == 0:
-        return f.coeffs[0] ** dm
-    if dm == 0:
-        return g.coeffs[0] ** dn
-    size = dn + dm
-    rows = []
-    fr = list(reversed(f.coeffs))
-    gr = list(reversed(g.coeffs))
-    for i in range(dm):
-        rows.append([0] * i + fr + [0] * (size - i - len(fr)))
-    for i in range(dn):
-        rows.append([0] * i + gr + [0] * (size - i - len(gr)))
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if rows[k][k] == 0:
-            for swap in range(k + 1, size):
-                if rows[swap][k] != 0:
-                    rows[k], rows[swap] = rows[swap], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = rows[k][k]
-    return sign * rows[size - 1][size - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +246,9 @@ def prop11_candidates(n: int, jobs: int = 1) -> set[int]:
 def corollary13_exceptions(n: int, k_cap: int | None = None,
                            jobs: int = 1) -> ExceptionSet:
     """Sift the candidates to prime powers p^k with n | p-1, then keep those
-    whose order-n element really has m below the threshold; every kept entry
-    is verified through an explicit witness. A p^k left unsifted, as k exceeds
+    whose order-n element really has m below the threshold; every m comes
+    with an explicit witness, which the engine checks (length m, sum 0 mod
+    p^k) before it answers. A p^k left unsifted, as k exceeds
     k_cap or p^k is beyond every route of the engine, is listed as unresolved
     (p^k, p^k), and the set is then not complete."""
     scan = candidate_scan(n, jobs=jobs)
@@ -322,13 +268,11 @@ def corollary13_exceptions(n: int, k_cap: int | None = None,
             continue
         q = element_of_order(p, k, n)
         try:
-            mv, wit = m_prime_power(q, p, k, want_witness=True)
+            mv, _ = m_prime_power(q, p, k, want_witness=True)
         except ModulusTooLarge:
             unresolved.append((e, e))
             continue
         if Fraction(mv) < thr:
-            if not verify_witness(q, e, wit) or len(wit) != mv:
-                raise MsumError(f"witness verification failed at (p={p}, k={k})")
             entries.append((p, k, mv))
     return ExceptionSet(
         n=n,

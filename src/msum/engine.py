@@ -90,6 +90,7 @@ from .modular import (
     order_mod_prime_power,
     require_coprime,
     smallest_prime_divisor,
+    unit_subgroup,
 )
 
 __all__ = [
@@ -441,31 +442,29 @@ def _orbit_min(x: np.ndarray, pw: np.ndarray, q: int, p_mod: int) -> np.ndarray:
     return best
 
 
-def _m_orbit(p_mod: int, q: int, n: int, t_cap: int, want_witness: bool, p: int = 0):
+def _m_orbit(p_mod: int, p: int, q: int, n: int, t_cap: int, want_witness: bool):
     """Minimal t with a vanishing t-sum over the orbit {q^i mod p_mod}.
 
-    Requires ord(q) = n >= 2 and p_mod = p^k < 2^40; _route passes the prime
-    p, a direct call may leave it to be factored out. Reachable sets of
-    exact s-sums are orbit-closed (the closure fact of the module
-    docstring), so each is stored as the sorted canonical orbit keys of
-    _orbit_key: reps[s] for the s-sums, negs[s] for their negations. 0 in
-    f_t is a collision between reps[s1] and negs[s2], s1 = ceil(t/2) and
-    s2 = floor(t/2), so each step of t adds at most one entry to each list.
-    Level s + 1 is the keys of the grid reps[s] x powers (_grid_keys), built
-    in slices of about _SLICE_CELLS cells, each merged into the level as it
-    is made.
+    Requires p_mod = p^k < 2^40 (p an odd prime) and ord(q) = n >= 2 prime to
+    p, as _route passes them. (Z/p^k)* is cyclic of order p^(k-1) (p - 1), so
+    n divides p - 1, and a power h != 1 of q has h - 1 a unit, as h = 1 (mod p)
+    would make the order of h a power of p. Reachable sets of exact s-sums are
+    orbit-closed (the closure fact of the module docstring), so each is stored
+    as the sorted canonical orbit keys of _orbit_key: reps[s] for the s-sums,
+    negs[s] for their negations. 0 in f_t is a collision between reps[s1] and
+    negs[s2], s1 = ceil(t/2) and s2 = floor(t/2), so each step of t adds at
+    most one entry to each list. Level s + 1 is the keys of the grid reps[s] x
+    powers (_grid_keys), built in slices of about _SLICE_CELLS cells, each
+    merged into the level as it is made.
 
     Keys are orbit minima until a level's grid first has more cells than p,
-    when k >= 2 and n | p - 1 (the whole orbit route of _route); then the
-    key table is built, a few passes over the p residues against n - 1
-    mulmods saved per cell of this grid and of every later one, and the few
-    keys held so far are re-keyed. A prime modulus, or a q whose order mod p
-    is not n (a direct call such as _m_orbit(25, 6, 5, 5)), keeps orbit
-    minima: its table would need an entry per residue of p_mod, or would
-    not be exact.
+    when k >= 2; then the key table is built, a few passes over the p
+    residues against n - 1 mulmods saved per cell of this grid and of every
+    later one, and the few keys held so far are re-keyed. A prime modulus
+    keeps orbit minima: its table would need an entry per residue of p_mod.
 
-    Closed stop: when r = t_cap divides n and h = q^(n/r) has h - 1 a unit,
-    the order-r subgroup {h^j} sums to (h^r - 1)/(h - 1) = 0, so m <= r. Then
+    Closed stop: when r = t_cap divides n, h = q^(n/r) has h - 1 a unit, so
+    the order-r subgroup {h^j} sums to (h^r - 1)/(h - 1) = 0, and m <= r. Then
     only t < r is searched; if none vanishes, r is returned with that subgroup
     as witness once its sum is checked. Otherwise t runs up to t_cap.
 
@@ -475,10 +474,9 @@ def _m_orbit(p_mod: int, q: int, n: int, t_cap: int, want_witness: bool, p: int 
     key in the level below; reps[0] = {0} makes the last step find the
     exponent of the power left.
     """
-    orb = _Orbits(p_mod, p or factorize(p_mod)[0][0], q, _power_table(q, p_mod, n))
-    keyed = orb.p < p_mod and (orb.p - 1) % n == 0  # k >= 2, and q mod p has order n
+    orb = _Orbits(p_mod, p, q, _power_table(q, p_mod, n))
     step = n // t_cap
-    closed = n % t_cap == 0 and gcd(pow(q, step, p_mod) - 1, p_mod) == 1
+    closed = n % t_cap == 0
     rows = max(1, _SLICE_CELLS // n)
     # level 0 is {0}, level 1 the orbit of 1, keyed 1 by both keys; -0 = 0
     reps = [np.array([0], dtype=np.int64), np.array([1], dtype=np.int64)]
@@ -487,7 +485,7 @@ def _m_orbit(p_mod: int, q: int, n: int, t_cap: int, want_witness: bool, p: int 
         s1, s2 = (t + 1) // 2, t // 2
         if len(reps) <= s1:
             base = reps[-1]
-            if keyed and orb.mult is None and base.size * n > orb.p:
+            if p < p_mod and orb.mult is None and base.size * n > p:  # k >= 2
                 orb = orb._replace(mult=_key_table(orb))
                 reps[2:] = [_sorted_unique(_orbit_key(x, orb)) for x in reps[2:]]
                 negs[1:] = [_sorted_unique(_orbit_key(x, orb)) for x in negs[1:]]
@@ -581,7 +579,7 @@ def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[in
                 f"modulus {p}^{k}: order {n} divisible by {p}; reduce k first "
                 f"(the order drop of the tower module)"
             )
-        value, witness = _m_orbit(e, q, n, smallest_prime_divisor(n), want_witness, p)
+        value, witness = _m_orbit(e, p, q, n, smallest_prime_divisor(n), want_witness)
     if witness is not None and not verify_witness(q, e, MResult(value, witness)):
         raise MsumError(f"the witness of m({q}, {e}) = {value} fails its check (engine bug)")
     return value, witness
@@ -711,14 +709,13 @@ def verify_witness(q: int, e: int, witness) -> bool:
 
 
 def naive_m_oracle(q: int, e: int) -> int:
-    """Independent m oracle: plain set DP over (count, residue), no bitmasks,
-    no frontier tricks. Test use only; e capped at 500."""
+    """Independent m oracle, for the oracle claim and the tests: plain set DP
+    over (count, residue) on the subgroup modular.unit_subgroup lists, no
+    bitmasks, no frontier tricks, no code shared with the routes; e <= 500."""
     require_coprime(q, e)
     if e > 500:
         raise DomainError("naive oracle is capped at e <= 500")
-    if e == 1:
-        return 1
-    base = sorted({x for x in _powers_of(q, e)})
+    base = unit_subgroup(q, e).elements
     reach = set(base)
     count = 1
     while 0 not in reach:

@@ -199,6 +199,17 @@ def test_table_refuses_an_empty_range(bounds):
     assert "e,q,n,e1,m" not in res.output
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("bounds", [("--e-max", "12", "--q-min", "20"),  # every q > e - 1
+                                    ("--e-min", "4", "--e-max", "4", "--q-min", "2",
+                                     "--q-max", "2")])  # the one q shares a factor with e
+def test_table_refuses_a_q_range_that_selects_no_pair(bounds, fmt):
+    res = run("table", *bounds, "--format", fmt)
+    assert res.exit_code == 2
+    assert "--q-min" in res.output and "--q-max" in res.output
+    assert "e,q,n,e1,m" not in res.output and "rows" not in res.output
+
+
 def test_verify_writes_report_and_exits_zero(tmp_path):
     runner = CliRunner()
     with runner.isolated_filesystem(temp_dir=tmp_path):

@@ -98,7 +98,12 @@ def test_m_without_witness_builds_none_for_q_congruent_one():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_naive_oracle_spot_values():
+def test_naive_oracle_spot_values(monkeypatch):
+    # the oracle shares no code with the routes: not even their power walk
+    def refuse(q, e):
+        raise AssertionError("the oracle walked the engine's powers")
+
+    monkeypatch.setattr(engine, "_powers_of", refuse)
     assert naive_m_oracle(4, 7) == 3
     assert naive_m_oracle(2, 5) == 2
     assert naive_m_oracle(3, 8) == 4
@@ -614,7 +619,7 @@ def test_orbit_engine_matches_dense():
     for p, k, n in [(23, 3, 11), (53, 2, 13), (11, 2, 5), (101, 2, 25), (31, 1, 5)]:
         q = element_of_order(p, k, n)
         dense = m_value(q, p**k)
-        mv, wit = engine._m_orbit(p**k, q, n, n, want_witness=True)
+        mv, wit = engine._m_orbit(p**k, p, q, n, n, want_witness=True)
         assert mv == dense, (p, k, n)
         assert verify_witness(q, p**k, wit) and len(wit) == mv
 
@@ -685,7 +690,7 @@ def test_orbit_engine_at_real_cap_matches_dense_and_oracle():
     for p, k, q, n in _orbit_cases():
         e = p**k
         r = smallest_prime_divisor(n)
-        mv, wit = engine._m_orbit(e, q, n, r, want_witness=True)
+        mv, wit = engine._m_orbit(e, p, q, n, r, want_witness=True)
         assert mv == m_value(q, e), (p, k, q)
         if e <= 300:
             if (e, n) not in oracle:
@@ -696,6 +701,18 @@ def test_orbit_engine_at_real_cap_matches_dense_and_oracle():
         orders.add(n)
     assert branches == {False, True}
     assert {25, 35, 119} <= orders
+
+
+def test_orbit_route_passes_only_orders_prime_to_p():
+    # _route refuses an order divisible by p, here (1 + p) of order p^2 ...
+    with pytest.raises(ModulusTooLarge, match="order drop"):
+        m(2054, 2053**3)
+    # ... so every order it passes divides p - 1, and the closed stop's
+    # h = q^(n/r) has h - 1 a unit: the precondition _m_orbit does not test
+    for p, k, q, n in _orbit_cases():
+        e = p**k
+        assert (p - 1) % n == 0, (p, k, q)
+        assert gcd(pow(q, n // smallest_prime_divisor(n), e) - 1, e) == 1, (p, k, q)
 
 
 # (q, e, m, witness) with e > 2^31, where _mulmod_vec takes its split branch,
@@ -740,8 +757,9 @@ ORBIT_LEAST_EXPONENT_PINS = [
 @pytest.mark.parametrize("q, e, mv, witness", ORBIT_LEAST_EXPONENT_PINS)
 def test_orbit_witness_takes_least_exponents(q, e, mv, witness):
     n = mul_order(q, e)
-    assert mv < smallest_prime_divisor(n)
-    assert engine._m_orbit(e, q, n, smallest_prime_divisor(n), want_witness=True) == (mv, witness)
+    r = smallest_prime_divisor(n)
+    assert is_prime(e) and mv < r
+    assert engine._m_orbit(e, e, q, n, r, want_witness=True) == (mv, witness)
     assert verify_witness(q, e, MResult(mv, witness))
 
 
@@ -782,7 +800,7 @@ def test_orbit_prime_power_pins(monkeypatch):
         assert verify_witness(q, p**k, MResult(mv, witness))
     for (p, k, n, q, mv, witness), cap in zip(ORBIT_PRIME_POWER_DIRECT_PINS, (7, 7, 18)):
         assert element_of_order(p, k, n) == q
-        assert engine._m_orbit(p**k, q, n, cap, want_witness=True) == (mv, witness), (p, k, n)
+        assert engine._m_orbit(p**k, p, q, n, cap, want_witness=True) == (mv, witness), (p, k, n)
         assert verify_witness(q, p**k, MResult(mv, witness))
     # the collisions at 571^3, 761^3 and 911^2 backtrack through keyed levels
     assert {571**3, 761**3, 911**2} <= set(built)
@@ -900,7 +918,7 @@ def test_orbit_engine_never_calls_np_unique(monkeypatch):
 
     monkeypatch.setattr(engine.np, "unique", refuse)
     q17 = element_of_order(239, 4, 17)
-    mv, wit = engine._m_orbit(239**4, q17, 17, 18, want_witness=True)  # levels 1 to 9
+    mv, wit = engine._m_orbit(239**4, 239, q17, 17, 18, want_witness=True)  # levels 1 to 9
     assert mv == 17 and verify_witness(q17, 239**4, MResult(mv, wit))
 
 
@@ -932,9 +950,7 @@ def test_orbit_closed_stop():
     # r = 7: the order-7 subgroup <q^17>
     assert m_prime_power(q119, 239, 4, want_witness=True) == (7, tuple(range(0, 119, 17)))
     # t_cap = 18 does not divide n = 17: no closed stop, the search reaches 17
-    mv, wit = engine._m_orbit(239**4, q17, 17, 18, want_witness=True)
+    mv, wit = engine._m_orbit(239**4, 239, q17, 17, 18, want_witness=True)
     assert mv == 17 and verify_witness(q17, 239**4, MResult(mv, wit))
     with pytest.raises(MsumError):  # nor does 16, and no t <= 16 vanishes
-        engine._m_orbit(239**4, q17, 17, 16, want_witness=False)
-    # q = 6 has order 5 mod 25 but 6 - 1 is no unit: no closed stop, search to 5
-    assert engine._m_orbit(25, 6, 5, 5, want_witness=False) == (5, None)
+        engine._m_orbit(239**4, 239, q17, 17, 16, want_witness=False)
