@@ -34,7 +34,7 @@ from . import engine
 from .classify import conjecture4_k_min, corollary8_modulus, prop2_modulus
 from .cyclo import corollary13_exceptions, threshold
 from .errors import DomainError, UnknownClaim
-from .modular import factorize, is_prime, rad, smallest_prime_divisor
+from .modular import divisors, factorize, gcd_table, is_prime, rad, smallest_prime_divisor
 from .report import VerificationReport
 from .store import ResultStore
 from .towers import check_prop9, ord_factorization, tower_rows, tower_sequence
@@ -179,7 +179,7 @@ def _theorem1_check(e: int, params: dict):
 
 def _divisibility_check(e: int, params: dict):
     q, mv, _ = engine.m_table_for_modulus(e)
-    e1 = np.gcd(e, q - 1)
+    e1 = gcd_table(e)[q - 1]
     return (q.size, _violations(e, mv % e1 != 0, q=q, m=mv, e1=e1),
             int(np.count_nonzero(mv == e1)))
 
@@ -193,7 +193,7 @@ def _above_one(e: int):
     """The rows (q, m) of modulus e with q > 1, and e1 = gcd(e, q - 1) of each."""
     q, mv, _ = engine.m_table_for_modulus(e)
     q, mv = q[1:], mv[1:]  # q = 1 leads the rows of every e > 1
-    return q, mv, np.gcd(e, q - 1)
+    return q, mv, gcd_table(e)[q - 1]
 
 
 def _lemma3_check(e: int, params: dict):
@@ -203,11 +203,18 @@ def _lemma3_check(e: int, params: dict):
             int(np.count_nonzero(applies)))
 
 
+def _conjecture4_k(e: int) -> np.ndarray:
+    """k[d] = conjecture4_k_min(e, d) for each divisor d of e, 0 elsewhere in
+    [0, e]: e1 divides e, so the k of a row is k[e1]."""
+    k = np.zeros(e + 1, dtype=np.int64)
+    for d in divisors(factorize(e)):
+        k[d] = conjecture4_k_min(e, d)
+    return k
+
+
 def _conjecture4_check(e: int, params: dict):
     q, mv, e1 = _above_one(e)
-    values = sorted(set(e1.tolist()))  # e1 divides e: one k_min per value it takes
-    k = np.array([conjecture4_k_min(e, v) for v in values], dtype=np.int64)
-    k = k[np.searchsorted(values, e1)]
+    k = _conjecture4_k(e)[e1]
     return q.size, _violations(e, mv > k * e1, q=q, m=mv, k_min=k, e1=e1), None
 
 

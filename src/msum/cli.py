@@ -18,12 +18,11 @@ import json
 import os
 
 import click
-import numpy as np
 
 from . import campaign, engine
 from .cyclo import corollary13_exceptions
 from .errors import MsumError, NotFoundWithinCap
-from .modular import instance
+from .modular import gcd_table, instance
 from .towers import tower_sequence
 
 
@@ -130,7 +129,7 @@ def cmd_table(e_min: int, e_max: int, q_min: int, q_max: int | None,
             keep &= q <= q_max
         q, mv, n = q[keep], mv[keep], n[keep]
         rows += [{"e": e, "q": qq, "n": nn, "e1": ee, "m": mm} for qq, nn, ee, mm in
-                 zip(q.tolist(), n.tolist(), np.gcd(e, q - 1).tolist(), mv.tolist())]
+                 zip(q.tolist(), n.tolist(), gcd_table(e)[q - 1].tolist(), mv.tolist())]
     if not rows:  # a q range past every e, or whose q all share a factor with e
         q_hi = "e-1" if q_max is None else q_max
         raise click.UsageError(f"no q coprime to e in --q-min {q_min} .. --q-max {q_hi} "

@@ -18,7 +18,7 @@ from math import gcd
 
 from .engine import m_prime_power
 from .errors import DegenerateInput, DomainError, ModulusTooLarge, MsumError
-from .modular import element_of_order, euler_phi, trial_factor
+from .modular import divisors, element_of_order, euler_phi, trial_factor
 
 __all__ = [
     "IntPolynomial",
@@ -230,10 +230,7 @@ def _candidate_pool(scan: CandidateScan) -> set[int]:
     """Union of the divisor sets of the factored Bezout denominators."""
     pool: set[int] = set()
     for _, factors in scan.factored:
-        divisors = [1]
-        for p, k in factors:
-            divisors = [d * p**j for d in divisors for j in range(k + 1)]
-        pool.update(divisors)
+        pool.update(divisors(factors))
     return pool
 
 

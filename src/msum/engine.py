@@ -17,7 +17,8 @@ Every m the module computes, for m(), m_prime_power() and each generator
 class of a table walk, goes through one private dispatcher, _route. It
 alone picks among five routes, and it refuses a modulus that no route takes
 with ModulusTooLarge:
-  - q = 1 (mod e), answered in closed form (m = e);
+  - q = 1 (mod e), answered in closed form (m = e), with a witness of e
+    terms only for e <= DENSE_LIMIT;
   - the order-2 scan, for moduli up to DENSE_LIMIT, H = {1, q} and no
     witness wanted: one numpy pass over b in [1, e) finds the least
     a + b with a + b q = 0 (mod e), an exhaustive search (a witness search
@@ -160,13 +161,18 @@ def seed_cache(rows) -> None:
     """Adopt (e, values, cls, order) rows, from cache_rows() or a ResultStore,
     as they are. A row equal to the held entry keeps it. m is a function of
     (e, class), so a row that differs in any column can only be a bad store
-    row or an engine fault: it raises MsumError and the held entry stays."""
+    row or an engine fault: it raises MsumError and the held entry stays. A
+    column that is the very array the entry holds is not compared: a store
+    reopened in one session hands back the arrays the first seeding adopted
+    (see store), so seeding it again costs a lookup per row, and every other
+    row is compared in full."""
     for e, *row in rows:
         held = _tables.get(e)
         if held is None:
             _tables[e] = _Table(*row)
         # equal widths compare as bytes, several times faster than np.array_equal
-        elif not all(a.tobytes() == b.tobytes() if a.dtype == b.dtype else np.array_equal(a, b)
+        elif not all(a is b or (a.tobytes() == b.tobytes() if a.dtype == b.dtype
+                                else np.array_equal(a, b))
                      for a, b in zip(held, row)):
             raise MsumError(f"seeded m table of modulus {e} differs from the one "
                             f"this session holds")
@@ -550,7 +556,11 @@ def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[in
     Witness exponents refer to q; a witness that fails its check raises
     MsumError."""
     if q == 1:
-        # every power is 1, so exactly e terms are needed; this witness is never summed
+        # every power is 1, so exactly e terms are needed; this witness is never
+        # summed, and beyond the dense range it is refused before it is built
+        if want_witness and e > DENSE_LIMIT:
+            raise ModulusTooLarge(f"modulus {e}: the witness of q = 1 (mod e) has e terms; "
+                                  f"ask for m alone beyond {DENSE_LIMIT}")
         return e, ((0,) * e if want_witness else None)
     if e <= DENSE_LIMIT:
         n = n or mul_order(q, e)

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
+import numpy as np
+
 from .errors import DomainError, NotCoprime
 
 __all__ = [
@@ -23,6 +25,8 @@ __all__ = [
     "mul_order",
     "unit_subgroup",
     "euler_phi",
+    "divisors",
+    "gcd_table",
     "rad",
     "smallest_prime_divisor",
     "is_prime",
@@ -150,6 +154,25 @@ def euler_phi(n: int) -> int:
     for p, _ in factorize(n):
         out = out // p * (p - 1)
     return out
+
+
+def divisors(factors) -> list[int]:
+    """The divisors, ascending, of the number with these (prime, exponent)
+    factors, as factorize lists them."""
+    out = [1]
+    for p, k in factors:
+        out = [d * p**j for d in out for j in range(k + 1)]
+    return sorted(out)
+
+
+def gcd_table(e: int) -> np.ndarray:
+    """g[x] = gcd(e, x) for x in [0, e), as int64, for e >= 1: each divisor d
+    of e, ascending, is written over the multiples of d, so the last to write
+    g[x] is the greatest divisor of e that divides x."""
+    g = np.empty(e, dtype=np.int64)
+    for d in divisors(factorize(e)):
+        g[::d] = d
+    return g
 
 
 def rad(n: int) -> int:

@@ -20,13 +20,28 @@ flock, and a load reads under a shared flock, so no reader or writer sees
 another's append half done. A file that is refused, or that cannot be read
 or written (a directory, say), raises StoreError. No database dependency,
 reproducible and diff-able.
+
+The module keeps one memo slot, _last_read, for the last file a load read
+to its end: its absolute path, its byte length, a blake2b digest of those
+bytes and the tables held from them; a load of another path empties it
+first. The tables are a pure function of the bytes, so a later load of the
+same path whose first `length` bytes hash to that digest reuses them and
+checks and parses only the bytes appended since (the records saves append);
+any other file, a shorter one, or a prefix that hashes otherwise is read
+and checked whole. A re-open hashes the prefix in 64 KiB chunks, never
+holding it, and goes on hashing the appended bytes it reads, so the new
+digest costs no second pass and the appended rows view only the appended
+bytes. Every byte a load adopts was either checked by that load or hashes
+to bytes an earlier load checked.
 """
 from __future__ import annotations
 
 import fcntl
+import hashlib
 import os
 import struct
 import zlib
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +56,31 @@ _RECORD = struct.Struct("<QIII")  # e, classes, units, width; the columns and th
 _CRC = struct.Struct("<I")
 
 
+def _hashes_to(fh, length: int, digest, want: bytes) -> bool:
+    """Feed the first length bytes of fh to digest, a chunk at a time, so they
+    are never held at once; whether they hash to want."""
+    chunk = memoryview(bytearray(1 << 16))
+    while length:
+        got = fh.readinto(chunk[:min(length, len(chunk))])
+        if not got:  # the file is shorter than length
+            return False
+        digest.update(chunk[:got])
+        length -= got
+    return digest.digest() == want
+
+
+class _Read(NamedTuple):
+    """A file read in full: the tables parsed from its first `length` bytes."""
+
+    path: str
+    length: int
+    digest: bytes
+    tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+_last_read: _Read | None = None  # the one memo slot of the module docstring
+
+
 class ResultStore:
     """Append-only map e -> the (values, cls, order) m table of modulus e."""
 
@@ -52,42 +92,66 @@ class ResultStore:
             self._load()
 
     def _load(self) -> None:
+        global _last_read
+        path = os.path.abspath(self.path)
+        last = _last_read
+        if last is not None and last.path != path:
+            _last_read = last = None  # hold no other file's tables through this read
+        digest = hashlib.blake2b()  # of the whole file
+        start = 0  # the offset of the bytes read below: past those a load checked before
         try:
             with open(self.path, "rb") as fh:
                 fcntl.flock(fh, fcntl.LOCK_SH)
+                if last is not None and _hashes_to(fh, last.length, digest, last.digest):
+                    start = last.length
+                elif last is not None:
+                    fh.seek(0)
+                    digest = hashlib.blake2b()
                 blob = fh.read()
         except OSError as exc:  # a directory, say, or a file it may not read
             raise StoreError(f"{self.path}: {exc.strerror}") from None
-        if not blob:  # created by a save that has not written yet
+        digest.update(blob)
+        if start:
+            self.tables = dict(last.tables)
+            off = 0
+        elif not blob:  # created by a save that has not written yet
             return
-        if len(blob) < _HEADER.size:
-            raise StoreError(f"{self.path}: truncated header")
-        magic, version = _HEADER.unpack_from(blob, 0)
-        if magic != MAGIC:
-            raise StoreError(f"{self.path}: bad magic {magic!r}")
-        if version != VERSION:
-            raise StoreError(f"{self.path}: unsupported version {version}")
-        off = _HEADER.size
+        else:
+            if len(blob) < _HEADER.size:
+                raise StoreError(f"{self.path}: truncated header")
+            magic, version = _HEADER.unpack_from(blob, 0)
+            if magic != MAGIC:
+                raise StoreError(f"{self.path}: bad magic {magic!r}")
+            if version != VERSION:
+                raise StoreError(f"{self.path}: unsupported version {version}")
+            off = _HEADER.size
         while off < len(blob):
-            try:
-                e, count, units, width = _RECORD.unpack_from(blob, off)
-                col = off + _RECORD.size
-                end = col + 8 * count + width * units
-                (crc,) = _CRC.unpack_from(blob, end)
-            except struct.error:
-                raise StoreError(f"{self.path}: partial record at offset {off}") from None
-            if crc != zlib.crc32(blob[off:end]):
-                raise StoreError(f"{self.path}: record checksum mismatch at offset {off}")
-            cls = None  # e is range-checked before phi(e) is taken
-            if (1 <= e <= DENSE_LIMIT and width in (1, 2, 4)
-                    and units == (euler_phi(e) if e > 1 else 0)):
-                cls = np.frombuffer(blob, f"<u{width}", units, col + 8 * count)
-            if cls is None or count != (int(cls.max()) + 1 if units else 0):
-                raise StoreError(f"{self.path}: record at offset {off} is not an m table "
-                                 f"of modulus {e}")
-            self._keep(e, (np.frombuffer(blob, "<u4", count, col), cls,
-                           np.frombuffer(blob, "<u4", count, col + 4 * count)))
-            off = end + _CRC.size
+            off = self._record(blob, off, start)
+        _last_read = _Read(path, start + len(blob), digest.digest(), dict(self.tables))
+
+    def _record(self, blob: bytes, off: int, base: int) -> int:
+        """Check and hold the record at blob[off:], where blob holds the file's
+        bytes from offset base on; the offset in blob of the next record. The
+        rows are views on blob."""
+        try:
+            e, count, units, width = _RECORD.unpack_from(blob, off)
+            col = off + _RECORD.size
+            end = col + 8 * count + width * units
+            (crc,) = _CRC.unpack_from(blob, end)
+        except struct.error:
+            raise StoreError(f"{self.path}: partial record at offset {base + off}") from None
+        if crc != zlib.crc32(blob[off:end]):
+            raise StoreError(f"{self.path}: record checksum mismatch at offset {base + off}")
+        cls = None  # e is range-checked before phi(e) is taken
+        if (1 <= e <= DENSE_LIMIT and width in (1, 2, 4)
+                and units == (euler_phi(e) if e > 1 else 0)):
+            cls = np.frombuffer(blob, f"<u{width}", units, col + 8 * count)
+        if cls is None or count != (int(cls.max()) + 1 if units else 0):
+            raise StoreError(f"{self.path}: record at offset {base + off} is not an m table "
+                             f"of modulus {e}")
+        self._keep(e, (np.frombuffer(blob, "<u4", count, col), cls,
+                       np.frombuffer(blob, "<u4", count, col + 4 * count)))
+        return end + _CRC.size
 
     def _keep(self, e: int, row: tuple) -> bool:
         """Hold the table of e; False if an equal one is held already."""

@@ -16,7 +16,7 @@ from msum.campaign import (
 from msum.classify import classify_large, conjecture4_k_min, star_params
 from msum.engine import two_power_m
 from msum.errors import DomainError, MsumError, UnknownClaim
-from msum.modular import mul_order
+from msum.modular import divisors, factorize, gcd_table, mul_order
 from msum.report import VerificationReport
 from msum.store import ResultStore
 
@@ -428,3 +428,12 @@ def test_seeded_row_that_differs_from_a_held_table_raises():
     assert engine.m_table_for_modulus(7).m.tolist() == held.m.tolist()
     assert run_claim("divisibility", {"e_max": 7}).ok
     engine.clear_cache()
+
+
+def test_conjecture4_k_table_equals_k_min_for_every_e1():
+    for e in range(3, 2050):
+        k = campaign._conjecture4_k(e)
+        e1 = gcd_table(e)[np.arange(1, e) - 1]  # the e1 of every q in [1, e)
+        assert set(e1.tolist()) <= set(divisors(factorize(e)))
+        for d in divisors(factorize(e)):
+            assert k[d] == conjecture4_k_min(e, d), (e, d)

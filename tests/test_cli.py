@@ -155,6 +155,13 @@ def test_table_csv():
     assert keys == sorted(keys)
 
 
+def test_table_golden():
+    # the e1 column comes from the divisor table; before it, from np.gcd
+    res = run("table", "--e-max", "60")
+    assert res.exit_code == 0
+    assert res.output.rstrip("\n") == golden("table_60.csv")
+
+
 def test_table_json_schema():
     res = run("table", "--e-max", "8", "--format", "json")
     doc = json.loads(res.output)

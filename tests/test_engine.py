@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from math import gcd
 from pathlib import Path
 
@@ -90,6 +91,33 @@ def test_m_without_witness_builds_none_for_q_congruent_one():
     # e = 10^9 + 7); under a 1 GiB address-space cap that raised MemoryError
     code = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
             "from msum.engine import m_value; assert m_value(1, 10**9 + 7) == 10**9 + 7")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_m_with_witness_for_q_congruent_one_refuses_past_the_dense_range():
+    # the witness of q = 1 (mod e) has e terms: at e = 10^9 + 7 building it raised
+    # MemoryError under a 1 GiB address-space cap; now it is refused before it is built
+    for q, e in ((1, engine.DENSE_LIMIT + 1), (engine.DENSE_LIMIT + 2, engine.DENSE_LIMIT + 1)):
+        t = time.perf_counter()
+        with pytest.raises(ModulusTooLarge):
+            m(q, e)
+        assert time.perf_counter() - t < 1
+    assert m(1, engine.DENSE_LIMIT + 1, with_witness=False).value == engine.DENSE_LIMIT + 1
+    code = ("import resource, time; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from msum.engine import m\n"
+            "from msum.errors import ModulusTooLarge\n"
+            "t = time.perf_counter()\n"
+            "try:\n"
+            "    m(1, 10**9 + 7)\n"
+            "except ModulusTooLarge:\n"
+            "    assert time.perf_counter() - t < 1\n"
+            "else:\n"
+            "    raise SystemExit('no ModulusTooLarge')\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
            "OPENBLAS_NUM_THREADS": "1"}

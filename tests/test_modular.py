@@ -1,16 +1,19 @@
 import random
 from math import gcd, isqrt, prod
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from msum.errors import DomainError, NotCoprime
 from msum.modular import (
+    divisors,
     element_of_order,
     euler_phi,
     factorize,
     find_primitive_root,
+    gcd_table,
     instance,
     is_prime,
     mul_order,
@@ -298,3 +301,18 @@ def test_instance_fields():
     assert inst.e1 == 9
     with pytest.raises(NotCoprime):
         instance(6, 9)
+
+
+def test_divisors_ascending():
+    assert divisors([]) == [1]
+    assert divisors([(2, 2), (3, 1), (5, 1)]) == [1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60]
+    for n in range(1, 500):
+        assert divisors(factorize(n)) == [d for d in range(1, n + 1) if n % d == 0]
+
+
+def test_gcd_table_equals_np_gcd():
+    # every modulus the per-modulus claims reach at full scale
+    for e in range(1, 2050):
+        x = np.arange(e, dtype=np.int64)
+        g = gcd_table(e)
+        assert g.dtype == np.int64 and np.array_equal(g, np.gcd(e, x)), e

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from msum import engine
-from msum.errors import StoreError
+from msum import engine, store
+from msum.errors import MsumError, StoreError
 from msum.store import MAGIC, ResultStore
 
 
@@ -229,3 +229,113 @@ def test_concurrent_writers_keep_every_table(tmp_path):
         assert 4 * values.size + 4 * order.size + 4 * cls.size > 8192
         assert values.tolist() == list(range(e, e + values.size))
         assert order.tolist() == list(range(1, values.size + 1)) == (cls + 1).tolist()
+
+
+# --- the read cache: a reopened file is checked only past the bytes read before
+
+HEADER = len(MAGIC) + 4
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """The file offset of each record the store checks, from a fresh memo slot."""
+    monkeypatch.setattr(store, "_last_read", None)
+    offsets = []
+    check = ResultStore._record
+
+    def spy(self, blob, off, base):
+        offsets.append(base + off)
+        return check(self, blob, off, base)
+
+    monkeypatch.setattr(ResultStore, "_record", spy)
+    return offsets
+
+
+def cold(path):
+    """The rows of a read that no earlier read can serve."""
+    store._last_read = None
+    return ResultStore(path).cache_rows()
+
+
+def test_reopen_checks_only_appended_records(tmp_path, checked):
+    path = saved(tmp_path / "s.bin", [R7])
+    first = ResultStore(path)
+    assert checked == [HEADER]
+    size = path.stat().st_size
+    checked.clear()
+    st = ResultStore(path)
+    assert checked == [] and listed(st.cache_rows()) == listed([R7])
+    assert all(a is b for a, b in zip(st.tables[7], first.tables[7]))  # the arrays of the first read
+    st.add_rows([R11])
+    st.save()
+    again = ResultStore(path)
+    assert checked == [size]  # the appended record alone
+    assert listed(again.cache_rows()) == listed([R7, R11]) == listed(cold(path))
+
+
+def test_record_rewritten_in_place_forces_a_whole_read(tmp_path, checked):
+    # m(59, 60) = 2 (59 = -1 mod 60); the record is rewritten to say 3, at the
+    # same length and with its crc recomputed
+    engine.clear_cache()
+    engine.m_table_for_modulus(60)
+    path = saved(tmp_path / "s.bin", engine.cache_rows(0))
+    engine.clear_cache()
+    engine.seed_cache(ResultStore(path).cache_rows())
+    assert engine.m_value(59, 60) == 2 == engine.m_table_for_modulus(60).m[-1]
+    blob = bytearray(path.read_bytes())
+    classes, units = struct.unpack_from("<II", blob, HEADER + 8)
+    cls59 = blob[HEADER + 20 + 8 * classes + units - 1]  # 59 is the last unit; width 1
+    struct.pack_into("<I", blob, HEADER + 20 + 4 * cls59, 3)
+    end = len(blob) - 4
+    struct.pack_into("<I", blob, end, zlib.crc32(blob[HEADER:end]))
+    path.write_bytes(bytes(blob))
+    checked.clear()
+    rows = ResultStore(path).cache_rows()
+    assert checked == [HEADER]
+    assert rows[0][1][cls59] == 3
+    with pytest.raises(MsumError, match="modulus 60 differs"):
+        engine.seed_cache(rows)
+    assert engine.m_table_for_modulus(60).m[-1] == 2  # the held table stays
+    engine.clear_cache()
+
+
+def test_truncated_or_replaced_file_is_read_whole(tmp_path, checked):
+    path = tmp_path / "s.bin"
+    both = saved(tmp_path / "both.bin", [R7, R11]).read_bytes()
+    seven = saved(tmp_path / "seven.bin", [R7]).read_bytes()
+    swapped = saved(tmp_path / "swapped.bin", [R11, R7]).read_bytes()
+    assert len(swapped) == len(both)
+    path.write_bytes(both)
+    ResultStore(path)
+    # truncated; then a longer file whose first bytes are not those read
+    # before; then replaced at the same length
+    for blob, tables in ((seven, [R7]), (swapped, [R11, R7]), (both, [R7, R11])):
+        path.write_bytes(blob)
+        checked.clear()
+        st = ResultStore(path)
+        assert len(checked) == len(tables) and checked[0] == HEADER
+        assert listed(st.cache_rows()) == listed(tables)
+    path.write_bytes(both[:-1])  # a torn last record fails whole reads and reopens alike
+    with pytest.raises(StoreError, match="partial record"):
+        ResultStore(path)
+
+
+def test_records_another_store_appends_are_adopted(tmp_path, checked):
+    path = saved(tmp_path / "s.bin", [R7])
+    ResultStore(path)
+    size = path.stat().st_size
+    other = ResultStore(path)
+    other.add_rows([R11])
+    other.save()
+    # and raw bytes appended by another process, which shares no memo slot
+    engine.clear_cache()
+    engine.m_table_for_modulus(13)
+    tail = saved(tmp_path / "t.bin", engine.cache_rows(0)).read_bytes()[HEADER:]
+    engine.clear_cache()
+    with open(path, "ab") as fh:
+        fh.write(tail)
+    checked.clear()
+    st = ResultStore(path)
+    assert checked == [size, path.stat().st_size - len(tail)]
+    assert sorted(st.tables) == [7, 11, 13]
+    assert listed(st.cache_rows()) == listed(cold(path))
