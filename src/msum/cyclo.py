@@ -5,16 +5,19 @@ n/(n - phi(n)), Bezout denominators, and the candidate sift: every modulus e
 dividing Phi_n(q) with m(q,e) below the threshold must divide one of finitely
 many Bezout denominators, which are enumerated here and then verified member
 by member against the engine.
+
+A Bezout denominator, the least positive integer in g(zeta) Z[zeta], is
+invariant under x -> a x + b of the exponents mod n, a prime to n: each
+sigma_a is a ring automorphism of Z[zeta] fixing Z, and zeta^b a unit.
 """
 from __future__ import annotations
 
 import itertools
-import multiprocessing as mp
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd
+from operator import itemgetter
 
 from .engine import m_prime_power
 from .errors import DegenerateInput, DomainError, ModulusTooLarge, MsumError
@@ -151,17 +154,6 @@ class ExceptionSet:
     complete: bool
 
 
-def _canonical_rotation(t: tuple[int, ...], n: int, phi: int) -> tuple[int, ...]:
-    best = t
-    for shift in set(t):
-        if shift == 0:
-            continue
-        rot = tuple(sorted((x - shift) % n for x in t))
-        if rot[-1] < phi and rot < best:
-            best = rot
-    return best
-
-
 def _raw_tuples(n: int):
     """Nondecreasing exponent tuples with i_1 = 0, i_m < phi(n), m < threshold."""
     phi = euler_phi(n)
@@ -172,43 +164,46 @@ def _raw_tuples(n: int):
             yield (0,) + rest
 
 
-def _scan_chunk(args) -> tuple[int, set[int]]:
-    """(count, Bezout denominators) of the canonical rotations in one chunk."""
-    n, chunk = args
-    phi = euler_phi(n)
-    count = 0
-    out: set[int] = set()
-    for t in chunk:
-        if _canonical_rotation(t, n, phi) == t:
-            count += 1
-            out.add(bezout_denominator(_tuple_poly(t), n))
-    return count, out
+def _smaller_image(c: tuple[int, ...], starts, reads, phi: int) -> bool:
+    """Whether the tuple with count vector c (c[x] copies of exponent x) has a
+    smaller image y -> (y - x)/u in the domain, x in starts, u a step of
+    reads. The image's count vector is c read from x along u: a smaller tuple
+    when it is larger (sorted tuples of one length order as their count
+    vectors in reverse), in the domain when it is zero from phi on."""
+    for by_start in reads:
+        for x in starts:
+            image = by_start[x](c)
+            if image > c and not any(image[phi:]):
+                return True
+    return False
 
 
-def _tuple_poly(t: tuple[int, ...]) -> IntPolynomial:
-    out = [0] * (max(t) + 1)
-    for i in t:
-        out[i] += 1
-    return IntPolynomial.make(out)
-
-
-def candidate_scan(n: int, jobs: int = 1) -> CandidateScan:
+def candidate_scan(n: int) -> CandidateScan:
     """Enumerate all short exponent tuples, compute their Bezout denominators,
     and factor them. Unresolved cofactors are reported, never dropped.
-
-    Tuple enumeration is embarrassingly parallel: the tuples go out in chunks,
-    scanned in this process at jobs <= 1 and by a pool otherwise."""
+    tuples_examined counts the tuples least among their rotations (each
+    exponent moved to 0, sorted, the largest below phi(n)). d is solved only
+    for the tuples least among their affine images x -> a x + b, a prime to n:
+    one per affine class of the domain, as d is invariant under these maps."""
     if n < 2:
         raise DomainError("n must be >= 2")
+    phi = euler_phi(n)
+    units = [u for u in range(1, n) if gcd(u, n) == 1]  # 1 first: reads[:1] rotate
+    reads = [[itemgetter(*((x + k * u) % n for k in range(n))) for x in range(n)]
+             for u in units]  # reads[j][x] reads x, x + u_j, x + 2 u_j, ... mod n
     d_values: set[int] = set()
     count = 0
-    tuples = _raw_tuples(n)
-    chunks = ((n, batch) for batch in iter(lambda: list(itertools.islice(tuples, 20_000)), []))
-    with mp.get_context("fork").Pool(jobs) if jobs > 1 else nullcontext() as pool:
-        scan = pool.imap_unordered if jobs > 1 else map
-        for c, ds in scan(_scan_chunk, chunks):
-            count += c
-            d_values |= ds
+    for t in _raw_tuples(n):
+        c = [0] * n
+        for i in t:
+            c[i] += 1
+        c = tuple(c)
+        starts = [x for x in set(t) if c[x] >= c[0]]  # no other x reads a larger c
+        if _smaller_image(c, starts, reads[:1], phi):
+            continue
+        count += 1
+        if not _smaller_image(c, starts, reads[1:], phi):
+            d_values.add(bezout_denominator(IntPolynomial.make(c), n))
     factored = []
     unresolved = []
     for d in sorted(d_values):
@@ -234,21 +229,20 @@ def _candidate_pool(scan: CandidateScan) -> set[int]:
     return pool
 
 
-def prop11_candidates(n: int, jobs: int = 1) -> set[int]:
+def prop11_candidates(n: int) -> set[int]:
     """Union of the divisor sets of all Bezout denominators: a finite superset
     of every e with e | Phi_n(q) and m(q,e) < threshold(n)."""
-    return _candidate_pool(candidate_scan(n, jobs=jobs))
+    return _candidate_pool(candidate_scan(n))
 
 
-def corollary13_exceptions(n: int, k_cap: int | None = None,
-                           jobs: int = 1) -> ExceptionSet:
+def corollary13_exceptions(n: int, k_cap: int | None = None) -> ExceptionSet:
     """Sift the candidates to prime powers p^k with n | p-1, then keep those
     whose order-n element really has m below the threshold; every m comes
     with an explicit witness, which the engine checks (length m, sum 0 mod
     p^k) before it answers. A p^k left unsifted, as k exceeds
     k_cap or p^k is beyond every route of the engine, is listed as unresolved
     (p^k, p^k), and the set is then not complete."""
-    scan = candidate_scan(n, jobs=jobs)
+    scan = candidate_scan(n)
     thr = scan.threshold
     pk_candidates: set[tuple[int, int]] = set()
     for _, factors in scan.factored:

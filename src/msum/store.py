@@ -21,18 +21,19 @@ another's append half done. A file that is refused, or that cannot be read
 or written (a directory, say), raises StoreError. No database dependency,
 reproducible and diff-able.
 
-The module keeps one memo slot, _last_read, for the last file a load read
-to its end: its absolute path, its byte length, a blake2b digest of those
-bytes and the tables held from them; a load of another path empties it
-first. The tables are a pure function of the bytes, so a later load of the
-same path whose first `length` bytes hash to that digest reuses them and
-checks and parses only the bytes appended since (the records saves append);
-any other file, a shorter one, or a prefix that hashes otherwise is read
-and checked whole. A re-open hashes the prefix in 64 KiB chunks, never
-holding it, and goes on hashing the appended bytes it reads, so the new
-digest costs no second pass and the appended rows view only the appended
-bytes. Every byte a load adopts was either checked by that load or hashes
-to bytes an earlier load checked.
+The module keeps one memo slot, _last_read, for the last file a load read to
+its end: its absolute path, its byte length, a blake2b digest of those bytes
+and the tables held from them; opening or saving a store of another path
+empties it, so the tables of a file the process has left are not kept. The
+tables are a pure function of the bytes, so a later load of the same path
+whose first `length` bytes hash to that digest reuses them and checks and
+parses only the bytes appended since (the records saves append); any other
+file, a shorter one, or a prefix that hashes otherwise is read and checked
+whole. A re-open hashes the prefix in 64 KiB chunks, never holding it, and
+goes on hashing the appended bytes it reads, so the new digest costs no
+second pass and the appended rows view only the appended bytes. Every byte a
+load adopts was either checked by that load or hashes to bytes an earlier
+load checked.
 """
 from __future__ import annotations
 
@@ -88,15 +89,20 @@ class ResultStore:
         self.path = os.fspath(path)
         self.tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._pending: list[int] = []
+        self._forget_others()
         if os.path.exists(self.path):
             self._load()
+
+    def _forget_others(self) -> None:
+        """Empty the memo slot if it holds another file's tables."""
+        global _last_read
+        if _last_read is not None and _last_read.path != os.path.abspath(self.path):
+            _last_read = None
 
     def _load(self) -> None:
         global _last_read
         path = os.path.abspath(self.path)
-        last = _last_read
-        if last is not None and last.path != path:
-            _last_read = last = None  # hold no other file's tables through this read
+        last = _last_read  # this file's, if any: __init__ emptied the slot of another's
         digest = hashlib.blake2b()  # of the whole file
         start = 0  # the offset of the bytes read below: past those a load checked before
         try:
@@ -177,6 +183,7 @@ class ResultStore:
         """Append the pending tables, after a header if the file is empty. The
         header is chosen under the lock, by the file's size: a writer that
         created the file may not have written yet when another takes the lock."""
+        self._forget_others()
         records = []
         for e in self._pending:
             values, cls, order = self.tables[e]

@@ -10,9 +10,7 @@ from msum import cyclo
 from msum.cyclo import (
     ExceptionSet,
     IntPolynomial,
-    _canonical_rotation,
     _raw_tuples,
-    _tuple_poly,
     bezout_denominator,
     candidate_scan,
     corollary13_exceptions,
@@ -84,12 +82,33 @@ def resultant(f, g):
     return sign * rows[size - 1][size - 1]
 
 
+def canonical_rotation(t, n, phi):
+    """The least of t and its rotations with an exponent moved to 0, sorted, and
+    every exponent below phi; the sift's count vectors are checked against it."""
+    best = t
+    for shift in set(t):
+        if shift == 0:
+            continue
+        rot = tuple(sorted((x - shift) % n for x in t))
+        if rot[-1] < phi and rot < best:
+            best = rot
+    return best
+
+
+def tuple_poly(t):
+    """g = the sum of X^i over the exponents i of t."""
+    out = [0] * (max(t) + 1)
+    for i in t:
+        out[i] += 1
+    return IntPolynomial.make(out)
+
+
 def canonical_polys(n):
-    """(t, g) for every canonical exponent tuple t of the sift at n."""
+    """(t, g) for every rotation-canonical exponent tuple t of the sift at n."""
     phi = euler_phi(n)
     for t in _raw_tuples(n):
-        if _canonical_rotation(t, n, phi) == t:
-            yield t, _tuple_poly(t)
+        if canonical_rotation(t, n, phi) == t:
+            yield t, tuple_poly(t)
 
 
 def test_cyclotomic_small():
@@ -217,9 +236,32 @@ def test_candidate_scan_pins_n7():
     )
 
 
-@pytest.mark.slow
+@pytest.mark.parametrize("n", [5, 7, 9, 15, 21])
+def test_affine_sift_keeps_every_rotation_class_denominator(n):
+    # one solve per affine class gives the d set of one solve per rotation class
+    want = {bezout_denominator(g, n) for _, g in canonical_polys(n)}
+    scan = candidate_scan(n)
+    assert set(scan.d_values) == want
+    assert scan.tuples_examined == sum(1 for _ in canonical_polys(n))
+
+
+@pytest.mark.parametrize("n,solves", [(5, 12), (7, 57)])
+def test_candidate_scan_solves_one_tuple_per_affine_class(monkeypatch, n, solves):
+    # 25 and 245 rotation classes at n = 5 and 7
+    seen = []
+    solve = cyclo.bezout_denominator
+
+    def spy(g, order):
+        seen.append(g)
+        return solve(g, order)
+
+    monkeypatch.setattr(cyclo, "bezout_denominator", spy)
+    candidate_scan(n)
+    assert len(seen) == solves == len(set(seen))
+
+
 def test_candidate_scan_pins_n11():
-    scan = candidate_scan(11, jobs=2)
+    scan = candidate_scan(11)
     assert scan.tuples_examined == 32065
     assert len(scan.d_values) == 1649
     digest = hashlib.sha256(json.dumps(list(scan.d_values)).encode()).hexdigest()
@@ -283,21 +325,14 @@ def test_prop11_soundness_sweep(n, e_max):
     assert checked > 0
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("n,e_max", [(11, 3000), (13, 3000)])
+@pytest.mark.parametrize("n,e_max", [(11, 3000),
+                                     pytest.param(13, 3000, marks=pytest.mark.slow)])
 def test_prop11_soundness_sweep_large_n(n, e_max):
-    candidates = prop11_candidates(n, jobs=2)
+    candidates = prop11_candidates(n)
     thr = threshold(n)
     for q, e in _phi_n_roots_mod_e(n, e_max):
         if m_value(q, e) < thr:
             assert e in candidates, (q, e)
-
-
-def test_candidate_scan_parallel_agrees():
-    serial = candidate_scan(7, jobs=1)
-    parallel = candidate_scan(7, jobs=2)
-    assert serial.d_values == parallel.d_values
-    assert serial.tuples_examined == parallel.tuples_examined
 
 
 def test_exception_set_type():

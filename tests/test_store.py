@@ -321,17 +321,18 @@ def test_truncated_or_replaced_file_is_read_whole(tmp_path, checked):
 
 
 def test_records_another_store_appends_are_adopted(tmp_path, checked):
+    # raw bytes for another process to append, which shares no memo slot; made
+    # first, as saving a store of another path empties the slot
+    engine.clear_cache()
+    engine.m_table_for_modulus(13)
+    tail = saved(tmp_path / "t.bin", engine.cache_rows(0)).read_bytes()[HEADER:]
+    engine.clear_cache()
     path = saved(tmp_path / "s.bin", [R7])
     ResultStore(path)
     size = path.stat().st_size
     other = ResultStore(path)
     other.add_rows([R11])
     other.save()
-    # and raw bytes appended by another process, which shares no memo slot
-    engine.clear_cache()
-    engine.m_table_for_modulus(13)
-    tail = saved(tmp_path / "t.bin", engine.cache_rows(0)).read_bytes()[HEADER:]
-    engine.clear_cache()
     with open(path, "ab") as fh:
         fh.write(tail)
     checked.clear()
@@ -339,3 +340,20 @@ def test_records_another_store_appends_are_adopted(tmp_path, checked):
     assert checked == [size, path.stat().st_size - len(tail)]
     assert sorted(st.tables) == [7, 11, 13]
     assert listed(st.cache_rows()) == listed(cold(path))
+
+
+def test_a_store_of_another_path_lets_the_read_tables_go(tmp_path, monkeypatch):
+    monkeypatch.setattr(store, "_last_read", None)
+    a = os.path.abspath(saved(tmp_path / "a.bin", [R7]))
+    ResultStore(a)
+    assert store._last_read.path == a
+    b = ResultStore(tmp_path / "b.bin")  # opened before it exists
+    assert store._last_read is None
+    # the order of a copied cut: the copy opened, the source read, the copy saved
+    rows = ResultStore(a).cache_rows()
+    assert store._last_read.path == a
+    b.add_rows(rows + [R11])
+    b.save()
+    assert store._last_read is None
+    ResultStore(tmp_path / "b.bin")
+    assert store._last_read.path == os.path.abspath(tmp_path / "b.bin")
