@@ -338,7 +338,7 @@ _COROLLARY13 = {n: {(p, k, m) for (p, k), m in table.items()}
 
 
 def _corollary13_plan(params: dict) -> tuple[str, list]:
-    ns = list(params["ns"])
+    ns = sorted(set(params["ns"]))
     unlisted = sorted(set(ns) - set(_COROLLARY13))
     if unlisted:
         raise DomainError(f"corollary13 has no published exception set for n in {unlisted}")

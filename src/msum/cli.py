@@ -241,13 +241,12 @@ def cmd_sequence(p: int, n: int, k_max: int, fmt: str, out: str | None) -> None:
 
 @main.command("exceptions")
 @click.argument("n", type=int)
-@click.option("--k-cap", type=int, default=None)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]),
               default="text", show_default=True)
 @click.option("--out", type=click.Path(), default=None)
-def cmd_exceptions(n: int, k_cap: int | None, fmt: str, out: str | None) -> None:
+def cmd_exceptions(n: int, fmt: str, out: str | None) -> None:
     """Exception set for order n: prime powers p^k with m below n/(n-phi(n))."""
-    result = corollary13_exceptions(n, k_cap)
+    result = corollary13_exceptions(n)
     if fmt == "json":
         text = json.dumps({
             "n": n,

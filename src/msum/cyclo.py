@@ -235,13 +235,13 @@ def prop11_candidates(n: int) -> set[int]:
     return _candidate_pool(candidate_scan(n))
 
 
-def corollary13_exceptions(n: int, k_cap: int | None = None) -> ExceptionSet:
+def corollary13_exceptions(n: int) -> ExceptionSet:
     """Sift the candidates to prime powers p^k with n | p-1, then keep those
     whose order-n element really has m below the threshold; every m comes
     with an explicit witness, which the engine checks (length m, sum 0 mod
-    p^k) before it answers. A p^k left unsifted, as k exceeds
-    k_cap or p^k is beyond every route of the engine, is listed as unresolved
-    (p^k, p^k), and the set is then not complete."""
+    p^k) before it answers. A p^k left unsifted, as it is beyond every route
+    of the engine, is listed as unresolved (p^k, p^k), and the set is then
+    not complete."""
     scan = candidate_scan(n)
     thr = scan.threshold
     pk_candidates: set[tuple[int, int]] = set()
@@ -253,15 +253,11 @@ def corollary13_exceptions(n: int, k_cap: int | None = None) -> ExceptionSet:
     entries = []
     unresolved = list(scan.unresolved)
     for p, k in sorted(pk_candidates):
-        e = p**k
-        if k_cap is not None and k > k_cap:
-            unresolved.append((e, e))
-            continue
         q = element_of_order(p, k, n)
         try:
             mv, _ = m_prime_power(q, p, k, want_witness=True)
         except ModulusTooLarge:
-            unresolved.append((e, e))
+            unresolved.append((p**k, p**k))
             continue
         if Fraction(mv) < thr:
             entries.append((p, k, mv))

@@ -19,15 +19,16 @@ alone picks among five routes, and it refuses a modulus that no route takes
 with ModulusTooLarge:
   - q = 1 (mod e), answered in closed form (m = e), with a witness of e
     terms only for e <= DENSE_LIMIT;
-  - the order-2 scan, for moduli up to DENSE_LIMIT, H = {1, q} and no
-    witness wanted: one numpy pass over b in [1, e) finds the least
-    a + b with a + b q = 0 (mod e), an exhaustive search (a witness search
-    takes the bitmask BFS);
-  - the bitmask BFS, for moduli up to DENSE_LIMIT and subgroup order n below
-    LABEL_MIN_ORDER: levels are Python ints, one shift per element of H.
-    When only m is wanted and n >= _HALF_MIN_ORDER it stops at level
-    ceil(m/2), meeting each level with the negation of itself and of the
-    level before (a bit reversal); witness searches build every level;
+  - the order-2 scan, for moduli up to DENSE_LIMIT and H = {1, q}, with or
+    without a witness: numpy passes over b upward find the least a + b with
+    a + b q = 0 (mod e), an exhaustive search that stops once b reaches the
+    least sum found; the witness is a ones and b copies of q for the least
+    such b, the one the dense backtrack below reads;
+  - the bitmask BFS, for moduli up to DENSE_LIMIT and subgroup order
+    3 <= n < LABEL_MIN_ORDER: levels are Python ints, one shift per element
+    of H. When only m is wanted it stops at level ceil(m/2), meeting each
+    level with the negation of itself and of the level before (a bit
+    reversal); witness searches build every level;
   - the orbit-label BFS, for moduli up to DENSE_LIMIT and n >= LABEL_MIN_ORDER:
     every residue is labelled with the minimum of its H-orbit (an upward
     walk scatters the orbit of each unlabelled residue it meets), and each
@@ -116,7 +117,6 @@ __all__ = [
 
 DENSE_LIMIT = 1 << 22  # largest modulus handled by the dense (bitmask and label) BFS
 LABEL_MIN_ORDER = 1024  # smallest subgroup order n a dense modulus sends to the label BFS
-_HALF_MIN_ORDER = 8  # smallest subgroup order n whose bitmask BFS for m alone stops at ceil(m/2)
 SPARSE_LIMIT = 1 << 40  # largest modulus handled by the orbit engine
 
 _MUL_SPLIT = 20  # limb split for overflow-free int64 mulmod (needs modulus < 2^40)
@@ -193,16 +193,15 @@ def cache_rows(start: int) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray
 
 def _bfs_dense(e: int, elements: Sequence[int], keep_masks: bool):
     """(m, masks or None) for the subgroup H whose `elements` are given in
-    any order; _route sends no H = {1} here. Level masks are cumulative
-    reachable sets.
+    any order; _route sends only orders 3 <= n < LABEL_MIN_ORDER here. Level
+    masks are cumulative reachable sets.
 
-    With masks kept, every level up to m is built. Without, and with
-    len(elements) >= _HALF_MIN_ORDER, the search stops at level s = ceil(m/2):
-    for t >= 2, 0 lies in A_t iff A_ceil(t/2) meets -A_floor(t/2) (split a
-    vanishing sum of t' <= t terms, t' >= 2 as 0 is not in H, into halves of
-    ceil(t'/2) and floor(t'/2) terms), so level s tests t = 2s - 1 against
-    -A_(s-1) and t = 2s against -A_s. Negating a set costs a bit reversal,
-    about as much as 8-10 shifts of a level, hence the order gate."""
+    With masks kept, every level up to m is built. Without, the search stops
+    at level s = ceil(m/2): for t >= 2, 0 lies in A_t iff A_ceil(t/2) meets
+    -A_floor(t/2) (split a vanishing sum of t' <= t terms, t' >= 2 as 0 is
+    not in H, into halves of ceil(t'/2) and floor(t'/2) terms), so level s
+    tests t = 2s - 1 against -A_(s-1) and t = 2s against -A_s. Negating a
+    set costs a bit reversal, about as much as 8-10 shifts of a level."""
     full = (1 << e) - 1
     amask = 0
     for a in elements:
@@ -210,13 +209,12 @@ def _bfs_dense(e: int, elements: Sequence[int], keep_masks: bool):
     seen = amask
     frontier = amask
     masks = [seen] if keep_masks else None
-    half = not keep_masks and len(elements) >= _HALF_MIN_ORDER
     size = (e + 7) // 8
     shift = 8 * size - e - 1  # reversed over 8*size bits, residue x lands at e - x + shift
     neg = 0  # -A_(s-1); the empty set at s = 1, where t = 1 is no candidate
     levels = 1
     while True:
-        if half:
+        if not keep_masks:
             if seen & neg:
                 return 2 * levels - 1, None
             rev = int.from_bytes(seen.to_bytes(size, "little").translate(_BIT_REVERSE), "big")
@@ -255,16 +253,27 @@ def _dense_witness(e: int, pw: np.ndarray, levels: list[np.ndarray]) -> tuple[in
     return tuple(sorted(exps))
 
 
-def _scan_pair(q: int, e: int) -> int:
-    """m for H = {1, q} of order 2, by exhaustive search: the least a + b >= 1
-    with a + b q = 0 (mod e), a ones and b copies of q. For b in [1, e) the
-    least a is -b q (mod e); b = 0 needs a = e, and b >= e gives a + b >= e.
-    One pass over b, in place, holds two e-long int64 arrays."""
-    b = np.arange(1, e, dtype=np.int64)
-    s = b * (e - q)  # below e^2 <= 2^44
-    np.remainder(s, e, out=s)
-    s += b
-    return min(e, int(s.min()))
+def _scan_pair(q: int, e: int) -> tuple[int, int]:
+    """(m, b) for H = {1, q} of order 2, by exhaustive search: m is the least
+    a + b >= 1 with a + b q = 0 (mod e), a ones and b copies of q, and b the
+    least count of q among such sums of m terms. For b in [1, e) the least a
+    is -b q (mod e), at least 1; b = 0 needs a = e, and b >= e gives
+    a + b >= e. b is scanned upward in blocks of doubling size, each one
+    numpy pass, and the scan stops once b reaches the least sum found: every
+    later b gives a + b >= b + 1. So it costs O(m), not O(e)."""
+    best, arg = e, 0
+    lo, size = 1, 64
+    while lo < best:
+        b = np.arange(lo, min(lo + size, best), dtype=np.int64)
+        s = b * (e - q)  # below e^2 <= 2^44
+        np.remainder(s, e, out=s)
+        s += b
+        j = int(s.argmin())
+        if s[j] < best:
+            best, arg = int(s[j]), lo + j
+        lo += size
+        size *= 2
+    return best, arg
 
 
 # ---------------------------------------------------------------------------
@@ -564,16 +573,18 @@ def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[in
         return e, ((0,) * e if want_witness else None)
     if e <= DENSE_LIMIT:
         n = n or mul_order(q, e)
-        if n == 2 and not want_witness:
-            return _scan_pair(q, e), None
-        pw = _power_table(q, e, n) if want_witness or n >= LABEL_MIN_ORDER else None
-        if n >= LABEL_MIN_ORDER:
-            value, levels = _bfs_label(e, pw, want_witness)
+        if n == 2:
+            value, b = _scan_pair(q, e)
+            witness = (0,) * (value - b) + (1,) * b if want_witness else None
         else:
-            value, masks = _bfs_dense(e, elements or _powers_of(q, e), want_witness)
-            levels = masks and [np.frombuffer(mask.to_bytes((e + 7) // 8, "little"), np.uint8)
-                                for mask in masks]
-        witness = _dense_witness(e, pw, levels) if want_witness else None
+            pw = _power_table(q, e, n) if want_witness or n >= LABEL_MIN_ORDER else None
+            if n >= LABEL_MIN_ORDER:
+                value, levels = _bfs_label(e, pw, want_witness)
+            else:
+                value, masks = _bfs_dense(e, elements or _powers_of(q, e), want_witness)
+                levels = masks and [np.frombuffer(mask.to_bytes((e + 7) // 8, "little"),
+                                                  np.uint8) for mask in masks]
+            witness = _dense_witness(e, pw, levels) if want_witness else None
     elif e >= SPARSE_LIMIT:  # before any factoring: factorize is exact below 2^40
         raise ModulusTooLarge(f"modulus {e} beyond orbit engine range (2^40)")
     else:

@@ -193,6 +193,22 @@ def test_corollary13_without_published_set_fails_before_scanning(monkeypatch):
             run_claim("corollary13", {"ns": ns})
 
 
+def test_corollary13_sifts_each_n_once(monkeypatch):
+    # a repeated n was sifted once per occurrence, as its own check
+    sifted = []
+    sift = campaign.corollary13_exceptions
+
+    def spy(n):
+        sifted.append(n)
+        return sift(n)
+
+    monkeypatch.setattr(campaign, "corollary13_exceptions", spy)
+    report = run_claim("corollary13", {"ns": (7, 5, 5)})
+    assert report.ok and report.checks == 2
+    assert sorted(sifted) == [5, 7]
+    assert report.domain == "exception sets for n in [5, 7]"
+
+
 @pytest.mark.parametrize("claim, params, workers", [
     ("corollary13", {"ns": (5, 7)}, 2),
     ("remark12", {"n_max": 4}, 3),

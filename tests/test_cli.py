@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from msum import campaign, classify, cli, cyclo, engine
 from msum.cli import main
-from msum.errors import ClassificationOverlap, NotFoundWithinCap
+from msum.errors import ClassificationOverlap, ModulusTooLarge, NotFoundWithinCap
 from msum.store import ResultStore
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -79,6 +79,17 @@ def test_m_text_for_q_congruent_one_builds_no_witness():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "m=1000000007 (q=1 mod e case)" in proc.stdout
+
+
+def test_m_of_order_two_with_huge_m_fits_one_gib():
+    # m = 2^21: the bitmask BFS kept every level of 512 KiB and ended in a
+    # MemoryError traceback under a 1 GiB address-space cap
+    code = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from msum.cli import main; main(['m', '2097153', '4194304'])")
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "m=2097152, witness 2097151*2097153^0+2097153^1" in proc.stdout
 
 
 def test_m_json_for_q_congruent_one_builds_no_witness():
@@ -434,9 +445,13 @@ def test_exceptions_json():
     assert doc["complete"] is True
 
 
-def test_exceptions_capped_sift_is_not_complete():
-    # k_cap = 0 sifts no prime power; the 13 published entries go unresolved
-    res = run("exceptions", "7", "--k-cap", "0")
+def test_exceptions_out_of_range_sift_is_not_complete(monkeypatch):
+    # no prime power is sifted; the 13 published entries go unresolved
+    def out_of_range(q, p, k, want_witness=False):
+        raise ModulusTooLarge(f"modulus {p}^{k} beyond every route")
+
+    monkeypatch.setattr(cyclo, "m_prime_power", out_of_range)
+    res = run("exceptions", "7")
     assert res.exit_code == 0
     assert res.output.rstrip("\n").splitlines()[1:] == [
         "  (none)", "candidates: 28; unresolved: 13; candidates, verified members"]

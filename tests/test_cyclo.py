@@ -19,7 +19,7 @@ from msum.cyclo import (
     threshold,
 )
 from msum.engine import m_value
-from msum.errors import DegenerateInput, DomainError
+from msum.errors import DegenerateInput, DomainError, ModulusTooLarge
 from msum.modular import euler_phi, rad, smallest_prime_divisor
 
 
@@ -287,10 +287,14 @@ def test_corollary13_exceptions_n4_empty():
     assert exc.complete
 
 
-def test_corollary13_respects_k_cap():
-    exc = corollary13_exceptions(5, k_cap=0)
+def test_corollary13_leaves_out_of_range_powers_unresolved(monkeypatch):
+    def out_of_range(q, p, k, want_witness=False):
+        raise ModulusTooLarge(f"modulus {p}^{k} beyond every route")
+
+    monkeypatch.setattr(cyclo, "m_prime_power", out_of_range)
+    exc = corollary13_exceptions(5)
     assert exc.entries == ()
-    # every (p, k) the cap cuts is left open, so the set is not complete
+    # every (p, k) no route takes is left open, so the set is not complete
     assert exc.unresolved == ((11, 11), (61, 61))
     assert exc.complete is False
 

@@ -447,14 +447,20 @@ def test_half_depth_stop_matches_full_search_and_oracle():
                 assert value == naive_m_oracle(q, e), (q, e)
 
 
-# (q, e) with m: orders n on both sides of the half-depth gate, all below
-# LABEL_MIN_ORDER, and m of both parities
+# (q, e) with m: orders n below LABEL_MIN_ORDER and m of both parities; the
+# last three rows are orders 3-7 at prime moduli near 2^20, 2^21 and 2^22
 HALF_DEPTH_SPOTS = [
     (90242, 99999, 82), (31979, 99999, 271), (75068, 99999, 271), (56395, 99999, 9),
     (11809, 99999, 369), (64778, 99999, 5), (78265, 99999, 9),
     (975347, 999999, 6), (850378, 999999, 33), (463303, 999999, 63), (916093, 999999, 27),
     (81064, 999999, 18),
     (837343, 1000033, 3), (649529, 1000033, 2), (562951, 1000033, 11),
+    (890900, 1048573, 3), (683314, 1048573, 2), (225926, 1048571, 5), (890901, 1048573, 2),
+    (655684, 1048573, 7),
+    (1718556, 2097133, 3), (1598646, 2097133, 2), (1122464, 2097131, 5),
+    (1718557, 2097133, 2), (728866, 2097131, 7),
+    (1146976, 4194301, 3), (1530975, 4194301, 2), (2941311, 4194301, 5),
+    (1146977, 4194301, 2), (1027940, 4194247, 7),
 ]
 
 
@@ -462,13 +468,13 @@ def test_half_depth_stop_at_large_moduli():
     orders = set()
     for q, e, mv in HALF_DEPTH_SPOTS:
         n = mul_order(q, e)
-        orders.add(n >= engine._HALF_MIN_ORDER)
+        orders.add(n)
         assert n < engine.LABEL_MIN_ORDER, (q, e)
         value = engine._route(q, e, False, n, engine._powers_of(q, e))[0]
         full, witness = engine._route(q, e, True)
         assert value == full == len(witness) == mv, (q, e)
         assert verify_witness(q, e, witness), (q, e)
-    assert orders == {False, True}
+    assert set(range(3, 8)) <= orders
 
 
 @pytest.mark.slow
@@ -509,9 +515,12 @@ def test_dense_dispatch_is_on_the_order(monkeypatch):
     m_table_for_modulus(4099)  # one class per order, a divisor of 4098 = 2 * 3 * 683
     engine.clear_cache()
     # the class of order 1 takes the closed form, no search, and the class
-    # of order 2 (no witness wanted) the scan
+    # of order 2 the scan
     assert sorted(routes) == [("bitmask", n) for n in (3, 6, 683)] + \
         [("label", n) for n in (1366, 2049, 4098)] + [("scan", 2)]
+    routes.clear()
+    m(4098, 4099)  # a witness of order 2 takes the scan as well
+    assert routes == [("scan", 2)]
 
 
 def _order_two(e_max):
@@ -527,30 +536,88 @@ def test_order_two_scan_matches_bitmask_to_2049():
     pairs = list(_order_two(2049))
     assert len(pairs) == 8633
     for q, e in pairs:
-        assert engine._scan_pair(q, e) == engine._bfs_dense(e, [1, q], False)[0], (q, e)
+        assert engine._scan_pair(q, e)[0] == engine._bfs_dense(e, [1, q], False)[0], (q, e)
 
 
 def test_order_two_scan_matches_oracle():
     for q, e in _order_two(500):
-        assert engine._scan_pair(q, e) == m_value(q, e) == naive_m_oracle(q, e), (q, e)
+        assert engine._scan_pair(q, e)[0] == m_value(q, e) == naive_m_oracle(q, e), (q, e)
 
 
-def test_order_two_witness_takes_the_bitmask(monkeypatch):
+def _check_order_two_witnesses(e_max):
+    """The witness m(q, e) gives for each order-2 pair equals the one the
+    bitmask BFS reads back (every level kept, hits of least element first)."""
+    for q, e in _order_two(e_max):
+        value, masks = engine._bfs_dense(e, [1, q], True)
+        levels = [np.frombuffer(mask.to_bytes((e + 7) // 8, "little"), np.uint8)
+                  for mask in masks]
+        want = engine._dense_witness(e, np.array([1, q], dtype=np.int64), levels)
+        assert m(q, e) == MResult(value, want), (q, e)
+
+
+def test_order_two_witness_matches_bitmask():
+    _check_order_two_witnesses(600)
+
+
+@pytest.mark.slow
+def test_order_two_witness_matches_bitmask_to_2049():
+    _check_order_two_witnesses(2049)
+
+
+def _scan_pair_whole_pass(q, e):
+    """(m, least b) of _scan_pair from one pass over every b in [0, e)."""
+    b = np.arange(e, dtype=np.int64)
+    s = b * (e - q) % e + b
+    s[0] = e
+    return int(s.min()), int(s.argmin())
+
+
+@pytest.mark.parametrize("q, e", [
+    (4194303, 4194304), (4194302, 4194303),  # q = -1: m = 2
+    (2097153, 4194304), (1 << 20 | 1, 1 << 21),  # m = e/2
+    (65504, 4194305), (1677721, 4194305), (2516584, 4194305),  # e = 5 * 397 * 2113
+])
+def test_scan_pair_early_stop_is_exact(q, e):
+    assert pow(q, 2, e) == 1
+    assert engine._scan_pair(q, e) == _scan_pair_whole_pass(q, e)
+
+
+def test_order_two_witness_takes_the_scan(monkeypatch):
     routes = []
-    bitmask = engine._bfs_dense
+    scan = engine._scan_pair
 
-    def spy_bitmask(e, elements, *args, **kwargs):
-        routes.append(sorted(elements))
-        return bitmask(e, elements, *args, **kwargs)
+    def spy_scan(q, e):
+        routes.append((q, e))
+        return scan(q, e)
 
-    monkeypatch.setattr(engine, "_bfs_dense", spy_bitmask)
+    def refuse(*args, **kwargs):
+        raise AssertionError("an order-2 query took the bitmask BFS")
+
+    monkeypatch.setattr(engine, "_scan_pair", spy_scan)
+    monkeypatch.setattr(engine, "_bfs_dense", refuse)
     for q, e in [(6, 7), (4, 15), (4097, 8192), (4194302, 4194303)]:
         routes.clear()
         result = m(q, e)
-        assert routes == [[1, q]], (q, e)
+        assert routes == [(q, e)], (q, e)
         assert result.value == m_value(q, e) and verify_witness(q, e, result), (q, e)
-    assert len(routes) == 1  # m_value took the scan
+        assert len(routes) == 2, (q, e)
 
+
+def test_order_two_witness_with_huge_m_fits_one_gib():
+    # the bitmask BFS kept an e-bit level per step: m = 2^21 levels of 512 KiB
+    # at e = 2^22, which raised MemoryError under the cap and was OOM-killed
+    # without one; the scan holds a few arrays of at most m int64
+    code = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from msum.engine import m, verify_witness\n"
+            "for q, e in ((2097153, 1 << 22), (131073, 1 << 18)):\n"
+            "    r = m(q, e)\n"
+            "    assert r.value == e // 2 and verify_witness(q, e, r), (q, e)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 def test_table_walks_answer_the_class_of_one_in_closed_form(monkeypatch):
     orders = []
