@@ -191,7 +191,7 @@ def cache_rows(start: int) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray
 # ---------------------------------------------------------------------------
 # dense bitmask BFS
 
-def _bfs_dense(e: int, elements: Sequence[int], keep_masks: bool):
+def _bfs_dense(e: int, elements: Sequence[int], keep_masks: bool, g: int = 1):
     """(m, masks or None) for the subgroup H whose `elements` are given in
     any order; _route sends only orders 3 <= n < LABEL_MIN_ORDER here. Level
     masks are cumulative reachable sets.
@@ -201,7 +201,21 @@ def _bfs_dense(e: int, elements: Sequence[int], keep_masks: bool):
     -A_floor(t/2) (split a vanishing sum of t' <= t terms, t' >= 2 as 0 is
     not in H, into halves of ceil(t'/2) and floor(t'/2) terms), so level s
     tests t = 2s - 1 against -A_(s-1) and t = 2s against -A_s. Negating a
-    set costs a bit reversal, about as much as 8-10 shifts of a level."""
+    set costs a bit reversal, about as much as 8-10 shifts of a level.
+
+    Without masks and with a hint g > 1, g | e and g | q - 1 (_route passes
+    gcd(e, q - 1)), the search runs on the cosets of g instead. Let Y_L be
+    the sums of at most L terms h - 1, h in H: cumulative (1 - 1 = 0), with
+    Y_a + Y_b = Y_(a+b), and inside gZ/eZ, as every h = 1 (mod g), so Y
+    stops growing after at most e/g levels. A sum of exactly t powers is
+    t + y with y in Y_t (pad it with ones), so a vanishing t-sum exists iff
+    -t lies in Y_t, iff Y_ceil(t/2) meets -t - Y_floor(t/2), which needs
+    g | t. So only t = g, 2g, ... are tested, up to t = e, which always
+    passes; once Y has stopped growing each t costs one shift and one AND.
+    The step rests on the sets, not on the hint: the last set must lie in
+    the multiples of g, or MsumError is raised."""
+    if g > 1 and not keep_masks:
+        return _bfs_cosets(e, elements, g), None
     full = (1 << e) - 1
     amask = 0
     for a in elements:
@@ -232,6 +246,46 @@ def _bfs_dense(e: int, elements: Sequence[int], keep_masks: bool):
         levels += 1
         if keep_masks:
             masks.append(seen)
+
+
+def _bfs_cosets(e: int, elements: Sequence[int], g: int) -> int:
+    """m by the coset search of _bfs_dense, g > 1. seen is Y_level, bit y
+    for residue y; a level shifts the frontier by every h and then right
+    by 1, a shift by h - 1 (h >= 1, so no bit is lost). dbl holds -1 - Y_b,
+    b = floor(t/2), twice over e bits, reversed once per new b level: x
+    lands at e - 1 - x and 2e - 1 - x, so dbl >> (t - 1), 1 <= t - 1 < e,
+    holds -t - Y_b (mod e) in its low e bits."""
+    full = (1 << e) - 1
+    size = (e + 7) // 8
+    seen = frontier = 1  # Y_0 = {0}
+    level, rev_level, dbl = 0, -1, 0
+    t = g
+    while True:
+        for stop in (t // 2, (t + 1) // 2):  # Y_floor(t/2), reversed, then Y_ceil(t/2)
+            while level < stop and frontier:
+                acc = 0
+                for a in elements:
+                    acc |= frontier << a
+                acc >>= 1
+                acc = (acc | (acc >> e)) & full
+                frontier = acc & ~seen
+                seen |= frontier
+                level += 1
+            if stop == t // 2 and level != rev_level:
+                rev = int.from_bytes(seen.to_bytes(size, "little").translate(_BIT_REVERSE), "big")
+                rev >>= 8 * size - e  # x lands at e - 1 - x
+                dbl, rev_level = rev | rev << e, level
+        if seen & (dbl >> (t - 1)):
+            break
+        t += g
+    multiples, span = 1, g
+    while span < e:
+        multiples |= multiples << span
+        span *= 2
+    if seen & ~multiples:
+        raise MsumError(f"coset search mod {e}: a sum of terms h - 1 is not a multiple "
+                        f"of {g}, so the hint g does not divide every h - 1")
+    return t
 
 
 def _dense_witness(e: int, pw: np.ndarray, levels: list[np.ndarray]) -> tuple[int, ...]:
@@ -581,7 +635,8 @@ def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[in
             if n >= LABEL_MIN_ORDER:
                 value, levels = _bfs_label(e, pw, want_witness)
             else:
-                value, masks = _bfs_dense(e, elements or _powers_of(q, e), want_witness)
+                value, masks = _bfs_dense(e, elements or _powers_of(q, e), want_witness,
+                                          gcd(e, q - 1))
                 levels = masks and [np.frombuffer(mask.to_bytes((e + 7) // 8, "little"),
                                                   np.uint8) for mask in masks]
             witness = _dense_witness(e, pw, levels) if want_witness else None

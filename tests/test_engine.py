@@ -448,7 +448,9 @@ def test_half_depth_stop_matches_full_search_and_oracle():
 
 
 # (q, e) with m: orders n below LABEL_MIN_ORDER and m of both parities; the
-# last three rows are orders 3-7 at prime moduli near 2^20, 2^21 and 2^22
+# rows at prime moduli near 2^20, 2^21 and 2^22 are orders 3-7; the last six
+# have g = gcd(e, q - 1) = 4, 16 and 3^5, so a table searches them on the
+# cosets of g, with m = g an odd and m = 2g an even step for g = 3^5
 HALF_DEPTH_SPOTS = [
     (90242, 99999, 82), (31979, 99999, 271), (75068, 99999, 271), (56395, 99999, 9),
     (11809, 99999, 369), (64778, 99999, 5), (78265, 99999, 9),
@@ -461,28 +463,71 @@ HALF_DEPTH_SPOTS = [
     (1718557, 2097133, 2), (728866, 2097131, 7),
     (1146976, 4194301, 3), (1530975, 4194301, 2), (2941311, 4194301, 5),
     (1146977, 4194301, 2), (1027940, 4194247, 7),
+    (376237, 400012, 20), (308393, 810756, 12), (75793, 500272, 48), (260337, 777104, 48),
+    (320032, 600939, 243), (322705, 371061, 486),
 ]
 
 
 def test_half_depth_stop_at_large_moduli():
-    orders = set()
+    orders, steps = set(), set()
     for q, e, mv in HALF_DEPTH_SPOTS:
         n = mul_order(q, e)
         orders.add(n)
+        steps.add(gcd(e, q - 1))
         assert n < engine.LABEL_MIN_ORDER, (q, e)
         value = engine._route(q, e, False, n, engine._powers_of(q, e))[0]
         full, witness = engine._route(q, e, True)
         assert value == full == len(witness) == mv, (q, e)
         assert verify_witness(q, e, witness), (q, e)
-    assert set(range(3, 8)) <= orders
+    assert set(range(3, 8)) <= orders and {1, 4, 16, 3**5} <= steps
 
 
 @pytest.mark.slow
 def test_half_depth_stop_matches_full_search_to_2049():
+    # every bitmask class with e <= 2049: the 45,641 with gcd(e, q - 1) > 1
+    # take the coset search, the rest the half-depth loop
     for e in range(2, 2050):
         for q, powers in _classes(e):
             value = engine._route(q, e, False, len(powers), powers)[0]
             assert value == engine._bfs_dense(e, powers, keep_masks=True)[0], (q, e)
+
+
+def test_coset_hint_is_exact():
+    # every divisor d of g = gcd(e, q - 1) is a valid step: d = 1 runs the
+    # half-depth loop, d > 1 the coset search, against the full-depth search
+    for e in range(2, 301):
+        for q, powers in _classes(e):
+            full = engine._bfs_dense(e, powers, True)[0]
+            g = gcd(e, q - 1)
+            for d in (d for d in range(1, g + 1) if g % d == 0):
+                assert engine._bfs_dense(e, powers, False, d) == (full, None), (q, e, d)
+
+
+@pytest.mark.parametrize("q, e, d", [(4, 15, 5), (4, 15, 15), (2, 63, 3), (2, 63, 9),
+                                     (10, 21, 7), (35, 128, 4)])
+def test_coset_search_refuses_a_wrong_hint(q, e, d):
+    # d divides e but not q - 1: some h - 1 is not a multiple of d
+    assert e % d == 0 and (q - 1) % d
+    with pytest.raises(MsumError, match="hint"):
+        engine._bfs_dense(e, engine._powers_of(q, e), False, d)
+
+
+def test_coset_search_of_order_three_mod_three_to_the_13_fits_one_gib():
+    # q = 1 + 3^12 has order 3 mod 3^13 and g = 3^12: Y saturates at level 1,
+    # so the search tests t = 3^12 alone; the half-depth loop built 3^12 / 2
+    # levels of 3^13 bits and ran for minutes
+    code = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from msum.engine import m_value\n"
+            "assert m_value(531442, 1594323) == 3**12\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    # the upper bound, by a witness the engine did not give: 3^12 - 1 ones and
+    # q^2 = 1 + 2 * 3^12
+    assert verify_witness(531442, 1594323, (0,) * (3**12 - 1) + (2,))
 
 
 def test_dense_dispatch_is_on_the_order(monkeypatch):
