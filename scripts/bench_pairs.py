@@ -30,7 +30,6 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ("sweep", "replay", "towers", "queries")
 SIDES = ("parent", "change")
 RUN_TIMEOUT_S = 600  # perfbench ends a run within 180 s; this only catches a hang
 
@@ -121,10 +120,14 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
 
 
 def main() -> int:
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    workloads = tuple(w["name"] for w in spec["workloads"])
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="the git revision to compare HEAD with")
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--workload", choices=WORKLOADS + ("all",), required=True)
+    parser.add_argument("--workload", choices=workloads + ("all",), required=True)
     parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
@@ -135,7 +138,8 @@ def main() -> int:
     base = os.path.join(ROOT, ".bench_build", "pairs")
     trees = {side: os.path.join(base, side) for side in SIDES}  # names of equal length
     os.makedirs(base, exist_ok=True)
-    workloads = WORKLOADS if args.workload == "all" else (args.workload,)
+    if args.workload != "all":
+        workloads = (args.workload,)
     report = {
         "command": " ".join(["scripts/bench_pairs.py", *sys.argv[1:]]),
         "parent": {"rev": args.parent, "sha": shas["parent"], "path_len": len(trees["parent"])},
@@ -146,8 +150,6 @@ def main() -> int:
         for side in SIDES:
             remove_worktree(trees[side])
             git("worktree", "add", "--detach", trees[side], shas[side])
-        with open(os.path.join(trees["change"], "BENCHMARK.json")) as fh:
-            better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
         for workload in workloads:
             runs = []
             for pair in range(1, args.pairs + 1):

@@ -28,7 +28,10 @@ with ModulusTooLarge:
     3 <= n < LABEL_MIN_ORDER: levels are Python ints, one shift per element
     of H. When only m is wanted it stops at level ceil(m/2), meeting each
     level with the negation of itself and of the level before (a bit
-    reversal); witness searches build every level;
+    reversal); with g = gcd(e, q - 1) > 1 it searches the cosets of g
+    instead, testing only t = g, 2g, ... on sets that stop growing after
+    e/g levels, and checks that its last set lies in the multiples of g;
+    witness searches build every level;
   - the orbit-label BFS, for moduli up to DENSE_LIMIT and n >= LABEL_MIN_ORDER:
     every residue is labelled with the minimum of its H-orbit (an upward
     walk scatters the orbit of each unlabelled residue it meets), and each

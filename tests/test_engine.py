@@ -515,7 +515,7 @@ def test_coset_search_refuses_a_wrong_hint(q, e, d):
 def test_coset_search_of_order_three_mod_three_to_the_13_fits_one_gib():
     # q = 1 + 3^12 has order 3 mod 3^13 and g = 3^12: Y saturates at level 1,
     # so the search tests t = 3^12 alone; the half-depth loop built 3^12 / 2
-    # levels of 3^13 bits and ran for minutes
+    # levels of 3^13 bits and ran past a minute
     code = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
             "from msum.engine import m_value\n"
             "assert m_value(531442, 1594323) == 3**12\n")
