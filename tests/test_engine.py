@@ -512,19 +512,23 @@ def test_coset_search_refuses_a_wrong_hint(q, e, d):
         engine._bfs_dense(e, engine._powers_of(q, e), False, d)
 
 
-def test_coset_search_of_order_three_mod_three_to_the_13_fits_one_gib():
-    # q = 1 + 3^12 has order 3 mod 3^13 and g = 3^12: Y saturates at level 1,
-    # so the search tests t = 3^12 alone; the half-depth loop built 3^12 / 2
-    # levels of 3^13 bits and ran past a minute
-    code = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-            "from msum.engine import m_value\n"
-            "assert m_value(531442, 1594323) == 3**12\n")
+def _run_under_one_gib(code: str, timeout: int) -> None:
+    """Run `code` in a fresh interpreter under a 1 GiB address-space cap."""
+    code = "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n" + code
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
            "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
+                          text=True, timeout=timeout)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_coset_search_of_order_three_mod_three_to_the_13_fits_one_gib():
+    # q = 1 + 3^12 has order 3 mod 3^13 and g = 3^12: Y saturates at level 1,
+    # so the search tests t = 3^12 alone; the half-depth loop built 3^12 / 2
+    # levels of 3^13 bits and ran past a minute
+    _run_under_one_gib("from msum.engine import m_value\n"
+                       "assert m_value(531442, 1594323) == 3**12\n", timeout=60)
     # the upper bound, by a witness the engine did not give: 3^12 - 1 ones and
     # q^2 = 1 + 2 * 3^12
     assert verify_witness(531442, 1594323, (0,) * (3**12 - 1) + (2,))
@@ -652,17 +656,11 @@ def test_order_two_witness_with_huge_m_fits_one_gib():
     # the bitmask BFS kept an e-bit level per step: m = 2^21 levels of 512 KiB
     # at e = 2^22, which raised MemoryError under the cap and was OOM-killed
     # without one; the scan holds a few arrays of at most m int64
-    code = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-            "from msum.engine import m, verify_witness\n"
-            "for q, e in ((2097153, 1 << 22), (131073, 1 << 18)):\n"
-            "    r = m(q, e)\n"
-            "    assert r.value == e // 2 and verify_witness(q, e, r), (q, e)\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-           "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    _run_under_one_gib("from msum.engine import m, verify_witness\n"
+                       "for q, e in ((2097153, 1 << 22), (131073, 1 << 18)):\n"
+                       "    r = m(q, e)\n"
+                       "    assert r.value == e // 2 and verify_witness(q, e, r), (q, e)\n",
+                       timeout=120)
 
 def test_table_walks_answer_the_class_of_one_in_closed_form(monkeypatch):
     orders = []
