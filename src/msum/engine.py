@@ -26,12 +26,13 @@ with ModulusTooLarge:
     such b, the one the dense backtrack below reads;
   - the bitmask BFS, for moduli up to DENSE_LIMIT and subgroup order
     3 <= n < LABEL_MIN_ORDER: levels are Python ints, one shift per element
-    of H. When only m is wanted it stops at level ceil(m/2), meeting each
-    level with the negation of itself and of the level before (a bit
-    reversal); with g = gcd(e, q - 1) > 1 it searches the cosets of g
-    instead, testing only t = g, 2g, ... on sets that stop growing after
-    e/g levels, and checks that its last set lies in the multiples of g;
-    witness searches build every level;
+    of H. When only m is wanted it searches the cosets of g = gcd(e, q - 1):
+    on the sums of terms h - 1, which lie in the multiples of g and stop
+    growing after at most e/g levels, it tests only t = g, 2g, ..., each by
+    meeting the sums of ceil(t/2) terms with the negation of those of
+    floor(t/2) terms (one bit reversal per level), so it builds at most
+    ceil(m/2) levels, and it checks that its last set lies in the multiples
+    of g; witness searches build every level;
   - the orbit-label BFS, for moduli up to DENSE_LIMIT and n >= LABEL_MIN_ORDER:
     every residue is labelled with the minimum of its H-orbit (an upward
     walk scatters the orbit of each unlabelled residue it meets), and each
@@ -196,70 +197,49 @@ def cache_rows(start: int) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray
 
 def _bfs_dense(e: int, elements: Sequence[int], keep_masks: bool, g: int = 1):
     """(m, masks or None) for the subgroup H whose `elements` are given in
-    any order; _route sends only orders 3 <= n < LABEL_MIN_ORDER here. Level
-    masks are cumulative reachable sets.
+    any order; _route sends only orders 3 <= n < LABEL_MIN_ORDER here, with
+    the hint g = gcd(e, q - 1). With masks kept, every level A_1, ..., A_m
+    of cumulative reachable sets is built, for the witness.
 
-    With masks kept, every level up to m is built. Without, the search stops
-    at level s = ceil(m/2): for t >= 2, 0 lies in A_t iff A_ceil(t/2) meets
-    -A_floor(t/2) (split a vanishing sum of t' <= t terms, t' >= 2 as 0 is
-    not in H, into halves of ceil(t'/2) and floor(t'/2) terms), so level s
-    tests t = 2s - 1 against -A_(s-1) and t = 2s against -A_s. Negating a
-    set costs a bit reversal, about as much as 8-10 shifts of a level.
-
-    Without masks and with a hint g > 1, g | e and g | q - 1 (_route passes
-    gcd(e, q - 1)), the search runs on the cosets of g instead. Let Y_L be
-    the sums of at most L terms h - 1, h in H: cumulative (1 - 1 = 0), with
-    Y_a + Y_b = Y_(a+b), and inside gZ/eZ, as every h = 1 (mod g), so Y
-    stops growing after at most e/g levels. A sum of exactly t powers is
-    t + y with y in Y_t (pad it with ones), so a vanishing t-sum exists iff
-    -t lies in Y_t, iff Y_ceil(t/2) meets -t - Y_floor(t/2), which needs
-    g | t. So only t = g, 2g, ... are tested, up to t = e, which always
-    passes; once Y has stopped growing each t costs one shift and one AND.
-    The step rests on the sets, not on the hint: the last set must lie in
-    the multiples of g, or MsumError is raised."""
-    if g > 1 and not keep_masks:
+    Without masks, _bfs_cosets searches the cosets of g, a divisor of e and
+    of q - 1 (g = 1 is always valid). Let Y_L be the sums of at most L terms
+    h - 1, h in H: cumulative (1 - 1 = 0), with Y_a + Y_b = Y_(a+b), and
+    inside gZ/eZ, as every h = 1 (mod g), so Y stops growing after at most
+    e/g levels. A sum of exactly t powers is t + y with y in Y_t (pad it
+    with ones), so a vanishing t-sum exists iff -t lies in Y_t, iff
+    Y_ceil(t/2) meets -t - Y_floor(t/2), which needs g | t. So only
+    t = g, 2g, ... are tested, up to t = e, which always passes: levels up
+    to ceil(m/2) at most, and once Y has stopped growing each t costs one
+    shift and one AND. The step rests on the sets, not on the hint: the
+    last set must lie in the multiples of g, or MsumError is raised."""
+    if not keep_masks:
         return _bfs_cosets(e, elements, g), None
     full = (1 << e) - 1
-    amask = 0
+    seen = 0
     for a in elements:
-        amask |= 1 << a
-    seen = amask
-    frontier = amask
-    masks = [seen] if keep_masks else None
-    size = (e + 7) // 8
-    shift = 8 * size - e - 1  # reversed over 8*size bits, residue x lands at e - x + shift
-    neg = 0  # -A_(s-1); the empty set at s = 1, where t = 1 is no candidate
-    levels = 1
-    while True:
-        if not keep_masks:
-            if seen & neg:
-                return 2 * levels - 1, None
-            rev = int.from_bytes(seen.to_bytes(size, "little").translate(_BIT_REVERSE), "big")
-            neg = rev >> shift if shift >= 0 else rev << 1  # -0 lands on bit e, past every set
-            if seen & neg:
-                return 2 * levels, None
-        elif seen & 1:
-            return levels, masks
+        seen |= 1 << a
+    frontier, masks = seen, [seen]
+    while not seen & 1:
         acc = 0
         for a in elements:
             acc |= frontier << a
         acc = (acc | (acc >> e)) & full
         frontier = acc & ~seen
         seen |= frontier
-        levels += 1
-        if keep_masks:
-            masks.append(seen)
+        masks.append(seen)
+    return len(masks), masks
 
 
 def _bfs_cosets(e: int, elements: Sequence[int], g: int) -> int:
-    """m by the coset search of _bfs_dense, g > 1. seen is Y_level, bit y
-    for residue y; a level shifts the frontier by every h and then right
-    by 1, a shift by h - 1 (h >= 1, so no bit is lost). dbl holds -1 - Y_b,
-    b = floor(t/2), twice over e bits, reversed once per new b level: x
-    lands at e - 1 - x and 2e - 1 - x, so dbl >> (t - 1), 1 <= t - 1 < e,
-    holds -t - Y_b (mod e) in its low e bits."""
+    """m by the coset search of _bfs_dense. seen is Y_level, bit y for
+    residue y; a level shifts the frontier by every h - 1 (h >= 1, so no
+    shift is negative). dbl holds -1 - Y_b, b = floor(t/2), twice over e
+    bits, reversed once per new b level: x lands at e - 1 - x and
+    2e - 1 - x, so dbl >> (t - 1), 0 <= t - 1 < e, holds -t - Y_b (mod e)
+    in its low e bits."""
     full = (1 << e) - 1
     size = (e + 7) // 8
+    steps = [a - 1 for a in elements]
     seen = frontier = 1  # Y_0 = {0}
     level, rev_level, dbl = 0, -1, 0
     t = g
@@ -267,9 +247,8 @@ def _bfs_cosets(e: int, elements: Sequence[int], g: int) -> int:
         for stop in (t // 2, (t + 1) // 2):  # Y_floor(t/2), reversed, then Y_ceil(t/2)
             while level < stop and frontier:
                 acc = 0
-                for a in elements:
+                for a in steps:
                     acc |= frontier << a
-                acc >>= 1
                 acc = (acc | (acc >> e)) & full
                 frontier = acc & ~seen
                 seen |= frontier

@@ -436,8 +436,8 @@ def _classes(e):
 
 
 def test_half_depth_stop_matches_full_search_and_oracle():
-    # the m of a table (no masks kept: the half-depth stop from order 8 on)
-    # against the witness search, which builds every level
+    # the m of a table (no masks kept: the coset search, which stops by
+    # level ceil(m/2)) against the witness search, which builds every level
     for e in range(2, 401):
         for q, powers in _classes(e):
             n = len(powers)
@@ -449,8 +449,8 @@ def test_half_depth_stop_matches_full_search_and_oracle():
 
 # (q, e) with m: orders n below LABEL_MIN_ORDER and m of both parities; the
 # rows at prime moduli near 2^20, 2^21 and 2^22 are orders 3-7; the last six
-# have g = gcd(e, q - 1) = 4, 16 and 3^5, so a table searches them on the
-# cosets of g, with m = g an odd and m = 2g an even step for g = 3^5
+# have g = gcd(e, q - 1) = 4, 16 and 3^5, so the search steps t by g, with
+# m = g an odd and m = 2g an even step for g = 3^5
 HALF_DEPTH_SPOTS = [
     (90242, 99999, 82), (31979, 99999, 271), (75068, 99999, 271), (56395, 99999, 9),
     (11809, 99999, 369), (64778, 99999, 5), (78265, 99999, 9),
@@ -484,8 +484,8 @@ def test_half_depth_stop_at_large_moduli():
 
 @pytest.mark.slow
 def test_half_depth_stop_matches_full_search_to_2049():
-    # every bitmask class with e <= 2049: the 45,641 with gcd(e, q - 1) > 1
-    # take the coset search, the rest the half-depth loop
+    # every bitmask class with e <= 2049 takes the coset search: the 45,641
+    # with g = gcd(e, q - 1) > 1 step t by g, the other 20,476 by 1
     for e in range(2, 2050):
         for q, powers in _classes(e):
             value = engine._route(q, e, False, len(powers), powers)[0]
@@ -493,8 +493,8 @@ def test_half_depth_stop_matches_full_search_to_2049():
 
 
 def test_coset_hint_is_exact():
-    # every divisor d of g = gcd(e, q - 1) is a valid step: d = 1 runs the
-    # half-depth loop, d > 1 the coset search, against the full-depth search
+    # every divisor d of g = gcd(e, q - 1) is a valid step of the coset
+    # search, d = 1 included, against the full-depth search
     for e in range(2, 301):
         for q, powers in _classes(e):
             full = engine._bfs_dense(e, powers, True)[0]
@@ -525,8 +525,8 @@ def _run_under_one_gib(code: str, timeout: int) -> None:
 
 def test_coset_search_of_order_three_mod_three_to_the_13_fits_one_gib():
     # q = 1 + 3^12 has order 3 mod 3^13 and g = 3^12: Y saturates at level 1,
-    # so the search tests t = 3^12 alone; the half-depth loop built 3^12 / 2
-    # levels of 3^13 bits and ran past a minute
+    # so the search tests t = 3^12 alone; a search stepping t by 1 built
+    # 3^12 / 2 levels of 3^13 bits and ran past a minute
     _run_under_one_gib("from msum.engine import m_value\n"
                        "assert m_value(531442, 1594323) == 3**12\n", timeout=60)
     # the upper bound, by a witness the engine did not give: 3^12 - 1 ones and
