@@ -32,7 +32,9 @@ with ModulusTooLarge:
     meeting the sums of ceil(t/2) terms with the negation of those of
     floor(t/2) terms (one bit reversal per level), so it builds at most
     ceil(m/2) levels, and it checks that its last set lies in the multiples
-    of g; witness searches build every level;
+    of g; witness searches build every level. An m-alone search of an odd
+    prime power p^k, p not dividing n, takes the orbit engine below instead
+    when its cost estimate is lower (the cost rule of _route);
   - the orbit-label BFS, for moduli up to DENSE_LIMIT and n >= LABEL_MIN_ORDER:
     every residue is labelled with the minimum of its H-orbit (an upward
     walk scatters the orbit of each unlabelled residue it meets), and each
@@ -41,7 +43,8 @@ with ModulusTooLarge:
     operations and the label route a few passes over e, so large-e
     subgroups of small order (prime-power towers) stay on the bitmask;
   - a sparse orbit engine for odd prime powers p^k beyond bitmask range
-    (up to 2^40): one canonical orbit key per orbit is stored, in two plain
+    (up to 2^40), and for the m-alone searches the cost rule above gives it
+    within that range: one canonical orbit key per orbit is stored, in two plain
     lists of sorted arrays, reps[s] for the exact s-sums and negs[s] for
     their negations; each level is the keys of a sliced base x powers grid,
     and meet-in-the-middle over half-length sums searches t < r (r the
@@ -123,6 +126,11 @@ DENSE_LIMIT = 1 << 22  # largest modulus handled by the dense (bitmask and label
 LABEL_MIN_ORDER = 1024  # smallest subgroup order n a dense modulus sends to the label BFS
 SPARSE_LIMIT = 1 << 40  # largest modulus handled by the orbit engine
 
+# F of _orbit_cheaper: the orbit engine's fixed cost in bitmask words. Fitting
+# time against cells (orbit) and words (bitmask) over 600 even-order classes of
+# odd prime powers 300 < e <= 2049, the difference of the two intercepts over
+# the bitmask's time per word read 4,200 and 4,700 (2-core box, Python 3.11)
+_ORBIT_FIXED_WORDS = 4000
 _MUL_SPLIT = 20  # limb split for overflow-free int64 mulmod (needs modulus < 2^40)
 _SLICE_CELLS = 1 << 17  # grid cells per slice of an orbit level build (bounds peak memory)
 _BIT_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte's bits reversed
@@ -594,12 +602,60 @@ def _powers_of(q: int, e: int) -> list[int]:
     return powers
 
 
+def _odd_prime_power(e: int) -> tuple[int, int] | None:
+    """(p, k) with e = p^k for an odd prime p, else None: the one shape check
+    of both rules of _route that send a modulus to the orbit engine."""
+    [(p, k), *rest] = factorize(e)
+    return None if rest or p == 2 else (p, k)
+
+
+def _orbit_cheaper(e: int, n: int) -> int:
+    """The odd prime p of e = p^k when the cost rule of _route sends the
+    m-alone search of an order-n subgroup mod e <= DENSE_LIMIT to the orbit
+    engine, else 0.
+
+    Both routes build at most D = ceil(r/2) levels: the orbit engine tests
+    t < r, and the coset search stops by level ceil(m/2) <= ceil(r/2). A
+    bitmask level shifts an e-bit int n times. An orbit level s holds at
+    most C(n + s - 1, s) keys, the s-multisets of H, and at most e; on a
+    prime modulus a key is an orbit minimum, n - 1 mulmods, and on p^k,
+    k >= 2, one gather and one mulmod through the key table. The first test
+    keeps a subgroup whose one bitmask level costs at most F on the bitmask,
+    at one multiply and one compare before any factoring."""
+    words = -(-e // 64)
+    if n * words <= _ORBIT_FIXED_WORDS or not 3 <= n < LABEL_MIN_ORDER:
+        return 0
+    shape = _odd_prime_power(e)
+    if shape is None or n % shape[0] == 0:
+        return 0
+    p, k = shape
+    depth = (smallest_prime_divisor(n) + 1) // 2
+    cells, term = 0, 1  # term = min(C(n + s - 1, s), e)
+    for s in range(depth):
+        cells += term
+        term = min(term * (n + s) // (s + 1), e)
+    if k == 1:
+        cells *= n
+    return p if cells + _ORBIT_FIXED_WORDS < depth * n * words else 0
+
+
 def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[int] = ()):
     """(m, witness|None) for q reduced mod e > 1: the one dispatch over the
     routes of the module docstring. A table walk passes the order n of q and
     its powers as `elements`, in any order, so neither is computed again.
     Witness exponents refer to q; a witness that fails its check raises
-    MsumError."""
+    MsumError.
+
+    One rule covers both uses of the orbit engine: e an odd prime power p^k
+    (_odd_prime_power) and n prime to p. Beyond DENSE_LIMIT it is the only
+    route. Within it, the cost rule (_orbit_cheaper) gives it an m-alone
+    search of order 3 <= n < LABEL_MIN_ORDER when C + F < W: with
+    D = ceil(r/2) levels, r the smallest prime divisor of n, the bitmask
+    costs W = D n ceil(e/64) words and the orbit engine C = sum over s < D
+    of min(C(n + s - 1, s), e) grid cells, times n on a prime modulus, plus
+    its fixed cost F = _ORBIT_FIXED_WORDS; a subgroup with n ceil(e/64) <= F
+    stays on the bitmask. Witness searches keep the dense routes, so every
+    witness is the one they give."""
     if q == 1:
         # every power is 1, so exactly e terms are needed; this witness is never
         # summed, and beyond the dense range it is refused before it is built
@@ -612,6 +668,8 @@ def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[in
         if n == 2:
             value, b = _scan_pair(q, e)
             witness = (0,) * (value - b) + (1,) * b if want_witness else None
+        elif not want_witness and (p := _orbit_cheaper(e, n)):
+            value, witness = _m_orbit(e, p, q, n, smallest_prime_divisor(n), False)
         else:
             pw = _power_table(q, e, n) if want_witness or n >= LABEL_MIN_ORDER else None
             if n >= LABEL_MIN_ORDER:
@@ -625,12 +683,12 @@ def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[in
     elif e >= SPARSE_LIMIT:  # before any factoring: factorize is exact below 2^40
         raise ModulusTooLarge(f"modulus {e} beyond orbit engine range (2^40)")
     else:
-        shape = factorize(e)
-        if len(shape) > 1 or shape[0][0] == 2:
+        shape = _odd_prime_power(e)
+        if shape is None:
             raise ModulusTooLarge(
                 f"modulus {e} beyond dense BFS range and not an odd prime power"
             )
-        [(p, k)] = shape
+        p, k = shape
         n = order_mod_prime_power(q, p, k)
         if n % p == 0:
             raise ModulusTooLarge(

@@ -469,17 +469,73 @@ HALF_DEPTH_SPOTS = [
 
 
 def test_half_depth_stop_at_large_moduli():
-    orders, steps = set(), set()
+    # the rows at prime moduli (1000033 ... 4194301) take the orbit engine when
+    # only m is wanted, so the coset search is also run on every row directly
+    orders, steps, orbit = set(), set(), set()
     for q, e, mv in HALF_DEPTH_SPOTS:
         n = mul_order(q, e)
         orders.add(n)
-        steps.add(gcd(e, q - 1))
+        g = gcd(e, q - 1)
+        steps.add(g)
         assert n < engine.LABEL_MIN_ORDER, (q, e)
-        value = engine._route(q, e, False, n, engine._powers_of(q, e))[0]
+        if engine._orbit_cheaper(e, n):
+            orbit.add(e)
+        powers = engine._powers_of(q, e)
+        value = engine._route(q, e, False, n, powers)[0]
         full, witness = engine._route(q, e, True)
         assert value == full == len(witness) == mv, (q, e)
+        assert engine._bfs_dense(e, powers, False, g)[0] == mv, (q, e)
         assert verify_witness(q, e, witness), (q, e)
     assert set(range(3, 8)) <= orders and {1, 4, 16, 3**5} <= steps
+    assert orbit == {e for _, e, _ in HALF_DEPTH_SPOTS if e > 10**6 and is_prime(e)}
+
+
+def test_orbit_choice_matches_full_search_to_2049():
+    # every class of a table walk with e <= 2049 that the cost rule sends to
+    # the orbit engine, against the full-depth bitmask search
+    chosen = 0
+    for e in range(3, 2050):
+        for q, powers in _classes(e):
+            n = len(powers)
+            if n >= 3 and engine._orbit_cheaper(e, n):
+                chosen += 1
+                value = engine._route(q, e, False, n, powers)[0]
+                assert value == engine._bfs_dense(e, powers, True)[0], (q, e)
+    assert chosen == 375
+
+
+# orders of the fresh-generator towers; each is paired with a prime p = 1 (mod n)
+# and a prime power p^k, k >= 2, both between 2^16 and 2^22
+TOWER_ORDERS = (3, 5, 7, 11, 13, 17, 19, 25, 35, 63, 95)
+
+
+def _tower_moduli(n):
+    """A prime p = 1 (mod n) just above 2^20 and the least power b^k >= 2^16,
+    k >= 2, of the least prime b = 1 (mod n) that has one below 2^22."""
+    p = next(p for p in range(2**20 // n * n + 1, 2**22, n) if is_prime(p))
+    for b in range(n + 1, 2**11, n):
+        k = 2
+        while b**k < 2**16:
+            k += 1
+        if is_prime(b) and b**k <= 2**22:
+            return (p, 1), (b, k)
+
+
+def test_orbit_choice_matches_coset_search_on_towers():
+    chosen = 0
+    for n in TOWER_ORDERS:
+        for p, k in _tower_moduli(n):
+            e = p**k
+            assert 2**16 <= e <= 2**22, (p, k)
+            q = element_of_order(p, k, n)
+            powers = engine._powers_of(q, e)
+            assert len(powers) == n
+            chosen += bool(engine._orbit_cheaper(e, n))
+            value = m_prime_power(q, p, k)[0]
+            assert value == engine._bfs_dense(e, powers, False, gcd(e, q - 1))[0], (q, p, k)
+    # all but three: orders 17 and 19 at their primes, and 19 at 419^2, estimate
+    # the bitmask cheaper
+    assert chosen == 2 * len(TOWER_ORDERS) - 3
 
 
 @pytest.mark.slow
@@ -536,7 +592,8 @@ def test_coset_search_of_order_three_mod_three_to_the_13_fits_one_gib():
 
 def test_dense_dispatch_is_on_the_order(monkeypatch):
     routes = []
-    label, bitmask, scan = engine._bfs_label, engine._bfs_dense, engine._scan_pair
+    label, bitmask, scan, orbit = (engine._bfs_label, engine._bfs_dense, engine._scan_pair,
+                                   engine._m_orbit)
 
     def spy_label(e, pw, *args):
         routes.append(("label", pw.size))
@@ -550,12 +607,27 @@ def test_dense_dispatch_is_on_the_order(monkeypatch):
         routes.append(("scan", 2))
         return scan(q, e)
 
+    def spy_orbit(p_mod, p, q, n, *args):
+        routes.append(("orbit", n))
+        return orbit(p_mod, p, q, n, *args)
+
     monkeypatch.setattr(engine, "_bfs_label", spy_label)
     monkeypatch.setattr(engine, "_bfs_dense", spy_bitmask)
     monkeypatch.setattr(engine, "_scan_pair", spy_scan)
-    # a tower-style subgroup: large e = 953^2, order 17
-    m_prime_power(element_of_order(953, 2, 17), 953, 2)
+    monkeypatch.setattr(engine, "_m_orbit", spy_orbit)
+    # a tower-style subgroup: large e = 953^2, order 17; m alone takes the
+    # orbit engine, whose cost estimate is lower, a witness the bitmask
+    q = element_of_order(953, 2, 17)
+    m_prime_power(q, 953, 2)
+    assert routes == [("orbit", 17)]
+    routes.clear()
+    m(q, 953**2)
     assert routes == [("bitmask", 17)]
+    routes.clear()
+    # a large prime order at a prime near 2^21 stays on the bitmask
+    p = next(p for p in range(2**21 // 509 * 509 + 1, 2**22, 509) if is_prime(p))
+    m_value(element_of_order(p, 1, 509), p)
+    assert routes == [("bitmask", 509)]
     routes.clear()
     m(2, 4099)  # 2 has order 4098
     assert routes == [("label", 4098)]

@@ -42,6 +42,15 @@ def test_fixed_base_tower_9_11():
     assert all(en.source == "bfs" for en in tower.entries)
 
 
+def test_fixed_base_tower_tags_the_orbit_choice():
+    # m alone of order 11 at a prime near 2^20: the engine's cost rule picks
+    # the orbit engine inside the dense range, and the tag says so
+    p = 1048609
+    assert (p - 1) % 11 == 0
+    tower = fixed_base_tower(element_of_order(p, 1, 11), p, 1)
+    assert [(en.ord, en.source) for en in tower.entries] == [(11, "orbit")]
+
+
 def test_fixed_base_tower_2_23():
     tower = fixed_base_tower(2, 23, 2)
     assert tower.m_sequence[0] == 3
