@@ -630,13 +630,15 @@ def _orbit_cheaper(e: int, n: int) -> int:
         return 0
     p, k = shape
     depth = (smallest_prime_divisor(n) + 1) // 2
+    budget = depth * n * words - _ORBIT_FIXED_WORDS  # W - F, which C must stay below
+    per_cell = n if k == 1 else 1
     cells, term = 0, 1  # term = min(C(n + s - 1, s), e)
     for s in range(depth):
-        cells += term
+        cells += term * per_cell
+        if cells >= budget:
+            return 0
         term = min(term * (n + s) // (s + 1), e)
-    if k == 1:
-        cells *= n
-    return p if cells + _ORBIT_FIXED_WORDS < depth * n * words else 0
+    return p
 
 
 def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[int] = ()):
