@@ -504,8 +504,7 @@ def test_orbit_choice_matches_full_search_to_2049():
     assert chosen == 375
 
 
-# orders of the fresh-generator towers; each is paired with a prime p = 1 (mod n)
-# and a prime power p^k, k >= 2, both between 2^16 and 2^22
+# orders of the fresh-generator towers, each tried at the two moduli of _tower_moduli
 TOWER_ORDERS = (3, 5, 7, 11, 13, 17, 19, 25, 35, 63, 95)
 
 
