@@ -46,12 +46,17 @@ with ModulusTooLarge:
     (up to 2^40), and for the m-alone searches the cost rule above gives it
     within that range: one canonical orbit key per orbit is stored, in two plain
     lists of sorted arrays, reps[s] for the exact s-sums and negs[s] for
-    their negations; each level is the keys of a sliced base x powers grid,
-    and meet-in-the-middle over half-length sums searches t < r (r the
-    smallest prime divisor of the order); m = r is returned only with a
-    verified order-r witness. On a prime modulus the key is the orbit
-    minimum. On p^k with k >= 2 (n | p - 1) it is the orbit minimum only
-    until a level's grid outgrows p; from then on a unit's key is its one
+    their negations. Meet-in-the-middle over half-length sums searches t < r
+    (r the smallest prime divisor of the order); m = r is returned only with
+    a verified order-r witness. Each orbit of s-sums is the image of a
+    rotation class of s-multisets of exponents, and for s < r each class has
+    one canonical member, of exponent sum 0 (mod n); while a level is sparse
+    and n < 64 the multiset step makes each canonical multiset of it once,
+    from its one canonical parent, and checks their count. Other levels are
+    the keys of a sliced grid, the level below x the powers. On a prime
+    modulus the key is the orbit minimum. On p^k with k >= 2 (n | p - 1) it
+    is the orbit minimum only until the grid of a level's base would outgrow
+    p; from then on a unit's key is its one
     orbit element whose residue mod p has discrete log below (p - 1)/n,
     read from a table over the p residues, and a multiple of p keeps its
     minimum. The witness backtrack starts from the least orbit minimum of a
@@ -84,7 +89,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Sequence
 from itertools import compress, islice
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -484,6 +489,52 @@ def _grid_keys(base: np.ndarray, orb: _Orbits) -> np.ndarray:
     return _orbit_key(cell.ravel(), orb).reshape(cell.shape)
 
 
+def _multiset_level(orb: _Orbits, sums: np.ndarray, masks: np.ndarray, s: int, count: int,
+                    keep: bool):
+    """(keys of level s + 1, with its (sums, masks) when `keep`, else None)
+    by the multiset step: from the canonical s-multisets of exponents, given
+    by their sums and occupancy masks (bit j set iff j is in the multiset),
+    it makes each canonical (s + 1)-multiset exactly once.
+
+    A canonical (s + 1)-multiset M comes from exactly one pair (P, c): P a
+    canonical s-multiset, c < n, and every exponent of P in the cyclic
+    interval [i, c], i = c (s + 1)^-1 (mod n). Then M = (P + {c}) - i, of sum
+    q^-i (sum(P) + q^c) and mask P's mask with bit c, rotated down by i.
+    Conversely c - i is the largest exponent of M, and P is the rest rotated
+    to exponent sum 0. The test is one AND of P's mask with the bits outside
+    [i, c]. Parents go in slices of _SLICE_CELLS // n, into arrays of the
+    known count; any other count raises MsumError."""
+    n, p_mod = orb.pw.size, orb.p_mod
+    inv, full = pow(s + 1, -1, n), (1 << n) - 1
+    i = np.arange(n) * inv % n  # the rotation of each c
+    outside = []  # the bits c + 1, ..., i - 1 (mod n) of each c
+    for c, ic in enumerate(i.tolist()):
+        run, k = (1 << (ic - c - 1) % n) - 1, (c + 1) % n
+        outside.append((run << k | run >> (n - k)) & full)
+    outside = np.array(outside, dtype=np.int64)
+    bit, low, back = np.left_shift(1, np.arange(n)), np.left_shift(1, i) - 1, orb.pw[-i % n]
+    keys = np.empty(count, dtype=np.int64)
+    if keep:
+        out_sums, out_masks = np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64)
+    rows, at = max(1, _SLICE_CELLS // n), 0
+    for lo in range(0, sums.size, rows):
+        b, c = np.nonzero((masks[lo:lo + rows, None] & outside) == 0)
+        start, at = at, at + b.size
+        if at > count:
+            break
+        b += lo
+        x = _mulmod_vec(sums[b] + orb.pw[c], back[c], p_mod)  # below 2 p_mod times below p_mod
+        keys[start:at] = _orbit_key(x, orb)
+        if keep:
+            out_sums[start:at] = x
+            mask, ic = masks[b] | bit[c], i[c]
+            out_masks[start:at] = mask >> ic | (mask & low[c]) << (n - ic)
+    if at != count:
+        raise MsumError(f"multiset step mod {p_mod}, order {n}: level {s + 1} is not "
+                        f"the {count} canonical multisets (engine bug)")
+    return _sorted_unique(keys), ((out_sums, out_masks) if keep else None)
+
+
 def _orbit_min(x: np.ndarray, pw: np.ndarray, q: int, p_mod: int) -> np.ndarray:
     """The orbit minimum of each element of int64 x, 0 <= x < 2 p_mod,
     under the n powers pw of q (pw[j] = q^j mod p_mod), looping over the
@@ -512,15 +563,29 @@ def _m_orbit(p_mod: int, p: int, q: int, n: int, t_cap: int, want_witness: bool)
     as the sorted canonical orbit keys of _orbit_key: reps[s] for the s-sums,
     negs[s] for their negations. 0 in f_t is a collision between reps[s1] and
     negs[s2], s1 = ceil(t/2) and s2 = floor(t/2), so each step of t adds at
-    most one entry to each list. Level s + 1 is the keys of the grid reps[s] x
-    powers (_grid_keys), built in slices of about _SLICE_CELLS cells, each
-    merged into the level as it is made.
+    most one entry to each list.
 
-    Keys are orbit minima until a level's grid first has more cells than p,
-    when k >= 2; then the key table is built, a few passes over the p
-    residues against n - 1 mulmods saved per cell of this grid and of every
-    later one, and the few keys held so far are re-keyed. A prime modulus
-    keeps orbit minima: its table would need an entry per residue of p_mod.
+    Two steps build level s + 1 with the same keys. Rotating an exponent
+    multiset by i multiplies its sum by q^i, so each orbit of (s + 1)-sums is
+    the image of one rotation class of (s + 1)-multisets. For s + 1 < r the
+    rotation is free and s + 1 is invertible mod n, so each class has one
+    canonical member, of exponent sum 0 (mod n), and there are
+    C(n + s, s + 1)/n of them. The multiset step (_multiset_level) makes each
+    once, from the canonical s-multisets, and builds the level while n fits
+    an int64 occupancy mask, s + 1 is prime to n (so s + 1 < r, as it built
+    every level below; level 1, {0} of sum 1, counts as its own) and the
+    count is at most the grid's |reps[s]| n cells, which also bounds its
+    memory by the grid's. At the last level the search can reach it keeps
+    keys alone. Otherwise the grid step keys every cell of reps[s] x powers
+    (_grid_keys), each orbit once per sub-orbit, in slices of about
+    _SLICE_CELLS cells, each merged into the level as it is made.
+
+    Keys are orbit minima until the grid of a level's base would first have
+    more cells than p, when k >= 2; then the key table is built, a few passes
+    over the p residues against n - 1 mulmods saved per key of this level
+    and of every later one, and the few keys held so far are re-keyed. A
+    prime modulus keeps orbit minima: its table would need an entry per
+    residue of p_mod.
 
     Closed stop: when r = t_cap divides n, h = q^(n/r) has h - 1 a unit, so
     the order-r subgroup {h^j} sums to (h^r - 1)/(h - 1) = 0, and m <= r. Then
@@ -536,11 +601,15 @@ def _m_orbit(p_mod: int, p: int, q: int, n: int, t_cap: int, want_witness: bool)
     orb = _Orbits(p_mod, p, q, _power_table(q, p_mod, n))
     step = n // t_cap
     closed = n % t_cap == 0
+    t_end = t_cap if closed else t_cap + 1
     rows = max(1, _SLICE_CELLS // n)
     # level 0 is {0}, level 1 the orbit of 1, keyed 1 by both keys; -0 = 0
     reps = [np.array([0], dtype=np.int64), np.array([1], dtype=np.int64)]
     negs = [reps[0]]
-    for t in range(1, t_cap if closed else t_cap + 1):
+    # the sums and masks of the top level's canonical multisets while the
+    # multiset step builds the levels: level 1 is {0}, of sum 1 and mask 1
+    sets = (reps[1], reps[1]) if n < np.iinfo(np.int64).bits else None
+    for t in range(1, t_end):
         s1, s2 = (t + 1) // 2, t // 2
         if len(reps) <= s1:
             base = reps[-1]
@@ -549,11 +618,16 @@ def _m_orbit(p_mod: int, p: int, q: int, n: int, t_cap: int, want_witness: bool)
                 reps[2:] = [_sorted_unique(_orbit_key(x, orb)) for x in reps[2:]]
                 negs[1:] = [_sorted_unique(_orbit_key(x, orb)) for x in negs[1:]]
                 base = reps[-1]
-            level = np.empty(0, dtype=np.int64)
-            for i in range(0, base.size, rows):
-                part = _sorted_unique(_grid_keys(base[i:i + rows], orb))
-                # a stable sort is numpy's timsort: one linear merge of two sorted runs
-                level = _sorted_unique(np.concatenate((level, part)), kind="stable")
+            if (sets and gcd(s1, n) == 1
+                    and (count := comb(n + s1 - 1, s1) // n) <= base.size * n):
+                # keys alone at the last level the search can reach
+                level, sets = _multiset_level(orb, *sets, s1 - 1, count, s1 < t_end // 2)
+            else:
+                sets, level = None, np.empty(0, dtype=np.int64)
+                for i in range(0, base.size, rows):
+                    part = _sorted_unique(_grid_keys(base[i:i + rows], orb))
+                    # a stable sort is numpy's timsort: one linear merge of two sorted runs
+                    level = _sorted_unique(np.concatenate((level, part)), kind="stable")
             reps.append(level)
         if len(negs) <= s2:
             negs.append(_sorted_unique(_orbit_key(p_mod - reps[s2], orb)))

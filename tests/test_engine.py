@@ -3,7 +3,9 @@ import random
 import subprocess
 import sys
 import time
-from math import gcd
+import tracemalloc
+from itertools import combinations_with_replacement
+from math import comb, gcd
 from pathlib import Path
 
 import numpy as np
@@ -1163,3 +1165,92 @@ def test_orbit_closed_stop():
     assert mv == 17 and verify_witness(q17, 239**4, MResult(mv, wit))
     with pytest.raises(MsumError):  # nor does 16, and no t <= 16 vanishes
         engine._m_orbit(239**4, 239, q17, 17, 16, want_witness=False)
+
+
+# (p, k, n) of orbit searches whose levels the multiset step builds: prime n,
+# composite n < 64 with r >= 5, and small p^k whose levels collide, where the
+# grid takes over once the level's count outgrows its grid
+MULTISET_SHAPES = [(11, 3, 5), (31, 4, 5), (23, 4, 11), (23, 5, 11), (103, 3, 17),
+                   (239, 4, 17), (571, 2, 19), (571, 4, 19), (761, 3, 19), (101, 3, 25),
+                   (71, 4, 35), (197, 3, 49), (331, 3, 55)]
+
+
+def _spy_levels(monkeypatch, check):
+    """Record (s + 1, count) of each level the multiset step builds, and the
+    number of grid rows keyed; with `check`, test each multiset level against
+    the grid over its parents' sums and, while it has at most 5,000
+    multisets, against every multiset's sum."""
+    served, grid_rows = [], []
+    step, grid_keys = engine._multiset_level, engine._grid_keys
+
+    def spy_step(orb, sums, masks, s, count, keep):
+        level, sets = step(orb, sums, masks, s, count, keep)
+        served.append((s + 1, count))
+        if check:
+            assert np.array_equal(level, engine._sorted_unique(grid_keys(sums, orb))), s + 1
+            assert sets is None or sets[0].size == sets[1].size == count
+            if comb(orb.pw.size + s, s + 1) <= 5000:
+                e, pw = orb.p_mod, orb.pw.tolist()
+                sums = {sum(c) % e for c in combinations_with_replacement(pw, s + 1)}
+                mins = {min(x * w % e for w in pw) for x in sums}
+                assert mins == {min(x * w % e for w in pw) for x in level.tolist()}, s + 1
+        return level, sets
+
+    def spy_grid(base, orb):
+        grid_rows.append(base.size)
+        return grid_keys(base, orb)
+
+    monkeypatch.setattr(engine, "_multiset_level", spy_step)
+    monkeypatch.setattr(engine, "_grid_keys", spy_grid)
+    return served, grid_rows
+
+
+@pytest.mark.parametrize("p, k, n", MULTISET_SHAPES)
+def test_multiset_levels_equal_the_grid_levels(monkeypatch, p, k, n):
+    served, _ = _spy_levels(monkeypatch, check=True)
+    q = element_of_order(p, k, n)
+    r = smallest_prime_divisor(n)
+    mv = engine._m_orbit(p**k, p, q, n, r, False)[0]
+    assert mv <= r
+    assert [s for s, _ in served] == list(range(2, len(served) + 2)) and served
+    for s, count in served:  # C(n + s - 1, s) / n canonical s-multisets
+        assert count * n == comb(n + s - 1, s) and s < r
+
+
+def test_multiset_step_and_grid_each_build_their_levels(monkeypatch):
+    served, grid_rows = _spy_levels(monkeypatch, check=False)
+    q19 = element_of_order(571, 4, 19)
+    assert m_prime_power(q19, 571, 4) == (19, None)
+    assert [s for s, _ in served] == list(range(2, 10)) and not grid_rows
+    served.clear()
+    # n = 119 does not fit an int64 occupancy mask: the grid builds every level
+    q119 = element_of_order(239, 4, 119)
+    assert m_prime_power(q119, 239, 4) == (7, None)
+    assert not served and grid_rows
+
+
+def test_multiset_step_refuses_a_level_of_the_wrong_count(monkeypatch):
+    # a wrong (s + 1)^-1 makes non-canonical multisets: the count check fails
+    real_pow = pow
+
+    def wrong_inverse(base, exp, mod=None):
+        if exp == -1:
+            return (real_pow(base, exp, mod) + 1) % mod
+        return real_pow(base, exp, mod)
+
+    monkeypatch.setattr(engine, "pow", wrong_inverse, raising=False)
+    q = element_of_order(571, 4, 19)
+    with pytest.raises(MsumError, match="canonical multisets"):
+        engine._m_orbit(571**4, 571, q, 19, 19, False)
+
+
+def test_multiset_step_keeps_the_traced_peak_at_571_4():
+    # the grid build it replaced peaked at 15.7 MiB on this search
+    q = element_of_order(571, 4, 19)
+    tracemalloc.start()
+    try:
+        assert engine._m_orbit(571**4, 571, q, 19, 19, False) == (19, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15.7 * 2**20, peak
