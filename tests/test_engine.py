@@ -1168,8 +1168,8 @@ def test_orbit_closed_stop():
 
 
 # (p, k, n) of orbit searches whose levels the multiset step builds: prime n,
-# composite n < 64 with r >= 5, and small p^k whose levels collide, where the
-# grid takes over once the level's count outgrows its grid
+# composite n < 64 with r >= 5, and small p^k where the sums of distinct
+# canonical multisets collide
 MULTISET_SHAPES = [(11, 3, 5), (31, 4, 5), (23, 4, 11), (23, 5, 11), (103, 3, 17),
                    (239, 4, 17), (571, 2, 19), (571, 4, 19), (761, 3, 19), (101, 3, 25),
                    (71, 4, 35), (197, 3, 49), (331, 3, 55)]
