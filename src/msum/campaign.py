@@ -178,13 +178,14 @@ def _theorem1_check(e: int, params: dict):
 
 
 def _divisibility_check(e: int, params: dict):
-    """e1 = gcd(e, q - 1) divides m. For the classes of order 3 to
-    LABEL_MIN_ORDER - 1 this holds by construction: their m comes from the
-    bitmask coset search, which tests only t = e1, 2 e1, ... (its check that
-    every sum of terms h - 1 is a multiple of e1 is the premise, not the
-    claim). There the evidence is the tests that compare it with the
-    full-depth search and the naive oracle; the closed form, the order-2
-    scan and the label BFS do not use e1."""
+    """e1 = gcd(e, q - 1) divides m. Where the bitmask coset search gives m
+    this holds by construction: it tests only t = e1, 2 e1, ... (its check
+    that every sum of terms h - 1 is a multiple of e1 is the premise, not the
+    claim), and the evidence is the tests that compare it with the full-depth
+    search and the naive oracle. The closed form, the order-2 scan, the label
+    BFS and the orbit engine do not use e1; the cost rule of engine._route
+    sends the orbit engine some classes of order 3 to LABEL_MIN_ORDER - 1
+    (375 with e <= 2049: odd prime moduli, even orders, m = 2)."""
     q, mv, _ = engine.m_table_for_modulus(e)
     e1 = gcd_table(e)[q - 1]
     return (q.size, _violations(e, mv % e1 != 0, q=q, m=mv, e1=e1),

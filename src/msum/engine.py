@@ -54,14 +54,15 @@ with ModulusTooLarge:
     and n < 64 the multiset step makes each canonical multiset of it once,
     from its one canonical parent, and checks their count. Other levels are
     the keys of a sliced grid, the level below x the powers. On a prime
-    modulus the key is the orbit minimum. On p^k with k >= 2 (n | p - 1) it
-    is the orbit minimum only until the grid of a level's base would outgrow
-    p; from then on a unit's key is its one
-    orbit element whose residue mod p has discrete log below (p - 1)/n,
-    read from a table over the p residues, and a multiple of p keeps its
-    minimum. The witness backtrack starts from the least orbit minimum of a
-    colliding orbit, so the witness does not depend on the key, and tests
-    every power of a level at once, against the keys of the level below.
+    modulus the key is the orbit minimum. On p^k with k >= 2 (n | p - 1) a
+    search chooses its key once, at entry, and never re-keys a held level:
+    if the grid of its deepest level's base, C(n + D - 2, D - 1) cells,
+    outgrows p, a unit's key is its one orbit element whose residue mod p
+    has discrete log below (p - 1)/n, read from a table over the p residues,
+    and a multiple of p keeps its minimum; else it is the orbit minimum. The
+    witness backtrack starts from the least orbit minimum of a colliding
+    orbit, so the witness does not depend on the key, and tests every power
+    of a level at once, against the keys of the level below.
 The two dense routes give equal level sets, so equal m and equal witnesses,
 which _dense_witness reads back as exponents of q. _route checks every
 witness it returns (length m, sum 0 mod e) or raises MsumError; the closed
@@ -435,8 +436,8 @@ def _sorted_unique(x: np.ndarray, kind: str | None = None) -> np.ndarray:
 
 class _Orbits(NamedTuple):
     """The orbits of H = <q>, of order n, acting by multiplication on
-    Z/p_mod, p_mod = p^k: the powers pw[j] = q^j (mod p_mod) for j < n and,
-    once a run has built it, the key table of _key_table (None before)."""
+    Z/p_mod, p_mod = p^k: the powers pw[j] = q^j (mod p_mod) for j < n and the
+    key table of _key_table, fixed at a search's entry (None: orbit minima)."""
 
     p_mod: int
     p: int
@@ -580,12 +581,12 @@ def _m_orbit(p_mod: int, p: int, q: int, n: int, t_cap: int, want_witness: bool)
     (_grid_keys), each orbit once per sub-orbit, in slices of about
     _SLICE_CELLS cells, each merged into the level as it is made.
 
-    Keys are orbit minima until the grid of a level's base would first have
-    more cells than p, when k >= 2; then the key table is built, a few passes
-    over the p residues against n - 1 mulmods saved per key of this level
-    and of every later one, and the few keys held so far are re-keyed. A
-    prime modulus keeps orbit minima: its table would need an entry per
-    residue of p_mod.
+    The key is chosen once, at entry, and no level is keyed again: for
+    k >= 2 the key table is built iff the grid of the deepest level's base,
+    C(n + D - 2, D - 1) cells with D = t_end // 2, has more than p cells (a
+    few passes over the p residues against n - 1 mulmods saved per key);
+    else keys are orbit minima, as on a prime modulus, whose table would
+    need an entry per residue of p_mod.
 
     Closed stop: when r = t_cap divides n, h = q^(n/r) has h - 1 a unit, so
     the order-r subgroup {h^j} sums to (h^r - 1)/(h - 1) = 0, and m <= r. Then
@@ -599,9 +600,11 @@ def _m_orbit(p_mod: int, p: int, q: int, n: int, t_cap: int, want_witness: bool)
     exponent of the power left.
     """
     orb = _Orbits(p_mod, p, q, _power_table(q, p_mod, n))
-    step = n // t_cap
     closed = n % t_cap == 0
     t_end = t_cap if closed else t_cap + 1
+    depth = t_end // 2  # the last s1 the loop reaches
+    if p < p_mod and comb(n + depth - 2, depth - 1) > p:  # k >= 2
+        orb = orb._replace(mult=_key_table(orb))
     rows = max(1, _SLICE_CELLS // n)
     # level 0 is {0}, level 1 the orbit of 1, keyed 1 by both keys; -0 = 0
     reps = [np.array([0], dtype=np.int64), np.array([1], dtype=np.int64)]
@@ -613,15 +616,10 @@ def _m_orbit(p_mod: int, p: int, q: int, n: int, t_cap: int, want_witness: bool)
         s1, s2 = (t + 1) // 2, t // 2
         if len(reps) <= s1:
             base = reps[-1]
-            if p < p_mod and orb.mult is None and base.size * n > p:  # k >= 2
-                orb = orb._replace(mult=_key_table(orb))
-                reps[2:] = [_sorted_unique(_orbit_key(x, orb)) for x in reps[2:]]
-                negs[1:] = [_sorted_unique(_orbit_key(x, orb)) for x in negs[1:]]
-                base = reps[-1]
             if (sets and gcd(s1, n) == 1
                     and (count := comb(n + s1 - 1, s1) // n) <= base.size * n):
                 # keys alone at the last level the search can reach
-                level, sets = _multiset_level(orb, *sets, s1 - 1, count, s1 < t_end // 2)
+                level, sets = _multiset_level(orb, *sets, s1 - 1, count, s1 < depth)
             else:
                 sets, level = None, np.empty(0, dtype=np.int64)
                 for i in range(0, base.size, rows):
@@ -640,7 +638,7 @@ def _m_orbit(p_mod: int, p: int, q: int, n: int, t_cap: int, want_witness: bool)
                 f"orbit engine found no vanishing sum of length <= {t_cap} "
                 f"(mod {p_mod}, order {n}); bound violated or bad inputs"
             )
-        witness = tuple(range(0, n, step))
+        witness = tuple(range(0, n, n // t_cap))
         if sum(pow(q, a, p_mod) for a in witness) % p_mod:
             raise MsumError(f"order-{t_cap} subgroup sum mod {p_mod} does not vanish")
         return t_cap, (witness if want_witness else None)

@@ -1,0 +1,48 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def _runs(parent, change):
+    """Synthetic runs of one metric x: pair i holds parent[i] and change[i],
+    the parent first in odd pairs, as the script orders them."""
+    runs = []
+    for pair, values in enumerate(zip(parent, change), start=1):
+        first = "parent" if pair % 2 else "change"
+        for side, x in zip(("parent", "change"), values):
+            runs.append({"pair": pair, "seed": pair, "side": side, "first": side == first,
+                         "metrics": {"x": x}, "correct": True, "exit": 0})
+    return runs
+
+
+def test_summary_of_synthetic_pairs():
+    parent = [10, 12, 11, 13, 14, 10, 12, 15]
+    change = [9, 12, 12, 11, 13, 9, 10, 14]
+    got = bench_pairs.summarize(_runs(parent, change), {"x": "lower"})["x"]
+    # inclusive quartiles: position (n - 1)/4 = 1.75 of the sorted values
+    assert got["parent"] == {"median": 12, "q1": 10.75, "q3": 13.25, "iqr": 2.5}
+    assert got["change"] == {"median": 11.5, "q1": 9.75, "q3": 12.25, "iqr": 2.5}
+    assert got["median_gap"] == 0.5 and got["median_change"] == pytest.approx(-0.5 / 12)
+    assert got["wins"] == {"change": 6, "parent": 1, "ties": 1, "pairs": 8}
+    # odd pairs ran the parent first: pairs 1, 3, 5, 7
+    assert got["wins_parent_first"] == {"change": 3, "parent": 1, "ties": 0, "pairs": 4}
+    assert got["wins_change_first"] == {"change": 3, "parent": 0, "ties": 1, "pairs": 4}
+
+
+def test_summary_of_a_metric_where_higher_is_better():
+    got = bench_pairs.summarize(_runs([1, 2, 3], [2, 2, 5]), {"x": "higher"})["x"]
+    assert got["median_gap"] == 0 and got["median_change"] == 0
+    assert got["wins"] == {"change": 2, "parent": 0, "ties": 1, "pairs": 3}
+
+
+def test_summary_skips_a_metric_without_two_samples_a_side():
+    runs = _runs([1, 2, 3], [1, 2, 3])
+    for run in runs[2:]:
+        del run["metrics"]["x"]  # a run that failed reports no metrics
+    assert bench_pairs.summarize(runs, {"x": "lower", "y": "lower"}) == {}

@@ -1254,3 +1254,29 @@ def test_multiset_step_keeps_the_traced_peak_at_571_4():
     finally:
         tracemalloc.stop()
     assert peak <= 15.7 * 2**20, peak
+
+
+@pytest.mark.parametrize("p, k, n", MULTISET_SHAPES + [(239, 4, 119), (911, 2, 91),
+                                                       (_prime_1_mod_2n(19, 30), 1, 19)])
+def test_orbit_search_keys_once(monkeypatch, p, k, n):
+    # the key is chosen at entry, from the grid of the deepest level's base
+    # against p, and every level of the search is keyed the one way
+    tables, seen = [], []
+    key_table, orbit_key = engine._key_table, engine._orbit_key
+
+    def spy_table(orb):
+        assert not seen, "key table built after a level was keyed"
+        tables.append(key_table(orb))
+        return tables[-1]
+
+    def spy_key(x, orb):
+        seen.append(orb.mult)
+        return orbit_key(x, orb)
+
+    monkeypatch.setattr(engine, "_key_table", spy_table)
+    monkeypatch.setattr(engine, "_orbit_key", spy_key)
+    q = element_of_order(p, k, n)
+    r = smallest_prime_divisor(n)
+    assert engine._m_orbit(p**k, p, q, n, r, False)[0] <= r
+    assert len(tables) == (k >= 2 and comb(n + r // 2 - 2, r // 2 - 1) > p)
+    assert seen and all(mult is (tables[0] if tables else None) for mult in seen)
