@@ -182,10 +182,12 @@ def _divisibility_check(e: int, params: dict):
     this holds by construction: it tests only t = e1, 2 e1, ... (its check
     that every sum of terms h - 1 is a multiple of e1 is the premise, not the
     claim), and the evidence is the tests that compare it with the full-depth
-    search and the naive oracle. The closed form, the order-2 scan, the label
-    BFS and the orbit engine do not use e1; the cost rule of engine._route
-    sends the orbit engine some classes of order 3 to LABEL_MIN_ORDER - 1
-    (375 with e <= 2049: odd prime moduli, even orders, m = 2)."""
+    search and the naive oracle. The closed form, the m = 2 test, the
+    order-2 scan, the label BFS and the orbit engine do not use e1. The m = 2
+    test answers every class whose subgroup H holds -1, the 375 classes with
+    e <= 2049 that the cost rule of engine._route would send to the orbit
+    engine among them (odd prime moduli, even orders); there every h in H is
+    1 (mod e1), so -1 = 1 (mod e1) and e1 divides 2 = m."""
     q, mv, _ = engine.m_table_for_modulus(e)
     e1 = gcd_table(e)[q - 1]
     return (q.size, _violations(e, mv % e1 != 0, q=q, m=mv, e1=e1),

@@ -15,10 +15,15 @@ a level costs one shift by 1 and one orbit closure, not a shift per element.
 
 Every m the module computes, for m(), m_prime_power() and each generator
 class of a table walk, goes through one private dispatcher, _route. It
-alone picks among five routes, and it refuses a modulus that no route takes
+alone picks among six routes, and it refuses a modulus that no route takes
 with ModulusTooLarge:
   - q = 1 (mod e), answered in closed form (m = e), with a witness of e
     terms only for e <= DENSE_LIMIT;
+  - the m = 2 test, for every modulus below SPARSE_LIMIT once the order n
+    of q is known, before any search: -1 lies in H = <q> iff n is even and
+    q^(n/2) = -1 (mod e), and then m = 2 with witness (0, n/2), the one
+    every search below gives. Beyond DENSE_LIMIT it also answers moduli
+    that are not odd prime powers; order 2 within it takes the scan;
   - the order-2 scan, for moduli up to DENSE_LIMIT and H = {1, q}, with or
     without a witness: numpy passes over b upward find the least a + b with
     a + b q = 0 (mod e), an exhaustive search that stops once b reaches the
@@ -103,6 +108,7 @@ from .modular import (
     find_primitive_root,
     mul_order,
     order_mod_prime_power,
+    prime_power,
     require_coprime,
     smallest_prime_divisor,
     unit_subgroup,
@@ -674,11 +680,24 @@ def _powers_of(q: int, e: int) -> list[int]:
     return powers
 
 
+def _m_two(q: int, e: int, n: int) -> tuple[int, int] | None:
+    """The witness (0, n/2) of m = 2 when -1 lies in H = <q>, of order n,
+    mod e > 2, else None. A cyclic H holds at most one element of order 2,
+    q^(n/2) for even n, and -1 has order 2, so -1 is in H iff n is even and
+    q^(n/2) = -1 (mod e); then 1 + q^(n/2) vanishes, and as no unit does,
+    m = 2 exactly. Both dense backtracks and the orbit engine's closed stop
+    read this same witness."""
+    if n % 2 == 0 and pow(q, n // 2, e) == e - 1:
+        return 0, n // 2
+    return None
+
+
 def _odd_prime_power(e: int) -> tuple[int, int] | None:
     """(p, k) with e = p^k for an odd prime p, else None: the one shape check
-    of both rules of _route that send a modulus to the orbit engine."""
-    [(p, k), *rest] = factorize(e)
-    return None if rest or p == 2 else (p, k)
+    of both rules of _route that send a modulus to the orbit engine, by
+    modular.prime_power's integer roots, with no trial division."""
+    shape = prime_power(e)
+    return shape if shape and shape[0] != 2 else None
 
 
 def _orbit_cheaper(e: int, n: int) -> int:
@@ -720,6 +739,11 @@ def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[in
     Witness exponents refer to q; a witness that fails its check raises
     MsumError.
 
+    Once n is known, the m = 2 test (_m_two) answers every subgroup that
+    holds -1, before any search; only order 2 takes the scan first, within
+    DENSE_LIMIT. Beyond DENSE_LIMIT it is the one route of a modulus that is
+    not an odd prime power.
+
     One rule covers both uses of the orbit engine: e an odd prime power p^k
     (_odd_prime_power) and n prime to p. Beyond DENSE_LIMIT it is the only
     route. Within it, the cost rule (_orbit_cheaper) gives it an m-alone
@@ -739,37 +763,39 @@ def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[in
         return e, ((0,) * e if want_witness else None)
     if e <= DENSE_LIMIT:
         n = n or mul_order(q, e)
-        if n == 2:
-            value, b = _scan_pair(q, e)
-            witness = (0,) * (value - b) + (1,) * b if want_witness else None
-        elif not want_witness and (p := _orbit_cheaper(e, n)):
-            value, witness = _m_orbit(e, p, q, n, smallest_prime_divisor(n), False)
-        else:
-            pw = _power_table(q, e, n) if want_witness or n >= LABEL_MIN_ORDER else None
-            if n >= LABEL_MIN_ORDER:
-                value, levels = _bfs_label(e, pw, want_witness)
-            else:
-                value, masks = _bfs_dense(e, elements or _powers_of(q, e), want_witness,
-                                          gcd(e, q - 1))
-                levels = masks and [np.frombuffer(mask.to_bytes((e + 7) // 8, "little"),
-                                                  np.uint8) for mask in masks]
-            witness = _dense_witness(e, pw, levels) if want_witness else None
     elif e >= SPARSE_LIMIT:  # before any factoring: factorize is exact below 2^40
         raise ModulusTooLarge(f"modulus {e} beyond orbit engine range (2^40)")
     else:
         shape = _odd_prime_power(e)
+        n = order_mod_prime_power(q, *shape) if shape else mul_order(q, e)
+    if n == 2 and e <= DENSE_LIMIT:
+        value, b = _scan_pair(q, e)
+        witness = (0,) * (value - b) + (1,) * b if want_witness else None
+    elif pair := _m_two(q, e, n):
+        value, witness = 2, (pair if want_witness else None)
+    elif e > DENSE_LIMIT:
         if shape is None:
-            raise ModulusTooLarge(
-                f"modulus {e} beyond dense BFS range and not an odd prime power"
-            )
+            raise ModulusTooLarge(f"modulus {e} beyond dense BFS range, not an odd prime "
+                                  f"power, and -1 is not a power of {q}")
         p, k = shape
-        n = order_mod_prime_power(q, p, k)
         if n % p == 0:
             raise ModulusTooLarge(
                 f"modulus {p}^{k}: order {n} divisible by {p}; reduce k first "
                 f"(the order drop of the tower module)"
             )
         value, witness = _m_orbit(e, p, q, n, smallest_prime_divisor(n), want_witness)
+    elif not want_witness and (p := _orbit_cheaper(e, n)):
+        value, witness = _m_orbit(e, p, q, n, smallest_prime_divisor(n), False)
+    else:
+        pw = _power_table(q, e, n) if want_witness or n >= LABEL_MIN_ORDER else None
+        if n >= LABEL_MIN_ORDER:
+            value, levels = _bfs_label(e, pw, want_witness)
+        else:
+            value, masks = _bfs_dense(e, elements or _powers_of(q, e), want_witness,
+                                      gcd(e, q - 1))
+            levels = masks and [np.frombuffer(mask.to_bytes((e + 7) // 8, "little"),
+                                              np.uint8) for mask in masks]
+        witness = _dense_witness(e, pw, levels) if want_witness else None
     if witness is not None and not verify_witness(q, e, MResult(value, witness)):
         raise MsumError(f"the witness of m({q}, {e}) = {value} fails its check (engine bug)")
     return value, witness
@@ -862,10 +888,8 @@ def ceil_bound(inst: PowerSumInstance) -> int:
 
 
 def is_m_two(inst: PowerSumInstance) -> bool:
-    """m = 2 iff e = 2, or n is even with q^(n/2) = -1 (mod e)."""
-    if inst.e == 2:
-        return True
-    return inst.n % 2 == 0 and pow(inst.q, inst.n // 2, inst.e) == inst.e - 1
+    """m = 2 iff e = 2, or n is even with q^(n/2) = -1 (mod e) (_m_two)."""
+    return inst.e == 2 or _m_two(inst.q, inst.e, inst.n) is not None
 
 
 def two_power_m(q: int, k: int) -> int:

@@ -4,8 +4,9 @@ Everything here is a pure function of its inputs; residues are canonical
 representatives in [0, e). This is the one module that factors or tests
 primality: `trial_factor` divides by 2 and the odd d up to min(sqrt, 2^20), so
 it settles every n < 2^40, and beyond that settles the cofactor left as a
-prime (deterministic Miller-Rabin, `is_prime`) or a prime power (integer
-root), or hands it back unresolved.
+prime or a prime power by `prime_power` (deterministic Miller-Rabin,
+`is_prime`, and integer roots), or hands it back unresolved. `prime_power`
+alone tells the shape p^k of a number without trial division.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ __all__ = [
     "MResult",
     "factorize",
     "trial_factor",
+    "prime_power",
     "mul_order",
     "unit_subgroup",
     "euler_phi",
@@ -103,14 +105,25 @@ def trial_factor(n: int) -> tuple[list[tuple[int, int]], int]:
         return out, 1
     if d * d > c:
         return out + [(c, 1)], 1
-    if c < _MR_VALID_BELOW:  # where is_prime is exact
-        if is_prime(c):
-            return out + [(c, 1)], 1
-        for j in range(2, c.bit_length()):
-            root = round(c ** (1 / j))  # float error far below 1/2 while c < 2^82
-            if root**j == c and is_prime(root):
-                return out + [(root, j)], 1
+    if c < _MR_VALID_BELOW and (shape := prime_power(c)):  # where is_prime is exact
+        return out + [shape], 1
     return out, c
+
+
+def prime_power(n: int) -> tuple[int, int] | None:
+    """(p, k) with n = p^k, p prime and k >= 1, else None, for n below
+    psi_13 (is_prime raises DomainError at or above it): a prime test, then
+    the integer j-th root of n for each j < log2(n). No trial division, so
+    its cost grows with the bits of n, not with sqrt(n)."""
+    if n < 2:
+        return None
+    if is_prime(n):
+        return n, 1
+    for j in range(2, n.bit_length()):
+        root = round(n ** (1 / j))  # float error far below 1/2 while n < 2^82
+        if root**j == n and is_prime(root):
+            return root, j
+    return None
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

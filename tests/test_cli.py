@@ -135,6 +135,17 @@ def test_m_large_dense_modulus_within_seconds():
     assert "m(2,1000003): m=2, witness 2^0+2^500001" in proc.stdout
 
 
+def test_m_two_beyond_dense_range():
+    # 2^22 + 1 = 5 * 397 * 2113 is no odd prime power, but 2^22 = -1 mod it;
+    # it was refused with exit 2
+    res = run("m", "2", "4194305")
+    assert res.exit_code == 0, res.output
+    assert "m(2,4194305): m=2, witness 2^0+2^22" in res.output
+    assert "m=2 criterion" in res.output
+    res = run("m", "2", "4194307")  # order 50,940, -1 not a power of 2
+    assert res.exit_code == 2 and "not an odd prime power" in res.output
+
+
 def test_m_json():
     res = run("m", "4", "7", "--format", "json")
     doc = json.loads(res.output)

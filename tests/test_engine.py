@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from msum import engine
+from msum import engine, modular
 from msum.engine import (
     ceil_bound,
     is_m_two,
@@ -449,6 +449,42 @@ def test_half_depth_stop_matches_full_search_and_oracle():
                 assert value == naive_m_oracle(q, e), (q, e)
 
 
+def _m_two_matches_full_depth(e_max):
+    """The number of pairs (q, e), 2 < e <= e_max, whose subgroup H holds -1,
+    after checking m(q, e) on each against the value and witness that the
+    full-depth searches of both dense routes read back: m() answers these
+    pairs by the m = 2 test and reaches neither. The levels depend on H
+    alone, so each class is searched once, by the bitmask and the label
+    BFS, and the witness is read back for each generator q^j, j prime to n."""
+    pairs = 0
+    for e in range(3, e_max + 1):
+        for q, powers in _classes(e):
+            n = len(powers)
+            if n % 2 or powers[n // 2] != e - 1:
+                continue
+            value, masks = engine._bfs_dense(e, powers, True)
+            bitmaps = [mask.to_bytes((e + 7) // 8, "little") for mask in masks]
+            pw = np.array(powers, dtype=np.int64)
+            label, levels = engine._bfs_label(e, pw, True)
+            assert (label, [level.tobytes() for level in levels]) == (value, bitmaps), (q, e)
+            steps = np.arange(n)
+            for j in range(1, n):
+                if gcd(j, n) == 1:  # the powers of q^j are pw[i j mod n]
+                    witness = engine._dense_witness(e, pw[steps * j % n], levels)
+                    assert m(powers[j], e) == MResult(value, witness), (powers[j], e)
+                    pairs += 1
+    return pairs
+
+
+def test_m_two_matches_full_depth_search():
+    assert _m_two_matches_full_depth(400) == 17190
+
+
+@pytest.mark.slow
+def test_m_two_matches_full_depth_search_to_2049():
+    assert _m_two_matches_full_depth(2049) == 369631
+
+
 # (q, e) with m: orders n below LABEL_MIN_ORDER and m of both parities; the
 # rows at prime moduli near 2^20, 2^21 and 2^22 are orders 3-7; the last six
 # have g = gcd(e, q - 1) = 4, 16 and 3^5, so the search steps t by g, with
@@ -612,10 +648,18 @@ def test_dense_dispatch_is_on_the_order(monkeypatch):
         routes.append(("orbit", n))
         return orbit(p_mod, p, q, n, *args)
 
+    def spy_m_two(q, e, n):
+        pair = m_two(q, e, n)
+        if pair:
+            routes.append(("m=2", n))
+        return pair
+
+    m_two = engine._m_two
     monkeypatch.setattr(engine, "_bfs_label", spy_label)
     monkeypatch.setattr(engine, "_bfs_dense", spy_bitmask)
     monkeypatch.setattr(engine, "_scan_pair", spy_scan)
     monkeypatch.setattr(engine, "_m_orbit", spy_orbit)
+    monkeypatch.setattr(engine, "_m_two", spy_m_two)
     # a tower-style subgroup: large e = 953^2, order 17; m alone takes the
     # orbit engine, whose cost estimate is lower, a witness the bitmask
     q = element_of_order(953, 2, 17)
@@ -630,16 +674,20 @@ def test_dense_dispatch_is_on_the_order(monkeypatch):
     m_value(element_of_order(p, 1, 509), p)
     assert routes == [("bitmask", 509)]
     routes.clear()
-    m(2, 4099)  # 2 has order 4098
-    assert routes == [("label", 4098)]
+    m(4, 4099)  # 4 has the odd order 2049, so -1 is not a power of it: m = 3
+    assert routes == [("label", 2049)]
+    routes.clear()
+    m(2, 4099)  # 2 has order 4098 and 2^2049 = -1: no BFS
+    assert routes == [("m=2", 4098)]
     routes.clear()
     engine.clear_cache()
     m_table_for_modulus(4099)  # one class per order, a divisor of 4098 = 2 * 3 * 683
     engine.clear_cache()
-    # the class of order 1 takes the closed form, no search, and the class
-    # of order 2 the scan
-    assert sorted(routes) == [("bitmask", n) for n in (3, 6, 683)] + \
-        [("label", n) for n in (1366, 2049, 4098)] + [("scan", 2)]
+    # the class of order 1 takes the closed form, no search, the class of
+    # order 2 the scan, and the other even orders, which hold -1 at a prime
+    # modulus, the m = 2 test and no BFS
+    assert sorted(routes) == [("bitmask", 3), ("bitmask", 683), ("label", 2049)] + \
+        [("m=2", n) for n in (6, 1366, 4098)] + [("scan", 2)]
     routes.clear()
     m(4098, 4099)  # a witness of order 2 takes the scan as well
     assert routes == [("scan", 2)]
@@ -808,7 +856,7 @@ def test_dense_witness_pins():
     assert routes == {False, True}
 
 
-@pytest.mark.parametrize("q, e, mv", [(4, 7, 3), (2, 4099, 2)], ids=["bitmask", "label"])
+@pytest.mark.parametrize("q, e, mv", [(4, 7, 3), (4, 4099, 3)], ids=["bitmask", "label"])
 @pytest.mark.parametrize("fault", ["length", "sum"])
 def test_a_wrong_dense_witness_raises(monkeypatch, q, e, mv, fault):
     backtrack = engine._dense_witness
@@ -824,6 +872,23 @@ def test_a_wrong_dense_witness_raises(monkeypatch, q, e, mv, fault):
     with pytest.raises(MsumError, match="fails its check"):
         m_prime_power(q, e, 1, want_witness=True)
     assert m_value(q, e) == mv  # no witness, nothing to check
+
+
+@pytest.mark.parametrize("q, e", [(2, 4099), (2, 4194305)], ids=["dense", "beyond-dense"])
+@pytest.mark.parametrize("fault", ["length", "sum"])
+def test_a_wrong_m_two_witness_raises(monkeypatch, q, e, fault):
+    m_two = engine._m_two
+
+    def wrong(q, e, n):
+        pair = m_two(q, e, n)
+        if fault == "length":  # a vanishing sum of 4 terms
+            return pair * 2
+        return (0, 0)  # 1 + 1 = 2, not 0 mod e
+
+    monkeypatch.setattr(engine, "_m_two", wrong)
+    with pytest.raises(MsumError, match="fails its check"):
+        m(q, e)
+    assert m_value(q, e) == 2  # no witness, nothing to check
 
 
 def test_orbit_engine_matches_dense():
@@ -842,12 +907,47 @@ def test_large_prime_power_routes_to_orbit():
     assert verify_witness(q, 23**5, result)
 
 
+def test_orbit_route_finds_the_prime_power_shape_without_trial_division(monkeypatch):
+    # trial division of 1048571^2 up to 2^20 took 35-62 ms of a 42-54 ms query
+    factored = []
+    trial_factor = modular.trial_factor
+
+    def spy(n):
+        factored.append(n)
+        return trial_factor(n)
+
+    monkeypatch.setattr(modular, "trial_factor", spy)
+    e = 1048571**2
+    q = element_of_order(1048571, 2, 5)
+    factored.clear()
+    assert m(q, e).value == 5
+    assert m_value(q, e) == 5
+    assert e not in factored and factored
+
+
+def test_m_two_takes_no_search(monkeypatch):
+    # 3 has order 38,130 mod the prime 4194301: the label BFS took 115-153 ms
+    def no_search(*args):
+        raise AssertionError("a search ran")
+
+    for name in ("_bfs_label", "_bfs_dense", "_m_orbit", "_scan_pair"):
+        monkeypatch.setattr(engine, name, no_search)
+    assert m_value(3, 4194301) == 2
+    assert m(3, 4194301) == MResult(2, (0, 19065))
+    assert m(2, 4194305) == MResult(2, (0, 22))  # beyond the dense range, composite
+
+
 def test_modulus_too_large():
+    # beyond dense range, not an odd prime power, and -1 is not a power of q
     with pytest.raises(ModulusTooLarge):
-        m(3, (1 << 24) + 4)  # beyond dense range, not an odd prime power
+        m(3, (1 << 24) + 4)
+    assert mul_order(2, 4194307) == 50940
+    with pytest.raises(ModulusTooLarge):
+        m(2, 4194307)
+    # 2 has order 46 mod 2^23 + 1 and 2^23 = -1: the m = 2 test answers it
     sub = unit_subgroup(2, (1 << 23) + 1)
-    with pytest.raises(ModulusTooLarge):
-        m(sub.generator, sub.modulus)
+    assert sub.order == 46
+    assert m(sub.generator, sub.modulus) == MResult(2, (0, 23))
 
 
 def test_modulus_beyond_orbit_range_fails_at_once():

@@ -19,6 +19,7 @@ from msum.modular import (
     mul_order,
     order_mod_prime_power,
     p_adic_w,
+    prime_power,
     rad,
     smallest_prime_divisor,
     trial_factor,
@@ -173,6 +174,25 @@ def test_trial_factor_settles_cofactors():
     assert trial_factor(3 * PSI_13) == ([(3, 1)], PSI_13)
     with pytest.raises(DomainError):
         factorize(PSI_12)
+
+
+def test_prime_power_agrees_with_factorize_to_2_16():
+    for e in range(1, 2**16 + 1):
+        factors = factorize(e)
+        assert prime_power(e) == (factors[0] if len(factors) == 1 else None), e
+
+
+def test_prime_power_shapes():
+    assert prime_power(1048571**2) == (1048571, 2)  # a prime just below 2^20, squared
+    assert prime_power(3**25) == (3, 25)
+    assert prime_power(1099511627689) == (1099511627689, 1)  # the largest prime below 2^40
+    for k in range(1, 41):
+        assert prime_power(2**k) == (2, k)
+    assert prime_power(1048583**3) == (1048583, 3)  # past 2^60: the integer-root test
+    for n in (2 * 7**5, 2 * 1048571**2, 15**2, 15**3, 6**7, 1048571 * 1048573, PSI_12):
+        assert prime_power(n) is None, n
+    for n in (-4, 0, 1):
+        assert prime_power(n) is None
 
 
 def test_smallest_prime_divisor():
