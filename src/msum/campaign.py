@@ -178,12 +178,12 @@ def _theorem1_check(e: int, params: dict):
 
 
 def _divisibility_check(e: int, params: dict):
-    """e1 = gcd(e, q - 1) divides m. Where the bitmask coset search gives m
-    this holds by construction: it tests only t = e1, 2 e1, ... (its check
+    """e1 = gcd(e, q - 1) divides m. Where the dense exact-level search gives
+    m this holds by construction: it tests only t = e1, 2 e1, ... (its check
     that every sum of terms h - 1 is a multiple of e1 is the premise, not the
     claim), and the evidence is the tests that compare it with the full-depth
     search and the naive oracle. The closed form, the m = 2 test, the
-    order-2 scan, the label BFS and the orbit engine do not use e1. The m = 2
+    order-2 scan and the orbit engine do not use e1. The m = 2
     test answers every class whose subgroup H holds -1, the 375 classes with
     e <= 2049 that the cost rule of engine._route would send to the orbit
     engine among them (odd prime moduli, even orders); there every h in H is

@@ -5,17 +5,18 @@ breadth-first sumset growth over Z/eZ: level t holds the set A_t of residues
 reachable as a sum of at most t elements of H = <q>, and m is the first level
 containing 0. Witnesses are reconstructed by walking the level sets backwards.
 
-Both orbit routes below rest on one closure fact. A_t is closed under
+Both orbit routes below rest on one closure fact. The set S_t of sums of
+exactly t elements of H = <q>, and A_t as well, is closed under
 multiplication by H (multiplying a sum of t elements of H by h in H gives
 another), so
 
-    A_t + H = H * (A_t + 1):
+    S_t + H = H * (S_t + 1):
 
 a level costs one shift by 1 and one orbit closure, not a shift per element.
 
 Every m the module computes, for m(), m_prime_power() and each generator
 class of a table walk, goes through one private dispatcher, _route. It
-alone picks among six routes, and it refuses a modulus that no route takes
+alone picks among five routes, and it refuses a modulus that no route takes
 with ModulusTooLarge:
   - q = 1 (mod e), answered in closed form (m = e), with a witness of e
     terms only for e <= DENSE_LIMIT;
@@ -29,24 +30,23 @@ with ModulusTooLarge:
     a + b q = 0 (mod e), an exhaustive search that stops once b reaches the
     least sum found; the witness is a ones and b copies of q for the least
     such b, the one the dense backtrack below reads;
-  - the bitmask BFS, for moduli up to DENSE_LIMIT and subgroup order
-    3 <= n < LABEL_MIN_ORDER: levels are Python ints, one shift per element
-    of H. When only m is wanted it searches the cosets of g = gcd(e, q - 1):
-    on the sums of terms h - 1, which lie in the multiples of g and stop
-    growing after at most e/g levels, it tests only t = g, 2g, ..., each by
-    meeting the sums of ceil(t/2) terms with the negation of those of
-    floor(t/2) terms (one bit reversal per level), so it builds at most
-    ceil(m/2) levels, and it checks that its last set lies in the multiples
-    of g; witness searches build every level. An m-alone search of an odd
-    prime power p^k, p not dividing n, takes the orbit engine below instead
-    when its cost estimate is lower (the cost rule of _route);
-  - the orbit-label BFS, for moduli up to DENSE_LIMIT and n >= LABEL_MIN_ORDER:
-    every residue is labelled with the minimum of its H-orbit (an upward
-    walk scatters the orbit of each unlabelled residue it meets), and each
-    level is a roll by 1, a scatter of the labels hit and a gather back. The
-    rule is on n, not e: a level costs the bitmask BFS about n*e/64 word
-    operations and the label route a few passes over e, so large-e
-    subgroups of small order (prime-power towers) stay on the bitmask;
+  - the dense exact-level search (_exact_search), for moduli up to
+    DENSE_LIMIT and order n >= 3, with or without a witness: on the sums of
+    terms h - 1, which lie in the multiples of g = gcd(e, q - 1), it tests
+    only t = g, 2g, ..., each by meeting the sums of ceil(t/2) terms with the
+    negation of those of floor(t/2) terms (one bit reversal per level), so it
+    builds at most ceil(m/2) levels, jumps to m once a level adds nothing,
+    and checks that its last set lies in the multiples of g; a witness search
+    goes on to level m - 1 or the last new level. A level's step is one
+    shift per element of H for 3 <= n < LABEL_MIN_ORDER (_bfs_dense), else
+    (_bfs_label) a roll by 1, a scatter of the orbit labels hit and a gather
+    back, every residue labelled with the minimum of its H-orbit (an upward
+    walk scatters the orbit of each unlabelled residue it meets). The rule is
+    on n, not e: a level costs the bitmask step about n*e/64 word operations
+    and the label step a few passes over e, so large-e subgroups of small
+    order (prime-power towers) stay on the bitmask. An m-alone search of an
+    odd prime power p^k, p not dividing n, takes the orbit engine below
+    instead when its cost estimate is lower (the cost rule of _route);
   - a sparse orbit engine for odd prime powers p^k beyond bitmask range
     (up to 2^40), and for the m-alone searches the cost rule above gives it
     within that range: one canonical orbit key per orbit is stored, in two plain
@@ -68,7 +68,7 @@ with ModulusTooLarge:
     witness backtrack starts from the least orbit minimum of a colliding
     orbit, so the witness does not depend on the key, and tests every power
     of a level at once, against the keys of the level below.
-The two dense routes give equal level sets, so equal m and equal witnesses,
+The two level steps give equal level sets, so equal m and equal witnesses,
 which _dense_witness reads back as exponents of q. _route checks every
 witness it returns (length m, sum 0 mod e) or raises MsumError; the closed
 form's e ones are never summed.
@@ -213,73 +213,65 @@ def cache_rows(start: int) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# dense bitmask BFS
+# dense exact-level search (bitmask and orbit-label level steps)
 
-def _bfs_dense(e: int, elements: Sequence[int], keep_masks: bool, g: int = 1):
-    """(m, masks or None) for the subgroup H whose `elements` are given in
-    any order; _route sends only orders 3 <= n < LABEL_MIN_ORDER here, with
-    the hint g = gcd(e, q - 1). With masks kept, every level A_1, ..., A_m
-    of cumulative reachable sets is built, for the witness.
+def _exact_search(e: int, g: int, keep: bool, steps: Sequence[int] = (), lab=None):
+    """(m, levels or None) for H = <q> mod e and a divisor g of e and of
+    q - 1 (g = 1 is always valid). Y_L, the sums of at most L terms h - 1,
+    h in H, is a Python int (bit y for residue y): cumulative (1 - 1 = 0),
+    with Y_a + Y_b = Y_(a+b), inside gZ/eZ. The exact t-sums are S_t = t + Y_t
+    (pad with ones), so 0 is one iff -t lies in Y_t, iff Y_ceil(t/2) meets
+    -t - Y_floor(t/2), which needs g | t: only t = g, 2g, ... are tested, on
+    levels up to ceil(m/2). Once a level adds nothing, Y_L is closed under
+    adding each h - 1, the subgroup dZ/eZ of its least positive element d,
+    and -t lies in Y_L + Y_L = Y_L iff d | t: the search jumps to the first
+    multiple of d from t on. The last set must lie in the multiples of g, or
+    MsumError is raised. dbl holds -1 - Y_b, b = floor(t/2), twice over e
+    bits (one bit reversal per new b), so dbl >> (t - 1) holds -t - Y_b in
+    its low e bits.
 
-    Without masks, _bfs_cosets searches the cosets of g, a divisor of e and
-    of q - 1 (g = 1 is always valid). Let Y_L be the sums of at most L terms
-    h - 1, h in H: cumulative (1 - 1 = 0), with Y_a + Y_b = Y_(a+b), and
-    inside gZ/eZ, as every h = 1 (mod g), so Y stops growing after at most
-    e/g levels. A sum of exactly t powers is t + y with y in Y_t (pad it
-    with ones), so a vanishing t-sum exists iff -t lies in Y_t, iff
-    Y_ceil(t/2) meets -t - Y_floor(t/2), which needs g | t. So only
-    t = g, 2g, ... are tested, up to t = e, which always passes: levels up
-    to ceil(m/2) at most, and once Y has stopped growing each t costs one
-    shift and one AND. The step rests on the sets, not on the hint: the
-    last set must lie in the multiples of g, or MsumError is raised."""
-    if not keep_masks:
-        return _bfs_cosets(e, elements, g), None
-    full = (1 << e) - 1
-    seen = 0
-    for a in elements:
-        seen |= 1 << a
-    frontier, masks = seen, [seen]
-    while not seen & 1:
-        acc = 0
-        for a in elements:
-            acc |= frontier << a
-        acc = (acc | (acc >> e)) & full
-        frontier = acc & ~seen
-        seen |= frontier
-        masks.append(seen)
-    return len(masks), masks
-
-
-def _bfs_cosets(e: int, elements: Sequence[int], g: int) -> int:
-    """m by the coset search of _bfs_dense. seen is Y_level, bit y for
-    residue y; a level shifts the frontier by every h - 1 (h >= 1, so no
-    shift is negative). dbl holds -1 - Y_b, b = floor(t/2), twice over e
-    bits, reversed once per new b level: x lands at e - 1 - x and
-    2e - 1 - x, so dbl >> (t - 1), 0 <= t - 1 < e, holds -t - Y_b (mod e)
-    in its low e bits."""
+    A level's step shifts the new residues by each of the `steps` h - 1, or,
+    with the orbit labels `lab`, takes S_(L+1) = H (S_L + 1) (_orbit_level).
+    With `keep` the search goes on to level m - 1 or the last new level L,
+    and returns Y_1, ..., Y_min(m - 1, L) as little-endian bytes."""
     full = (1 << e) - 1
     size = (e + 7) // 8
-    steps = [a - 1 for a in elements]
-    seen = frontier = 1  # Y_0 = {0}
+    seen = frontier = below = 1  # Y_0 = {0}; below is the level under seen
     level, rev_level, dbl = 0, -1, 0
-    t = g
-    while True:
-        for stop in (t // 2, (t + 1) // 2):  # Y_floor(t/2), reversed, then Y_ceil(t/2)
-            while level < stop and frontier:
+    levels = [] if keep else None
+    t, value = g, 0
+    while not value or keep:
+        top = value - 1 if value else (t + 1) // 2
+        while level < top and frontier:
+            below = seen
+            if lab is None:
                 acc = 0
                 for a in steps:
                     acc |= frontier << a
                 acc = (acc | (acc >> e)) & full
-                frontier = acc & ~seen
-                seen |= frontier
-                level += 1
-            if stop == t // 2 and level != rev_level:
-                rev = int.from_bytes(seen.to_bytes(size, "little").translate(_BIT_REVERSE), "big")
-                rev >>= 8 * size - e  # x lands at e - 1 - x
-                dbl, rev_level = rev | rev << e, level
-        if seen & (dbl >> (t - 1)):
+            else:
+                acc = _orbit_level(seen, level + 1, lab, e)
+            frontier = acc & ~seen
+            seen |= frontier
+            level += 1
+            if keep and frontier:
+                levels.append(seen.to_bytes(size, "little"))
+        if value:
             break
-        t += g
+        if not frontier:  # Y_level = Y_(level - 1) = dZ/eZ
+            low = seen ^ 1
+            d = (low & -low).bit_length() - 1 if low else e
+            value = -(-t // d) * d
+            continue
+        half = t // 2
+        if half != rev_level:  # x lands at e - 1 - x and 2e - 1 - x
+            rev = (seen if half == level else below).to_bytes(size, "little")
+            rev = int.from_bytes(rev.translate(_BIT_REVERSE), "big") >> 8 * size - e
+            dbl, rev_level = rev | rev << e, half
+        if seen & (dbl >> (t - 1)):
+            value = t
+        else:
+            t += g
     multiples, span = 1, g
     while span < e:
         multiples |= multiples << span
@@ -287,24 +279,58 @@ def _bfs_cosets(e: int, elements: Sequence[int], g: int) -> int:
     if seen & ~multiples:
         raise MsumError(f"coset search mod {e}: a sum of terms h - 1 is not a multiple "
                         f"of {g}, so the hint g does not divide every h - 1")
-    return t
+    return value, levels
 
 
-def _dense_witness(e: int, pw: np.ndarray, levels: list[np.ndarray]) -> tuple[int, ...]:
+def _bfs_dense(e: int, elements: Sequence[int], keep_masks: bool, g: int = 1):
+    """_exact_search by the bitmask step, H given by its elements in any order."""
+    return _exact_search(e, g, keep_masks, steps=[a - 1 for a in elements])
+
+
+def _bfs_label(e: int, pw: np.ndarray, keep_levels: bool, g: int = 1):
+    """_exact_search by the orbit-label step, H = <q> given by its powers pw."""
+    return _exact_search(e, g, keep_levels, lab=_orbit_labels(e, pw))
+
+
+def _orbit_level(y: int, r: int, lab: np.ndarray, e: int) -> int:
+    """Y_r from Y_(r-1), Python ints: S_(r-1) + 1 is Y_(r-1) rolled by r; the
+    labels it hits are marked and gathered back, H (S_(r-1) + 1) = S_r, which
+    rolls back by r."""
+    r %= e
+    full, size = (1 << e) - 1, (e + 7) // 8
+    s = ((y << r | y >> (e - r)) & full).to_bytes(size, "little")
+    hit = np.zeros(e, dtype=bool)
+    s = np.unpackbits(np.frombuffer(s, np.uint8), count=e, bitorder="little").view(bool)
+    hit[lab[s]] = True
+    s = int.from_bytes(np.packbits(hit[lab], bitorder="little").tobytes(), "little")
+    return (s >> r | s << (e - r)) & full
+
+
+def _dense_witness(e: int, pw: np.ndarray, levels: list[bytes], m: int) -> tuple[int, ...]:
     """The sorted exponents of a vanishing m-sum of the powers pw of q, read
-    back from the packed level bitmaps A_1, ..., A_m of either dense BFS:
-    from x = 0, each step tests every remainder x - pw[j] against the level
-    below and takes the hit of least pw[j]; what is left in A_1 is a power."""
+    back from the levels Y_1, ..., Y_min(m - 1, L) of _exact_search: from
+    x = 0, the step with k terms left takes the least pw[j] with x - pw[j] - k
+    in Y_min(k, L), that is x - pw[j] a sum of exactly k powers. From a
+    minimal sum no remainder is a sum of fewer terms, so these are the hits
+    of the sets of at most k terms as well. The least power, 1, is tested
+    alone first; what is left after m - 1 steps is a power."""
+    one = int(pw.argmin())  # the exponent of 1
     exps = []
     x = 0
-    for level in reversed(levels[:-1]):
-        rest = _mod(x - pw, e)
-        hits = np.flatnonzero(level[rest >> 3] >> (rest & 7) & 1)
-        if not hits.size:
-            raise MsumError("witness backtrack failed (engine bug)")
-        j = int(hits[pw[hits].argmin()])
+    for k in range(m - 1, 0, -1):
+        level = levels[min(k, len(levels)) - 1]
+        y = (x - k - 1) % e
+        if level[y >> 3] >> (y & 7) & 1:
+            j = one
+        else:
+            rest = _mod(x - k - pw, e)
+            packed = np.frombuffer(level, dtype=np.uint8)
+            hits = np.flatnonzero(packed[rest >> 3] >> (rest & 7) & 1)
+            if not hits.size:
+                raise MsumError("witness backtrack failed (engine bug)")
+            j = int(hits[pw[hits].argmin()])
         exps.append(j)
-        x = int(rest[j])
+        x = (x - int(pw[j])) % e
     exps += np.flatnonzero(pw == x)[:1].tolist()
     return tuple(sorted(exps))
 
@@ -332,9 +358,6 @@ def _scan_pair(q: int, e: int) -> tuple[int, int]:
     return best, arg
 
 
-# ---------------------------------------------------------------------------
-# dense orbit-label BFS (subgroups of order >= LABEL_MIN_ORDER)
-
 def _orbit_labels(e: int, pw: np.ndarray) -> np.ndarray:
     """lab[x] = the minimum of the orbit {x * pw[j]} of every residue x, pw
     the powers of q (mod e). The residues are walked upward in blocks of
@@ -354,33 +377,6 @@ def _orbit_labels(e: int, pw: np.ndarray) -> np.ndarray:
                     k = sizes[g] = mul_order(int(pw[1]), e // g)
                 lab[_mulmod_vec(pw[:k], x, e)] = x
     return lab
-
-
-def _bfs_label(e: int, pw: np.ndarray, keep_levels: bool):
-    """Returns (m, level bitmaps or None) for H = <q> of order n >= 2, powers pw.
-
-    By the closure fact of the module docstring, A_{t+1} = A_t | H*(F_t + 1)
-    with F_t = A_t - A_{t-1}: roll the frontier by 1, mark the orbit labels it
-    hits, and gather every residue whose label is marked. The cumulative sets
-    equal the bitmask BFS's, and are kept packed as uint8 arrays (bit x of
-    byte x >> 3 for residue x), as _dense_witness reads them.
-    """
-    lab = _orbit_labels(e, pw)
-    seen = lab == 1  # A_1 = H, the orbit of 1
-    frontier = seen.copy()
-    hit = np.empty(e, dtype=bool)
-    levels = [np.packbits(seen, bitorder="little")] if keep_levels else None
-    value = 1
-    while not seen[0]:
-        hit.fill(False)
-        hit[lab[np.roll(frontier, 1)]] = True
-        frontier = hit[lab]
-        frontier &= ~seen
-        seen |= frontier
-        value += 1
-        if keep_levels:
-            levels.append(np.packbits(seen, bitorder="little"))
-    return value, levels
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +681,7 @@ def _m_two(q: int, e: int, n: int) -> tuple[int, int] | None:
     mod e > 2, else None. A cyclic H holds at most one element of order 2,
     q^(n/2) for even n, and -1 has order 2, so -1 is in H iff n is even and
     q^(n/2) = -1 (mod e); then 1 + q^(n/2) vanishes, and as no unit does,
-    m = 2 exactly. Both dense backtracks and the orbit engine's closed stop
+    m = 2 exactly. The dense backtrack and the orbit engine's closed stop
     read this same witness."""
     if n % 2 == 0 and pow(q, n // 2, e) == e - 1:
         return 0, n // 2
@@ -706,7 +702,7 @@ def _orbit_cheaper(e: int, n: int) -> int:
     engine, else 0.
 
     Both routes build at most D = ceil(r/2) levels: the orbit engine tests
-    t < r, and the coset search stops by level ceil(m/2) <= ceil(r/2). A
+    t < r, and the dense search stops by level ceil(m/2) <= ceil(r/2). A
     bitmask level shifts an e-bit int n times. An orbit level s holds at
     most C(n + s - 1, s) keys, the s-multisets of H, and at most e; on a
     prime modulus a key is an orbit minimum, n - 1 mulmods, and on p^k,
@@ -752,8 +748,8 @@ def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[in
     costs W = D n ceil(e/64) words and the orbit engine C = sum over s < D
     of min(C(n + s - 1, s), e) grid cells, times n on a prime modulus, plus
     its fixed cost F = _ORBIT_FIXED_WORDS; a subgroup with n ceil(e/64) <= F
-    stays on the bitmask. Witness searches keep the dense routes, so every
-    witness is the one they give."""
+    stays on the bitmask. Witness searches keep the dense search, whose
+    levels Y_1, ..., Y_min(m - 1, L) _dense_witness reads back."""
     if q == 1:
         # every power is 1, so exactly e terms are needed; this witness is never
         # summed, and beyond the dense range it is refused before it is built
@@ -789,13 +785,11 @@ def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[in
     else:
         pw = _power_table(q, e, n) if want_witness or n >= LABEL_MIN_ORDER else None
         if n >= LABEL_MIN_ORDER:
-            value, levels = _bfs_label(e, pw, want_witness)
+            value, levels = _bfs_label(e, pw, want_witness, gcd(e, q - 1))
         else:
-            value, masks = _bfs_dense(e, elements or _powers_of(q, e), want_witness,
-                                      gcd(e, q - 1))
-            levels = masks and [np.frombuffer(mask.to_bytes((e + 7) // 8, "little"),
-                                              np.uint8) for mask in masks]
-        witness = _dense_witness(e, pw, levels) if want_witness else None
+            value, levels = _bfs_dense(e, elements or _powers_of(q, e), want_witness,
+                                       gcd(e, q - 1))
+        witness = _dense_witness(e, pw, levels, value) if want_witness else None
     if witness is not None and not verify_witness(q, e, MResult(value, witness)):
         raise MsumError(f"the witness of m({q}, {e}) = {value} fails its check (engine bug)")
     return value, witness

@@ -111,7 +111,7 @@ def test_m_json_for_q_congruent_one_builds_no_witness():
 def test_m_engine_fault_is_one_error_line(monkeypatch):
     # a witness that fails the engine's check is a failed internal check:
     # exit 2 with one line, never a traceback with exit 1 ("violations found")
-    monkeypatch.setattr(engine, "_dense_witness", lambda e, pw, levels: (0,) * len(levels))
+    monkeypatch.setattr(engine, "_dense_witness", lambda e, pw, levels, m: (0,) * m)
     res = run("m", "4", "7")
     assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
     assert res.output == "Error: the witness of m(4, 7) = 3 fails its check (engine bug)\n"

@@ -227,11 +227,76 @@ def test_subgroup_key_identifies_subgroups():
     assert m_value(2, 11) == m_value(8, 11)
 
 
+# The full-depth references the exact-level search is checked against: the
+# cumulative bitmask and orbit-label BFS, which build every level A_1, ..., A_m
+# of the sums of at most t powers, and the backtrack that reads a witness from
+# those levels, taking at each step the hit of least power.
+
+def _full_bitmask(e, elements):
+    """(m, [A_1, ..., A_m]) for H given by its elements, each level a Python
+    int (bit x for residue x): one shift of the new residues per element."""
+    full = (1 << e) - 1
+    seen = 0
+    for a in elements:
+        seen |= 1 << a
+    frontier, masks = seen, [seen]
+    while not seen & 1:
+        acc = 0
+        for a in elements:
+            acc |= frontier << a
+        acc = (acc | (acc >> e)) & full
+        frontier = acc & ~seen
+        seen |= frontier
+        masks.append(seen)
+    return len(masks), masks
+
+
+def _full_label(e, pw):
+    """(m, [A_1, ..., A_m]) for H = <q> with powers pw, each level packed
+    (bit x of byte x >> 3): A_(t+1) = A_t | H (F_t + 1), F_t the residues
+    new at level t, by a roll, a scatter of the labels hit and a gather."""
+    lab = engine._orbit_labels(e, pw)
+    seen = lab == 1  # A_1 = H, the orbit of 1
+    frontier = seen.copy()
+    hit = np.empty(e, dtype=bool)
+    levels = [np.packbits(seen, bitorder="little")]
+    while not seen[0]:
+        hit.fill(False)
+        hit[lab[np.roll(frontier, 1)]] = True
+        frontier = hit[lab]
+        frontier &= ~seen
+        seen |= frontier
+        levels.append(np.packbits(seen, bitorder="little"))
+    return len(levels), levels
+
+
+def _packed(e, masks):
+    """The Python-int levels of _full_bitmask packed as _full_label packs its own."""
+    return [np.frombuffer(mask.to_bytes((e + 7) // 8, "little"), np.uint8) for mask in masks]
+
+
+def _full_witness(e, pw, levels):
+    """The sorted exponents of a vanishing m-sum read back from the packed
+    levels A_1, ..., A_m: from x = 0, each step takes the least pw[j] with
+    x - pw[j] in the level below; what is left in A_1 is a power."""
+    exps = []
+    x = 0
+    for level in reversed(levels[:-1]):
+        rest = (x - pw) % e
+        hits = np.flatnonzero(level[rest >> 3] >> (rest & 7) & 1)
+        j = int(hits[pw[hits].argmin()])
+        exps.append(j)
+        x = int(rest[j])
+    exps += np.flatnonzero(pw == x)[:1].tolist()
+    return tuple(sorted(exps))
+
+
 def _level_sets(q, e):
     """(n, [A_1, ..., A_m]): the subgroup order and the cumulative level sets
-    of the bitmask BFS of <q> mod e, each as the sorted list of its residues."""
+    of the full-depth bitmask BFS of <q> mod e, each as the sorted list of its
+    residues."""
     sub = unit_subgroup(q, e)
-    _, masks = engine._bfs_dense(e, sub.elements, keep_masks=True)
+    _, masks = _full_bitmask(e, sub.elements)
     return sub.order, [[i for i in range(e) if (mask >> i) & 1] for mask in masks]
 
 
@@ -358,16 +423,20 @@ def test_table_of_a_modulus_below_one_is_a_domain_error(e):
 
 
 def _label_vs_bitmask(q, e):
-    """Run both dense BFS routes on <q> mod e; require equal level sets, as
-    the bitmaps the witness backtrack reads, and equal witnesses."""
+    """Run the exact-level search on <q> mod e with both level steps, g =
+    gcd(e, q - 1); require equal exact levels, equal m with and without them,
+    equal witnesses, and the m and witness of the full-depth bitmask BFS."""
     sub = unit_subgroup(q, e)
     pw = engine._power_table(q, e, sub.order)
-    value, levels = engine._bfs_label(e, pw, keep_levels=True)
-    dense, masks = engine._bfs_dense(e, sub.elements, keep_masks=True)
-    bitmaps = [mask.to_bytes((e + 7) // 8, "little") for mask in masks]
-    assert (value, [level.tobytes() for level in levels]) == (dense, bitmaps), (q, e)
-    packed = [np.frombuffer(bitmap, dtype=np.uint8) for bitmap in bitmaps]
-    assert engine._dense_witness(e, pw, levels) == engine._dense_witness(e, pw, packed), (q, e)
+    g = gcd(e, q - 1)
+    value, levels = engine._bfs_label(e, pw, True, g)
+    assert engine._bfs_dense(e, sub.elements, True, g) == (value, levels), (q, e)
+    assert engine._bfs_label(e, pw, False, g) == (value, None), (q, e)
+    assert engine._bfs_dense(e, sub.elements, False, g) == (value, None), (q, e)
+    full, masks = _full_bitmask(e, sub.elements)
+    assert value == full, (q, e)
+    witness = engine._dense_witness(e, pw, levels, value)
+    assert witness == _full_witness(e, pw, _packed(e, masks)), (q, e)
     return value
 
 
@@ -462,15 +531,16 @@ def _m_two_matches_full_depth(e_max):
             n = len(powers)
             if n % 2 or powers[n // 2] != e - 1:
                 continue
-            value, masks = engine._bfs_dense(e, powers, True)
-            bitmaps = [mask.to_bytes((e + 7) // 8, "little") for mask in masks]
+            value, masks = _full_bitmask(e, powers)
+            levels = _packed(e, masks)
             pw = np.array(powers, dtype=np.int64)
-            label, levels = engine._bfs_label(e, pw, True)
-            assert (label, [level.tobytes() for level in levels]) == (value, bitmaps), (q, e)
+            label, label_levels = _full_label(e, pw)
+            assert (label, [level.tobytes() for level in label_levels]) == \
+                (value, [level.tobytes() for level in levels]), (q, e)
             steps = np.arange(n)
             for j in range(1, n):
                 if gcd(j, n) == 1:  # the powers of q^j are pw[i j mod n]
-                    witness = engine._dense_witness(e, pw[steps * j % n], levels)
+                    witness = _full_witness(e, pw[steps * j % n], levels)
                     assert m(powers[j], e) == MResult(value, witness), (powers[j], e)
                     pairs += 1
     return pairs
@@ -538,7 +608,11 @@ def test_orbit_choice_matches_full_search_to_2049():
             if n >= 3 and engine._orbit_cheaper(e, n):
                 chosen += 1
                 value = engine._route(q, e, False, n, powers)[0]
-                assert value == engine._bfs_dense(e, powers, True)[0], (q, e)
+                assert value == _full_bitmask(e, powers)[0], (q, e)
+                # _route answers these even orders by the m = 2 test; the
+                # orbit engine's closed stop at t_cap = 2 is run directly
+                p = engine._orbit_cheaper(e, n)
+                assert engine._m_orbit(e, p, q, n, 2, False) == (value, None), (q, e)
     assert chosen == 375
 
 
@@ -582,7 +656,7 @@ def test_half_depth_stop_matches_full_search_to_2049():
     for e in range(2, 2050):
         for q, powers in _classes(e):
             value = engine._route(q, e, False, len(powers), powers)[0]
-            assert value == engine._bfs_dense(e, powers, keep_masks=True)[0], (q, e)
+            assert value == _full_bitmask(e, powers)[0], (q, e)
 
 
 def test_coset_hint_is_exact():
@@ -590,7 +664,7 @@ def test_coset_hint_is_exact():
     # search, d = 1 included, against the full-depth search
     for e in range(2, 301):
         for q, powers in _classes(e):
-            full = engine._bfs_dense(e, powers, True)[0]
+            full = _full_bitmask(e, powers)[0]
             g = gcd(e, q - 1)
             for d in (d for d in range(1, g + 1) if g % d == 0):
                 assert engine._bfs_dense(e, powers, False, d) == (full, None), (q, e, d)
@@ -625,6 +699,26 @@ def test_coset_search_of_order_three_mod_three_to_the_13_fits_one_gib():
     # the upper bound, by a witness the engine did not give: 3^12 - 1 ones and
     # q^2 = 1 + 2 * 3^12
     assert verify_witness(531442, 1594323, (0,) * (3**12 - 1) + (2,))
+
+
+def test_witness_of_order_three_mod_three_to_the_13_fits_one_gib():
+    # the witness search keeps Y_1 alone, where Y saturates; keeping every
+    # cumulative level, 3^12 of them of 3^13 bits, raised MemoryError under
+    # the cap. The least power, 1, is taken at each step until q^2 is left
+    _run_under_one_gib("from msum.engine import m, verify_witness\n"
+                       "r = m(531442, 1594323)\n"
+                       "assert r.value == 3**12 and verify_witness(531442, 1594323, r)\n"
+                       "assert r.witness == (0,) * (3**12 - 1) + (2,)\n", timeout=60)
+
+
+@pytest.mark.parametrize("q, e, mv", [(1025, 2**20, 1024), (4097, 2**22, 4096)])
+def test_label_search_steps_by_g_and_stops_growing(q, e, mv):
+    # H = {1 + g j} with g = q - 1 = sqrt(e) or e^(6/11) and order 1024: the
+    # label route tests t = g first, and Y_1 = gZ/eZ stops growing at once;
+    # stepping t by 1 over full-depth levels took 4.8 s and over a minute
+    n = mul_order(q, e)
+    assert n >= engine.LABEL_MIN_ORDER and gcd(e, q - 1) == mv
+    assert m_value(q, e) == mv
 
 
 def test_dense_dispatch_is_on_the_order(monkeypatch):
@@ -718,10 +812,8 @@ def _check_order_two_witnesses(e_max):
     """The witness m(q, e) gives for each order-2 pair equals the one the
     bitmask BFS reads back (every level kept, hits of least element first)."""
     for q, e in _order_two(e_max):
-        value, masks = engine._bfs_dense(e, [1, q], True)
-        levels = [np.frombuffer(mask.to_bytes((e + 7) // 8, "little"), np.uint8)
-                  for mask in masks]
-        want = engine._dense_witness(e, np.array([1, q], dtype=np.int64), levels)
+        value, masks = _full_bitmask(e, [1, q])
+        want = _full_witness(e, np.array([1, q], dtype=np.int64), _packed(e, masks))
         assert m(q, e) == MResult(value, want), (q, e)
 
 
@@ -861,10 +953,10 @@ def test_dense_witness_pins():
 def test_a_wrong_dense_witness_raises(monkeypatch, q, e, mv, fault):
     backtrack = engine._dense_witness
 
-    def wrong(e, pw, levels):
+    def wrong(e, pw, levels, m):
         if fault == "length":  # a vanishing sum of 2m terms
-            return backtrack(e, pw, levels) * 2
-        return (0,) * len(levels)  # m terms, each 1: the sum is m, not 0 mod e
+            return backtrack(e, pw, levels, m) * 2
+        return (0,) * m  # m terms, each 1: the sum is m, not 0 mod e
 
     monkeypatch.setattr(engine, "_dense_witness", wrong)
     with pytest.raises(MsumError, match="fails its check"):
