@@ -299,8 +299,8 @@ def _orbit_level(y: int, r: int, lab: np.ndarray, e: int) -> int:
     r %= e
     full, size = (1 << e) - 1, (e + 7) // 8
     s = ((y << r | y >> (e - r)) & full).to_bytes(size, "little")
-    hit = np.zeros(e, dtype=bool)
     s = np.unpackbits(np.frombuffer(s, np.uint8), count=e, bitorder="little").view(bool)
+    hit = np.zeros(e, dtype=bool)
     hit[lab[s]] = True
     s = int.from_bytes(np.packbits(hit[lab], bitorder="little").tobytes(), "little")
     return (s >> r | s << (e - r)) & full
