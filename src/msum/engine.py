@@ -16,20 +16,20 @@ a level costs one shift by 1 and one orbit closure, not a shift per element.
 
 Every m the module computes, for m(), m_prime_power() and each generator
 class of a table walk, goes through one private dispatcher, _route. It
-alone picks among five routes, and it refuses a modulus that no route takes
-with ModulusTooLarge:
-  - q = 1 (mod e), answered in closed form (m = e), with a witness of e
-    terms only for e <= DENSE_LIMIT;
-  - the m = 2 test, for every modulus below SPARSE_LIMIT once the order n
-    of q is known, before any search: -1 lies in H = <q> iff n is even and
-    q^(n/2) = -1 (mod e), and then m = 2 with witness (0, n/2), the one
-    every search below gives. Beyond DENSE_LIMIT it also answers moduli
+alone picks among six routes, names the one that answered (quoted below),
+and refuses a modulus that no route takes with ModulusTooLarge:
+  - "closed_form": q = 1 (mod e), m = e, with a witness of e terms only for
+    e <= DENSE_LIMIT;
+  - "m_two", the m = 2 test, for every modulus below SPARSE_LIMIT once the
+    order n of q is known, before any search: -1 lies in H = <q> iff n is
+    even and q^(n/2) = -1 (mod e), and then m = 2 with witness (0, n/2), the
+    one every search below gives. Beyond DENSE_LIMIT it also answers moduli
     that are not odd prime powers; order 2 within it takes the scan;
-  - the order-2 scan, for moduli up to DENSE_LIMIT and H = {1, q}, with or
-    without a witness: numpy passes over b upward find the least a + b with
-    a + b q = 0 (mod e), an exhaustive search that stops once b reaches the
-    least sum found; the witness is a ones and b copies of q for the least
-    such b, the one the dense backtrack below reads;
+  - "scan", the order-2 scan, for moduli up to DENSE_LIMIT and H = {1, q},
+    with or without a witness: numpy passes over b upward find the least
+    a + b with a + b q = 0 (mod e), an exhaustive search that stops once b
+    reaches the least sum found; the witness is a ones and b copies of q for
+    the least such b, the one the dense backtrack below reads;
   - the dense exact-level search (_exact_search), for moduli up to
     DENSE_LIMIT and order n >= 3, with or without a witness: on the sums of
     terms h - 1, which lie in the multiples of g = gcd(e, q - 1), it tests
@@ -38,16 +38,17 @@ with ModulusTooLarge:
     builds at most ceil(m/2) levels, jumps to m once a level adds nothing,
     and checks that its last set lies in the multiples of g; a witness search
     goes on to level m - 1 or the last new level. A level's step is one
-    shift per element of H for 3 <= n < LABEL_MIN_ORDER (_bfs_dense), else
-    (_bfs_label) a roll by 1, a scatter of the orbit labels hit and a gather
-    back, every residue labelled with the minimum of its H-orbit (an upward
-    walk scatters the orbit of each unlabelled residue it meets). The rule is
-    on n, not e: a level costs the bitmask step about n*e/64 word operations
-    and the label step a few passes over e, so large-e subgroups of small
-    order (prime-power towers) stay on the bitmask. An m-alone search of an
-    odd prime power p^k, p not dividing n, takes the orbit engine below
-    instead when its cost estimate is lower (the cost rule of _route);
-  - a sparse orbit engine for odd prime powers p^k beyond bitmask range
+    shift per element of H for 3 <= n < LABEL_MIN_ORDER ("bitmask",
+    _bfs_dense), else ("label", _bfs_label) a roll by 1, a scatter of the
+    orbit labels hit and a gather back, every residue labelled with the
+    minimum of its H-orbit (an upward walk scatters the orbit of each
+    unlabelled residue it meets). The rule is on n, not e: a level costs the
+    bitmask step about n*e/64 word operations and the label step a few passes
+    over e, so large-e subgroups of small order (prime-power towers) stay on
+    the bitmask. An m-alone search of an odd prime power p^k, p not dividing
+    n, takes the orbit engine below instead when its cost estimate is lower
+    (the cost rule of _route);
+  - "orbit", a sparse orbit engine for odd prime powers p^k beyond bitmask range
     (up to 2^40), and for the m-alone searches the cost rule above gives it
     within that range: one canonical orbit key per orbit is stored, in two plain
     lists of sorted arrays, reps[s] for the exact s-sums and negs[s] for
@@ -555,7 +556,7 @@ def _orbit_min(x: np.ndarray, pw: np.ndarray, q: int, p_mod: int) -> np.ndarray:
     return best
 
 
-def _m_orbit(p_mod: int, p: int, q: int, n: int, t_cap: int, want_witness: bool):
+def _m_orbit(p_mod: int, p: int, q: int, n: int, want_witness: bool):
     """Minimal t with a vanishing t-sum over the orbit {q^i mod p_mod}.
 
     Requires p_mod = p^k < 2^40 (p an odd prime) and ord(q) = n >= 2 prime to
@@ -570,30 +571,31 @@ def _m_orbit(p_mod: int, p: int, q: int, n: int, t_cap: int, want_witness: bool)
 
     Two steps build level s + 1 with the same keys. Rotating an exponent
     multiset by i multiplies its sum by q^i, so each orbit of (s + 1)-sums is
-    the image of one rotation class of (s + 1)-multisets. For s + 1 < r the
-    rotation is free and s + 1 is invertible mod n, so each class has one
-    canonical member, of exponent sum 0 (mod n), and there are
-    C(n + s, s + 1)/n of them. The multiset step (_multiset_level) makes each
-    once, from the canonical s-multisets, and builds the level while n fits
-    an int64 occupancy mask, s + 1 is prime to n (so s + 1 < r, as it built
-    every level below; level 1, {0} of sum 1, counts as its own) and the
-    count is at most the grid's |reps[s]| n cells, which also bounds its
-    memory by the grid's. At the last level the search can reach it keeps
-    keys alone. Otherwise the grid step keys every cell of reps[s] x powers
-    (_grid_keys), each orbit once per sub-orbit, in slices of about
-    _SLICE_CELLS cells, each merged into the level as it is made.
+    the image of one rotation class of (s + 1)-multisets. For s + 1 < r, r
+    the smallest prime divisor of n, the rotation is free and s + 1 is
+    invertible mod n, so each class has one canonical member, of exponent
+    sum 0 (mod n), and there are C(n + s, s + 1)/n of them; every level the
+    search builds has s + 1 <= r/2. The multiset step (_multiset_level) makes
+    each once, from the canonical s-multisets, and builds the level while n
+    fits an int64 occupancy mask, it built every level below (level 1, {0}
+    of sum 1, counts as its own) and the count is at most the grid's
+    |reps[s]| n cells, which also bounds its memory by the grid's. At the
+    last level the search can reach it keeps keys alone. Otherwise the grid
+    step keys every cell of reps[s] x powers (_grid_keys), each orbit once
+    per sub-orbit, in slices of about _SLICE_CELLS cells, each merged into
+    the level as it is made.
 
     The key is chosen once, at entry, and no level is keyed again: for
     k >= 2 the key table is built iff the grid of the deepest level's base,
-    C(n + D - 2, D - 1) cells with D = t_end // 2, has more than p cells (a
+    C(n + D - 2, D - 1) cells with D = r // 2, has more than p cells (a
     few passes over the p residues against n - 1 mulmods saved per key);
     else keys are orbit minima, as on a prime modulus, whose table would
     need an entry per residue of p_mod.
 
-    Closed stop: when r = t_cap divides n, h = q^(n/r) has h - 1 a unit, so
-    the order-r subgroup {h^j} sums to (h^r - 1)/(h - 1) = 0, and m <= r. Then
-    only t < r is searched; if none vanishes, r is returned with that subgroup
-    as witness once its sum is checked. Otherwise t runs up to t_cap.
+    Closed stop: r divides n, so h = q^(n/r) has h - 1 a unit, the order-r
+    subgroup {h^j} sums to (h^r - 1)/(h - 1) = 0, and m <= r. Only t < r is
+    searched; if none vanishes, r is returned with that subgroup as witness
+    once its sum is checked.
 
     The witness backtrack starts from the least orbit minimum among the
     orbits of the collision, so the witness does not depend on the keys. At
@@ -602,9 +604,8 @@ def _m_orbit(p_mod: int, p: int, q: int, n: int, t_cap: int, want_witness: bool)
     exponent of the power left.
     """
     orb = _Orbits(p_mod, p, q, _power_table(q, p_mod, n))
-    closed = n % t_cap == 0
-    t_end = t_cap if closed else t_cap + 1
-    depth = t_end // 2  # the last s1 the loop reaches
+    r = smallest_prime_divisor(n)
+    depth = r // 2  # the last s1 the loop reaches
     if p < p_mod and comb(n + depth - 2, depth - 1) > p:  # k >= 2
         orb = orb._replace(mult=_key_table(orb))
     rows = max(1, _SLICE_CELLS // n)
@@ -614,12 +615,11 @@ def _m_orbit(p_mod: int, p: int, q: int, n: int, t_cap: int, want_witness: bool)
     # the sums and masks of the top level's canonical multisets while the
     # multiset step builds the levels: level 1 is {0}, of sum 1 and mask 1
     sets = (reps[1], reps[1]) if n < np.iinfo(np.int64).bits else None
-    for t in range(1, t_end):
+    for t in range(1, r):
         s1, s2 = (t + 1) // 2, t // 2
         if len(reps) <= s1:
             base = reps[-1]
-            if (sets and gcd(s1, n) == 1
-                    and (count := comb(n + s1 - 1, s1) // n) <= base.size * n):
+            if sets and (count := comb(n + s1 - 1, s1) // n) <= base.size * n:
                 # keys alone at the last level the search can reach
                 level, sets = _multiset_level(orb, *sets, s1 - 1, count, s1 < depth)
             else:
@@ -635,15 +635,10 @@ def _m_orbit(p_mod: int, p: int, q: int, n: int, t_cap: int, want_witness: bool)
         if common.size:
             break
     else:
-        if not closed:
-            raise MsumError(
-                f"orbit engine found no vanishing sum of length <= {t_cap} "
-                f"(mod {p_mod}, order {n}); bound violated or bad inputs"
-            )
-        witness = tuple(range(0, n, n // t_cap))
+        witness = tuple(range(0, n, n // r))
         if sum(pow(q, a, p_mod) for a in witness) % p_mod:
-            raise MsumError(f"order-{t_cap} subgroup sum mod {p_mod} does not vanish")
-        return t_cap, (witness if want_witness else None)
+            raise MsumError(f"order-{r} subgroup sum mod {p_mod} does not vanish")
+        return r, (witness if want_witness else None)
     if not want_witness:
         return t, None
     c = int(_orbit_min(common, orb.pw, q, p_mod).min())
@@ -697,9 +692,9 @@ def _odd_prime_power(e: int) -> tuple[int, int] | None:
 
 
 def _orbit_cheaper(e: int, n: int) -> int:
-    """The odd prime p of e = p^k when the cost rule of _route sends the
-    m-alone search of an order-n subgroup mod e <= DENSE_LIMIT to the orbit
-    engine, else 0.
+    """The odd prime p of e = p^k when the cost rule of _route, its one
+    caller, sends the m-alone search of an order-n subgroup mod
+    e <= DENSE_LIMIT to the orbit engine, else 0.
 
     Both routes build at most D = ceil(r/2) levels: the orbit engine tests
     t < r, and the dense search stops by level ceil(m/2) <= ceil(r/2). A
@@ -729,11 +724,11 @@ def _orbit_cheaper(e: int, n: int) -> int:
 
 
 def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[int] = ()):
-    """(m, witness|None) for q reduced mod e > 1: the one dispatch over the
-    routes of the module docstring. A table walk passes the order n of q and
-    its powers as `elements`, in any order, so neither is computed again.
-    Witness exponents refer to q; a witness that fails its check raises
-    MsumError.
+    """(m, witness|None, route) for q reduced mod e > 1: the one dispatch
+    over the routes of the module docstring, route the name of the one that
+    answered. A table walk passes the order n of q and its powers as
+    `elements`, in any order, so neither is computed again. Witness
+    exponents refer to q; a witness that fails its check raises MsumError.
 
     Once n is known, the m = 2 test (_m_two) answers every subgroup that
     holds -1, before any search; only order 2 takes the scan first, within
@@ -756,7 +751,7 @@ def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[in
         if want_witness and e > DENSE_LIMIT:
             raise ModulusTooLarge(f"modulus {e}: the witness of q = 1 (mod e) has e terms; "
                                   f"ask for m alone beyond {DENSE_LIMIT}")
-        return e, ((0,) * e if want_witness else None)
+        return e, ((0,) * e if want_witness else None), "closed_form"
     if e <= DENSE_LIMIT:
         n = n or mul_order(q, e)
     elif e >= SPARSE_LIMIT:  # before any factoring: factorize is exact below 2^40
@@ -767,24 +762,26 @@ def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[in
     if n == 2 and e <= DENSE_LIMIT:
         value, b = _scan_pair(q, e)
         witness = (0,) * (value - b) + (1,) * b if want_witness else None
+        route = "scan"
     elif pair := _m_two(q, e, n):
-        value, witness = 2, (pair if want_witness else None)
-    elif e > DENSE_LIMIT:
-        if shape is None:
-            raise ModulusTooLarge(f"modulus {e} beyond dense BFS range, not an odd prime "
-                                  f"power, and -1 is not a power of {q}")
-        p, k = shape
-        if n % p == 0:
-            raise ModulusTooLarge(
-                f"modulus {p}^{k}: order {n} divisible by {p}; reduce k first "
-                f"(the order drop of the tower module)"
-            )
-        value, witness = _m_orbit(e, p, q, n, smallest_prime_divisor(n), want_witness)
-    elif not want_witness and (p := _orbit_cheaper(e, n)):
-        value, witness = _m_orbit(e, p, q, n, smallest_prime_divisor(n), False)
+        value, witness, route = 2, (pair if want_witness else None), "m_two"
+    elif e > DENSE_LIMIT or not want_witness and (p := _orbit_cheaper(e, n)):
+        if e > DENSE_LIMIT:
+            if shape is None:
+                raise ModulusTooLarge(f"modulus {e} beyond dense BFS range, not an odd "
+                                      f"prime power, and -1 is not a power of {q}")
+            p, k = shape
+            if n % p == 0:
+                raise ModulusTooLarge(
+                    f"modulus {p}^{k}: order {n} divisible by {p}; reduce k first "
+                    f"(the order drop of the tower module)"
+                )
+        value, witness = _m_orbit(e, p, q, n, want_witness)
+        route = "orbit"
     else:
-        pw = _power_table(q, e, n) if want_witness or n >= LABEL_MIN_ORDER else None
-        if n >= LABEL_MIN_ORDER:
+        route = "label" if n >= LABEL_MIN_ORDER else "bitmask"
+        pw = _power_table(q, e, n) if want_witness or route == "label" else None
+        if route == "label":
             value, levels = _bfs_label(e, pw, want_witness, gcd(e, q - 1))
         else:
             value, levels = _bfs_dense(e, elements or _powers_of(q, e), want_witness,
@@ -792,7 +789,7 @@ def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[in
         witness = _dense_witness(e, pw, levels, value) if want_witness else None
     if witness is not None and not verify_witness(q, e, MResult(value, witness)):
         raise MsumError(f"the witness of m({q}, {e}) = {value} fails its check (engine bug)")
-    return value, witness
+    return value, witness, route
 
 
 def m(q: int, e: int, with_witness: bool = True) -> MResult:
@@ -800,7 +797,7 @@ def m(q: int, e: int, with_witness: bool = True) -> MResult:
     require_coprime(q, e)
     if e == 1:
         return MResult(1, (0,))
-    value, witness = _route(q % e, e, with_witness)
+    value, witness, _ = _route(q % e, e, with_witness)
     return MResult(value, witness if witness is not None else ())
 
 
@@ -816,7 +813,7 @@ def m_prime_power(q: int, p: int, k: int, want_witness: bool = False):
     in that regime must reduce k first (the order drop of the tower module).
     """
     e = p**k
-    return _route(q % e, e, want_witness)
+    return _route(q % e, e, want_witness)[:2]
 
 
 def _units(e: int) -> np.ndarray:

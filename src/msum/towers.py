@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .engine import DENSE_LIMIT, _orbit_cheaper, m_prime_power
+from .engine import DENSE_LIMIT, _route, m_prime_power
 from .errors import DomainError, NotFoundWithinCap
 from .modular import (
     element_of_order,
@@ -72,7 +72,7 @@ class FixedBaseLevel:
     ord_d: int
     ord: int
     m: int
-    source: str  # "bfs", "orbit", "closed_form", or "stability"
+    source: str  # the route engine._route named, or "closed_form" or "stability"
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,8 @@ def fixed_base_tower(q: int, p: int, k_max: int) -> FixedBaseTower:
 
     Levels past both w and the dense range are filled by the proven
     stability m(q, p^k) = m(q, p^w) and tagged "stability"; everything else
-    is computed outright, and tagged "orbit" where the engine's route for m
-    alone is its orbit engine, "bfs" otherwise.
+    is computed outright by engine._route and tagged with the name of the
+    route that answered ("m_two", "scan", "bitmask", "label" or "orbit").
     """
     require_odd_prime(p)
     if k_max < 1:
@@ -142,8 +142,7 @@ def fixed_base_tower(q: int, p: int, k_max: int) -> FixedBaseTower:
         if k > w and stable_m is not None and pk > DENSE_LIMIT:
             entries.append(FixedBaseLevel(k, pk, i, d, ordv, stable_m, "stability"))
             continue
-        mv = m_prime_power(q, p, k)[0]
-        source = "orbit" if pk > DENSE_LIMIT or _orbit_cheaper(pk, ordv) else "bfs"
+        mv, _, source = _route(q % pk, pk, False)
         entries.append(FixedBaseLevel(k, pk, i, d, ordv, mv, source))
         if k >= w and stable_m is None:
             stable_m = mv

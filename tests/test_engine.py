@@ -590,7 +590,7 @@ def test_half_depth_stop_at_large_moduli():
             orbit.add(e)
         powers = engine._powers_of(q, e)
         value = engine._route(q, e, False, n, powers)[0]
-        full, witness = engine._route(q, e, True)
+        full, witness = engine._route(q, e, True)[:2]
         assert value == full == len(witness) == mv, (q, e)
         assert engine._bfs_dense(e, powers, False, g)[0] == mv, (q, e)
         assert verify_witness(q, e, witness), (q, e)
@@ -610,9 +610,9 @@ def test_orbit_choice_matches_full_search_to_2049():
                 value = engine._route(q, e, False, n, powers)[0]
                 assert value == _full_bitmask(e, powers)[0], (q, e)
                 # _route answers these even orders by the m = 2 test; the
-                # orbit engine's closed stop at t_cap = 2 is run directly
+                # orbit engine's closed stop at r = 2 is run directly
                 p = engine._orbit_cheaper(e, n)
-                assert engine._m_orbit(e, p, q, n, 2, False) == (value, None), (q, e)
+                assert engine._m_orbit(e, p, q, n, False) == (value, None), (q, e)
     assert chosen == 375
 
 
@@ -696,8 +696,9 @@ def test_coset_search_of_order_three_mod_three_to_the_13_fits_one_gib():
     # 3^12 / 2 levels of 3^13 bits and ran past a minute
     _run_under_one_gib("from msum.engine import m_value\n"
                        "assert m_value(531442, 1594323) == 3**12\n", timeout=60)
-    # the upper bound, by a witness the engine did not give: 3^12 - 1 ones and
-    # q^2 = 1 + 2 * 3^12
+    # the upper bound, by the witness the witnessed m(531442, 1594323) gives
+    # (test_witness_of_order_three_mod_three_to_the_13_fits_one_gib):
+    # 3^12 - 1 ones and q^2 = 1 + 2 * 3^12
     assert verify_witness(531442, 1594323, (0,) * (3**12 - 1) + (2,))
 
 
@@ -987,7 +988,7 @@ def test_orbit_engine_matches_dense():
     for p, k, n in [(23, 3, 11), (53, 2, 13), (11, 2, 5), (101, 2, 25), (31, 1, 5)]:
         q = element_of_order(p, k, n)
         dense = m_value(q, p**k)
-        mv, wit = engine._m_orbit(p**k, p, q, n, n, want_witness=True)
+        mv, wit = engine._m_orbit(p**k, p, q, n, want_witness=True)
         assert mv == dense, (p, k, n)
         assert verify_witness(q, p**k, wit) and len(wit) == mv
 
@@ -1093,7 +1094,7 @@ def test_orbit_engine_at_real_cap_matches_dense_and_oracle():
     for p, k, q, n in _orbit_cases():
         e = p**k
         r = smallest_prime_divisor(n)
-        mv, wit = engine._m_orbit(e, p, q, n, r, want_witness=True)
+        mv, wit = engine._m_orbit(e, p, q, n, want_witness=True)
         assert mv == m_value(q, e), (p, k, q)
         if e <= 300:
             if (e, n) not in oracle:
@@ -1162,15 +1163,15 @@ def test_orbit_witness_takes_least_exponents(q, e, mv, witness):
     n = mul_order(q, e)
     r = smallest_prime_divisor(n)
     assert is_prime(e) and mv < r
-    assert engine._m_orbit(e, e, q, n, r, want_witness=True) == (mv, witness)
+    assert engine._m_orbit(e, e, q, n, want_witness=True) == (mv, witness)
     assert verify_witness(q, e, MResult(mv, witness))
 
 
 # (p, k, n, q, m, witness) of the orbit engine at p^k, k >= 2, as it gave them
 # while every level was keyed by orbit minima: the order-19 Example 16 rows at
 # p^3 and p^4, two Example 17 rows at p^2 and the 239^4 closed stops, through
-# m_prime_power; then two collisions at p^2 and the open search to t_cap = 18
-# at 239^4, through _m_orbit with r as t_cap (18 in the last row)
+# m_prime_power; then two collisions at p^2 and the closed stop at 239^4
+# again, through _m_orbit
 ORBIT_PRIME_POWER_ROUTE_PINS = [
     (571, 3, 19, 23982978, 16, (0, 0, 1, 3, 3, 3, 5, 5, 8, 9, 14, 14, 15, 15, 15, 18)),
     (571, 4, 19, 48428029838, 19, tuple(range(19))),
@@ -1201,9 +1202,9 @@ def test_orbit_prime_power_pins(monkeypatch):
         assert p**k > engine.DENSE_LIMIT and element_of_order(p, k, n) == q
         assert m_prime_power(q, p, k, want_witness=True) == (mv, witness), (p, k, n)
         assert verify_witness(q, p**k, MResult(mv, witness))
-    for (p, k, n, q, mv, witness), cap in zip(ORBIT_PRIME_POWER_DIRECT_PINS, (7, 7, 18)):
+    for p, k, n, q, mv, witness in ORBIT_PRIME_POWER_DIRECT_PINS:
         assert element_of_order(p, k, n) == q
-        assert engine._m_orbit(p**k, p, q, n, cap, want_witness=True) == (mv, witness), (p, k, n)
+        assert engine._m_orbit(p**k, p, q, n, want_witness=True) == (mv, witness), (p, k, n)
         assert verify_witness(q, p**k, MResult(mv, witness))
     # the collisions at 571^3, 761^3 and 911^2 backtrack through keyed levels
     assert {571**3, 761**3, 911**2} <= set(built)
@@ -1320,9 +1321,9 @@ def test_orbit_engine_never_calls_np_unique(monkeypatch):
         raise AssertionError("np.unique called in the orbit engine")
 
     monkeypatch.setattr(engine.np, "unique", refuse)
-    q17 = element_of_order(239, 4, 17)
-    mv, wit = engine._m_orbit(239**4, 239, q17, 17, 18, want_witness=True)  # levels 1 to 9
-    assert mv == 17 and verify_witness(q17, 239**4, MResult(mv, wit))
+    q19 = element_of_order(571, 4, 19)
+    mv, wit = engine._m_orbit(571**4, 571, q19, 19, want_witness=True)  # levels 2 to 9
+    assert mv == 19 and verify_witness(q19, 571**4, MResult(mv, wit))
 
 
 def test_orbit_engine_large_order_takes_vector_steps(monkeypatch):
@@ -1352,11 +1353,6 @@ def test_orbit_closed_stop():
     assert m_prime_power(q17, 239, 4, want_witness=True) == (17, tuple(range(17)))
     # r = 7: the order-7 subgroup <q^17>
     assert m_prime_power(q119, 239, 4, want_witness=True) == (7, tuple(range(0, 119, 17)))
-    # t_cap = 18 does not divide n = 17: no closed stop, the search reaches 17
-    mv, wit = engine._m_orbit(239**4, 239, q17, 17, 18, want_witness=True)
-    assert mv == 17 and verify_witness(q17, 239**4, MResult(mv, wit))
-    with pytest.raises(MsumError):  # nor does 16, and no t <= 16 vanishes
-        engine._m_orbit(239**4, 239, q17, 17, 16, want_witness=False)
 
 
 # (p, k, n) of orbit searches whose levels the multiset step builds: prime n,
@@ -1402,7 +1398,7 @@ def test_multiset_levels_equal_the_grid_levels(monkeypatch, p, k, n):
     served, _ = _spy_levels(monkeypatch, check=True)
     q = element_of_order(p, k, n)
     r = smallest_prime_divisor(n)
-    mv = engine._m_orbit(p**k, p, q, n, r, False)[0]
+    mv = engine._m_orbit(p**k, p, q, n, False)[0]
     assert mv <= r
     assert [s for s, _ in served] == list(range(2, len(served) + 2)) and served
     for s, count in served:  # C(n + s - 1, s) / n canonical s-multisets
@@ -1433,7 +1429,7 @@ def test_multiset_step_refuses_a_level_of_the_wrong_count(monkeypatch):
     monkeypatch.setattr(engine, "pow", wrong_inverse, raising=False)
     q = element_of_order(571, 4, 19)
     with pytest.raises(MsumError, match="canonical multisets"):
-        engine._m_orbit(571**4, 571, q, 19, 19, False)
+        engine._m_orbit(571**4, 571, q, 19, False)
 
 
 def test_multiset_step_keeps_the_traced_peak_at_571_4():
@@ -1441,7 +1437,7 @@ def test_multiset_step_keeps_the_traced_peak_at_571_4():
     q = element_of_order(571, 4, 19)
     tracemalloc.start()
     try:
-        assert engine._m_orbit(571**4, 571, q, 19, 19, False) == (19, None)
+        assert engine._m_orbit(571**4, 571, q, 19, False) == (19, None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1469,6 +1465,6 @@ def test_orbit_search_keys_once(monkeypatch, p, k, n):
     monkeypatch.setattr(engine, "_orbit_key", spy_key)
     q = element_of_order(p, k, n)
     r = smallest_prime_divisor(n)
-    assert engine._m_orbit(p**k, p, q, n, r, False)[0] <= r
+    assert engine._m_orbit(p**k, p, q, n, False)[0] <= r
     assert len(tables) == (k >= 2 and comb(n + r // 2 - 2, r // 2 - 1) > p)
     assert seen and all(mult is (tables[0] if tables else None) for mult in seen)

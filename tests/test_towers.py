@@ -1,5 +1,6 @@
 import pytest
 
+from msum import engine
 from msum.campaign import EXAMPLE16
 from msum.engine import m_value
 from msum.errors import DomainError, NotFoundWithinCap
@@ -39,7 +40,7 @@ def test_fixed_base_tower_9_11():
     assert tower.w == 2
     assert [(en.ord_i, en.ord_d) for en in tower.entries] == [
         (0, 5), (0, 5), (1, 5), (2, 5)]
-    assert all(en.source == "bfs" for en in tower.entries)
+    assert all(en.source == "bitmask" for en in tower.entries)
 
 
 def test_fixed_base_tower_tags_the_orbit_choice():
@@ -80,12 +81,46 @@ def test_fixed_base_monotone_and_stable():
 
 def test_fixed_base_stability_fill_past_dense_range():
     # 2053^2 is beyond the dense range and the order picks up a factor of p,
-    # so levels k >= 2 come from the proven stability, tagged as such
+    # so levels k >= 2 come from the proven stability, tagged as such; level
+    # 1 has order 2052, and 2^1026 = -1 (mod 2053): m = 2 with no search
     tower = fixed_base_tower(2, 2053, 3)
     assert tower.w == 1
-    assert tower.entries[0].source == "bfs"
+    assert tower.entries[0].source == "m_two"
     assert tower.entries[1].source == tower.entries[2].source == "stability"
     assert tower.m_sequence == (tower.m_sequence[0],) * 3
+
+
+def test_fixed_base_tags_name_the_route_that_ran(monkeypatch):
+    # every computed level is tagged with the one route engine._route ran
+    ran = []
+
+    def spy(fn, route):
+        def wrapped(*args, **kwargs):
+            ran.append(route)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def spy_m_two(q, e, n):
+        pair = m_two(q, e, n)
+        if pair:
+            ran.append("m_two")
+        return pair
+
+    m_two = engine._m_two
+    for name, route in [("_scan_pair", "scan"), ("_bfs_dense", "bitmask"),
+                        ("_bfs_label", "label"), ("_m_orbit", "orbit")]:
+        monkeypatch.setattr(engine, name, spy(getattr(engine, name), route))
+    monkeypatch.setattr(engine, "_m_two", spy_m_two)
+    tags = set()
+    for q, p, k_max in [(2, 3, 5), (5, 7, 5), (9, 11, 4),
+                        (element_of_order(1048609, 1, 11), 1048609, 1), (4, 4099, 1),
+                        (2, 2053, 3)]:
+        ran.clear()
+        entries = fixed_base_tower(q, p, k_max).entries
+        computed = [en.source for en in entries if en.source != "stability"]
+        assert computed == ran, (q, p)
+        tags.update(en.source for en in entries)
+    assert tags == {"scan", "m_two", "bitmask", "label", "orbit", "stability"}
 
 
 def test_tower_sequence_examples():
