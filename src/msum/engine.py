@@ -16,20 +16,19 @@ a level costs one shift by 1 and one orbit closure, not a shift per element.
 
 Every m the module computes, for m(), m_prime_power() and each generator
 class of a table walk, goes through one private dispatcher, _route. It
-alone picks among six routes, names the one that answered (quoted below),
+alone picks among five routes, names the one that answered (quoted below),
 and refuses a modulus that no route takes with ModulusTooLarge:
-  - "closed_form": q = 1 (mod e), m = e, with a witness of e terms only for
-    e <= DENSE_LIMIT;
+  - "pair", for H = {1, q}, q = 1 or q of order 2, at every modulus, tested
+    first (q^2 = 1 mod e): m is the least a + b with a + b q = 0 (mod e),
+    found on the intermediate fractions of q/e in O(log e) steps (_pair);
+    the witness is a ones and b copies of q for the least such b, the one the
+    dense backtrack below reads, and one of more than DENSE_LIMIT terms is
+    refused (m alone is still answered);
   - "m_two", the m = 2 test, for every modulus below SPARSE_LIMIT once the
     order n of q is known, before any search: -1 lies in H = <q> iff n is
     even and q^(n/2) = -1 (mod e), and then m = 2 with witness (0, n/2), the
     one every search below gives. Beyond DENSE_LIMIT it also answers moduli
-    that are not odd prime powers; order 2 within it takes the scan;
-  - "scan", the order-2 scan, for moduli up to DENSE_LIMIT and H = {1, q},
-    with or without a witness: numpy passes over b upward find the least
-    a + b with a + b q = 0 (mod e), an exhaustive search that stops once b
-    reaches the least sum found; the witness is a ones and b copies of q for
-    the least such b, the one the dense backtrack below reads;
+    that are not odd prime powers;
   - the dense exact-level search (_exact_search), for moduli up to
     DENSE_LIMIT and order n >= 3, with or without a witness: on the sums of
     terms h - 1, which lie in the multiples of g = gcd(e, q - 1), it tests
@@ -71,14 +70,13 @@ and refuses a modulus that no route takes with ModulusTooLarge:
     of a level at once, against the keys of the level below.
 The two level steps give equal level sets, so equal m and equal witnesses,
 which _dense_witness reads back as exponents of q. _route checks every
-witness it returns (length m, sum 0 mod e) or raises MsumError; the closed
-form's e ones are never summed.
+witness it returns (length m, sum 0 mod e) or raises MsumError.
 
 The one cache holds per-modulus m tables. The entry of modulus e is a
 complete, immutable _Table: the m and the order of each generator class of
 (Z/eZ)* in the order _walk visits the classes (m depends only on the
 generated subgroup), and the class of each unit. _walk, its only builder,
-sends each class once through _route (the class of 1 takes the closed form)
+sends each class once through _route (the class of 1 takes the pair route)
 and labels the generators of a class of order n, the powers q^j with j prime
 to n, by one byte mask per order, sieved by the primes of n.
 m_table_for_modulus(e) builds the entry on a miss and expands it into rows
@@ -334,29 +332,6 @@ def _dense_witness(e: int, pw: np.ndarray, levels: list[bytes], m: int) -> tuple
         x = (x - int(pw[j])) % e
     exps += np.flatnonzero(pw == x)[:1].tolist()
     return tuple(sorted(exps))
-
-
-def _scan_pair(q: int, e: int) -> tuple[int, int]:
-    """(m, b) for H = {1, q} of order 2, by exhaustive search: m is the least
-    a + b >= 1 with a + b q = 0 (mod e), a ones and b copies of q, and b the
-    least count of q among such sums of m terms. For b in [1, e) the least a
-    is -b q (mod e), at least 1; b = 0 needs a = e, and b >= e gives
-    a + b >= e. b is scanned upward in blocks of doubling size, each one
-    numpy pass, and the scan stops once b reaches the least sum found: every
-    later b gives a + b >= b + 1. So it costs O(m), not O(e)."""
-    best, arg = e, 0
-    lo, size = 1, 64
-    while lo < best:
-        b = np.arange(lo, min(lo + size, best), dtype=np.int64)
-        s = b * (e - q)  # below e^2 <= 2^44
-        np.remainder(s, e, out=s)
-        s += b
-        j = int(s.argmin())
-        if s[j] < best:
-            best, arg = int(s[j]), lo + j
-        lo += size
-        size *= 2
-    return best, arg
 
 
 def _orbit_labels(e: int, pw: np.ndarray) -> np.ndarray:
@@ -671,13 +646,38 @@ def _powers_of(q: int, e: int) -> list[int]:
     return powers
 
 
+def _pair(q: int, e: int) -> tuple[int, int]:
+    """(m, b) for H = {1, q}, q^2 = 1 (mod e): m is the least a + b >= 1 with
+    a + b q = 0 (mod e), a ones and b copies of q, and b the least count of q
+    among such sums of m terms. The pairs (b, a) with a + b q = 0 (mod e) form
+    a lattice with basis A = (0, e), B = (1, -q). A least-b minimiser has an a
+    below that of every smaller b, a strict record low of -b q (mod e), and
+    these lie on the runs A + jB, 0 <= j <= a_A // -a_B, of the intermediate
+    fractions of q/e (Khinchin, on best approximations). Each step adds to B
+    the most multiples of A that keep its a negative, then moves A to the far
+    end of its run, where a_A < -a_B. a + b is linear along a run, so its least
+    value lies at an end, and the near end is the far end of the run before.
+    b only grows, so the walk stops once b reaches the least sum found, or at
+    a = 0 (b = e): O(log e) steps, and q = 1 gives (e, 0)."""
+    best, arg = e, 0
+    b, a, c, d = 0, e, 1, q  # A = (b, a), B = (c, -d)
+    while b < best and a:
+        k = (d - 1) // a
+        c, d = c + k * b, d - k * a
+        k = a // d
+        b, a = b + k * c, a - k * d
+        if b + a < best:
+            best, arg = b + a, b
+    return best, arg
+
+
 def _m_two(q: int, e: int, n: int) -> tuple[int, int] | None:
     """The witness (0, n/2) of m = 2 when -1 lies in H = <q>, of order n,
     mod e > 2, else None. A cyclic H holds at most one element of order 2,
     q^(n/2) for even n, and -1 has order 2, so -1 is in H iff n is even and
     q^(n/2) = -1 (mod e); then 1 + q^(n/2) vanishes, and as no unit does,
     m = 2 exactly. The dense backtrack and the orbit engine's closed stop
-    read this same witness."""
+    read this same witness, and _pair, which answers q = -1 first, gives it."""
     if n % 2 == 0 and pow(q, n // 2, e) == e - 1:
         return 0, n // 2
     return None
@@ -730,10 +730,12 @@ def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[in
     `elements`, in any order, so neither is computed again. Witness
     exponents refer to q; a witness that fails its check raises MsumError.
 
-    Once n is known, the m = 2 test (_m_two) answers every subgroup that
-    holds -1, before any search; only order 2 takes the scan first, within
-    DENSE_LIMIT. Beyond DENSE_LIMIT it is the one route of a modulus that is
-    not an odd prime power.
+    The first test, q^2 = 1 (mod e), sends H = {1, q} to _pair at any
+    modulus, before any range check, order or factoring; a witness of m
+    terms is refused for m > DENSE_LIMIT, m alone is not. Once n is known,
+    the m = 2 test (_m_two) answers every other subgroup that holds -1,
+    before any search. Beyond DENSE_LIMIT it is the one route of a modulus
+    that is not an odd prime power.
 
     One rule covers both uses of the orbit engine: e an odd prime power p^k
     (_odd_prime_power) and n prime to p. Beyond DENSE_LIMIT it is the only
@@ -745,48 +747,42 @@ def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[in
     its fixed cost F = _ORBIT_FIXED_WORDS; a subgroup with n ceil(e/64) <= F
     stays on the bitmask. Witness searches keep the dense search, whose
     levels Y_1, ..., Y_min(m - 1, L) _dense_witness reads back."""
-    if q == 1:
-        # every power is 1, so exactly e terms are needed; this witness is never
-        # summed, and beyond the dense range it is refused before it is built
-        if want_witness and e > DENSE_LIMIT:
-            raise ModulusTooLarge(f"modulus {e}: the witness of q = 1 (mod e) has e terms; "
-                                  f"ask for m alone beyond {DENSE_LIMIT}")
-        return e, ((0,) * e if want_witness else None), "closed_form"
-    if e <= DENSE_LIMIT:
-        n = n or mul_order(q, e)
+    if q * q % e == 1:  # H = {1, q}: q = 1 or q of order 2
+        value, b = _pair(q, e)
+        if want_witness and value > DENSE_LIMIT:
+            raise ModulusTooLarge(f"m({q}, {e}) = {value}: a witness of more than "
+                                  f"{DENSE_LIMIT} terms; ask for m alone")
+        witness = (0,) * (value - b) + (1,) * b if want_witness else None
+        route = "pair"
     elif e >= SPARSE_LIMIT:  # before any factoring: factorize is exact below 2^40
         raise ModulusTooLarge(f"modulus {e} beyond orbit engine range (2^40)")
     else:
-        shape = _odd_prime_power(e)
-        n = order_mod_prime_power(q, *shape) if shape else mul_order(q, e)
-    if n == 2 and e <= DENSE_LIMIT:
-        value, b = _scan_pair(q, e)
-        witness = (0,) * (value - b) + (1,) * b if want_witness else None
-        route = "scan"
-    elif pair := _m_two(q, e, n):
-        value, witness, route = 2, (pair if want_witness else None), "m_two"
-    elif e > DENSE_LIMIT or not want_witness and (p := _orbit_cheaper(e, n)):
-        if e > DENSE_LIMIT:
-            if shape is None:
-                raise ModulusTooLarge(f"modulus {e} beyond dense BFS range, not an odd "
-                                      f"prime power, and -1 is not a power of {q}")
-            p, k = shape
-            if n % p == 0:
-                raise ModulusTooLarge(
-                    f"modulus {p}^{k}: order {n} divisible by {p}; reduce k first "
-                    f"(the order drop of the tower module)"
-                )
-        value, witness = _m_orbit(e, p, q, n, want_witness)
-        route = "orbit"
-    else:
-        route = "label" if n >= LABEL_MIN_ORDER else "bitmask"
-        pw = _power_table(q, e, n) if want_witness or route == "label" else None
-        if route == "label":
-            value, levels = _bfs_label(e, pw, want_witness, gcd(e, q - 1))
+        shape = _odd_prime_power(e) if e > DENSE_LIMIT else None
+        n = n or (order_mod_prime_power(q, *shape) if shape else mul_order(q, e))
+        if pair := _m_two(q, e, n):
+            value, witness, route = 2, (pair if want_witness else None), "m_two"
+        elif e > DENSE_LIMIT or not want_witness and (p := _orbit_cheaper(e, n)):
+            if e > DENSE_LIMIT:
+                if shape is None:
+                    raise ModulusTooLarge(f"modulus {e} beyond dense BFS range, not an "
+                                          f"odd prime power, and -1 is not a power of {q}")
+                p, k = shape
+                if n % p == 0:
+                    raise ModulusTooLarge(
+                        f"modulus {p}^{k}: order {n} divisible by {p}; reduce k first "
+                        f"(the order drop of the tower module)"
+                    )
+            value, witness = _m_orbit(e, p, q, n, want_witness)
+            route = "orbit"
         else:
-            value, levels = _bfs_dense(e, elements or _powers_of(q, e), want_witness,
-                                       gcd(e, q - 1))
-        witness = _dense_witness(e, pw, levels, value) if want_witness else None
+            route = "label" if n >= LABEL_MIN_ORDER else "bitmask"
+            pw = _power_table(q, e, n) if want_witness or route == "label" else None
+            if route == "label":
+                value, levels = _bfs_label(e, pw, want_witness, gcd(e, q - 1))
+            else:
+                value, levels = _bfs_dense(e, elements or _powers_of(q, e), want_witness,
+                                           gcd(e, q - 1))
+            witness = _dense_witness(e, pw, levels, value) if want_witness else None
     if witness is not None and not verify_witness(q, e, MResult(value, witness)):
         raise MsumError(f"the witness of m({q}, {e}) = {value} fails its check (engine bug)")
     return value, witness, route
@@ -829,7 +825,8 @@ def _units(e: int) -> np.ndarray:
 def _walk(e: int) -> _Table:
     """The cache entry of modulus e, from one walk of the generator classes
     of (Z/eZ)* in ascending order of their least element; _route answers
-    each class from its order and powers."""
+    each class from its order and powers, the class of 1 and those of order
+    2 by _pair, which needs neither."""
     units = _units(e)
     values, order = [], []  # the m and the order of each class
     coprime: dict[int, bytearray] = {}  # order n -> byte j is 1 iff j in [0, n) is prime to n

@@ -50,6 +50,14 @@ def test_m_congruent_one():
     assert "m=9" in res.output and "q=1 mod e" in res.output
 
 
+def test_m_of_order_two_beyond_the_dense_range():
+    # e = 5 * 397 * 2113 > 2^22 is not an odd prime power and -1 is not a
+    # power of q: the order-2 scan ended at 2^22, and this exited 2
+    res = run("m", "1677721", "4194305")
+    assert res.exit_code == 0
+    assert "m=10" in res.output
+
+
 def test_m_from_corollary8_list():
     res = run("m", "9", "26")
     assert res.exit_code == 0

@@ -724,7 +724,7 @@ def test_label_search_steps_by_g_and_stops_growing(q, e, mv):
 
 def test_dense_dispatch_is_on_the_order(monkeypatch):
     routes = []
-    label, bitmask, scan, orbit = (engine._bfs_label, engine._bfs_dense, engine._scan_pair,
+    label, bitmask, pair, orbit = (engine._bfs_label, engine._bfs_dense, engine._pair,
                                    engine._m_orbit)
 
     def spy_label(e, pw, *args):
@@ -735,9 +735,9 @@ def test_dense_dispatch_is_on_the_order(monkeypatch):
         routes.append(("bitmask", len(elements)))
         return bitmask(e, elements, *args, **kwargs)
 
-    def spy_scan(q, e):
-        routes.append(("scan", 2))
-        return scan(q, e)
+    def spy_pair(q, e):
+        routes.append(("pair", 1 if q == 1 else 2))
+        return pair(q, e)
 
     def spy_orbit(p_mod, p, q, n, *args):
         routes.append(("orbit", n))
@@ -752,7 +752,7 @@ def test_dense_dispatch_is_on_the_order(monkeypatch):
     m_two = engine._m_two
     monkeypatch.setattr(engine, "_bfs_label", spy_label)
     monkeypatch.setattr(engine, "_bfs_dense", spy_bitmask)
-    monkeypatch.setattr(engine, "_scan_pair", spy_scan)
+    monkeypatch.setattr(engine, "_pair", spy_pair)
     monkeypatch.setattr(engine, "_m_orbit", spy_orbit)
     monkeypatch.setattr(engine, "_m_two", spy_m_two)
     # a tower-style subgroup: large e = 953^2, order 17; m alone takes the
@@ -778,14 +778,14 @@ def test_dense_dispatch_is_on_the_order(monkeypatch):
     engine.clear_cache()
     m_table_for_modulus(4099)  # one class per order, a divisor of 4098 = 2 * 3 * 683
     engine.clear_cache()
-    # the class of order 1 takes the closed form, no search, the class of
-    # order 2 the scan, and the other even orders, which hold -1 at a prime
-    # modulus, the m = 2 test and no BFS
+    # the classes of order 1 and 2 take the pair route, no search, and the
+    # other even orders, which hold -1 at a prime modulus, the m = 2 test
+    # and no BFS
     assert sorted(routes) == [("bitmask", 3), ("bitmask", 683), ("label", 2049)] + \
-        [("m=2", n) for n in (6, 1366, 4098)] + [("scan", 2)]
+        [("m=2", n) for n in (6, 1366, 4098)] + [("pair", 1), ("pair", 2)]
     routes.clear()
-    m(4098, 4099)  # a witness of order 2 takes the scan as well
-    assert routes == [("scan", 2)]
+    m(4098, 4099)  # a witness of order 2 takes the pair route as well
+    assert routes == [("pair", 2)]
 
 
 def _order_two(e_max):
@@ -801,12 +801,13 @@ def test_order_two_scan_matches_bitmask_to_2049():
     pairs = list(_order_two(2049))
     assert len(pairs) == 8633
     for q, e in pairs:
-        assert engine._scan_pair(q, e)[0] == engine._bfs_dense(e, [1, q], False)[0], (q, e)
+        assert engine._pair(q, e)[0] == engine._bfs_dense(e, [1, q], False)[0], (q, e)
+        assert engine._pair(q, e) == _pair_whole_pass(q, e), (q, e)
 
 
 def test_order_two_scan_matches_oracle():
     for q, e in _order_two(500):
-        assert engine._scan_pair(q, e)[0] == m_value(q, e) == naive_m_oracle(q, e), (q, e)
+        assert engine._pair(q, e)[0] == m_value(q, e) == naive_m_oracle(q, e), (q, e)
 
 
 def _check_order_two_witnesses(e_max):
@@ -827,36 +828,63 @@ def test_order_two_witness_matches_bitmask_to_2049():
     _check_order_two_witnesses(2049)
 
 
-def _scan_pair_whole_pass(q, e):
-    """(m, least b) of _scan_pair from one pass over every b in [0, e)."""
+def _pair_whole_pass(q, e):
+    """(m, least b) of _pair from one pass over every b in [0, e)."""
     b = np.arange(e, dtype=np.int64)
     s = b * (e - q) % e + b
     s[0] = e
     return int(s.min()), int(s.argmin())
 
 
+def _crt_order_two(count, seed=1):
+    """(q, e) for seeded composite e = e1 e2 < 2^22, e1 and e2 > 2 coprime,
+    and q = 1 (mod e1), -1 (mod e2) by the CRT: q^2 = 1, q != +-1 (mod e)."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        e1, e2 = rng.randrange(3, 2048), rng.randrange(3, 2048)
+        if gcd(e1, e2) == 1:
+            pairs.append(((1 - 2 * e1 * pow(e1, -1, e2)) % (e1 * e2), e1 * e2))
+    return pairs
+
+
 @pytest.mark.parametrize("q, e", [
     (4194303, 4194304), (4194302, 4194303),  # q = -1: m = 2
     (2097153, 4194304), (1 << 20 | 1, 1 << 21),  # m = e/2
     (65504, 4194305), (1677721, 4194305), (2516584, 4194305),  # e = 5 * 397 * 2113
-])
+    (1, 3), (1, 4194304), (1, 4194305),  # q = 1: m = e, b = 0
+] + _crt_order_two(8))
 def test_scan_pair_early_stop_is_exact(q, e):
     assert pow(q, 2, e) == 1
-    assert engine._scan_pair(q, e) == _scan_pair_whole_pass(q, e)
+    assert engine._pair(q, e) == _pair_whole_pass(q, e)
+
+
+def test_order_two_beyond_the_dense_range():
+    # e = 5 * 397 * 2113 > 2^22 is not an odd prime power and -1 is not a
+    # power of q: the order-2 scan ended at 2^22, and this was refused
+    t = time.perf_counter()
+    assert m(1677721, 4194305) == MResult(10, (0,) * 5 + (1,) * 5)
+    assert time.perf_counter() - t < 0.5
+    assert m_value(2**23 + 1, 2**24) == 2**23
+    t = time.perf_counter()
+    with pytest.raises(ModulusTooLarge):
+        m(2**23 + 1, 2**24)  # a witness of 2^23 terms is refused, not built
+    assert time.perf_counter() - t < 1
+    assert m_value(2**40 + 1, 2**41) == 2**40  # past the orbit engine's range
 
 
 def test_order_two_witness_takes_the_scan(monkeypatch):
     routes = []
-    scan = engine._scan_pair
+    pair = engine._pair
 
-    def spy_scan(q, e):
+    def spy_pair(q, e):
         routes.append((q, e))
-        return scan(q, e)
+        return pair(q, e)
 
     def refuse(*args, **kwargs):
         raise AssertionError("an order-2 query took the bitmask BFS")
 
-    monkeypatch.setattr(engine, "_scan_pair", spy_scan)
+    monkeypatch.setattr(engine, "_pair", spy_pair)
     monkeypatch.setattr(engine, "_bfs_dense", refuse)
     for q, e in [(6, 7), (4, 15), (4097, 8192), (4194302, 4194303)]:
         routes.clear()
@@ -869,7 +897,7 @@ def test_order_two_witness_takes_the_scan(monkeypatch):
 def test_order_two_witness_with_huge_m_fits_one_gib():
     # the bitmask BFS kept an e-bit level per step: m = 2^21 levels of 512 KiB
     # at e = 2^22, which raised MemoryError under the cap and was OOM-killed
-    # without one; the scan holds a few arrays of at most m int64
+    # without one; the pair route holds a few ints
     _run_under_one_gib("from msum.engine import m, verify_witness\n"
                        "for q, e in ((2097153, 1 << 22), (131073, 1 << 18)):\n"
                        "    r = m(q, e)\n"
@@ -1023,7 +1051,7 @@ def test_m_two_takes_no_search(monkeypatch):
     def no_search(*args):
         raise AssertionError("a search ran")
 
-    for name in ("_bfs_label", "_bfs_dense", "_m_orbit", "_scan_pair"):
+    for name in ("_bfs_label", "_bfs_dense", "_m_orbit", "_pair"):
         monkeypatch.setattr(engine, name, no_search)
     assert m_value(3, 4194301) == 2
     assert m(3, 4194301) == MResult(2, (0, 19065))

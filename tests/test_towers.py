@@ -107,7 +107,7 @@ def test_fixed_base_tags_name_the_route_that_ran(monkeypatch):
         return pair
 
     m_two = engine._m_two
-    for name, route in [("_scan_pair", "scan"), ("_bfs_dense", "bitmask"),
+    for name, route in [("_pair", "pair"), ("_bfs_dense", "bitmask"),
                         ("_bfs_label", "label"), ("_m_orbit", "orbit")]:
         monkeypatch.setattr(engine, name, spy(getattr(engine, name), route))
     monkeypatch.setattr(engine, "_m_two", spy_m_two)
@@ -120,7 +120,7 @@ def test_fixed_base_tags_name_the_route_that_ran(monkeypatch):
         computed = [en.source for en in entries if en.source != "stability"]
         assert computed == ran, (q, p)
         tags.update(en.source for en in entries)
-    assert tags == {"scan", "m_two", "bitmask", "label", "orbit", "stability"}
+    assert tags == {"pair", "m_two", "bitmask", "label", "orbit", "stability"}
 
 
 def test_tower_sequence_examples():
