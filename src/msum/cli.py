@@ -21,7 +21,7 @@ import click
 
 from . import campaign, engine
 from .cyclo import corollary13_exceptions
-from .errors import MsumError, NotFoundWithinCap
+from .errors import DomainError, MsumError, NotFoundWithinCap
 from .modular import gcd_table, instance
 from .towers import tower_sequence
 
@@ -76,7 +76,10 @@ def cmd_m(q: int, e: int, fmt: str) -> None:
     # m first: a modulus beyond the engines' range fails at once, before the
     # order computation in instance() factors it
     result = engine.m(q, e, with_witness=not congruent_one)
-    inst = instance(q, e)
+    try:
+        inst = instance(q, e)
+    except DomainError:  # beyond 2^40 the engine answers moduli that factoring cannot split
+        inst = None
     closed = []
     if e == 1:
         closed.append("e=1")
@@ -84,16 +87,16 @@ def cmd_m(q: int, e: int, fmt: str) -> None:
         closed.append("q=1 (mod e)")
     if (e & (e - 1)) == 0 and e > 1:
         closed.append(f"two-power: m = {engine.two_power_m(q, e.bit_length() - 1)}")
-    if engine.is_m_two(inst):
+    if inst and engine.is_m_two(inst):
         closed.append("m=2 criterion")
-    if 1 < q % e and inst.e1 > 1 and e < inst.e1 * inst.e1 + 2 * inst.e1:
+    if inst and 1 < q % e and inst.e1 > 1 and e < inst.e1 * inst.e1 + 2 * inst.e1:
         closed.append(f"small-modulus case: m = e1 = {inst.e1}")
-    bound = engine.ceil_bound(inst)
+    n, e1, bound = (inst.n, inst.e1, engine.ceil_bound(inst)) if inst else (None, None, None)
     if fmt == "json":
         click.echo(json.dumps({
             "q": q, "e": e, "m": result.value,
             "witness": None if congruent_one else list(result.witness),
-            "n": inst.n, "e1": inst.e1, "ceil_bound": bound,
+            "n": n, "e1": e1, "ceil_bound": bound,
             "closed_forms": closed,
         }, sort_keys=True))
         return
@@ -101,7 +104,10 @@ def cmd_m(q: int, e: int, fmt: str) -> None:
         click.echo(f"m({q},{e}): m={result.value} (q=1 mod e case)")
     else:
         click.echo(f"m({q},{e}): m={result.value}, witness {_witness_text(q, result.witness)}")
-    click.echo(f"  n={inst.n} e1={inst.e1} ceil(e/n)={bound}")
+    if inst:
+        click.echo(f"  n={n} e1={e1} ceil(e/n)={bound}")
+    else:
+        click.echo(f"  n, e1 and ceil(e/n) unknown: {e} could not be factored")
     click.echo("  closed forms: " + ("; ".join(closed) if closed else "none"))
 
 

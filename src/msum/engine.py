@@ -93,7 +93,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Sequence
-from itertools import compress, islice
+from itertools import compress, groupby, islice
 from math import comb, gcd, isqrt
 from typing import NamedTuple
 
@@ -133,7 +133,7 @@ __all__ = [
     "seed_cache",
 ]
 
-DENSE_LIMIT = 1 << 22  # largest modulus handled by the dense (bitmask and label) BFS
+DENSE_LIMIT = 1 << 22  # largest modulus handled by the dense (bitmask and label) BFS and coset route
 LABEL_MIN_ORDER = 1024  # smallest subgroup order n a dense modulus sends to the label BFS
 SPARSE_LIMIT = 1 << 40  # largest modulus handled by the orbit engine
 
@@ -142,6 +142,14 @@ SPARSE_LIMIT = 1 << 40  # largest modulus handled by the orbit engine
 # odd prime powers 300 < e <= 2049, the difference of the two intercepts over
 # the bitmask's time per word read 4,200 and 4,700 (2-core box, Python 3.11)
 _ORBIT_FIXED_WORDS = 4000
+# P of _coset_cheaper: the coset route's price of one power-map key, in bitmask
+# words. Fitting time against keys (coset) and words (bitmask) over 80 classes of
+# odd order at primes 2^11 < e < 2^22 read 39 for orders below LABEL_MIN_ORDER,
+# and 14 over 60 label-range classes, where a level's keys come in longer slices
+# (2-core box, Python 3.11, numpy 2.4). The same label-range fit priced the label
+# step at 54 words per e-bit word to label and 107 per level.
+_COSET_KEY_WORDS = 32
+_LABEL_FIXED_WORDS, _LABEL_LEVEL_WORDS = 54, 107
 _MUL_SPLIT = 20  # limb split for overflow-free int64 mulmod (needs modulus < 2^40)
 _SLICE_CELLS = 1 << 17  # grid cells per slice of an orbit level build (bounds peak memory)
 _BIT_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte's bits reversed
@@ -633,6 +641,125 @@ def _m_orbit(p_mod: int, p: int, q: int, n: int, want_witness: bool):
 
 
 # ---------------------------------------------------------------------------
+# coset route (prime moduli within the dense range, keyed by the power map)
+
+def _power_key(x: np.ndarray, n: int, e: int) -> np.ndarray:
+    """x^n (mod e) for int64 x in [0, e), e a prime <= DENSE_LIMIT, by
+    square and multiply from the top bit of n (products below e^2 < 2^44).
+    For n | e - 1 the kernel of x -> x^n on the cyclic (Z/eZ)* is its one
+    subgroup of order n, H, so the key is constant on each coset xH and
+    differs between cosets; 0 keys 0."""
+    out, quo = x.copy(), np.empty_like(x)
+    for bit in bin(n)[3:]:
+        for factor in (out, x) if bit == "1" else (out,):
+            out *= factor  # in place, as _mod's three passes, with no new array
+            np.floor_divide(out, e, out=quo)
+            quo *= e
+            out -= quo
+    return out
+
+
+def _held(keys: np.ndarray, x):
+    """Whether each key of x (an int64 array or an int) is in sorted keys."""
+    at = np.minimum(np.searchsorted(keys, x), keys.size - 1)
+    return keys[at] == x
+
+
+def _coset_level(reps: np.ndarray, pw: np.ndarray, e: int, d: int):
+    """(keys, reps) of S_(s+1) = H (S_s + 1): its sorted keys x^n (mod e)
+    and one element of the coset of each, from one element of each coset of
+    S_s. S_s + 1 is the cells x q^j + 1, x in reps, taken in slices of
+    _SLICE_CELLS; any cell of a key stands for its coset. A level below m
+    holds at most the d = (e - 1)/n nonzero cosets, so the slices stop once
+    it has them; a key 0 would be a vanishing sum of fewer than m terms and
+    raises MsumError."""
+    n = pw.size
+    rows, cols = max(1, _SLICE_CELLS // n), min(n, _SLICE_CELLS)
+    keys, out = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    for i in range(0, reps.size, rows):
+        for j in range(0, n, cols):
+            cell = reps[i:i + rows, None] * pw[j:j + cols]
+            cell += 1
+            cell = _mod(cell.ravel(), e)
+            key = _power_key(cell, n, e)
+            new = _sorted_unique(key.copy())
+            new = new[~_held(keys, new)] if keys.size else new
+            if new.size:
+                at = np.searchsorted(new, key)
+                hit = _held(new, key)
+                rep = np.empty(new.size, dtype=np.int64)
+                rep[at[hit]] = cell[hit]
+                keys, out = np.concatenate((keys, new)), np.concatenate((out, rep))
+                order = keys.argsort(kind="stable")
+                keys, out = keys[order], out[order]
+            if keys.size >= d:
+                break
+        if keys.size >= d:
+            break
+    if keys[0] == 0:
+        raise MsumError(f"coset search mod {e}: 0 is a sum of fewer than m terms (engine bug)")
+    return keys, out
+
+
+def _m_coset(q: int, e: int, n: int, want_witness: bool):
+    """(m, witness|None) for H = <q> of odd order n >= 3 mod a prime
+    e <= DENSE_LIMIT, -1 not in H (_route sends it after _pair and _m_two).
+    Each level S_s of exact s-sums is a union of cosets xH, and 0 is in
+    none below m; S_1 = H has key 1. m is 1 + the least s with -1 in S_s,
+    key e - 1. For m alone the halves meet: 0 is in S_t iff the keys of
+    S_ceil(t/2) meet the negated keys of S_floor(t/2), and x^n is odd in x,
+    so -y keys e - key(y). Both searches stop at the orbit engine's closed
+    stop: r, the smallest prime divisor of n, sums the order-r subgroup to
+    0, so m <= r, and only t < r is searched. A witness search keeps
+    S_1, ..., S_(m-1) and reads the witness back by _dense_witness's rule:
+    from x = 0, with k terms left, the least q^j with x - q^j in S_k, 1
+    tested alone first; what is left after m - 1 steps is a power."""
+    d, r = (e - 1) // n, smallest_prime_divisor(n)
+    keys, reps = [None, np.ones(1, dtype=np.int64)], [None, np.ones(1, dtype=np.int64)]
+    pw = _power_table(q, e, n) if want_witness or r > 3 else None
+
+    def grow():
+        level = _coset_level(reps[-1], pw, e, d)
+        keys.append(level[0])
+        reps.append(level[1])
+
+    if not want_witness:
+        for t in range(2, r):
+            while len(keys) <= (t + 1) // 2:
+                grow()
+            if np.intersect1d(keys[(t + 1) // 2], e - keys[t // 2]).size:
+                return t, None
+        h = pow(q, n // r, e)
+        if sum(pow(h, j, e) for j in range(r)) % e:
+            raise MsumError(f"order-{r} subgroup sum mod {e} does not vanish")
+        return r, None
+    s = 1
+    while s + 1 < r and not _held(keys[s], e - 1):
+        grow()
+        s += 1
+    value, exps, x = s + 1, [], 0
+    for k in range(value - 1, 0, -1):
+        if _held(keys[k], pow(x - 1, n, e)):
+            j = 0
+        else:
+            best = None  # (q^j, j) of the least hit so far
+            for lo in range(0, n, _SLICE_CELLS):
+                part = pw[lo:lo + _SLICE_CELLS]
+                hits = np.flatnonzero(_held(keys[k], _power_key(_mod(x - part + e, e), n, e)))
+                if hits.size:
+                    i = int(hits[part[hits].argmin()])
+                    if best is None or part[i] < best[0]:
+                        best = int(part[i]), lo + i
+            if best is None:
+                raise MsumError("coset witness backtrack failed (engine bug)")
+            j = best[1]
+        exps.append(j)
+        x = (x - int(pw[j])) % e
+    exps += np.flatnonzero(pw == x)[:1].tolist()
+    return value, tuple(sorted(exps))
+
+
+# ---------------------------------------------------------------------------
 # public m computations
 
 def _powers_of(q: int, e: int) -> list[int]:
@@ -723,6 +850,48 @@ def _orbit_cheaper(e: int, n: int) -> int:
     return p
 
 
+def _coset_cheaper(e: int, n: int, want_witness: bool) -> bool:
+    """Whether the cost rule of _route, its one caller, sends the search of
+    an odd order n >= 3 mod e <= DENSE_LIMIT to the coset route: e prime and
+    its keys priced below the dense step.
+
+    Behind _orbit_cheaper's gate, n ceil(e/64) > F at one multiply and one
+    compare, and its shape check, level s of the coset route holds at most
+    c_s = min(ceil(C(n + s - 1, s)/n), d) cosets, d = (e - 1)/n, and costs
+    c_(s-1) n keys. m is estimated as one past the first level whose c_s
+    reaches d, at most r, the smallest prime divisor of n. At that m a
+    witness costs the levels S_2, ..., S_(m-1) and n keys per backtrack step
+    after the first (3n keys in all for r = 3, m = 3), and m alone the levels
+    up to S_ceil((m-1)/2) (none for r = 3). Against them, P = _COSET_KEY_WORDS
+    words a key, stand the dense step's m - 1 or ceil(m/2) levels: n ceil(e/64)
+    words each on the bitmask, and 107 words per e-bit word each plus 54 to
+    label on the label step."""
+    words = -(-e // 64)
+    if n * words <= _ORBIT_FIXED_WORDS:
+        return False
+    shape = _odd_prime_power(e)
+    if shape is None or shape[1] != 1:
+        return False
+    d, r = (e - 1) // n, smallest_prime_divisor(n)
+    sizes, multisets = [1], n  # c_1, c_2, ... and C(n + s - 1, s)
+    while len(sizes) < r - 1 and sizes[-1] < d:
+        s = len(sizes) + 1
+        multisets = multisets * (n + s - 1) // s
+        sizes.append(min(-(-multisets // n), d))
+    depth = len(sizes) + 1  # the estimated m
+    # the keys of S_2, S_3, ...; a level of d cosets stops after the slice that completes it
+    build = [min(a * n, _SLICE_CELLS) if b == d else a * n for a, b in zip(sizes, sizes[1:])]
+    if want_witness:
+        keys, levels = sum(build[:depth - 2]) + n * (depth - 2), depth - 1
+    else:
+        keys, levels = sum(build[:(min(depth, r - 1) + 1) // 2 - 1]), (depth + 1) // 2
+    if n < LABEL_MIN_ORDER:
+        dense = levels * n * words
+    else:
+        dense = (_LABEL_FIXED_WORDS + _LABEL_LEVEL_WORDS * levels) * words
+    return keys * _COSET_KEY_WORDS < dense
+
+
 def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[int] = ()):
     """(m, witness|None, route) for q reduced mod e > 1: the one dispatch
     over the routes of the module docstring, route the name of the one that
@@ -761,6 +930,9 @@ def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[in
         n = n or (order_mod_prime_power(q, *shape) if shape else mul_order(q, e))
         if pair := _m_two(q, e, n):
             value, witness, route = 2, (pair if want_witness else None), "m_two"
+        elif e <= DENSE_LIMIT and _coset_cheaper(e, n, want_witness):
+            value, witness = _m_coset(q, e, n, want_witness)
+            route = "coset"
         elif e > DENSE_LIMIT or not want_witness and (p := _orbit_cheaper(e, n)):
             if e > DENSE_LIMIT:
                 if shape is None:
@@ -907,7 +1079,8 @@ def verify_witness(q: int, e: int, witness) -> bool:
         exps = tuple(witness)
     if not exps:
         return False
-    return sum(pow(q, a, e) for a in exps) % e == 0
+    # one pow per run of equal exponents: a witness of the pair route has two
+    return sum(len(list(run)) * pow(q, a, e) for a, run in groupby(sorted(exps))) % e == 0
 
 
 def naive_m_oracle(q: int, e: int) -> int:

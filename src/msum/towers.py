@@ -122,7 +122,8 @@ def fixed_base_tower(q: int, p: int, k_max: int) -> FixedBaseTower:
     Levels past both w and the dense range are filled by the proven
     stability m(q, p^k) = m(q, p^w) and tagged "stability"; everything else
     is computed outright by engine._route and tagged with the name of the
-    route that answered ("pair", "m_two", "bitmask", "label" or "orbit").
+    route that answered ("pair", "m_two", "coset", "bitmask", "label" or
+    "orbit").
     """
     require_odd_prime(p)
     if k_max < 1:

@@ -50,6 +50,27 @@ def test_m_congruent_one():
     assert "m=9" in res.output and "q=1 mod e" in res.output
 
 
+def test_m_golden_of_a_label_range_query():
+    # order 3159 mod the prime 277993: the pinned witness (0, 517, 2319)
+    res = run("m", "47608", "277993")
+    assert res.output.rstrip("\n") == golden("m_47608_277993.txt")
+
+
+@pytest.mark.parametrize("q, mv", [(1, 4398205895659), (4398205895658, 2)])
+def test_m_prints_m_when_the_modulus_cannot_be_factored(q, mv):
+    # e = 2097169 * 2097211 has no prime factor below 2^20 and is no prime
+    # power: the engine answers (pair route), and factoring e for the order
+    # made this exit 2 with "cannot factor"
+    e = 4398205895659
+    res = run("m", str(q), str(e))
+    assert res.exit_code == 0, res.output
+    assert f"m={mv}" in res.output and "could not be factored" in res.output
+    res = run("m", str(q), str(e), "--format", "json")
+    assert res.exit_code == 0, res.output
+    out = json.loads(res.output)
+    assert (out["m"], out["n"], out["e1"], out["ceil_bound"]) == (mv, None, None, None)
+
+
 def test_m_of_order_two_beyond_the_dense_range():
     # e = 5 * 397 * 2113 > 2^22 is not an odd prime power and -1 is not a
     # power of q: the order-2 scan ended at 2^22, and this exited 2

@@ -185,6 +185,20 @@ def test_two_power_matches_bfs_small():
             assert two_power_m(q, k) == mv, (q, k)
 
 
+def test_verify_witness_matches_a_per_term_sum():
+    # unsorted exponents, repeated and not, against one pow per term
+    rng = random.Random(7)
+    for _ in range(200):
+        e = rng.randrange(2, 500)
+        q = rng.randrange(1, e)
+        exps = [rng.randrange(0, 6) for _ in range(rng.randrange(1, 12))]
+        want = sum(pow(q, a, e) for a in exps) % e == 0
+        assert verify_witness(q, e, exps) == want, (q, e, exps)
+        assert verify_witness(q, e, MResult(len(exps), tuple(exps))) == want, (q, e, exps)
+    assert verify_witness(3, 7, (5, 0, 5, 0, 5, 0, 1, 2, 3, 4)) is False
+    assert verify_witness(2, 7, (2, 0, 1, 1, 0, 2))  # twice 1 + 2 + 4 = 14
+
+
 def test_verify_witness():
     assert verify_witness(4, 7, (0, 1, 2))
     assert verify_witness(9, 1, (0,))
@@ -724,8 +738,8 @@ def test_label_search_steps_by_g_and_stops_growing(q, e, mv):
 
 def test_dense_dispatch_is_on_the_order(monkeypatch):
     routes = []
-    label, bitmask, pair, orbit = (engine._bfs_label, engine._bfs_dense, engine._pair,
-                                   engine._m_orbit)
+    label, bitmask, pair, orbit, coset = (engine._bfs_label, engine._bfs_dense, engine._pair,
+                                          engine._m_orbit, engine._m_coset)
 
     def spy_label(e, pw, *args):
         routes.append(("label", pw.size))
@@ -749,12 +763,17 @@ def test_dense_dispatch_is_on_the_order(monkeypatch):
             routes.append(("m=2", n))
         return pair
 
+    def spy_coset(q, e, n, *args):
+        routes.append(("coset", n))
+        return coset(q, e, n, *args)
+
     m_two = engine._m_two
     monkeypatch.setattr(engine, "_bfs_label", spy_label)
     monkeypatch.setattr(engine, "_bfs_dense", spy_bitmask)
     monkeypatch.setattr(engine, "_pair", spy_pair)
     monkeypatch.setattr(engine, "_m_orbit", spy_orbit)
     monkeypatch.setattr(engine, "_m_two", spy_m_two)
+    monkeypatch.setattr(engine, "_m_coset", spy_coset)
     # a tower-style subgroup: large e = 953^2, order 17; m alone takes the
     # orbit engine, whose cost estimate is lower, a witness the bitmask
     q = element_of_order(953, 2, 17)
@@ -764,10 +783,10 @@ def test_dense_dispatch_is_on_the_order(monkeypatch):
     m(q, 953**2)
     assert routes == [("bitmask", 17)]
     routes.clear()
-    # a large prime order at a prime near 2^21 stays on the bitmask
+    # a large prime order at a prime near 2^21 takes the coset route
     p = next(p for p in range(2**21 // 509 * 509 + 1, 2**22, 509) if is_prime(p))
     m_value(element_of_order(p, 1, 509), p)
-    assert routes == [("bitmask", 509)]
+    assert routes == [("coset", 509)]
     routes.clear()
     m(4, 4099)  # 4 has the odd order 2049, so -1 is not a power of it: m = 3
     assert routes == [("label", 2049)]
@@ -781,7 +800,7 @@ def test_dense_dispatch_is_on_the_order(monkeypatch):
     # the classes of order 1 and 2 take the pair route, no search, and the
     # other even orders, which hold -1 at a prime modulus, the m = 2 test
     # and no BFS
-    assert sorted(routes) == [("bitmask", 3), ("bitmask", 683), ("label", 2049)] + \
+    assert sorted(routes) == [("bitmask", 3), ("coset", 683), ("coset", 2049)] + \
         [("m=2", n) for n in (6, 1366, 4098)] + [("pair", 1), ("pair", 2)]
     routes.clear()
     m(4098, 4099)  # a witness of order 2 takes the pair route as well
@@ -975,6 +994,70 @@ def test_dense_witness_pins():
         routes.add(n >= engine.LABEL_MIN_ORDER)
         assert m(q, e) == MResult(3, witness), (q, e)
     assert routes == {False, True}
+
+
+def test_label_range_pins_take_the_coset_route():
+    pins = [(q, e, witness) for q, e, n, witness in DENSE_WITNESS_PINS
+            if n >= engine.LABEL_MIN_ORDER]
+    assert len(pins) == 9
+    for q, e, witness in pins:
+        assert engine._route(q, e, True) == (3, witness, "coset"), (q, e)
+
+
+def _dense_answer(q, e, n):
+    """(m, witness) of the dense step <q> of order n mod e takes today, the
+    bitmask below LABEL_MIN_ORDER and the label step from it, every level
+    the witness search keeps read back by _dense_witness."""
+    pw = engine._power_table(q, e, n)
+    if n < engine.LABEL_MIN_ORDER:
+        value, levels = engine._bfs_dense(e, pw.tolist(), True)
+    else:
+        value, levels = engine._bfs_label(e, pw, True)
+    return value, engine._dense_witness(e, pw, levels, value)
+
+
+def _check_coset_route(e_max):
+    """The number of generator classes of odd order n >= 3 at the primes
+    4 < e <= e_max, after checking the coset route, called directly, against
+    the dense step's m and witness, with and without a witness."""
+    classes = 0
+    for e in range(5, e_max + 1):
+        if not is_prime(e):
+            continue
+        for q, powers in _classes(e):
+            n = len(powers)
+            if n % 2 and n >= 3:
+                value, witness = _dense_answer(q, e, n)
+                assert engine._m_coset(q, e, n, True) == (value, witness), (q, e)
+                assert engine._m_coset(q, e, n, False) == (value, None), (q, e)
+                classes += 1
+    return classes
+
+
+def test_coset_route_matches_the_dense_step():
+    assert _check_coset_route(2049) == 1045
+
+
+@pytest.mark.slow
+def test_coset_route_matches_the_dense_step_to_8209():
+    assert _check_coset_route(8209) == 4467
+
+
+@pytest.mark.slow
+def test_coset_route_matches_the_dense_step_on_perfbench_queries(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from inputs import queries
+
+    checked = 0
+    for seed in range(1, 11):
+        for q, e, n in queries(seed):
+            if e <= engine.DENSE_LIMIT and n % 2:
+                value, witness = _dense_answer(q, e, n)
+                assert engine._m_coset(q, e, n, True) == (value, witness), (q, e)
+                assert engine._m_coset(q, e, n, False) == (value, None), (q, e)
+                assert m(q, e) == MResult(value, witness), (q, e)
+                checked += 1
+    assert checked == 180
 
 
 @pytest.mark.parametrize("q, e, mv", [(4, 7, 3), (4, 4099, 3)], ids=["bitmask", "label"])

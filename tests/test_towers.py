@@ -44,12 +44,20 @@ def test_fixed_base_tower_9_11():
 
 
 def test_fixed_base_tower_tags_the_orbit_choice():
-    # m alone of order 11 at a prime near 2^20: the engine's cost rule picks
-    # the orbit engine inside the dense range, and the tag says so
+    # m alone of order 17 at 953^2: the engine's cost rule picks the orbit
+    # engine inside the dense range, and the tag says so; at 953 the
+    # bitmask is cheaper
+    tower = fixed_base_tower(element_of_order(953, 2, 17), 953, 2)
+    assert [(en.ord, en.source) for en in tower.entries] == [(17, "bitmask"), (17, "orbit")]
+
+
+def test_fixed_base_tower_tags_the_coset_choice():
+    # m alone of order 11 at a prime near 2^20: the cost rule picks the
+    # coset route, and the tag says so
     p = 1048609
     assert (p - 1) % 11 == 0
     tower = fixed_base_tower(element_of_order(p, 1, 11), p, 1)
-    assert [(en.ord, en.source) for en in tower.entries] == [(11, "orbit")]
+    assert [(en.ord, en.source) for en in tower.entries] == [(11, "coset")]
 
 
 def test_fixed_base_tower_2_23():
@@ -108,19 +116,19 @@ def test_fixed_base_tags_name_the_route_that_ran(monkeypatch):
 
     m_two = engine._m_two
     for name, route in [("_pair", "pair"), ("_bfs_dense", "bitmask"),
-                        ("_bfs_label", "label"), ("_m_orbit", "orbit")]:
+                        ("_bfs_label", "label"), ("_m_orbit", "orbit"), ("_m_coset", "coset")]:
         monkeypatch.setattr(engine, name, spy(getattr(engine, name), route))
     monkeypatch.setattr(engine, "_m_two", spy_m_two)
     tags = set()
     for q, p, k_max in [(2, 3, 5), (5, 7, 5), (9, 11, 4),
                         (element_of_order(1048609, 1, 11), 1048609, 1), (4, 4099, 1),
-                        (2, 2053, 3)]:
+                        (2, 2053, 3), (2, 7, 5), (element_of_order(953, 2, 17), 953, 2)]:
         ran.clear()
         entries = fixed_base_tower(q, p, k_max).entries
         computed = [en.source for en in entries if en.source != "stability"]
         assert computed == ran, (q, p)
         tags.update(en.source for en in entries)
-    assert tags == {"pair", "m_two", "bitmask", "label", "orbit", "stability"}
+    assert tags == {"pair", "m_two", "bitmask", "label", "orbit", "coset", "stability"}
 
 
 def test_tower_sequence_examples():
