@@ -16,7 +16,7 @@ a level costs one shift by 1 and one orbit closure, not a shift per element.
 
 Every m the module computes, for m(), m_prime_power() and each generator
 class of a table walk, goes through one private dispatcher, _route. It
-alone picks among five routes, names the one that answered (quoted below),
+alone picks among six routes, names the one that answered (quoted below),
 and refuses a modulus that no route takes with ModulusTooLarge:
   - "pair", for H = {1, q}, q = 1 or q of order 2, at every modulus, tested
     first (q^2 = 1 mod e): m is the least a + b with a + b q = 0 (mod e),
@@ -29,6 +29,17 @@ and refuses a modulus that no route takes with ModulusTooLarge:
     even and q^(n/2) = -1 (mod e), and then m = 2 with witness (0, n/2), the
     one every search below gives. Beyond DENSE_LIMIT it also answers moduli
     that are not odd prime powers;
+  - "coset", for a prime modulus e <= DENSE_LIMIT when its cost estimate is
+    below the dense step's (_coset_cheaper, the cost rule of _route), with or
+    without a witness. It runs after the two above, so n is odd, n >= 3 and
+    -1 is not in H. x -> x^n (mod e) has kernel H in the cyclic (Z/eZ)*, so
+    it keys each coset xH (Dickson's cyclotomic classes of order
+    d = (e - 1)/n), and each level S_s of exact s-sums, a union of cosets, is
+    held as its sorted keys with one element per key: S_(s+1) = H (S_s + 1)
+    costs |S_s| n keys, in slices, and at most d + 1 keys. m is 1 + the least
+    s with -1 in S_s, searched up to the orbit engine's closed stop r; the
+    witness is read back by _dense_witness's rule, so m and witness equal
+    the dense step's (_m_coset);
   - the dense exact-level search (_exact_search), for moduli up to
     DENSE_LIMIT and order n >= 3, with or without a witness: on the sums of
     terms h - 1, which lie in the multiples of g = gcd(e, q - 1), it tests
@@ -45,8 +56,8 @@ and refuses a modulus that no route takes with ModulusTooLarge:
     bitmask step about n*e/64 word operations and the label step a few passes
     over e, so large-e subgroups of small order (prime-power towers) stay on
     the bitmask. An m-alone search of an odd prime power p^k, p not dividing
-    n, takes the orbit engine below instead when its cost estimate is lower
-    (the cost rule of _route);
+    n, that the coset route does not take goes to the orbit engine below
+    instead when its cost estimate is lower (the cost rule of _route);
   - "orbit", a sparse orbit engine for odd prime powers p^k beyond bitmask range
     (up to 2^40), and for the m-alone searches the cost rule above gives it
     within that range: one canonical orbit key per orbit is stored, in two plain
@@ -69,7 +80,8 @@ and refuses a modulus that no route takes with ModulusTooLarge:
     orbit, so the witness does not depend on the key, and tests every power
     of a level at once, against the keys of the level below.
 The two level steps give equal level sets, so equal m and equal witnesses,
-which _dense_witness reads back as exponents of q. _route checks every
+which _dense_witness reads back as exponents of q; the coset route's levels
+are the same sets, keyed, and its backtrack reads the same witness. _route checks every
 witness it returns (length m, sum 0 mod e) or raises MsumError.
 
 The one cache holds per-modulus m tables. The entry of modulus e is a
@@ -830,7 +842,8 @@ def _orbit_cheaper(e: int, n: int) -> int:
     prime modulus a key is an orbit minimum, n - 1 mulmods, and on p^k,
     k >= 2, one gather and one mulmod through the key table. The first test
     keeps a subgroup whose one bitmask level costs at most F on the bitmask,
-    at one multiply and one compare before any factoring."""
+    at one multiply and one compare before any factoring. _coset_cheaper,
+    asked first for a prime e, sits behind the same gate and shape check."""
     words = -(-e // 64)
     if n * words <= _ORBIT_FIXED_WORDS or not 3 <= n < LABEL_MIN_ORDER:
         return 0
@@ -905,6 +918,11 @@ def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[in
     the m = 2 test (_m_two) answers every other subgroup that holds -1,
     before any search. Beyond DENSE_LIMIT it is the one route of a modulus
     that is not an odd prime power.
+
+    The cost rule first offers a prime e <= DENSE_LIMIT to the coset route
+    (_coset_cheaper: past the gate below, its keys priced at P words each
+    below the dense step's words), with or without a witness; a modulus it
+    declines goes on as follows.
 
     One rule covers both uses of the orbit engine: e an odd prime power p^k
     (_odd_prime_power) and n prime to p. Beyond DENSE_LIMIT it is the only
