@@ -874,7 +874,7 @@ def _coset_cheaper(e: int, n: int, want_witness: bool) -> bool:
     c_(s-1) n keys. m is estimated as one past the first level whose c_s
     reaches d, at most r, the smallest prime divisor of n. At that m a
     witness costs the levels S_2, ..., S_(m-1) and n keys per backtrack step
-    after the first (3n keys in all for r = 3, m = 3), and m alone the levels
+    after the first (2n keys in all for r = 3, m = 3), and m alone the levels
     up to S_ceil((m-1)/2) (none for r = 3). Against them, P = _COSET_KEY_WORDS
     words a key, stand the dense step's m - 1 or ceil(m/2) levels: n ceil(e/64)
     words each on the bitmask, and 107 words per e-bit word each plus 54 to
