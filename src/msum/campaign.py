@@ -183,11 +183,10 @@ def _divisibility_check(e: int, params: dict):
     that every sum of terms h - 1 is a multiple of e1 is the premise, not the
     claim), and the evidence is the tests that compare it with the full-depth
     search and the naive oracle. The pair route (q = 1 and order 2), the
-    m = 2 test and the orbit engine do not use e1. The m = 2 test answers
-    every class whose subgroup H holds -1, the 375 classes with e <= 2049
-    that the cost rule of engine._route would send to the orbit engine among
-    them (odd prime moduli, even orders); there every h in H is 1 (mod e1),
-    so -1 = 1 (mod e1) and e1 divides 2 = m."""
+    m = 2 test, the coset route and the orbit engine do not use e1 (the
+    last two take only q != 1 (mod p) at e = p^k, where e1 = 1). The m = 2
+    test answers every class whose subgroup H holds -1; there every h
+    in H is 1 (mod e1), so -1 = 1 (mod e1) and e1 divides 2 = m."""
     q, mv, _ = engine.m_table_for_modulus(e)
     e1 = gcd_table(e)[q - 1]
     return (q.size, _violations(e, mv % e1 != 0, q=q, m=mv, e1=e1),

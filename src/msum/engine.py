@@ -29,8 +29,8 @@ and refuses a modulus that no route takes with ModulusTooLarge:
     even and q^(n/2) = -1 (mod e), and then m = 2 with witness (0, n/2), the
     one every search below gives. Beyond DENSE_LIMIT it also answers moduli
     that are not odd prime powers;
-  - "coset", for a prime modulus e <= DENSE_LIMIT when its cost estimate is
-    below the dense step's (_coset_cheaper, the cost rule of _route), with or
+  - "coset", for a prime modulus e <= DENSE_LIMIT past the gate of _route
+    when its cost estimate is below the dense step's (_coset_cheaper), with or
     without a witness. It runs after the two above, so n is odd, n >= 3 and
     -1 is not in H. x -> x^n (mod e) has kernel H in the cyclic (Z/eZ)*, so
     it keys each coset xH (Dickson's cyclotomic classes of order
@@ -55,11 +55,11 @@ and refuses a modulus that no route takes with ModulusTooLarge:
     unlabelled residue it meets). The rule is on n, not e: a level costs the
     bitmask step about n*e/64 word operations and the label step a few passes
     over e, so large-e subgroups of small order (prime-power towers) stay on
-    the bitmask. An m-alone search of an odd prime power p^k, p not dividing
-    n, that the coset route does not take goes to the orbit engine below
-    instead when its cost estimate is lower (the cost rule of _route);
+    the bitmask. An m-alone search of an odd prime power p^k, k >= 2, p not
+    dividing n, past the gate of _route goes to the orbit engine below
+    instead;
   - "orbit", a sparse orbit engine for odd prime powers p^k beyond bitmask range
-    (up to 2^40), and for the m-alone searches the cost rule above gives it
+    (up to 2^40), and for the m-alone searches of p^k, k >= 2, past the gate
     within that range: one canonical orbit key per orbit is stored, in two plain
     lists of sorted arrays, reps[s] for the exact s-sums and negs[s] for
     their negations. Meet-in-the-middle over half-length sums searches t < r
@@ -149,10 +149,12 @@ DENSE_LIMIT = 1 << 22  # largest modulus handled by the dense (bitmask and label
 LABEL_MIN_ORDER = 1024  # smallest subgroup order n a dense modulus sends to the label BFS
 SPARSE_LIMIT = 1 << 40  # largest modulus handled by the orbit engine
 
-# F of _orbit_cheaper: the orbit engine's fixed cost in bitmask words. Fitting
-# time against cells (orbit) and words (bitmask) over 600 even-order classes of
-# odd prime powers 300 < e <= 2049, the difference of the two intercepts over
-# the bitmask's time per word read 4,200 and 4,700 (2-core box, Python 3.11)
+# F, the gate of _route: a dense subgroup whose bitmask level costs
+# n ceil(e/64) <= F words stays on the dense search. F is the keyed routes'
+# fixed cost in bitmask words: fitting time against cells (orbit) and words
+# (bitmask) over 600 even-order classes of odd prime powers 300 < e <= 2049,
+# the difference of the two intercepts over the bitmask's time per word read
+# 4,200 and 4,700 (2-core box, Python 3.11)
 _ORBIT_FIXED_WORDS = 4000
 # P of _coset_cheaper: the coset route's price of one power-map key, in bitmask
 # words. Fitting time against keys (coset) and words (bitmask) over 80 classes of
@@ -296,7 +298,7 @@ def _exact_search(e: int, g: int, keep: bool, steps: Sequence[int] = (), lab=Non
         multiples |= multiples << span
         span *= 2
     if seen & ~multiples:
-        raise MsumError(f"coset search mod {e}: a sum of terms h - 1 is not a multiple "
+        raise MsumError(f"exact-level search mod {e}: a sum of terms h - 1 is not a multiple "
                         f"of {g}, so the hint g does not divide every h - 1")
     return value, levels
 
@@ -381,8 +383,10 @@ def _orbit_labels(e: int, pw: np.ndarray) -> np.ndarray:
 def _mod(x, m: int):
     """x mod m for an int64 array or an int x and an int m > 0. An array
     takes x - (x // m) m: numpy divides an array by a scalar with libdivide's
-    multiply and shift, but takes its remainder by hardware division, 2-3x
-    slower (2^17 int64 elements: 0.2 ms against 0.5 ms)."""
+    multiply and shift, but takes its remainder by hardware division, so this
+    wins on short arrays (10^4 int64 elements: 25 us against 42 us for
+    np.remainder). On long ones its fresh arrays dominate, and np.remainder
+    with out= wins (2^17 elements: 0.54 ms against 1.19 ms; 2-core box)."""
     if not isinstance(x, np.ndarray):
         return x % m
     out = x // m
@@ -824,52 +828,19 @@ def _m_two(q: int, e: int, n: int) -> tuple[int, int] | None:
 
 def _odd_prime_power(e: int) -> tuple[int, int] | None:
     """(p, k) with e = p^k for an odd prime p, else None: the one shape check
-    of both rules of _route that send a modulus to the orbit engine, by
-    modular.prime_power's integer roots, with no trial division."""
+    of _route, which sends such a modulus past its gate to the coset route
+    (k = 1) or the orbit engine, by modular.prime_power's integer roots, with
+    no trial division."""
     shape = prime_power(e)
     return shape if shape and shape[0] != 2 else None
 
 
-def _orbit_cheaper(e: int, n: int) -> int:
-    """The odd prime p of e = p^k when the cost rule of _route, its one
-    caller, sends the m-alone search of an order-n subgroup mod
-    e <= DENSE_LIMIT to the orbit engine, else 0.
-
-    Both routes build at most D = ceil(r/2) levels: the orbit engine tests
-    t < r, and the dense search stops by level ceil(m/2) <= ceil(r/2). A
-    bitmask level shifts an e-bit int n times. An orbit level s holds at
-    most C(n + s - 1, s) keys, the s-multisets of H, and at most e; on a
-    prime modulus a key is an orbit minimum, n - 1 mulmods, and on p^k,
-    k >= 2, one gather and one mulmod through the key table. The first test
-    keeps a subgroup whose one bitmask level costs at most F on the bitmask,
-    at one multiply and one compare before any factoring. _coset_cheaper,
-    asked first for a prime e, sits behind the same gate and shape check."""
-    words = -(-e // 64)
-    if n * words <= _ORBIT_FIXED_WORDS or not 3 <= n < LABEL_MIN_ORDER:
-        return 0
-    shape = _odd_prime_power(e)
-    if shape is None or n % shape[0] == 0:
-        return 0
-    p, k = shape
-    depth = (smallest_prime_divisor(n) + 1) // 2
-    budget = depth * n * words - _ORBIT_FIXED_WORDS  # W - F, which C must stay below
-    per_cell = n if k == 1 else 1
-    cells, term = 0, 1  # term = min(C(n + s - 1, s), e)
-    for s in range(depth):
-        cells += term * per_cell
-        if cells >= budget:
-            return 0
-        term = min(term * (n + s) // (s + 1), e)
-    return p
-
-
 def _coset_cheaper(e: int, n: int, want_witness: bool) -> bool:
     """Whether the cost rule of _route, its one caller, sends the search of
-    an odd order n >= 3 mod e <= DENSE_LIMIT to the coset route: e prime and
-    its keys priced below the dense step.
+    an odd order n >= 3 mod a prime e <= DENSE_LIMIT, past its gate, to the
+    coset route: its keys priced below the dense step.
 
-    Behind _orbit_cheaper's gate, n ceil(e/64) > F at one multiply and one
-    compare, and its shape check, level s of the coset route holds at most
+    Level s of the coset route holds at most
     c_s = min(ceil(C(n + s - 1, s)/n), d) cosets, d = (e - 1)/n, and costs
     c_(s-1) n keys. m is estimated as one past the first level whose c_s
     reaches d, at most r, the smallest prime divisor of n. At that m a
@@ -880,11 +851,6 @@ def _coset_cheaper(e: int, n: int, want_witness: bool) -> bool:
     words each on the bitmask, and 107 words per e-bit word each plus 54 to
     label on the label step."""
     words = -(-e // 64)
-    if n * words <= _ORBIT_FIXED_WORDS:
-        return False
-    shape = _odd_prime_power(e)
-    if shape is None or shape[1] != 1:
-        return False
     d, r = (e - 1) // n, smallest_prime_divisor(n)
     sizes, multisets = [1], n  # c_1, c_2, ... and C(n + s - 1, s)
     while len(sizes) < r - 1 and sizes[-1] < d:
@@ -919,21 +885,16 @@ def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[in
     before any search. Beyond DENSE_LIMIT it is the one route of a modulus
     that is not an odd prime power.
 
-    The cost rule first offers a prime e <= DENSE_LIMIT to the coset route
-    (_coset_cheaper: past the gate below, its keys priced at P words each
-    below the dense step's words), with or without a witness; a modulus it
-    declines goes on as follows.
-
-    One rule covers both uses of the orbit engine: e an odd prime power p^k
-    (_odd_prime_power) and n prime to p. Beyond DENSE_LIMIT it is the only
-    route. Within it, the cost rule (_orbit_cheaper) gives it an m-alone
-    search of order 3 <= n < LABEL_MIN_ORDER when C + F < W: with
-    D = ceil(r/2) levels, r the smallest prime divisor of n, the bitmask
-    costs W = D n ceil(e/64) words and the orbit engine C = sum over s < D
-    of min(C(n + s - 1, s), e) grid cells, times n on a prime modulus, plus
-    its fixed cost F = _ORBIT_FIXED_WORDS; a subgroup with n ceil(e/64) <= F
-    stays on the bitmask. Witness searches keep the dense search, whose
-    levels Y_1, ..., Y_min(m - 1, L) _dense_witness reads back."""
+    Past that test a modulus e <= DENSE_LIMIT whose bitmask level costs
+    n ceil(e/64) <= F = _ORBIT_FIXED_WORDS words keeps the dense search. Past
+    this one gate, and beyond DENSE_LIMIT, the shape of e (_odd_prime_power)
+    is taken once and routes the search: a prime e to the coset route when
+    the cost rule prices its keys below the dense step (_coset_cheaper), with
+    or without a witness; an m-alone search of p^k, k >= 2, with n prime to
+    p, to the orbit engine; everything else to the dense search, whose levels
+    Y_1, ..., Y_min(m - 1, L) _dense_witness reads back. Beyond DENSE_LIMIT
+    the orbit engine is the only route, for e = p^k with n prime to p, and
+    any other modulus is refused."""
     if q * q % e == 1:  # H = {1, q}: q = 1 or q of order 2
         value, b = _pair(q, e)
         if want_witness and value > DENSE_LIMIT:
@@ -946,22 +907,24 @@ def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[in
     else:
         shape = _odd_prime_power(e) if e > DENSE_LIMIT else None
         n = n or (order_mod_prime_power(q, *shape) if shape else mul_order(q, e))
-        if pair := _m_two(q, e, n):
+        pair = _m_two(q, e, n)
+        if not pair and e <= DENSE_LIMIT and n * -(-e // 64) > _ORBIT_FIXED_WORDS:
+            shape = _odd_prime_power(e)
+        p, k = shape or (0, 0)
+        if pair:
             value, witness, route = 2, (pair if want_witness else None), "m_two"
-        elif e <= DENSE_LIMIT and _coset_cheaper(e, n, want_witness):
+        elif k == 1 and e <= DENSE_LIMIT and _coset_cheaper(e, n, want_witness):
             value, witness = _m_coset(q, e, n, want_witness)
             route = "coset"
-        elif e > DENSE_LIMIT or not want_witness and (p := _orbit_cheaper(e, n)):
-            if e > DENSE_LIMIT:
-                if shape is None:
-                    raise ModulusTooLarge(f"modulus {e} beyond dense BFS range, not an "
-                                          f"odd prime power, and -1 is not a power of {q}")
-                p, k = shape
-                if n % p == 0:
-                    raise ModulusTooLarge(
-                        f"modulus {p}^{k}: order {n} divisible by {p}; reduce k first "
-                        f"(the order drop of the tower module)"
-                    )
+        elif e > DENSE_LIMIT or k > 1 and n % p and not want_witness:
+            if shape is None:
+                raise ModulusTooLarge(f"modulus {e} beyond dense BFS range, not an "
+                                      f"odd prime power, and -1 is not a power of {q}")
+            if n % p == 0:
+                raise ModulusTooLarge(
+                    f"modulus {p}^{k}: order {n} divisible by {p}; reduce k first "
+                    f"(the order drop of the tower module)"
+                )
             value, witness = _m_orbit(e, p, q, n, want_witness)
             route = "orbit"
         else:
@@ -993,10 +956,11 @@ def m_value(q: int, e: int) -> int:
 
 
 def m_prime_power(q: int, p: int, k: int, want_witness: bool = False):
-    """(m, witness|None) at modulus p^k, odd prime p, routing dense vs orbit.
+    """(m, witness|None) at modulus p^k, odd prime p, by _route's six routes.
 
-    The orbit route requires the order of q mod p^k to be prime to p; callers
-    in that regime must reduce k first (the order drop of the tower module).
+    Beyond DENSE_LIMIT the orbit route requires the order of q mod p^k to be
+    prime to p; callers in that regime must reduce k first (the order drop of
+    the tower module).
     """
     e = p**k
     return _route(q % e, e, want_witness)[:2]

@@ -436,6 +436,14 @@ def test_sequence_golden_text():
     assert res.output.rstrip("\n") == golden("sequence_23_11_5.txt")
 
 
+def test_sequence_golden_text_of_a_gated_prime_square():
+    # level 2, 1979^2 with order 23, is past the gate of engine._route and
+    # takes the orbit engine
+    res = run("sequence", "1979", "23", "2")
+    assert res.exit_code == 0
+    assert res.output.rstrip("\n") == golden("sequence_1979_23_2.txt")
+
+
 def test_sequence_golden_csv():
     res = run("sequence", "53", "13", "4", "--format", "csv")
     assert res.output.rstrip("\n") == golden("sequence_53_13_4.csv")

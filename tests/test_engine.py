@@ -5,7 +5,7 @@ import sys
 import time
 import tracemalloc
 from itertools import combinations_with_replacement
-from math import comb, gcd
+from math import comb, gcd, isqrt
 from pathlib import Path
 
 import numpy as np
@@ -521,7 +521,7 @@ def _classes(e):
 
 
 def test_half_depth_stop_matches_full_search_and_oracle():
-    # the m of a table (no masks kept: the coset search, which stops by
+    # the m of a table (no masks kept: the g-step search, which stops by
     # level ceil(m/2)) against the witness search, which builds every level
     for e in range(2, 401):
         for q, powers in _classes(e):
@@ -591,42 +591,46 @@ HALF_DEPTH_SPOTS = [
 
 
 def test_half_depth_stop_at_large_moduli():
-    # the rows at prime moduli (1000033 ... 4194301) take the orbit engine when
-    # only m is wanted, so the coset search is also run on every row directly
-    orders, steps, orbit = set(), set(), set()
+    # the rows at prime moduli (1000033 ... 4194301) take the coset route or
+    # the m = 2 test when only m is wanted, so the g-step search is also run
+    # on every row directly
+    orders, steps, routes = set(), set(), {}
     for q, e, mv in HALF_DEPTH_SPOTS:
         n = mul_order(q, e)
         orders.add(n)
         g = gcd(e, q - 1)
         steps.add(g)
         assert n < engine.LABEL_MIN_ORDER, (q, e)
-        if engine._orbit_cheaper(e, n):
-            orbit.add(e)
         powers = engine._powers_of(q, e)
-        value = engine._route(q, e, False, n, powers)[0]
+        value, _, route = engine._route(q, e, False, n, powers)
+        routes.setdefault(e > 10**6 and is_prime(e), set()).add(route)
         full, witness = engine._route(q, e, True)[:2]
         assert value == full == len(witness) == mv, (q, e)
         assert engine._bfs_dense(e, powers, False, g)[0] == mv, (q, e)
         assert verify_witness(q, e, witness), (q, e)
     assert set(range(3, 8)) <= orders and {1, 4, 16, 3**5} <= steps
-    assert orbit == {e for _, e, _ in HALF_DEPTH_SPOTS if e > 10**6 and is_prime(e)}
+    assert routes == {True: {"coset", "m_two"}, False: {"pair", "bitmask"}}
 
 
 def test_orbit_choice_matches_full_search_to_2049():
-    # every class of a table walk with e <= 2049 that the cost rule sends to
-    # the orbit engine, against the full-depth bitmask search
+    # every class of a table walk with e <= 2049 of even order
+    # 3 <= n < LABEL_MIN_ORDER at a prime modulus, so -1 is a power of q,
+    # whose one bitmask level costs more words than the orbit engine's fixed
+    # cost F plus its one level of n cells, n (ceil(e/64) - 1) > F, against
+    # the full-depth bitmask search
     chosen = 0
     for e in range(3, 2050):
         for q, powers in _classes(e):
             n = len(powers)
-            if n >= 3 and engine._orbit_cheaper(e, n):
+            if (n % 2 == 0 and 3 <= n < engine.LABEL_MIN_ORDER and is_prime(e)
+                    and n * (-(-e // 64) - 1) > engine._ORBIT_FIXED_WORDS):
                 chosen += 1
+                assert engine._m_two(q, e, n), (q, e)
                 value = engine._route(q, e, False, n, powers)[0]
                 assert value == _full_bitmask(e, powers)[0], (q, e)
                 # _route answers these even orders by the m = 2 test; the
                 # orbit engine's closed stop at r = 2 is run directly
-                p = engine._orbit_cheaper(e, n)
-                assert engine._m_orbit(e, p, q, n, False) == (value, None), (q, e)
+                assert engine._m_orbit(e, e, q, n, False) == (value, None), (q, e)
     assert chosen == 375
 
 
@@ -655,17 +659,68 @@ def test_orbit_choice_matches_coset_search_on_towers():
             q = element_of_order(p, k, n)
             powers = engine._powers_of(q, e)
             assert len(powers) == n
-            chosen += bool(engine._orbit_cheaper(e, n))
-            value = m_prime_power(q, p, k)[0]
+            value, _, route = engine._route(q, e, False)
+            chosen += route == "orbit"
+            assert route == ("orbit" if k > 1 else "coset"), (q, p, k)
+            assert value == m_prime_power(q, p, k)[0], (q, p, k)
             assert value == engine._bfs_dense(e, powers, False, gcd(e, q - 1))[0], (q, p, k)
-    # all but three: orders 17 and 19 at their primes, and 19 at 419^2, estimate
-    # the bitmask cheaper
-    assert chosen == 2 * len(TOWER_ORDERS) - 3
+    # every modulus p^k with k >= 2 and no prime one
+    assert chosen == len(TOWER_ORDERS)
+
+
+# (p, n): m-alone searches of order n mod p^2 past the gate of _route, with
+# p not dividing n, so the orbit engine takes them
+ORBIT_GATE_PINS = [(1979, 23), (1979, 43), (239, 17), (307, 17), (409, 17), (571, 19),
+                   (761, 19)]
+
+
+@pytest.mark.parametrize("p, n", ORBIT_GATE_PINS)
+def test_gated_prime_squares_take_the_orbit_engine(p, n):
+    e, q = p * p, element_of_order(p, 2, n)
+    assert n * -(-e // 64) > engine._ORBIT_FIXED_WORDS
+    value, witness, route = engine._route(q, e, False)
+    assert (witness, route) == (None, "orbit"), (p, n)
+    assert value == engine._bfs_dense(e, engine._powers_of(q, e), False, gcd(e, q - 1))[0]
+
+
+def test_a_prime_the_coset_rule_declines_takes_the_bitmask():
+    # a prime modulus past the gate that the coset rule declines keeps the
+    # dense search: only p^k with k >= 2 goes to the orbit engine
+    e, n = 50513, 11
+    q = element_of_order(e, 1, n)
+    assert n * -(-e // 64) > engine._ORBIT_FIXED_WORDS
+    assert not engine._coset_cheaper(e, n, False)
+    assert engine._route(q, e, False) == (11, None, "bitmask")
+    assert engine._m_orbit(e, e, q, n, False) == (11, None)
+
+
+@pytest.mark.slow
+def test_gated_prime_powers_take_the_orbit_engine_to_2_22():
+    # every subgroup of odd order n >= 3 mod p^k <= 2^22, k >= 2, p not
+    # dividing n (so n | p - 1), past the gate n ceil(e/64) > F
+    chosen = 0
+    for p in range(3, isqrt(engine.DENSE_LIMIT) + 1, 2):
+        if not is_prime(p):
+            continue
+        for k in range(2, 23):
+            e = p**k
+            if e > engine.DENSE_LIMIT:
+                break
+            for n in range(3, p, 2):
+                if (p - 1) % n or n * -(-e // 64) <= engine._ORBIT_FIXED_WORDS:
+                    continue
+                chosen += 1
+                q = element_of_order(p, k, n)
+                value, _, route = engine._route(q, e, False)
+                assert route == "orbit", (p, k, n)
+                full = engine._bfs_dense(e, engine._powers_of(q, e), False, gcd(e, q - 1))[0]
+                assert value == full, (p, k, n)
+    assert chosen == 1055
 
 
 @pytest.mark.slow
 def test_half_depth_stop_matches_full_search_to_2049():
-    # every bitmask class with e <= 2049 takes the coset search: the 45,641
+    # every bitmask class with e <= 2049 takes the g-step search: the 45,641
     # with g = gcd(e, q - 1) > 1 step t by g, the other 20,476 by 1
     for e in range(2, 2050):
         for q, powers in _classes(e):
@@ -774,8 +829,8 @@ def test_dense_dispatch_is_on_the_order(monkeypatch):
     monkeypatch.setattr(engine, "_m_orbit", spy_orbit)
     monkeypatch.setattr(engine, "_m_two", spy_m_two)
     monkeypatch.setattr(engine, "_m_coset", spy_coset)
-    # a tower-style subgroup: large e = 953^2, order 17; m alone takes the
-    # orbit engine, whose cost estimate is lower, a witness the bitmask
+    # a tower-style subgroup: large e = 953^2, order 17, past the gate of
+    # _route; m alone takes the orbit engine, a witness the bitmask
     q = element_of_order(953, 2, 17)
     m_prime_power(q, 953, 2)
     assert routes == [("orbit", 17)]
