@@ -29,17 +29,18 @@ and refuses a modulus that no route takes with ModulusTooLarge:
     even and q^(n/2) = -1 (mod e), and then m = 2 with witness (0, n/2), the
     one every search below gives. Beyond DENSE_LIMIT it also answers moduli
     that are not odd prime powers;
-  - "coset", for a prime modulus e <= DENSE_LIMIT past the gate of _route
-    when its cost estimate is below the dense step's (_coset_cheaper), with or
-    without a witness. It runs after the two above, so n is odd, n >= 3 and
-    -1 is not in H. x -> x^n (mod e) has kernel H in the cyclic (Z/eZ)*, so
-    it keys each coset xH (Dickson's cyclotomic classes of order
-    d = (e - 1)/n), and each level S_s of exact s-sums, a union of cosets, is
-    held as its sorted keys with one element per key: S_(s+1) = H (S_s + 1)
-    costs |S_s| n keys, in slices, and at most d + 1 keys. m is 1 + the least
-    s with -1 in S_s, searched up to the orbit engine's closed stop r; the
-    witness is read back by _dense_witness's rule, so m and witness equal
-    the dense step's (_m_coset);
+  - "coset", for a prime modulus e <= DENSE_LIMIT past the gate of _route,
+    with or without a witness: always for n >= LABEL_MIN_ORDER, and below it
+    when its cost estimate is below the bitmask step's (_coset_cheaper). It
+    runs after the two above, so n is odd, n >= 3 and -1 is not in H.
+    x -> x^n (mod e) has kernel H in the cyclic (Z/eZ)*, so it keys each
+    coset xH (Dickson's cyclotomic classes of order d = (e - 1)/n), and
+    each level S_s of exact s-sums, a union of cosets, is held as its sorted
+    keys with one element per key: S_(s+1) = H (S_s + 1) costs |S_s| n keys,
+    in slices, and at most d + 1 keys. m is 1 + the least s with -1 in S_s,
+    searched up to the orbit engine's closed stop r; the witness is read back
+    by _dense_witness over the keyed levels, so m and witness equal the dense
+    step's (_m_coset);
   - the dense exact-level search (_exact_search), for moduli up to
     DENSE_LIMIT and order n >= 3, with or without a witness: on the sums of
     terms h - 1, which lie in the multiples of g = gcd(e, q - 1), it tests
@@ -80,9 +81,10 @@ and refuses a modulus that no route takes with ModulusTooLarge:
     orbit, so the witness does not depend on the key, and tests every power
     of a level at once, against the keys of the level below.
 The two level steps give equal level sets, so equal m and equal witnesses,
-which _dense_witness reads back as exponents of q; the coset route's levels
-are the same sets, keyed, and its backtrack reads the same witness. _route checks every
-witness it returns (length m, sum 0 mod e) or raises MsumError.
+which _dense_witness, the one reader of the dense witness rule, reads back as
+exponents of q; the coset route's levels are the same sets, keyed, and it
+hands the same reader a key test. _route checks every witness it returns
+(length m, sum 0 mod e) or raises MsumError.
 
 The one cache holds per-modulus m tables. The entry of modulus e is a
 complete, immutable _Table: the m and the order of each generator class of
@@ -149,21 +151,19 @@ DENSE_LIMIT = 1 << 22  # largest modulus handled by the dense (bitmask and label
 LABEL_MIN_ORDER = 1024  # smallest subgroup order n a dense modulus sends to the label BFS
 SPARSE_LIMIT = 1 << 40  # largest modulus handled by the orbit engine
 
-# F, the gate of _route: a dense subgroup whose bitmask level costs
-# n ceil(e/64) <= F words stays on the dense search. F is the keyed routes'
-# fixed cost in bitmask words: fitting time against cells (orbit) and words
-# (bitmask) over 600 even-order classes of odd prime powers 300 < e <= 2049,
-# the difference of the two intercepts over the bitmask's time per word read
-# 4,200 and 4,700 (2-core box, Python 3.11)
-_ORBIT_FIXED_WORDS = 4000
+# F, the one gate of _route before both keyed routes (coset and orbit): a
+# dense subgroup whose bitmask level costs n ceil(e/64) <= F words stays on the
+# dense search. F was fitted on orbit-engine timings only, never on the coset
+# route's: fitting time against cells (orbit) and words (bitmask) over 600
+# even-order classes of odd prime powers 300 < e <= 2049, the difference of the
+# two intercepts over the bitmask's time per word read 4,200 and 4,700 (2-core
+# box, Python 3.11)
+_KEYED_FIXED_WORDS = 4000
 # P of _coset_cheaper: the coset route's price of one power-map key, in bitmask
 # words. Fitting time against keys (coset) and words (bitmask) over 80 classes of
-# odd order at primes 2^11 < e < 2^22 read 39 for orders below LABEL_MIN_ORDER,
-# and 14 over 60 label-range classes, where a level's keys come in longer slices
-# (2-core box, Python 3.11, numpy 2.4). The same label-range fit priced the label
-# step at 54 words per e-bit word to label and 107 per level.
+# odd order below LABEL_MIN_ORDER at primes 2^11 < e < 2^22 read 39 (2-core box,
+# Python 3.11, numpy 2.4); P stays at the 32 set when the fit spanned all orders.
 _COSET_KEY_WORDS = 32
-_LABEL_FIXED_WORDS, _LABEL_LEVEL_WORDS = 54, 107
 _MUL_SPLIT = 20  # limb split for overflow-free int64 mulmod (needs modulus < 2^40)
 _SLICE_CELLS = 1 << 17  # grid cells per slice of an orbit level build (bounds peak memory)
 _BIT_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte's bits reversed
@@ -327,33 +327,46 @@ def _orbit_level(y: int, r: int, lab: np.ndarray, e: int) -> int:
     return (s >> r | s << (e - r)) & full
 
 
-def _dense_witness(e: int, pw: np.ndarray, levels: list[bytes], m: int) -> tuple[int, ...]:
+def _dense_witness(e: int, pw: np.ndarray, m: int, member) -> tuple[int, ...]:
     """The sorted exponents of a vanishing m-sum of the powers pw of q, read
-    back from the levels Y_1, ..., Y_min(m - 1, L) of _exact_search: from
-    x = 0, the step with k terms left takes the least pw[j] with x - pw[j] - k
-    in Y_min(k, L), that is x - pw[j] a sum of exactly k powers. From a
-    minimal sum no remainder is a sum of fewer terms, so these are the hits
-    of the sets of at most k terms as well. The least power, 1, is tested
-    alone first; what is left after m - 1 steps is a power."""
+    back by one rule: from x = 0, the step with k terms left takes the least
+    pw[j] with x - pw[j] in S_k, the sums of exactly k powers, where
+    member(k, x) says whether x (an int or an int64 array) lies in S_k. The
+    least power, 1, is tested alone first, as an int; the others in slices of
+    _SLICE_CELLS. What is left after m - 1 steps is a power. From a minimal
+    sum no remainder is a sum of fewer terms, so the dense search's sets of at
+    most k terms give the same hits (_level_member)."""
     one = int(pw.argmin())  # the exponent of 1
     exps = []
     x = 0
     for k in range(m - 1, 0, -1):
-        level = levels[min(k, len(levels)) - 1]
-        y = (x - k - 1) % e
-        if level[y >> 3] >> (y & 7) & 1:
+        if member(k, (x - 1) % e):
             j = one
         else:
-            rest = _mod(x - k - pw, e)
-            packed = np.frombuffer(level, dtype=np.uint8)
-            hits = np.flatnonzero(packed[rest >> 3] >> (rest & 7) & 1)
-            if not hits.size:
+            best = None  # (pw[j], j) of the least hit so far
+            for lo in range(0, pw.size, _SLICE_CELLS):
+                part = pw[lo:lo + _SLICE_CELLS]
+                hits = np.flatnonzero(member(k, _mod(x - part, e)))
+                if hits.size:
+                    i = int(hits[part[hits].argmin()])
+                    if best is None or part[i] < best[0]:
+                        best = int(part[i]), lo + i
+            if best is None:
                 raise MsumError("witness backtrack failed (engine bug)")
-            j = int(hits[pw[hits].argmin()])
+            j = best[1]
         exps.append(j)
         x = (x - int(pw[j])) % e
     exps += np.flatnonzero(pw == x)[:1].tolist()
     return tuple(sorted(exps))
+
+
+def _level_member(e: int, levels: list[bytes]):
+    """member(k, x) of _dense_witness over the levels Y_1, ..., Y_min(m - 1, L)
+    of _exact_search: x is in S_k iff x - k is in Y_min(k, L)."""
+    def member(k: int, x):
+        y = _mod(x - k, e)
+        return np.frombuffer(levels[min(k, len(levels)) - 1], np.uint8)[y >> 3] >> (y & 7) & 1
+    return member
 
 
 def _orbit_labels(e: int, pw: np.ndarray) -> np.ndarray:
@@ -555,6 +568,12 @@ def _orbit_min(x: np.ndarray, pw: np.ndarray, q: int, p_mod: int) -> np.ndarray:
     return best
 
 
+def _held(keys: np.ndarray, x):
+    """Whether each key of x (an int64 array or an int) is in sorted keys."""
+    at = np.minimum(np.searchsorted(keys, x), keys.size - 1)
+    return keys[at] == x
+
+
 def _m_orbit(p_mod: int, p: int, q: int, n: int, want_witness: bool):
     """Minimal t with a vanishing t-sum over the orbit {q^i mod p_mod}.
 
@@ -645,10 +664,7 @@ def _m_orbit(p_mod: int, p: int, q: int, n: int, want_witness: bool):
     for z, s in ((c, s1), ((p_mod - c) % p_mod, s2)):
         for lvl in range(s, 0, -1):
             rest = (z - orb.pw) % p_mod
-            below = reps[lvl - 1]
-            keys = _orbit_key(rest, orb)
-            at = np.minimum(np.searchsorted(below, keys), below.size - 1)
-            hits = np.flatnonzero(below[at] == keys)
+            hits = np.flatnonzero(_held(reps[lvl - 1], _orbit_key(rest, orb)))
             if not hits.size:
                 raise MsumError("orbit witness backtrack failed (engine bug)")
             witness.append(int(hits[0]))
@@ -659,12 +675,14 @@ def _m_orbit(p_mod: int, p: int, q: int, n: int, want_witness: bool):
 # ---------------------------------------------------------------------------
 # coset route (prime moduli within the dense range, keyed by the power map)
 
-def _power_key(x: np.ndarray, n: int, e: int) -> np.ndarray:
-    """x^n (mod e) for int64 x in [0, e), e a prime <= DENSE_LIMIT, by
-    square and multiply from the top bit of n (products below e^2 < 2^44).
-    For n | e - 1 the kernel of x -> x^n on the cyclic (Z/eZ)* is its one
-    subgroup of order n, H, so the key is constant on each coset xH and
-    differs between cosets; 0 keys 0."""
+def _power_key(x, n: int, e: int):
+    """x^n (mod e) for x in [0, e), e a prime <= DENSE_LIMIT: an int by pow,
+    an int64 array by square and multiply from the top bit of n (products
+    below e^2 < 2^44). For n | e - 1 the kernel of x -> x^n on the cyclic
+    (Z/eZ)* is its one subgroup of order n, H, so the key is constant on each
+    coset xH and differs between cosets; 0 keys 0."""
+    if not isinstance(x, np.ndarray):
+        return pow(x, n, e)
     out, quo = x.copy(), np.empty_like(x)
     for bit in bin(n)[3:]:
         for factor in (out, x) if bit == "1" else (out,):
@@ -673,12 +691,6 @@ def _power_key(x: np.ndarray, n: int, e: int) -> np.ndarray:
             quo *= e
             out -= quo
     return out
-
-
-def _held(keys: np.ndarray, x):
-    """Whether each key of x (an int64 array or an int) is in sorted keys."""
-    at = np.minimum(np.searchsorted(keys, x), keys.size - 1)
-    return keys[at] == x
 
 
 def _coset_level(reps: np.ndarray, pw: np.ndarray, e: int, d: int):
@@ -727,9 +739,9 @@ def _m_coset(q: int, e: int, n: int, want_witness: bool):
     so -y keys e - key(y). Both searches stop at the orbit engine's closed
     stop: r, the smallest prime divisor of n, sums the order-r subgroup to
     0, so m <= r, and only t < r is searched. A witness search keeps
-    S_1, ..., S_(m-1) and reads the witness back by _dense_witness's rule:
-    from x = 0, with k terms left, the least q^j with x - q^j in S_k, 1
-    tested alone first; what is left after m - 1 steps is a power."""
+    S_1, ..., S_(m-1) and hands _dense_witness the membership test x in
+    S_k iff the key x^n (mod e) is among the keys of S_k, so m and witness
+    are the dense step's."""
     d, r = (e - 1) // n, smallest_prime_divisor(n)
     keys, reps = [None, np.ones(1, dtype=np.int64)], [None, np.ones(1, dtype=np.int64)]
     pw = _power_table(q, e, n) if want_witness or r > 3 else None
@@ -753,26 +765,7 @@ def _m_coset(q: int, e: int, n: int, want_witness: bool):
     while s + 1 < r and not _held(keys[s], e - 1):
         grow()
         s += 1
-    value, exps, x = s + 1, [], 0
-    for k in range(value - 1, 0, -1):
-        if _held(keys[k], pow(x - 1, n, e)):
-            j = 0
-        else:
-            best = None  # (q^j, j) of the least hit so far
-            for lo in range(0, n, _SLICE_CELLS):
-                part = pw[lo:lo + _SLICE_CELLS]
-                hits = np.flatnonzero(_held(keys[k], _power_key(_mod(x - part + e, e), n, e)))
-                if hits.size:
-                    i = int(hits[part[hits].argmin()])
-                    if best is None or part[i] < best[0]:
-                        best = int(part[i]), lo + i
-            if best is None:
-                raise MsumError("coset witness backtrack failed (engine bug)")
-            j = best[1]
-        exps.append(j)
-        x = (x - int(pw[j])) % e
-    exps += np.flatnonzero(pw == x)[:1].tolist()
-    return value, tuple(sorted(exps))
+    return s + 1, _dense_witness(e, pw, s + 1, lambda k, x: _held(keys[k], _power_key(x, n, e)))
 
 
 # ---------------------------------------------------------------------------
@@ -838,7 +831,12 @@ def _odd_prime_power(e: int) -> tuple[int, int] | None:
 def _coset_cheaper(e: int, n: int, want_witness: bool) -> bool:
     """Whether the cost rule of _route, its one caller, sends the search of
     an odd order n >= 3 mod a prime e <= DENSE_LIMIT, past its gate, to the
-    coset route: its keys priced below the dense step.
+    coset route. An order n >= LABEL_MIN_ORDER always goes, before any
+    estimate: on 120 sampled searches at primes 2^11 < e < 2^22 that an
+    estimate against the label step kept there, the coset route took 6.2-6.5 s
+    in all against 7.2-7.5 s, with the same m and witness (2-core box,
+    Python 3.11, numpy 2.4). A smaller order goes when its keys are priced
+    below the bitmask step.
 
     Level s of the coset route holds at most
     c_s = min(ceil(C(n + s - 1, s)/n), d) cosets, d = (e - 1)/n, and costs
@@ -847,10 +845,10 @@ def _coset_cheaper(e: int, n: int, want_witness: bool) -> bool:
     witness costs the levels S_2, ..., S_(m-1) and n keys per backtrack step
     after the first (2n keys in all for r = 3, m = 3), and m alone the levels
     up to S_ceil((m-1)/2) (none for r = 3). Against them, P = _COSET_KEY_WORDS
-    words a key, stand the dense step's m - 1 or ceil(m/2) levels: n ceil(e/64)
-    words each on the bitmask, and 107 words per e-bit word each plus 54 to
-    label on the label step."""
-    words = -(-e // 64)
+    words a key, stand the bitmask's m - 1 or ceil(m/2) levels of n ceil(e/64)
+    words each."""
+    if n >= LABEL_MIN_ORDER:
+        return True
     d, r = (e - 1) // n, smallest_prime_divisor(n)
     sizes, multisets = [1], n  # c_1, c_2, ... and C(n + s - 1, s)
     while len(sizes) < r - 1 and sizes[-1] < d:
@@ -864,11 +862,7 @@ def _coset_cheaper(e: int, n: int, want_witness: bool) -> bool:
         keys, levels = sum(build[:depth - 2]) + n * (depth - 2), depth - 1
     else:
         keys, levels = sum(build[:(min(depth, r - 1) + 1) // 2 - 1]), (depth + 1) // 2
-    if n < LABEL_MIN_ORDER:
-        dense = levels * n * words
-    else:
-        dense = (_LABEL_FIXED_WORDS + _LABEL_LEVEL_WORDS * levels) * words
-    return keys * _COSET_KEY_WORDS < dense
+    return keys * _COSET_KEY_WORDS < levels * n * -(-e // 64)
 
 
 def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[int] = ()):
@@ -886,11 +880,11 @@ def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[in
     that is not an odd prime power.
 
     Past that test a modulus e <= DENSE_LIMIT whose bitmask level costs
-    n ceil(e/64) <= F = _ORBIT_FIXED_WORDS words keeps the dense search. Past
+    n ceil(e/64) <= F = _KEYED_FIXED_WORDS words keeps the dense search. Past
     this one gate, and beyond DENSE_LIMIT, the shape of e (_odd_prime_power)
     is taken once and routes the search: a prime e to the coset route when
-    the cost rule prices its keys below the dense step (_coset_cheaper), with
-    or without a witness; an m-alone search of p^k, k >= 2, with n prime to
+    its cost rule takes it (_coset_cheaper: always for n >= LABEL_MIN_ORDER),
+    with or without a witness; an m-alone search of p^k, k >= 2, with n prime to
     p, to the orbit engine; everything else to the dense search, whose levels
     Y_1, ..., Y_min(m - 1, L) _dense_witness reads back. Beyond DENSE_LIMIT
     the orbit engine is the only route, for e = p^k with n prime to p, and
@@ -908,7 +902,7 @@ def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[in
         shape = _odd_prime_power(e) if e > DENSE_LIMIT else None
         n = n or (order_mod_prime_power(q, *shape) if shape else mul_order(q, e))
         pair = _m_two(q, e, n)
-        if not pair and e <= DENSE_LIMIT and n * -(-e // 64) > _ORBIT_FIXED_WORDS:
+        if not pair and e <= DENSE_LIMIT and n * -(-e // 64) > _KEYED_FIXED_WORDS:
             shape = _odd_prime_power(e)
         p, k = shape or (0, 0)
         if pair:
@@ -935,7 +929,8 @@ def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[in
             else:
                 value, levels = _bfs_dense(e, elements or _powers_of(q, e), want_witness,
                                            gcd(e, q - 1))
-            witness = _dense_witness(e, pw, levels, value) if want_witness else None
+            witness = (_dense_witness(e, pw, value, _level_member(e, levels))
+                       if want_witness else None)
     if witness is not None and not verify_witness(q, e, MResult(value, witness)):
         raise MsumError(f"the witness of m({q}, {e}) = {value} fails its check (engine bug)")
     return value, witness, route

@@ -56,6 +56,14 @@ def test_m_golden_of_a_label_range_query():
     assert res.output.rstrip("\n") == golden("m_47608_277993.txt")
 
 
+def test_m_golden_of_a_label_range_order_at_a_small_prime():
+    # order 2049 mod the prime 4099 takes the coset route, with the label
+    # step's witness 4^0 + 4^0 + 4^1025
+    res = run("m", "4", "4099")
+    assert res.exit_code == 0
+    assert res.output.rstrip("\n") == golden("m_4_4099.txt")
+
+
 @pytest.mark.parametrize("q, mv", [(1, 4398205895659), (4398205895658, 2)])
 def test_m_prints_m_when_the_modulus_cannot_be_factored(q, mv):
     # e = 2097169 * 2097211 has no prime factor below 2^20 and is no prime
@@ -140,7 +148,7 @@ def test_m_json_for_q_congruent_one_builds_no_witness():
 def test_m_engine_fault_is_one_error_line(monkeypatch):
     # a witness that fails the engine's check is a failed internal check:
     # exit 2 with one line, never a traceback with exit 1 ("violations found")
-    monkeypatch.setattr(engine, "_dense_witness", lambda e, pw, levels, m: (0,) * m)
+    monkeypatch.setattr(engine, "_dense_witness", lambda e, pw, m, member: (0,) * m)
     res = run("m", "4", "7")
     assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
     assert res.output == "Error: the witness of m(4, 7) = 3 fails its check (engine bug)\n"

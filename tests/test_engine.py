@@ -449,7 +449,7 @@ def _label_vs_bitmask(q, e):
     assert engine._bfs_dense(e, sub.elements, False, g) == (value, None), (q, e)
     full, masks = _full_bitmask(e, sub.elements)
     assert value == full, (q, e)
-    witness = engine._dense_witness(e, pw, levels, value)
+    witness = engine._dense_witness(e, pw, value, engine._level_member(e, levels))
     assert witness == _full_witness(e, pw, _packed(e, masks)), (q, e)
     return value
 
@@ -623,7 +623,7 @@ def test_orbit_choice_matches_full_search_to_2049():
         for q, powers in _classes(e):
             n = len(powers)
             if (n % 2 == 0 and 3 <= n < engine.LABEL_MIN_ORDER and is_prime(e)
-                    and n * (-(-e // 64) - 1) > engine._ORBIT_FIXED_WORDS):
+                    and n * (-(-e // 64) - 1) > engine._KEYED_FIXED_WORDS):
                 chosen += 1
                 assert engine._m_two(q, e, n), (q, e)
                 value = engine._route(q, e, False, n, powers)[0]
@@ -677,7 +677,7 @@ ORBIT_GATE_PINS = [(1979, 23), (1979, 43), (239, 17), (307, 17), (409, 17), (571
 @pytest.mark.parametrize("p, n", ORBIT_GATE_PINS)
 def test_gated_prime_squares_take_the_orbit_engine(p, n):
     e, q = p * p, element_of_order(p, 2, n)
-    assert n * -(-e // 64) > engine._ORBIT_FIXED_WORDS
+    assert n * -(-e // 64) > engine._KEYED_FIXED_WORDS
     value, witness, route = engine._route(q, e, False)
     assert (witness, route) == (None, "orbit"), (p, n)
     assert value == engine._bfs_dense(e, engine._powers_of(q, e), False, gcd(e, q - 1))[0]
@@ -688,7 +688,7 @@ def test_a_prime_the_coset_rule_declines_takes_the_bitmask():
     # dense search: only p^k with k >= 2 goes to the orbit engine
     e, n = 50513, 11
     q = element_of_order(e, 1, n)
-    assert n * -(-e // 64) > engine._ORBIT_FIXED_WORDS
+    assert n * -(-e // 64) > engine._KEYED_FIXED_WORDS
     assert not engine._coset_cheaper(e, n, False)
     assert engine._route(q, e, False) == (11, None, "bitmask")
     assert engine._m_orbit(e, e, q, n, False) == (11, None)
@@ -707,7 +707,7 @@ def test_gated_prime_powers_take_the_orbit_engine_to_2_22():
             if e > engine.DENSE_LIMIT:
                 break
             for n in range(3, p, 2):
-                if (p - 1) % n or n * -(-e // 64) <= engine._ORBIT_FIXED_WORDS:
+                if (p - 1) % n or n * -(-e // 64) <= engine._KEYED_FIXED_WORDS:
                     continue
                 chosen += 1
                 q = element_of_order(p, k, n)
@@ -844,7 +844,10 @@ def test_dense_dispatch_is_on_the_order(monkeypatch):
     assert routes == [("coset", 509)]
     routes.clear()
     m(4, 4099)  # 4 has the odd order 2049, so -1 is not a power of it: m = 3
-    assert routes == [("label", 2049)]
+    assert routes == [("coset", 2049)]
+    routes.clear()
+    m(2, 2401)  # 2 has order 1029 = 3 * 7^3 mod 7^4: 7 divides n, so the label step
+    assert routes == [("label", 1029)]
     routes.clear()
     m(2, 4099)  # 2 has order 4098 and 2^2049 = -1: no BFS
     assert routes == [("m=2", 4098)]
@@ -1059,6 +1062,25 @@ def test_label_range_pins_take_the_coset_route():
         assert engine._route(q, e, True) == (3, witness, "coset"), (q, e)
 
 
+def test_label_range_orders_at_primes_take_the_coset_route():
+    # every subgroup of odd order n >= LABEL_MIN_ORDER at the primes
+    # 2048 < e < 8192 goes to the coset route, with and without a witness,
+    # with the label step's m and witness
+    chosen = 0
+    for e in range(2049, 8192, 2):
+        if not is_prime(e):
+            continue
+        for n in range(engine.LABEL_MIN_ORDER + 1, e, 2):
+            if (e - 1) % n:
+                continue
+            chosen += 1
+            q = element_of_order(e, 1, n)
+            value, witness = _dense_answer(q, e, n)
+            assert engine._route(q, e, True) == (value, witness, "coset"), (q, e)
+            assert engine._route(q, e, False) == (value, None, "coset"), (q, e)
+    assert chosen == 529
+
+
 def _dense_answer(q, e, n):
     """(m, witness) of the dense step <q> of order n mod e takes today, the
     bitmask below LABEL_MIN_ORDER and the label step from it, every level
@@ -1068,7 +1090,7 @@ def _dense_answer(q, e, n):
         value, levels = engine._bfs_dense(e, pw.tolist(), True)
     else:
         value, levels = engine._bfs_label(e, pw, True)
-    return value, engine._dense_witness(e, pw, levels, value)
+    return value, engine._dense_witness(e, pw, value, engine._level_member(e, levels))
 
 
 def _check_coset_route(e_max):
@@ -1115,14 +1137,15 @@ def test_coset_route_matches_the_dense_step_on_perfbench_queries(monkeypatch):
     assert checked == 180
 
 
-@pytest.mark.parametrize("q, e, mv", [(4, 7, 3), (4, 4099, 3)], ids=["bitmask", "label"])
+@pytest.mark.parametrize("q, e, mv", [(4, 7, 3), (2, 2401, 3), (47608, 277993, 3)],
+                         ids=["bitmask", "label", "coset"])
 @pytest.mark.parametrize("fault", ["length", "sum"])
 def test_a_wrong_dense_witness_raises(monkeypatch, q, e, mv, fault):
     backtrack = engine._dense_witness
 
-    def wrong(e, pw, levels, m):
+    def wrong(e, pw, m, member):
         if fault == "length":  # a vanishing sum of 2m terms
-            return backtrack(e, pw, levels, m) * 2
+            return backtrack(e, pw, m, member) * 2
         return (0,) * m  # m terms, each 1: the sum is m, not 0 mod e
 
     monkeypatch.setattr(engine, "_dense_witness", wrong)
