@@ -29,18 +29,17 @@ and refuses a modulus that no route takes with ModulusTooLarge:
     even and q^(n/2) = -1 (mod e), and then m = 2 with witness (0, n/2), the
     one every search below gives. Beyond DENSE_LIMIT it also answers moduli
     that are not odd prime powers;
-  - "coset", for a prime modulus e <= DENSE_LIMIT past the gate of _route,
-    with or without a witness: always for n >= LABEL_MIN_ORDER, and below it
-    when its cost estimate is below the bitmask step's (_coset_cheaper). It
-    runs after the two above, so n is odd, n >= 3 and -1 is not in H.
-    x -> x^n (mod e) has kernel H in the cyclic (Z/eZ)*, so it keys each
-    coset xH (Dickson's cyclotomic classes of order d = (e - 1)/n), and
-    each level S_s of exact s-sums, a union of cosets, is held as its sorted
-    keys with one element per key: S_(s+1) = H (S_s + 1) costs |S_s| n keys,
-    in slices, and at most d + 1 keys. m is 1 + the least s with -1 in S_s,
-    searched up to the orbit engine's closed stop r; the witness is read back
-    by _dense_witness over the keyed levels, so m and witness equal the dense
-    step's (_m_coset);
+  - "coset", for a prime modulus e <= DENSE_LIMIT past the gate of _route
+    when its cost estimate is below the dense step's (_coset_cheaper), with or
+    without a witness. It runs after the two above, so n is odd, n >= 3 and
+    -1 is not in H. x -> x^n (mod e) has kernel H in the cyclic (Z/eZ)*, so
+    it keys each coset xH (Dickson's cyclotomic classes of order
+    d = (e - 1)/n), and each level S_s of exact s-sums, a union of cosets, is
+    held as its sorted keys with one element per key: S_(s+1) = H (S_s + 1)
+    costs |S_s| n keys, in slices, and at most d + 1 keys. m is 1 + the least
+    s with -1 in S_s, searched up to the orbit engine's closed stop r; the
+    witness is read back by _dense_witness over the keyed levels, so m and
+    witness equal the dense step's (_m_coset);
   - the dense exact-level search (_exact_search), for moduli up to
     DENSE_LIMIT and order n >= 3, with or without a witness: on the sums of
     terms h - 1, which lie in the multiples of g = gcd(e, q - 1), it tests
@@ -161,9 +160,14 @@ SPARSE_LIMIT = 1 << 40  # largest modulus handled by the orbit engine
 _KEYED_FIXED_WORDS = 4000
 # P of _coset_cheaper: the coset route's price of one power-map key, in bitmask
 # words. Fitting time against keys (coset) and words (bitmask) over 80 classes of
-# odd order below LABEL_MIN_ORDER at primes 2^11 < e < 2^22 read 39 (2-core box,
-# Python 3.11, numpy 2.4); P stays at the 32 set when the fit spanned all orders.
+# odd order at primes 2^11 < e < 2^22 read 39 for orders below LABEL_MIN_ORDER,
+# and 14 over 60 label-range classes, where a level's keys come in longer slices
+# (2-core box, Python 3.11, numpy 2.4). The same label-range fit priced the label
+# step at 54 words per e-bit word to label and 107 per level. P = 32 is refitted
+# to neither: of the 181 classes the walk of every e <= 2049 hands the rule, 32
+# sends 169 to the coset route, 39 would send 160 and 14 all.
 _COSET_KEY_WORDS = 32
+_LABEL_FIXED_WORDS, _LABEL_LEVEL_WORDS = 54, 107
 _MUL_SPLIT = 20  # limb split for overflow-free int64 mulmod (needs modulus < 2^40)
 _SLICE_CELLS = 1 << 17  # grid cells per slice of an orbit level build (bounds peak memory)
 _BIT_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte's bits reversed
@@ -331,29 +335,28 @@ def _dense_witness(e: int, pw: np.ndarray, m: int, member) -> tuple[int, ...]:
     """The sorted exponents of a vanishing m-sum of the powers pw of q, read
     back by one rule: from x = 0, the step with k terms left takes the least
     pw[j] with x - pw[j] in S_k, the sums of exactly k powers, where
-    member(k, x) says whether x (an int or an int64 array) lies in S_k. The
-    least power, 1, is tested alone first, as an int; the others in slices of
-    _SLICE_CELLS. What is left after m - 1 steps is a power. From a minimal
-    sum no remainder is a sum of fewer terms, so the dense search's sets of at
-    most k terms give the same hits (_level_member)."""
+    member(k, y) says whether y mod e, y an int or an int64 array in (-e, e),
+    lies in S_k. 1 is tested alone first, as an int; the other powers in
+    slices of _SLICE_CELLS. What is left after m - 1 steps is a power. From a
+    minimal sum no remainder is a sum of fewer terms, so the dense search's
+    sets of at most k terms give the same hits (_level_member)."""
     one = int(pw.argmin())  # the exponent of 1
     exps = []
     x = 0
     for k in range(m - 1, 0, -1):
-        if member(k, (x - 1) % e):
+        if member(k, x - 1):
             j = one
         else:
-            best = None  # (pw[j], j) of the least hit so far
+            best = (e, -1)  # (pw[j], j) of the least hit so far; every power is below e
             for lo in range(0, pw.size, _SLICE_CELLS):
                 part = pw[lo:lo + _SLICE_CELLS]
-                hits = np.flatnonzero(member(k, _mod(x - part, e)))
+                hits = np.flatnonzero(member(k, x - part))
                 if hits.size:
                     i = int(hits[part[hits].argmin()])
-                    if best is None or part[i] < best[0]:
-                        best = int(part[i]), lo + i
-            if best is None:
-                raise MsumError("witness backtrack failed (engine bug)")
+                    best = min(best, (int(part[i]), lo + i))
             j = best[1]
+            if j < 0:
+                raise MsumError("witness backtrack failed (engine bug)")
         exps.append(j)
         x = (x - int(pw[j])) % e
     exps += np.flatnonzero(pw == x)[:1].tolist()
@@ -363,9 +366,11 @@ def _dense_witness(e: int, pw: np.ndarray, m: int, member) -> tuple[int, ...]:
 def _level_member(e: int, levels: list[bytes]):
     """member(k, x) of _dense_witness over the levels Y_1, ..., Y_min(m - 1, L)
     of _exact_search: x is in S_k iff x - k is in Y_min(k, L)."""
+    views = [np.frombuffer(level, np.uint8) for level in levels]
+
     def member(k: int, x):
         y = _mod(x - k, e)
-        return np.frombuffer(levels[min(k, len(levels)) - 1], np.uint8)[y >> 3] >> (y & 7) & 1
+        return views[min(k, len(levels)) - 1][y >> 3] >> (y & 7) & 1
     return member
 
 
@@ -765,7 +770,8 @@ def _m_coset(q: int, e: int, n: int, want_witness: bool):
     while s + 1 < r and not _held(keys[s], e - 1):
         grow()
         s += 1
-    return s + 1, _dense_witness(e, pw, s + 1, lambda k, x: _held(keys[k], _power_key(x, n, e)))
+    return s + 1, _dense_witness(e, pw, s + 1,
+                                 lambda k, x: _held(keys[k], _power_key(_mod(x, e), n, e)))
 
 
 # ---------------------------------------------------------------------------
@@ -831,12 +837,7 @@ def _odd_prime_power(e: int) -> tuple[int, int] | None:
 def _coset_cheaper(e: int, n: int, want_witness: bool) -> bool:
     """Whether the cost rule of _route, its one caller, sends the search of
     an odd order n >= 3 mod a prime e <= DENSE_LIMIT, past its gate, to the
-    coset route. An order n >= LABEL_MIN_ORDER always goes, before any
-    estimate: on 120 sampled searches at primes 2^11 < e < 2^22 that an
-    estimate against the label step kept there, the coset route took 6.2-6.5 s
-    in all against 7.2-7.5 s, with the same m and witness (2-core box,
-    Python 3.11, numpy 2.4). A smaller order goes when its keys are priced
-    below the bitmask step.
+    coset route: its keys priced below the dense step.
 
     Level s of the coset route holds at most
     c_s = min(ceil(C(n + s - 1, s)/n), d) cosets, d = (e - 1)/n, and costs
@@ -845,10 +846,10 @@ def _coset_cheaper(e: int, n: int, want_witness: bool) -> bool:
     witness costs the levels S_2, ..., S_(m-1) and n keys per backtrack step
     after the first (2n keys in all for r = 3, m = 3), and m alone the levels
     up to S_ceil((m-1)/2) (none for r = 3). Against them, P = _COSET_KEY_WORDS
-    words a key, stand the bitmask's m - 1 or ceil(m/2) levels of n ceil(e/64)
-    words each."""
-    if n >= LABEL_MIN_ORDER:
-        return True
+    words a key, stand the dense step's m - 1 or ceil(m/2) levels: n ceil(e/64)
+    words each on the bitmask, and 107 words per e-bit word each plus 54 to
+    label on the label step."""
+    words = -(-e // 64)
     d, r = (e - 1) // n, smallest_prime_divisor(n)
     sizes, multisets = [1], n  # c_1, c_2, ... and C(n + s - 1, s)
     while len(sizes) < r - 1 and sizes[-1] < d:
@@ -862,7 +863,11 @@ def _coset_cheaper(e: int, n: int, want_witness: bool) -> bool:
         keys, levels = sum(build[:depth - 2]) + n * (depth - 2), depth - 1
     else:
         keys, levels = sum(build[:(min(depth, r - 1) + 1) // 2 - 1]), (depth + 1) // 2
-    return keys * _COSET_KEY_WORDS < levels * n * -(-e // 64)
+    if n < LABEL_MIN_ORDER:
+        dense = levels * n * words
+    else:
+        dense = (_LABEL_FIXED_WORDS + _LABEL_LEVEL_WORDS * levels) * words
+    return keys * _COSET_KEY_WORDS < dense
 
 
 def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[int] = ()):
@@ -883,8 +888,8 @@ def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[in
     n ceil(e/64) <= F = _KEYED_FIXED_WORDS words keeps the dense search. Past
     this one gate, and beyond DENSE_LIMIT, the shape of e (_odd_prime_power)
     is taken once and routes the search: a prime e to the coset route when
-    its cost rule takes it (_coset_cheaper: always for n >= LABEL_MIN_ORDER),
-    with or without a witness; an m-alone search of p^k, k >= 2, with n prime to
+    the cost rule prices its keys below the dense step (_coset_cheaper), with
+    or without a witness; an m-alone search of p^k, k >= 2, with n prime to
     p, to the orbit engine; everything else to the dense search, whose levels
     Y_1, ..., Y_min(m - 1, L) _dense_witness reads back. Beyond DENSE_LIMIT
     the orbit engine is the only route, for e = p^k with n prime to p, and

@@ -57,8 +57,8 @@ def test_m_golden_of_a_label_range_query():
 
 
 def test_m_golden_of_a_label_range_order_at_a_small_prime():
-    # order 2049 mod the prime 4099 takes the coset route, with the label
-    # step's witness 4^0 + 4^0 + 4^1025
+    # order 2049 mod the prime 4099, where the coset route's estimate keeps
+    # the label step: witness 4^0 + 4^0 + 4^1025
     res = run("m", "4", "4099")
     assert res.exit_code == 0
     assert res.output.rstrip("\n") == golden("m_4_4099.txt")

