@@ -681,11 +681,12 @@ def _m_orbit(p_mod: int, p: int, q: int, n: int, want_witness: bool):
 # coset route (prime moduli within the dense range, keyed by the power map)
 
 def _power_key(x, n: int, e: int):
-    """x^n (mod e) for x in [0, e), e a prime <= DENSE_LIMIT: an int by pow,
-    an int64 array by square and multiply from the top bit of n (products
-    below e^2 < 2^44). For n | e - 1 the kernel of x -> x^n on the cyclic
-    (Z/eZ)* is its one subgroup of order n, H, so the key is constant on each
-    coset xH and differs between cosets; 0 keys 0."""
+    """x^n (mod e) in [0, e) for x in (-e, e), e a prime <= DENSE_LIMIT and
+    n >= 2: an int by pow, an int64 array by square and multiply from the top
+    bit of n (products below e^2 < 2^44 in size, each reduced into [0, e)).
+    For n | e - 1 the kernel of x -> x^n on the cyclic (Z/eZ)* is its one
+    subgroup of order n, H, so the key is constant on each coset xH and
+    differs between cosets; 0 keys 0."""
     if not isinstance(x, np.ndarray):
         return pow(x, n, e)
     out, quo = x.copy(), np.empty_like(x)
@@ -770,8 +771,7 @@ def _m_coset(q: int, e: int, n: int, want_witness: bool):
     while s + 1 < r and not _held(keys[s], e - 1):
         grow()
         s += 1
-    return s + 1, _dense_witness(e, pw, s + 1,
-                                 lambda k, x: _held(keys[k], _power_key(_mod(x, e), n, e)))
+    return s + 1, _dense_witness(e, pw, s + 1, lambda k, x: _held(keys[k], _power_key(x, n, e)))
 
 
 # ---------------------------------------------------------------------------
