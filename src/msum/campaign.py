@@ -186,7 +186,12 @@ def _divisibility_check(e: int, params: dict):
     m = 2 test, the coset route and the orbit engine do not use e1 (the
     last two take only q != 1 (mod p) at e = p^k, where e1 = 1). The m = 2
     test answers every class whose subgroup H holds -1; there every h
-    in H is 1 (mod e1), so -1 = 1 (mod e1) and e1 divides 2 = m."""
+    in H is 1 (mod e1), so -1 = 1 (mod e1) and e1 divides 2 = m. A table
+    walk also settles, with no search, each class of H without -1 whose
+    maximal subgroups have least m equal to e1 ceil(3/e1): that value rests
+    on e1 | m, the premise of this claim, so on those rows the claim holds by
+    construction; the evidence there is the tests that compare every settled
+    value at e <= 2049 with a search."""
     q, mv, _ = engine.m_table_for_modulus(e)
     e1 = gcd_table(e)[q - 1]
     return (q.size, _violations(e, mv % e1 != 0, q=q, m=mv, e1=e1),
@@ -206,6 +211,11 @@ def _above_one(e: int):
 
 
 def _lemma3_check(e: int, params: dict):
+    """m = e1 wherever e < e1^2 + 2 e1. The m of a row may come from the
+    table walk's bounds rather than a search: a class without -1 whose
+    maximal subgroups have least m equal to e1 ceil(3/e1) takes that m,
+    which is e1 when e1 >= 3, so a row with e1 >= 3 can read m = e1 from the
+    premise e1 | m and from its subgroups alone (see _divisibility_check)."""
     q, mv, e1 = _above_one(e)
     applies = e < e1 * e1 + 2 * e1
     return (q.size, _violations(e, applies & (mv != e1), q=q, m=mv, e1=e1),

@@ -15,9 +15,10 @@ another), so
 a level costs one shift by 1 and one orbit closure, not a shift per element.
 
 Every m the module computes, for m(), m_prime_power() and each generator
-class of a table walk, goes through one private dispatcher, _route. It
-alone picks among six routes, names the one that answered (quoted below),
-and refuses a modulus that no route takes with ModulusTooLarge:
+class of a table walk that the walk's bounds do not settle (below), goes
+through one private dispatcher, _route. It alone picks among six routes,
+names the one that answered (quoted below), and refuses a modulus that no
+route takes with ModulusTooLarge:
   - "pair", for H = {1, q}, q = 1 or q of order 2, at every modulus, tested
     first (q^2 = 1 mod e): m is the least a + b with a + b q = 0 (mod e),
     found on the intermediate fractions of q/e in O(log e) steps (_pair);
@@ -87,11 +88,16 @@ hands the same reader a key test. _route checks every witness it returns
 
 The one cache holds per-modulus m tables. The entry of modulus e is a
 complete, immutable _Table: the m and the order of each generator class of
-(Z/eZ)* in the order _walk visits the classes (m depends only on the
-generated subgroup), and the class of each unit. _walk, its only builder,
-sends each class once through _route (the class of 1 takes the pair route)
-and labels the generators of a class of order n, the powers q^j with j prime
-to n, by one byte mask per order, sieved by the primes of n.
+(Z/eZ)* in ascending order of the class's least element (m depends only on
+the generated subgroup), and the class of each unit. _walk, its only
+builder, takes the m of the maximal subgroups <q^p> of a class, p a prime
+divisor of its order n, before the class's own. Their least m bounds m
+from above, and once the m = 2 test has shown that -1 is not in H,
+g ceil(3/g), g = gcd(e, q - 1), bounds it from below: where the two meet,
+the class takes that m with no search. Every other class goes once through
+_route (the class of 1 takes the pair route). The walk labels the
+generators of a class of order n, the powers q^j with j prime to n, by one
+byte mask per order, sieved by the primes of n.
 m_table_for_modulus(e) builds the entry on a miss and expands it into rows
 (the ascending units q with their m and n) by two array lookups. The cache
 only grows between clear_cache() calls, so cache_rows(start) lists the
@@ -164,8 +170,8 @@ _KEYED_FIXED_WORDS = 4000
 # and 14 over 60 label-range classes, where a level's keys come in longer slices
 # (2-core box, Python 3.11, numpy 2.4). The same label-range fit priced the label
 # step at 54 words per e-bit word to label and 107 per level. P = 32 is refitted
-# to neither: of the 181 classes the walk of every e <= 2049 hands the rule, 32
-# sends 169 to the coset route, 39 would send 160 and 14 all.
+# to neither: of the 79 classes the walk of every e <= 2049 hands the rule, 32
+# sends 70 to the coset route, 39 would send 65 and 14 all.
 _COSET_KEY_WORDS = 32
 _LABEL_FIXED_WORDS, _LABEL_LEVEL_WORDS = 54, 107
 _MUL_SPLIT = 20  # limb split for overflow-free int64 mulmod (needs modulus < 2^40)
@@ -186,9 +192,10 @@ class ModulusRows(NamedTuple):
 
 
 class _Table(NamedTuple):
-    """The cache entry of one modulus: the m of each generator class in walk
-    order, the class index of each unit (ascending, at the least unsigned
-    width that numbers the classes) and the order of each class (uint32)."""
+    """The cache entry of one modulus: the m of each generator class, in
+    ascending order of its least element, the class index of each unit
+    (ascending, at the least unsigned width that numbers the classes) and
+    the order of each class (uint32)."""
 
     values: np.ndarray
     cls: np.ndarray
@@ -977,32 +984,61 @@ def _units(e: int) -> np.ndarray:
 
 
 def _walk(e: int) -> _Table:
-    """The cache entry of modulus e, from one walk of the generator classes
-    of (Z/eZ)* in ascending order of their least element; _route answers
-    each class from its order and powers, the class of 1 and those of order
-    2 by _pair, which needs neither."""
+    """The cache entry of modulus e, its classes in ascending order of their
+    least generator. The walk meets each class at that generator and first
+    computes the maximal subgroups <q^p>, p a prime divisor of the order n,
+    from the powers of q^p, powers[::p]. Their least m is an upper bound U,
+    as m(H) <= m(K) for K in H. Once the m = 2 test (_m_two) has shown that
+    -1 is not in H, m >= 3 and g = gcd(e, q - 1) divides m, so
+    L0 = g ceil(3/g) is a lower bound: a class with U = L0 takes m = U with
+    no search, U < L0 raises MsumError, and _route answers every other
+    class from its order and powers, those of order 1 and 2 by _pair. The
+    recursion holds one chain of power lists, about 2n entries."""
     units = _units(e)
-    values, order = [], []  # the m and the order of each class
-    coprime: dict[int, bytearray] = {}  # order n -> byte j is 1 iff j in [0, n) is prime to n
-    label = array("I", [0]) * e  # 1 + the class of each generator walked so far
-    for q in units.tolist():
-        if label[q]:
-            continue
-        powers = _powers_of(q, e)
+    values, order, least = [], [], []  # the m, order and least generator of each class
+    # order n -> (byte j is 1 iff j in [0, n) is prime to n, the primes of n)
+    sieves: dict[int, tuple[bytearray, list[int]]] = {}
+    label = array("I", [0]) * e  # 1 + the index in `values` of the class of each generator so far
+
+    def visit(powers: list[int], least_generator: int = 0) -> None:
         n = len(powers)
-        mask = coprime.get(n)
-        if mask is None:
-            mask = coprime[n] = bytearray(b"\1") * n
-            for p, _ in factorize(n):
+        sieve = sieves.get(n)
+        if sieve is None:
+            mask, primes = bytearray(b"\1") * n, [p for p, _ in factorize(n)]
+            for p in primes:
                 mask[::p] = bytes(-(-n // p))
-        values.append(_route(q, e, False, n, powers)[0])
+            sieve = sieves[n] = mask, primes
+        mask, primes = sieve
+        for p in primes:
+            if not label[powers[p % n]]:
+                visit(powers[::p])
+        q, value = powers[1 % n], 0
+        if n > 2:
+            upper = min(values[label[powers[p % n]] - 1] for p in primes)
+            g = gcd(e, q - 1)
+            lower = g * -(-3 // g)
+            if upper <= lower and not _m_two(q, e, n):
+                if upper < lower:
+                    raise MsumError(f"m table of modulus {e}: a maximal subgroup of <{q}> has "
+                                    f"m = {upper}, below {lower}, a lower bound of m (engine bug)")
+                value = upper
+        values.append(value or _route(q, e, False, n, powers)[0])
         order.append(n)
-        for g in compress(powers, mask):
-            label[g] = len(order)
-    index = np.min_scalar_type(len(order))  # uint8 below 256 classes, uint16 below 2^16
-    return _Table(np.array(values, dtype=np.uint32),
-                  (np.frombuffer(label, dtype=np.uint32)[units] - 1).astype(index),
-                  np.array(order, dtype=np.uint32))
+        least.append(least_generator or min(compress(powers, mask)))
+        index = len(order)
+        for x in compress(powers, mask):
+            label[x] = index
+
+    for q in units.tolist():
+        if not label[q]:
+            visit(_powers_of(q, e), q)
+    walked = np.argsort(least)  # the index in `values` of each class, by least generator
+    # the class index of each unit: uint8 below 256 classes, uint16 below 2^16
+    rank = np.empty(walked.size, dtype=np.min_scalar_type(walked.size))
+    rank[walked] = np.arange(walked.size)
+    return _Table(np.array(values, dtype=np.uint32)[walked],
+                  rank[np.frombuffer(label, dtype=np.uint32)[units] - 1],
+                  np.array(order, dtype=np.uint32)[walked])
 
 
 def m_table_for_modulus(e: int) -> ModulusRows:

@@ -46,3 +46,42 @@ def test_summary_skips_a_metric_without_two_samples_a_side():
     for run in runs[2:]:
         del run["metrics"]["x"]  # a run that failed reports no metrics
     assert bench_pairs.summarize(runs, {"x": "lower", "y": "lower"}) == {}
+
+
+def test_a_change_faster_in_every_pair_reads_better():
+    parent = [10, 12, 11, 13, 14, 10, 12, 15, 11, 13]
+    got = bench_pairs.summarize(_runs(parent, [0.8 * x for x in parent]), {"x": "lower"})["x"]
+    assert got["median_ratio_pct"] == pytest.approx(-20)
+    assert got["ratio_interval_pct"] == pytest.approx([-20, -20])
+    assert got["verdict"] == "better"
+
+
+def test_no_difference_reads_no_detectable_change():
+    parent = [10, 12, 11, 13, 14, 10, 12, 15, 11, 13]
+    got = bench_pairs.summarize(_runs(parent, parent), {"x": "lower"})["x"]
+    assert got["median_ratio_pct"] == 0 and got["ratio_interval_pct"] == [0, 0]
+    assert got["sign_p"] == 1 and got["verdict"] == "no detectable change"
+
+
+def test_verdict_and_sign_test_of_noisy_pairs():
+    # ten wins of ten: p = 2 / 2^10; a higher-is-better metric that fell in
+    # every pair reads worse
+    parent = [10, 12, 11, 13, 14, 10, 12, 15, 11, 13]
+    change = [x - 1 - i % 3 for i, x in enumerate(parent)]
+    lower = bench_pairs.summarize(_runs(parent, change), {"x": "lower"})["x"]
+    assert lower["wins"]["change"] == 10 and lower["sign_p"] == 2 / 1024
+    assert lower["verdict"] == "better"
+    higher = bench_pairs.summarize(_runs(parent, change), {"x": "higher"})["x"]
+    assert higher["sign_p"] == 2 / 1024 and higher["verdict"] == "worse"
+    # one loss in ten: p = 2 (1 + 10) / 2^10; ties are dropped
+    assert bench_pairs.sign_test(9, 1) == 22 / 1024
+    assert bench_pairs.sign_test(0, 0) == 1
+
+
+def test_summarize_recomputes_a_committed_bench_file(capsys):
+    bench_pairs.print_summary(str(SCRIPT.parents[1] / "BENCH_26.json"))
+    lines = capsys.readouterr().out.splitlines()
+    # four workloads, three end-to-end metrics each
+    assert len(lines) == 12
+    sweep = next(line for line in lines if line.startswith("sweep wall_s:"))
+    assert "-15.6 % [-18.8, -11.2], wins 10/10, sign p 0.00195: better" in sweep

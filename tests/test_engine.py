@@ -849,14 +849,27 @@ def test_dense_dispatch_is_on_the_order(monkeypatch):
     m(2, 4099)  # 2 has order 4098 and 2^2049 = -1: no BFS
     assert routes == [("m=2", 4098)]
     routes.clear()
+    assert engine._route(4, 4099, False) == (3, None, "coset")
+    assert routes == [("coset", 2049)]
+    # a table walk names the route of each class _route answers
+    walked, route = [], engine._route
+
+    def spy_route(q, e, want_witness, n=0, elements=()):
+        answer = route(q, e, want_witness, n, elements)
+        walked.append((answer[2], n))
+        return answer
+
+    monkeypatch.setattr(engine, "_route", spy_route)
     engine.clear_cache()
     m_table_for_modulus(4099)  # one class per order, a divisor of 4098 = 2 * 3 * 683
     engine.clear_cache()
+    monkeypatch.setattr(engine, "_route", route)
     # the classes of order 1 and 2 take the pair route, no search, and the
     # other even orders, which hold -1 at a prime modulus, the m = 2 test
-    # and no BFS
-    assert sorted(routes) == [("bitmask", 3), ("coset", 683), ("coset", 2049)] + \
-        [("m=2", n) for n in (6, 1366, 4098)] + [("pair", 1), ("pair", 2)]
+    # and no BFS; the class of order 2049 is not searched: its subgroup of
+    # order 3 has m = 3, the lower bound of a class of odd order with g = 1
+    assert sorted(walked) == [("bitmask", 3), ("coset", 683)] + \
+        [("m_two", n) for n in (6, 1366, 4098)] + [("pair", 1), ("pair", 2)]
     routes.clear()
     m(4098, 4099)  # a witness of order 2 takes the pair route as well
     assert routes == [("pair", 2)]
@@ -998,6 +1011,75 @@ def test_table_walks_answer_the_class_of_one_in_closed_form(monkeypatch):
         assert (rows.q[0], rows.m[0], rows.n[0]) == (1, e, 1), e
     engine.clear_cache()
     assert orders and 1 not in orders  # no search of the subgroup {1}
+
+
+def _walk_routed(monkeypatch, moduli):
+    """{e: the table _walk(e) builds} and {e: the set of class indices
+    _route answered}: the classes of a walk that _route does not answer are
+    settled by the bounds of the walk."""
+    tables, routed, route = {}, {}, engine._route
+
+    def spy_route(q, e, want_witness, n=0, elements=()):
+        routed.setdefault(e, []).append(q)
+        return route(q, e, want_witness, n, elements)
+
+    monkeypatch.setattr(engine, "_route", spy_route)
+    for e in moduli:
+        tables[e] = engine._walk(e)
+    monkeypatch.setattr(engine, "_route", route)
+    units = {e: engine._units(e) for e in moduli}
+    return tables, {e: set(tables[e].cls[np.searchsorted(units[e], routed.get(e, []))].tolist())
+                    for e in moduli}
+
+
+def test_walk_matches_the_search_and_the_full_bitmask_to_300(monkeypatch):
+    # every class of every e <= 300, settled by the bounds or answered by
+    # _route, against _route's search and the full-depth bitmask
+    tables, routed = _walk_routed(monkeypatch, range(2, 301))
+    settled = 0
+    for e, table in tables.items():
+        classes = list(_classes(e))
+        assert table.order.tolist() == [len(powers) for _, powers in classes], e
+        settled += len(classes) - len(routed[e])
+        for value, (q, powers) in zip(table.values.tolist(), classes):
+            search = engine._route(q, e, False, len(powers), powers)[0]
+            assert value == search == _full_bitmask(e, powers)[0], (q, e)
+    assert settled > 0
+
+
+def test_cold_walk_to_2049_routes_54964_classes(monkeypatch):
+    # 76,939 classes; the bounds of the walk settle 21,975 with no search
+    tables, routed = _walk_routed(monkeypatch, range(1, 2050))
+    assert sum(table.values.size for table in tables.values()) == 76939
+    assert sum(map(len, routed.values())) == 54964
+
+
+@pytest.mark.slow
+def test_every_settled_class_to_2049_equals_a_search(monkeypatch):
+    tables, routed = _walk_routed(monkeypatch, range(2, 2050))
+    settled = 0
+    for e, table in tables.items():
+        for c, (q, powers) in enumerate(_classes(e)):
+            if c not in routed[e]:
+                settled += 1
+                search = engine._route(q, e, False, len(powers), powers)[0]
+                assert table.values[c] == search, (q, e)
+    assert settled == 21975
+
+
+def test_walk_refuses_a_subgroup_m_below_the_lower_bound(monkeypatch):
+    # mod 19 the class of order 9 has one maximal subgroup, of order 3; a
+    # search that reports m = 2 for it, where -1 is not in the subgroup, puts
+    # U = 2 below the class's lower bound L0 = 3
+    route = engine._route
+
+    def under_report(q, e, want_witness, n=0, elements=()):
+        answer = route(q, e, want_witness, n, elements)
+        return (2, *answer[1:]) if (e, n) == (19, 3) else answer
+
+    monkeypatch.setattr(engine, "_route", under_report)
+    with pytest.raises(MsumError, match="engine bug"):
+        engine._walk(19)
 
 
 @pytest.mark.parametrize("q", [2, 3])
