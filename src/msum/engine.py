@@ -40,7 +40,8 @@ route takes with ModulusTooLarge:
     costs |S_s| n keys, in slices, and at most d + 1 keys. m is 1 + the least
     s with -1 in S_s, searched up to the orbit engine's closed stop r; the
     witness is read back by _dense_witness over the keyed levels, so m and
-    witness equal the dense step's (_m_coset);
+    witness equal the dense step's, and a witness search builds no level
+    past S_min(m - 1, r - 2) (_m_coset);
   - the dense exact-level search (_exact_search), for moduli up to
     DENSE_LIMIT and order n >= 3, with or without a witness: on the sums of
     terms h - 1, which lie in the multiples of g = gcd(e, q - 1), it tests
@@ -48,7 +49,7 @@ route takes with ModulusTooLarge:
     negation of those of floor(t/2) terms (one bit reversal per level), so it
     builds at most ceil(m/2) levels, jumps to m once a level adds nothing,
     and checks that its last set lies in the multiples of g; a witness search
-    goes on to level m - 1 or the last new level. A level's step is one
+    goes on to level m - 2 or the last new level. A level's step is one
     shift per element of H for 3 <= n < LABEL_MIN_ORDER ("bitmask",
     _bfs_dense), else ("label", _bfs_label) a roll by 1, a scatter of the
     orbit labels hit and a gather back, every residue labelled with the
@@ -76,15 +77,19 @@ route takes with ModulusTooLarge:
     if the grid of its deepest level's base, C(n + D - 2, D - 1) cells,
     outgrows p, a unit's key is its one orbit element whose residue mod p
     has discrete log below (p - 1)/n, read from a table over the p residues,
-    and a multiple of p keeps its minimum; else it is the orbit minimum. The
+    and a multiple of p keeps its minimum; else it is the orbit minimum,
+    taken by one product of the powers and the elements while that grid is
+    small (_orbit_min), else by n - 1 mulmod passes. The
     witness backtrack starts from the least orbit minimum of a colliding
     orbit, so the witness does not depend on the key, and tests every power
     of a level at once, against the keys of the level below.
 The two level steps give equal level sets, so equal m and equal witnesses,
 which _dense_witness, the one reader of the dense witness rule, reads back as
 exponents of q; the coset route's levels are the same sets, keyed, and it
-hands the same reader a key test. _route checks every witness it returns
-(length m, sum 0 mod e) or raises MsumError.
+hands the same reader a key test. 0 in S_m = H (S_(m-1) + 1) puts -1 in
+S_(m-1), so the reader's first step always takes the power 1 and it reads
+no level above S_(m-2): no witness search builds S_(m-1). _route checks
+every witness it returns (length m, sum 0 mod e) or raises MsumError.
 
 The one cache holds per-modulus m tables. The entry of modulus e is a
 complete, immutable _Table: the m and the order of each generator class of
@@ -176,6 +181,13 @@ _COSET_KEY_WORDS = 32
 _LABEL_FIXED_WORDS, _LABEL_LEVEL_WORDS = 54, 107
 _MUL_SPLIT = 20  # limb split for overflow-free int64 mulmod (needs modulus < 2^40)
 _SLICE_CELLS = 1 << 17  # grid cells per slice of an orbit level build (bounds peak memory)
+# the most cells _orbit_min takes in one product of the powers and the input
+# (inputs shorter than n go in slices of this many cells): at 2^15 cells the
+# product took 0.2-0.97 of the time of the n - 1 passes (n = 5 to 127, p near
+# 2^25 and 2^37), as numpy's per-call cost dominates short passes; at 2^19 it
+# took 2.5-4x, as it is memory-bound, and at n = 5 and 2^16 cells up to 6x
+# (2-core box, Python 3.11, numpy 2.4)
+_ORBIT_MIN_CELLS = 1 << 15
 _BIT_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte's bits reversed
 
 
@@ -264,8 +276,9 @@ def _exact_search(e: int, g: int, keep: bool, steps: Sequence[int] = (), lab=Non
 
     A level's step shifts the new residues by each of the `steps` h - 1, or,
     with the orbit labels `lab`, takes S_(L+1) = H (S_L + 1) (_orbit_level).
-    With `keep` the search goes on to level m - 1 or the last new level L,
-    and returns Y_1, ..., Y_min(m - 1, L) as little-endian bytes."""
+    With `keep` the search goes on to level m - 2, the deepest that
+    _dense_witness reads, or the last new level L, and returns the levels it
+    built, Y_1 to at least Y_min(m - 2, L), as little-endian bytes."""
     full = (1 << e) - 1
     size = (e + 7) // 8
     seen = frontier = below = 1  # Y_0 = {0}; below is the level under seen
@@ -273,7 +286,7 @@ def _exact_search(e: int, g: int, keep: bool, steps: Sequence[int] = (), lab=Non
     levels = [] if keep else None
     t, value = g, 0
     while not value or keep:
-        top = value - 1 if value else (t + 1) // 2
+        top = value - 2 if value else (t + 1) // 2
         while level < top and frontier:
             below = seen
             if lab is None:
@@ -346,11 +359,15 @@ def _dense_witness(e: int, pw: np.ndarray, m: int, member) -> tuple[int, ...]:
     lies in S_k. 1 is tested alone first, as an int; the other powers in
     slices of _SLICE_CELLS. What is left after m - 1 steps is a power. From a
     minimal sum no remainder is a sum of fewer terms, so the dense search's
-    sets of at most k terms give the same hits (_level_member)."""
+    sets of at most k terms give the same hits (_level_member).
+
+    The first step needs no test: 0 in S_m = H (S_(m-1) + 1) puts -1 in
+    S_(m-1), so it takes 1 and leaves x = -1 with m - 2 terms. member is
+    never asked about S_(m-1), and no search builds it for the witness."""
     one = int(pw.argmin())  # the exponent of 1
-    exps = []
-    x = 0
-    for k in range(m - 1, 0, -1):
+    exps = [one]
+    x = e - 1
+    for k in range(m - 2, 0, -1):
         if member(k, x - 1):
             j = one
         else:
@@ -371,8 +388,8 @@ def _dense_witness(e: int, pw: np.ndarray, m: int, member) -> tuple[int, ...]:
 
 
 def _level_member(e: int, levels: list[bytes]):
-    """member(k, x) of _dense_witness over the levels Y_1, ..., Y_min(m - 1, L)
-    of _exact_search: x is in S_k iff x - k is in Y_min(k, L)."""
+    """member(k, x) of _dense_witness over the levels Y_1, Y_2, ... that
+    _exact_search keeps: x is in S_k iff x - k is in Y_min(k, L)."""
     views = [np.frombuffer(level, np.uint8) for level in levels]
 
     def member(k: int, x):
@@ -565,13 +582,21 @@ def _multiset_level(orb: _Orbits, sums: np.ndarray, masks: np.ndarray, s: int, c
 
 def _orbit_min(x: np.ndarray, pw: np.ndarray, q: int, p_mod: int) -> np.ndarray:
     """The orbit minimum of each element of int64 x, 0 <= x < 2 p_mod,
-    under the n powers pw of q (pw[j] = q^j mod p_mod), looping over the
-    shorter axis: one product of the powers per element, or n - 1 steps of
-    x. It is the canonical orbit key where _orbit_key has no key table."""
+    under the n powers pw of q (pw[j] = q^j mod p_mod). It is the canonical
+    orbit key where _orbit_key has no key table. A small input, x.size n <=
+    _ORBIT_MIN_CELLS, or one shorter than n, takes the whole grid
+    pw x x in one product (the limb split beyond 2^31) and its least row, in
+    slices of _ORBIT_MIN_CELLS // n elements; a larger one takes n - 1 steps
+    of x, each a mulmod by q and a minimum."""
     n = pw.size
-    if x.size < n:
-        return np.array([_mulmod_vec(pw, v, p_mod).min() for v in x.tolist()],
-                        dtype=np.int64)
+    if x.size * n <= _ORBIT_MIN_CELLS or x.size < n:
+        rows, col = max(1, _ORBIT_MIN_CELLS // n), pw[:, None]
+        best = np.empty(x.size, dtype=np.int64)
+        for lo in range(0, x.size, rows):
+            part = x[lo:lo + rows]
+            cells = _mulmod_vec(np.broadcast_to(part, (n, part.size)), col, p_mod)
+            cells.min(axis=0, out=best[lo:lo + rows])
+        return best
     best = _mod(x, p_mod)
     cur = x
     for _ in range(n - 1):
@@ -751,10 +776,12 @@ def _m_coset(q: int, e: int, n: int, want_witness: bool):
     S_ceil(t/2) meet the negated keys of S_floor(t/2), and x^n is odd in x,
     so -y keys e - key(y). Both searches stop at the orbit engine's closed
     stop: r, the smallest prime divisor of n, sums the order-r subgroup to
-    0, so m <= r, and only t < r is searched. A witness search keeps
-    S_1, ..., S_(m-1) and hands _dense_witness the membership test x in
-    S_k iff the key x^n (mod e) is among the keys of S_k, so m and witness
-    are the dense step's."""
+    0, so m <= r, and only t < r is searched. A witness search tests -1 in
+    S_1, S_2, ... and keeps the levels it builds, at most S_1, ..., S_(r-2):
+    at the closed stop m = r it builds no S_(r-1), which _dense_witness does
+    not read, so for r = 3 it builds no level at all. It hands _dense_witness
+    the membership test x in S_k iff the key x^n (mod e) is among the keys
+    of S_k, so m and witness are the dense step's."""
     d, r = (e - 1) // n, smallest_prime_divisor(n)
     keys, reps = [None, np.ones(1, dtype=np.int64)], [None, np.ones(1, dtype=np.int64)]
     pw = _power_table(q, e, n) if want_witness or r > 3 else None
@@ -774,11 +801,12 @@ def _m_coset(q: int, e: int, n: int, want_witness: bool):
         if sum(pow(h, j, e) for j in range(r)) % e:
             raise MsumError(f"order-{r} subgroup sum mod {e} does not vanish")
         return r, None
-    s = 1
-    while s + 1 < r and not _held(keys[s], e - 1):
-        grow()
-        s += 1
-    return s + 1, _dense_witness(e, pw, s + 1, lambda k, x: _held(keys[k], _power_key(x, n, e)))
+    value = 2
+    while value < r and not _held(keys[value - 1], e - 1):
+        if value + 1 < r:  # at the closed stop m = r nothing reads S_(r-1)
+            grow()
+        value += 1
+    return value, _dense_witness(e, pw, value, lambda k, x: _held(keys[k], _power_key(x, n, e)))
 
 
 # ---------------------------------------------------------------------------
@@ -855,7 +883,14 @@ def _coset_cheaper(e: int, n: int, want_witness: bool) -> bool:
     up to S_ceil((m-1)/2) (none for r = 3). Against them, P = _COSET_KEY_WORDS
     words a key, stand the dense step's m - 1 or ceil(m/2) levels: n ceil(e/64)
     words each on the bitmask, and 107 words per e-bit word each plus 54 to
-    label on the label step."""
+    label on the label step.
+
+    The witness prices predate the backtrack's untested first step: the
+    coset price still charges S_(m-1) at the closed stop (S_2 at r = 3,
+    which _m_coset no longer builds), and the dense price m - 1 levels where
+    the search now builds max(m - 2, ceil(m/2)). They are kept: a refit
+    waits on a benchmark workload of label-range orders, where the two
+    routes' witnessed searches can be weighed."""
     words = -(-e // 64)
     d, r = (e - 1) // n, smallest_prime_divisor(n)
     sizes, multisets = [1], n  # c_1, c_2, ... and C(n + s - 1, s)
@@ -992,8 +1027,9 @@ def _walk(e: int) -> _Table:
     -1 is not in H, m >= 3 and g = gcd(e, q - 1) divides m, so
     L0 = g ceil(3/g) is a lower bound: a class with U = L0 takes m = U with
     no search, U < L0 raises MsumError, and _route answers every other
-    class from its order and powers, those of order 1 and 2 by _pair. The
-    recursion holds one chain of power lists, about 2n entries."""
+    class from its order and powers, those of order 1 and 2 by _pair; a
+    search of order n > 2 that gives m > U raises MsumError. The recursion
+    holds one chain of power lists, about 2n entries."""
     units = _units(e)
     values, order, least = [], [], []  # the m, order and least generator of each class
     # order n -> (byte j is 1 iff j in [0, n) is prime to n, the primes of n)
@@ -1022,7 +1058,12 @@ def _walk(e: int) -> _Table:
                     raise MsumError(f"m table of modulus {e}: a maximal subgroup of <{q}> has "
                                     f"m = {upper}, below {lower}, a lower bound of m (engine bug)")
                 value = upper
-        values.append(value or _route(q, e, False, n, powers)[0])
+        if not value:
+            value = _route(q, e, False, n, powers)[0]
+            if n > 2 and value > upper:
+                raise MsumError(f"m table of modulus {e}: the search of <{q}> gives m = "
+                                f"{value}, above {upper}, the m of a subgroup (engine bug)")
+        values.append(value)
         order.append(n)
         least.append(least_generator or min(compress(powers, mask)))
         index = len(order)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -1067,6 +1069,24 @@ def test_every_settled_class_to_2049_equals_a_search(monkeypatch):
     assert settled == 21975
 
 
+def test_walk_refuses_a_search_above_a_subgroup_m(monkeypatch):
+    # mod 1001 the searched classes of order 60 with m = 4 have a maximal
+    # subgroup of m U = 4: a search that reports one more exceeds U
+    route, faulted = engine._route, []
+
+    def over_report(q, e, want_witness, n=0, elements=()):
+        answer = route(q, e, want_witness, n, elements)
+        if (e, n) == (1001, 60):
+            faulted.append(q)
+            return (answer[0] + 1, *answer[1:])
+        return answer
+
+    monkeypatch.setattr(engine, "_route", over_report)
+    with pytest.raises(MsumError, match="above 4, the m of a subgroup"):
+        engine._walk(1001)
+    assert faulted
+
+
 def test_walk_refuses_a_subgroup_m_below_the_lower_bound(monkeypatch):
     # mod 19 the class of order 9 has one maximal subgroup, of order 3; a
     # search that reports m = 2 for it, where -1 is not in the subgroup, puts
@@ -1133,6 +1153,65 @@ def test_dense_witness_pins():
     assert routes == {False, True}
 
 
+def _coset_levels_built(monkeypatch, q, e):
+    """(m, r, route, the number of levels _coset_level built) of the
+    witnessed m(q, e), r the smallest prime divisor of the order of q."""
+    built, level = [], engine._coset_level
+
+    def spy(*args):
+        built.append(1)
+        return level(*args)
+
+    monkeypatch.setattr(engine, "_coset_level", spy)
+    value, _, route = engine._route(q, e, True)
+    monkeypatch.setattr(engine, "_coset_level", level)
+    return value, smallest_prime_divisor(mul_order(q, e)), route, len(built)
+
+
+def test_coset_witness_builds_no_level_past_r_minus_2(monkeypatch):
+    # levels S_2, ..., S_min(m - 1, r - 2): 0 in S_m puts -1 in S_(m-1), so
+    # the backtrack never reads S_(m-1), and at the closed stop m = r no
+    # search builds S_(r-1); r = 3 builds nothing
+    pins = [(q, e) for q, e, n, _ in DENSE_WITNESS_PINS if n >= engine.LABEL_MIN_ORDER]
+    for q, e in pins + [(47608, 277993), (16, 2069), (52802, 60041)]:
+        value, r, route, built = _coset_levels_built(monkeypatch, q, e)
+        assert route == "coset", (q, e)
+        assert built == min(value, r - 1) - 2, (q, e)
+    assert _coset_levels_built(monkeypatch, 47608, 277993) == (3, 3, "coset", 0)
+    assert _coset_levels_built(monkeypatch, 16, 2069) == (3, 11, "coset", 1)
+    assert _coset_levels_built(monkeypatch, 52802, 60041) == (5, 5, "coset", 2)
+
+
+@pytest.mark.parametrize("q, e", [(4, 7), (4, 4099), (47608, 277993)])
+def test_dense_witness_never_asks_for_the_level_below_m(monkeypatch, q, e):
+    asked, backtrack = [], engine._dense_witness
+
+    def spy(e, pw, value, member):
+        def watched(k, x):
+            asked.append(value - k)
+            return member(k, x)
+        return backtrack(e, pw, value, watched)
+
+    monkeypatch.setattr(engine, "_dense_witness", spy)
+    result = m(q, e)
+    assert result.value == 3 and verify_witness(q, e, result)
+    assert asked and min(asked) == 2  # k = m - 2 is the first level asked
+
+
+def test_witness_search_keeps_no_level_it_will_not_read():
+    # the keep search of the bitmask step builds no level past
+    # max(m - 2, ceil(m / 2)), the deeper of the witness's last read and
+    # the search's own last level
+    deepest = 0
+    for e in range(5, 120):
+        for q, powers in _classes(e):
+            if len(powers) >= 3:
+                value, levels = engine._bfs_dense(e, powers, True, gcd(e, q - 1))
+                assert len(levels) <= max(value - 2, (value + 1) // 2), (q, e)
+                deepest = max(deepest, value)
+    assert deepest >= 6
+
+
 def test_label_range_pins_take_the_coset_route():
     pins = [(q, e, witness) for q, e, n, witness in DENSE_WITNESS_PINS
             if n >= engine.LABEL_MIN_ORDER]
@@ -1195,6 +1274,28 @@ def test_coset_route_matches_the_dense_step_on_perfbench_queries(monkeypatch):
                 assert m(q, e) == MResult(value, witness), (q, e)
                 checked += 1
     assert checked == 180
+
+
+QUERY_DIGESTS = Path(__file__).parent / "golden" / "queries_1_10.txt"
+
+
+def _query_digests(monkeypatch):
+    """{seed: the sha256 of the JSON list of [q, e, m, witness, route] that
+    _route gives the witnessed perfbench queries of that seed}, seeds 1-10."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from inputs import queries
+
+    return {seed: hashlib.sha256(json.dumps(
+        [[q, e, *engine._route(q, e, True)] for q, e, _ in queries(seed)]).encode()).hexdigest()
+        for seed in range(1, 11)}
+
+
+def test_perfbench_query_answers_match_their_digests(monkeypatch):
+    # route, m and witness of all 480 queries: m never changes; a witness or
+    # route changed on purpose is a new file, said so where the change is recorded
+    want = {int(seed): digest for seed, digest in
+            (line.split() for line in QUERY_DIGESTS.read_text().splitlines())}
+    assert _query_digests(monkeypatch) == want
 
 
 @pytest.mark.parametrize("q, e, mv", [(4, 7, 3), (4, 4099, 3), (47608, 277993, 3)],
@@ -1548,20 +1649,34 @@ def test_orbit_key_is_one_element_per_orbit(shape, units, multiples):
             assert (key[x] == key[y]) == (mins[x] == mins[y])
 
 
-@pytest.mark.parametrize("n", [2, 19, 119])
+@pytest.mark.parametrize("n", [2, 19, 119, 257])
 @pytest.mark.parametrize("bits", [30, 37])
 @pytest.mark.parametrize("shorter", [True, False], ids=["products", "steps"])
-def test_orbit_min_equals_scalar_orbit_minimum(n, bits, shorter):
-    # fewer elements than n: one product of the powers per element;
-    # otherwise n - 1 steps of the whole array
+def test_orbit_min_equals_scalar_orbit_minimum(monkeypatch, n, bits, shorter):
+    # products: at most _ORBIT_MIN_CELLS cells, or fewer elements than n (in
+    # slices past the cells, at n = 257), one 2-D product of the powers and
+    # the elements per slice; steps: more cells and at least n elements, n - 1
+    # 1-D steps of the whole array; bits 37 takes the limb split beyond 2^31
+    cells = engine._ORBIT_MIN_CELLS
+    sizes = [n - 1, cells // n] if shorter else [max(n, cells // n + 1)]
     p = _prime_1_mod_2n(n, bits)
     q = element_of_order(p, 1, n)
     powers = [pow(q, i, p) for i in range(n)]
     rng = random.Random(n * bits)
-    x = ([0, 1, p - 1] + [rng.randrange(p) for _ in range(n + 2)])[:n - 1 if shorter else n + 5]
-    got = engine._orbit_min(np.array(x, dtype=np.int64), np.array(powers, dtype=np.int64), q, p)
-    assert got.dtype == np.int64
-    assert got.tolist() == [min(v * w % p for w in powers) for v in x]
+    dims, mulmod = [], engine._mulmod_vec
+
+    def spy(x, c, p_mod):
+        dims.append(x.ndim)
+        return mulmod(x, c, p_mod)
+
+    monkeypatch.setattr(engine, "_mulmod_vec", spy)
+    for size in sizes:
+        x = ([0, 1, p - 1, p, 2 * p - 1] + [rng.randrange(2 * p) for _ in range(size)])[:size]
+        got = engine._orbit_min(np.array(x, dtype=np.int64), np.array(powers, dtype=np.int64),
+                                q, p)
+        assert got.dtype == np.int64
+        assert got.tolist() == [min(v * w % p for w in powers) for v in x]
+    assert set(dims) == {2 if shorter else 1}
 
 
 def test_orbit_engine_never_calls_np_unique(monkeypatch):
