@@ -1172,11 +1172,9 @@ def test_coset_witness_builds_no_level_past_r_minus_2(monkeypatch):
     # levels S_2, ..., S_min(m - 1, r - 2): 0 in S_m puts -1 in S_(m-1), so
     # the backtrack never reads S_(m-1), and at the closed stop m = r no
     # search builds S_(r-1); r = 3 builds nothing
-    pins = [(q, e) for q, e, n, _ in DENSE_WITNESS_PINS if n >= engine.LABEL_MIN_ORDER]
-    for q, e in pins + [(47608, 277993), (16, 2069), (52802, 60041)]:
-        value, r, route, built = _coset_levels_built(monkeypatch, q, e)
-        assert route == "coset", (q, e)
-        assert built == min(value, r - 1) - 2, (q, e)
+    for q, e, n, _ in DENSE_WITNESS_PINS:
+        if n >= engine.LABEL_MIN_ORDER:
+            assert _coset_levels_built(monkeypatch, q, e) == (3, 3, "coset", 0), (q, e)
     assert _coset_levels_built(monkeypatch, 47608, 277993) == (3, 3, "coset", 0)
     assert _coset_levels_built(monkeypatch, 16, 2069) == (3, 11, "coset", 1)
     assert _coset_levels_built(monkeypatch, 52802, 60041) == (5, 5, "coset", 2)
