@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Alternating perfbench runs of two revisions, written to one BENCH file.
 
-    python3 scripts/bench_pairs.py --parent REV [--change REV] --pairs N
+    python3 scripts/bench_pairs.py --parent REV [--change REV | --null] --pairs N
         --seconds S [--workloads W ...] [--first-seed K] --out BENCH_<pr>.json
     python3 scripts/bench_pairs.py --summarize BENCH_<pr>.json
 
@@ -25,6 +25,11 @@ wins, ties dropped. The verdict reads "better" when the whole interval lies
 on the better side of 0, "worse" when it lies on the worse side, else "no
 detectable change"; the interval's half-width is then the least change the
 set could have seen. Exits 1 if any run is incorrect or exits non-zero.
+
+--null runs the parent against a second extraction of itself, in the
+change's tree, and writes the same file: its intervals are the noise floor
+of the session, the least change a set of that many pairs can see, and its
+verdicts should read "no detectable change".
 
 --summarize recomputes and prints the summary of a written BENCH file, with
 the end-to-end metrics of this checkout's BENCHMARK.json, and runs nothing.
@@ -175,6 +180,8 @@ def main() -> int:
     parser.add_argument("--summarize", metavar="FILE")
     parser.add_argument("--parent")
     parser.add_argument("--change", default="HEAD")
+    parser.add_argument("--null", action="store_true",
+                        help="run the parent against a second copy of itself")
     parser.add_argument("--pairs", type=int)
     parser.add_argument("--seconds", type=int)
     parser.add_argument("--workloads", nargs="+",
@@ -189,11 +196,14 @@ def main() -> int:
         parser.error("--parent, --pairs, --seconds and --out are required without --summarize")
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 for quartiles")
+    if args.null:
+        args.change = args.parent
 
     doc = {"command": "python3 perfbench/run.py --workload W --seed K+i-1 --seconds S "
                       "--trace 0 in git archive copies at paths of equal length, "
                       "parent first in odd pairs",
-           "seconds": args.seconds, "pairs": args.pairs, "first_seed": args.first_seed}
+           "seconds": args.seconds, "pairs": args.pairs, "first_seed": args.first_seed,
+           "null": args.null}
     trees = {}
     for side, rev in zip(SIDES, (args.parent, args.change)):
         sha = git("rev-parse", "--verify", rev + "^{commit}")

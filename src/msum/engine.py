@@ -66,7 +66,12 @@ route takes with ModulusTooLarge:
     lists of sorted arrays, reps[s] for the exact s-sums and negs[s] for
     their negations. Meet-in-the-middle over half-length sums searches t < r
     (r the smallest prime divisor of the order); m = r is returned only with
-    a verified order-r witness. Each orbit of s-sums is the image of a
+    a verified order-r witness. negs[s] keys the negation of reps[s] in
+    slices into one array, sorted in place with no dedup (negation maps
+    distinct orbits to distinct orbits), and the halves meet slice by slice,
+    each slice of negs sorted with the window of reps that spans it
+    (_meet): beyond the held levels, a negation and a meet take one
+    level-sized array and one slice. Each orbit of s-sums is the image of a
     rotation class of s-multisets of exponents, and for s < r each class has
     one canonical member, of exponent sum 0 (mod n); while a level is sparse
     and n < 64 the multiset step makes each canonical multiset of it once,
@@ -181,6 +186,7 @@ _COSET_KEY_WORDS = 32
 _LABEL_FIXED_WORDS, _LABEL_LEVEL_WORDS = 54, 107
 _MUL_SPLIT = 20  # limb split for overflow-free int64 mulmod (needs modulus < 2^40)
 _SLICE_CELLS = 1 << 17  # grid cells per slice of an orbit level build (bounds peak memory)
+_MEET_SLICE = 1 << 15  # keys per slice of a negated level and of a meet (bounds peak memory)
 # the most cells _orbit_min takes in one product of the powers and the input
 # (inputs shorter than n go in slices of this many cells): at 2^15 cells the
 # product took 0.2-0.97 of the time of the n - 1 passes (n = 5 to 127, p near
@@ -611,6 +617,40 @@ def _held(keys: np.ndarray, x):
     return keys[at] == x
 
 
+def _meet(keys: np.ndarray, negs: np.ndarray) -> np.ndarray:
+    """The keys common to two sorted arrays of distinct int64 keys, as
+    np.intersect1d(keys, negs, assume_unique=True) gives them, with no copy
+    of negs and no sort of a whole array. Each slice of _MEET_SLICE keys of
+    negs is sorted together with the window of keys that spans its range,
+    and its common keys are the equal neighbours; the hits, already in
+    order, are concatenated. On level 9 of 571^4 (246,674 keys a side) this
+    took 3.8 ms, np.intersect1d 4.5 ms and a lookup of each slice by _held
+    6.7 ms (best of 15; 2-core box, Python 3.11, numpy 2.4). A stable sort
+    (timsort, one linear merge) took 2.9 ms, but paging in its code, which
+    the small orbit searches of perfbench queries run nowhere else, added
+    128 KB to that workload's peak RSS."""
+    hits = [negs[:0]]
+    for lo in range(0, negs.size, _MEET_SLICE):
+        part = negs[lo:lo + _MEET_SLICE]
+        a, b = np.searchsorted(keys, (part[0], part[-1]))
+        run = np.concatenate((keys[a:b + 1], part))
+        run.sort()
+        hits.append(run[1:][run[1:] == run[:-1]])
+    return np.concatenate(hits)
+
+
+def _neg_keys(level: np.ndarray, orb: _Orbits) -> np.ndarray:
+    """The sorted keys of the negation of a level held as its sorted keys:
+    p_mod - x is keyed in slices of _MEET_SLICE into one array, sorted in
+    place. -(xH) = (-x)H, so negation maps distinct orbits to distinct
+    orbits and the keys are distinct with no dedup."""
+    out = np.empty(level.size, dtype=np.int64)
+    for lo in range(0, level.size, _MEET_SLICE):
+        out[lo:lo + _MEET_SLICE] = _orbit_key(orb.p_mod - level[lo:lo + _MEET_SLICE], orb)
+    out.sort()
+    return out
+
+
 def _m_orbit(p_mod: int, p: int, q: int, n: int, want_witness: bool):
     """Minimal t with a vanishing t-sum over the orbit {q^i mod p_mod}.
 
@@ -623,6 +663,13 @@ def _m_orbit(p_mod: int, p: int, q: int, n: int, want_witness: bool):
     negs[s] for their negations. 0 in f_t is a collision between reps[s1] and
     negs[s2], s1 = ceil(t/2) and s2 = floor(t/2), so each step of t adds at
     most one entry to each list.
+
+    negs[s] is _neg_keys(reps[s]), keyed in slices and sorted with no dedup,
+    and _meet finds a collision slice by slice. So beyond the held levels a
+    negation and a meet take one level-sized array and one slice: at 571^4
+    and 761^4 (n = 19, level 9 of 246,675 multisets) the traced peak is the
+    multiset build of level 9, 7.45 MiB, where the negation keyed in one
+    piece and np.intersect1d took 14.97 MiB.
 
     Two steps build level s + 1 with the same keys. Rotating an exponent
     multiset by i multiplies its sum by q^i, so each orbit of (s + 1)-sums is
@@ -685,8 +732,8 @@ def _m_orbit(p_mod: int, p: int, q: int, n: int, want_witness: bool):
                     level = _sorted_unique(np.concatenate((level, part)), kind="stable")
             reps.append(level)
         if len(negs) <= s2:
-            negs.append(_sorted_unique(_orbit_key(p_mod - reps[s2], orb)))
-        common = np.intersect1d(reps[s1], negs[s2], assume_unique=True)
+            negs.append(_neg_keys(reps[s2], orb))
+        common = _meet(reps[s1], negs[s2])
         if common.size:
             break
     else:
@@ -772,9 +819,10 @@ def _m_coset(q: int, e: int, n: int, want_witness: bool):
     e <= DENSE_LIMIT, -1 not in H (_route sends it after _pair and _m_two).
     Each level S_s of exact s-sums is a union of cosets xH, and 0 is in
     none below m; S_1 = H has key 1. m is 1 + the least s with -1 in S_s,
-    key e - 1. For m alone the halves meet: 0 is in S_t iff the keys of
-    S_ceil(t/2) meet the negated keys of S_floor(t/2), and x^n is odd in x,
-    so -y keys e - key(y). Both searches stop at the orbit engine's closed
+    key e - 1. For m alone the halves meet, by the orbit engine's _meet: 0 is
+    in S_t iff the keys of S_ceil(t/2) meet the negated keys of S_floor(t/2),
+    and x^n is odd in x, so -y keys e - key(y) (reversed, as e minus sorted
+    keys descends). Both searches stop at the orbit engine's closed
     stop: r, the smallest prime divisor of n, sums the order-r subgroup to
     0, so m <= r, and only t < r is searched. A witness search tests -1 in
     S_1, S_2, ... and keeps the levels it builds, at most S_1, ..., S_(r-2):
@@ -795,7 +843,7 @@ def _m_coset(q: int, e: int, n: int, want_witness: bool):
         for t in range(2, r):
             while len(keys) <= (t + 1) // 2:
                 grow()
-            if np.intersect1d(keys[(t + 1) // 2], e - keys[t // 2]).size:
+            if _meet(keys[(t + 1) // 2], (e - keys[t // 2])[::-1]).size:
                 return t, None
         h = pow(q, n // r, e)
         if sum(pow(h, j, e) for j in range(r)) % e:

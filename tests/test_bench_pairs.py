@@ -1,4 +1,9 @@
 import importlib.util
+import json
+import os
+import random
+import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,3 +90,42 @@ def test_summarize_recomputes_a_committed_bench_file(capsys):
     assert len(lines) == 12
     sweep = next(line for line in lines if line.startswith("sweep wall_s:"))
     assert "-15.6 % [-18.8, -11.2], wins 10/10, sign p 0.00195: better" in sweep
+
+
+def test_null_runs_the_parent_against_itself(monkeypatch, tmp_path, capsys):
+    # both sides are extractions of one revision; synthetic runs draw each
+    # side's metrics from one distribution, so every verdict reads no change
+    rng = random.Random(7)
+    trees = []
+
+    def fake_extract(sha, tree):
+        os.makedirs(tree)
+        shutil.copy(SCRIPT.parents[1] / "BENCHMARK.json", tree)
+        trees.append((sha, tree))
+
+    def fake_run(tree, workload, seed, seconds):
+        metrics = {name: (1 + seed / 10) * rng.uniform(0.95, 1.05)
+                   for name in ("wall_s", "setup_s", "peak_rss_mb")}
+        return {"exit": 0, "correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: f"sha of {args[-1]}")
+    monkeypatch.setattr(bench_pairs, "TREES", str(tmp_path / "pairs"))
+    monkeypatch.setattr(bench_pairs, "extract", fake_extract)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "null.json"
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--null", "--parent", "HEAD",
+                                      "--change", "HEAD~1", "--pairs", "10", "--seconds", "1",
+                                      "--workloads", "towers", "--out", str(out)])
+    assert bench_pairs.main() == 0
+    doc = json.loads(out.read_text())
+    assert doc["null"] and doc["parent"]["sha"] == doc["change"]["sha"] == "sha of HEAD^{commit}"
+    assert [sha for sha, _ in trees] == [doc["parent"]["sha"]] * 2
+    assert [tree for _, tree in trees] == [str(tmp_path / "pairs" / side)
+                                          for side in ("parent", "change")]
+    summary = doc["workloads"]["towers"]["summary"]
+    assert sorted(summary) == ["peak_rss_mb", "setup_s", "wall_s"]
+    assert {entry["verdict"] for entry in summary.values()} == {"no detectable change"}
+    capsys.readouterr()
+    bench_pairs.print_summary(str(out))
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and all(line.endswith(": no detectable change") for line in lines)

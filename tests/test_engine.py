@@ -1794,16 +1794,58 @@ def test_multiset_step_refuses_a_level_of_the_wrong_count(monkeypatch):
         engine._m_orbit(571**4, 571, q, 19, False)
 
 
-def test_multiset_step_keeps_the_traced_peak_at_571_4():
-    # the grid build it replaced peaked at 15.7 MiB on this search
-    q = element_of_order(571, 4, 19)
+@pytest.mark.parametrize("p", [571, 761])
+def test_orbit_search_keeps_the_traced_peak_at_p_4(p):
+    # level 9 holds 246,675 keys. The grid build of the levels peaked at
+    # 15.7 MiB on these searches, and the negation of level 9, keyed in one
+    # piece and met by np.intersect1d, at 14.97 MiB; keyed in slices and met
+    # by lookup, the peak is the multiset build of level 9, 7.45 MiB
+    q = element_of_order(p, 4, 19)
     tracemalloc.start()
     try:
-        assert engine._m_orbit(571**4, 571, q, 19, False) == (19, None)
+        assert engine._m_orbit(p**4, p, q, 19, False) == (19, None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 15.7 * 2**20, peak
+    assert peak <= 8 * 2**20, peak
+
+
+@pytest.mark.parametrize("p, k, n", MULTISET_SHAPES)
+def test_neg_keys_equal_the_keys_of_the_negated_level(monkeypatch, p, k, n):
+    # every level a search meets, keyed by orbit minima and by the key table
+    levels, meet = {}, engine._meet
+
+    def spy_meet(keys, negs):
+        levels[keys.size] = keys
+        return meet(keys, negs)
+
+    monkeypatch.setattr(engine, "_meet", spy_meet)
+    q = element_of_order(p, k, n)
+    engine._m_orbit(p**k, p, q, n, False)
+    orb = engine._Orbits(p**k, p, q, engine._power_table(q, p**k, n))
+    for kind in (orb, orb._replace(mult=engine._key_table(orb))):
+        for level in levels.values():
+            level = engine._sorted_unique(engine._orbit_key(level, kind))
+            got = engine._neg_keys(level, kind)
+            want = engine._sorted_unique(engine._orbit_key(p**k - level, kind))
+            assert np.array_equal(got, want) and np.all(got[1:] > got[:-1]), level.size
+    if (p, k) == (571, 4):  # level 9 crosses the slice boundary
+        assert max(levels) > engine._MEET_SLICE
+
+
+@pytest.mark.parametrize("size", [0, 1, 2**15 - 1, 2**15, 2**15 + 1])
+def test_meet_equals_intersect1d(size):
+    rng = np.random.default_rng(size)
+    keys = np.sort(rng.choice(4 * size + 8, size=size + 5, replace=False))
+    cases = [np.sort(rng.choice(4 * size + 8, size=size, replace=False)),  # some keys common
+             keys[:size],  # every key common
+             np.setdiff1d(np.arange(4 * size + 8), keys)[:size]]  # no key common
+    for negs in cases:
+        assert negs.size == size
+        got = engine._meet(keys, negs)
+        want = np.intersect1d(keys, negs, assume_unique=True)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert engine._meet(keys, cases[1]).size == size and not engine._meet(keys, cases[2]).size
 
 
 @pytest.mark.parametrize("p, k, n", MULTISET_SHAPES + [(239, 4, 119), (911, 2, 91),
