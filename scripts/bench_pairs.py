@@ -27,9 +27,9 @@ detectable change"; the interval's half-width is then the least change the
 set could have seen. Exits 1 if any run is incorrect or exits non-zero.
 
 --null runs the parent against a second extraction of itself, in the
-change's tree, and writes the same file: its intervals are the noise floor
-of the session, the least change a set of that many pairs can see, and its
-verdicts should read "no detectable change".
+change's tree, and writes the same file: its intervals are the machine's
+noise floor at that time, the least change a set of that many pairs can
+see, and its verdicts should read "no detectable change".
 
 --summarize recomputes and prints the summary of a written BENCH file, with
 the end-to-end metrics of this checkout's BENCHMARK.json, and runs nothing.
