@@ -30,18 +30,17 @@ route takes with ModulusTooLarge:
     even and q^(n/2) = -1 (mod e), and then m = 2 with witness (0, n/2), the
     one every search below gives. Beyond DENSE_LIMIT it also answers moduli
     that are not odd prime powers;
-  - "coset", for a prime modulus e <= DENSE_LIMIT past the gate of _route
-    when its cost estimate is below the dense step's (_coset_cheaper), with or
-    without a witness. It runs after the two above, so n is odd, n >= 3 and
-    -1 is not in H. x -> x^n (mod e) has kernel H in the cyclic (Z/eZ)*, so
-    it keys each coset xH (Dickson's cyclotomic classes of order
-    d = (e - 1)/n), and each level S_s of exact s-sums, a union of cosets, is
-    held as its sorted keys with one element per key: S_(s+1) = H (S_s + 1)
-    costs |S_s| n keys, in slices, and at most d + 1 keys. m is 1 + the least
-    s with -1 in S_s, searched up to the orbit engine's closed stop r; the
-    witness is read back by _dense_witness over the keyed levels, so m and
-    witness equal the dense step's, and a witness search builds no level
-    past S_min(m - 1, r - 2) (_m_coset);
+  - "coset", for every prime modulus e <= DENSE_LIMIT past the gate of
+    _route, with or without a witness. It runs after the two above, so n is
+    odd, n >= 3 and -1 is not in H. x -> x^n (mod e) has kernel H in the
+    cyclic (Z/eZ)*, so it keys each coset xH (Dickson's cyclotomic classes
+    of order d = (e - 1)/n), and each level S_s of exact s-sums, a union of
+    cosets, is held as its sorted keys with one element per key:
+    S_(s+1) = H (S_s + 1) costs |S_s| n keys, in slices, and at most d + 1
+    keys. m is 1 + the least s with -1 in S_s, searched up to the orbit
+    engine's closed stop r; the witness is read back by _dense_witness over
+    the keyed levels, so m and witness equal the dense step's, and a witness
+    search builds no level past S_min(m - 1, r - 2) (_m_coset);
   - the dense exact-level search (_exact_search), for moduli up to
     DENSE_LIMIT and order n >= 3, with or without a witness: on the sums of
     terms h - 1, which lie in the multiples of g = gcd(e, q - 1), it tests
@@ -57,9 +56,9 @@ route takes with ModulusTooLarge:
     unlabelled residue it meets). The rule is on n, not e: a level costs the
     bitmask step about n*e/64 word operations and the label step a few passes
     over e, so large-e subgroups of small order (prime-power towers) stay on
-    the bitmask. An m-alone search of an odd prime power p^k, k >= 2, p not
-    dividing n, past the gate of _route goes to the orbit engine below
-    instead;
+    the bitmask. Past the gate of _route a prime modulus goes to the coset
+    route above instead, and an m-alone search of an odd prime power p^k,
+    k >= 2, p not dividing n, to the orbit engine below;
   - "orbit", a sparse orbit engine for odd prime powers p^k beyond bitmask range
     (up to 2^40), and for the m-alone searches of p^k, k >= 2, past the gate
     within that range: one canonical orbit key per orbit is stored, in two plain
@@ -174,16 +173,6 @@ SPARSE_LIMIT = 1 << 40  # largest modulus handled by the orbit engine
 # two intercepts over the bitmask's time per word read 4,200 and 4,700 (2-core
 # box, Python 3.11)
 _KEYED_FIXED_WORDS = 4000
-# P of _coset_cheaper: the coset route's price of one power-map key, in bitmask
-# words. Fitting time against keys (coset) and words (bitmask) over 80 classes of
-# odd order at primes 2^11 < e < 2^22 read 39 for orders below LABEL_MIN_ORDER,
-# and 14 over 60 label-range classes, where a level's keys come in longer slices
-# (2-core box, Python 3.11, numpy 2.4). The same label-range fit priced the label
-# step at 54 words per e-bit word to label and 107 per level. P = 32 is refitted
-# to neither: of the 79 classes the walk of every e <= 2049 hands the rule, 32
-# sends 70 to the coset route, 39 would send 65 and 14 all.
-_COSET_KEY_WORDS = 32
-_LABEL_FIXED_WORDS, _LABEL_LEVEL_WORDS = 54, 107
 _MUL_SPLIT = 20  # limb split for overflow-free int64 mulmod (needs modulus < 2^40)
 _SLICE_CELLS = 1 << 17  # grid cells per slice of an orbit level build (bounds peak memory)
 _MEET_SLICE = 1 << 15  # keys per slice of a negated level and of a meet (bounds peak memory)
@@ -917,49 +906,6 @@ def _odd_prime_power(e: int) -> tuple[int, int] | None:
     return shape if shape and shape[0] != 2 else None
 
 
-def _coset_cheaper(e: int, n: int, want_witness: bool) -> bool:
-    """Whether the cost rule of _route, its one caller, sends the search of
-    an odd order n >= 3 mod a prime e <= DENSE_LIMIT, past its gate, to the
-    coset route: its keys priced below the dense step.
-
-    Level s of the coset route holds at most
-    c_s = min(ceil(C(n + s - 1, s)/n), d) cosets, d = (e - 1)/n, and costs
-    c_(s-1) n keys. m is estimated as one past the first level whose c_s
-    reaches d, at most r, the smallest prime divisor of n. At that m a
-    witness costs the levels S_2, ..., S_(m-1) and n keys per backtrack step
-    after the first (2n keys in all for r = 3, m = 3), and m alone the levels
-    up to S_ceil((m-1)/2) (none for r = 3). Against them, P = _COSET_KEY_WORDS
-    words a key, stand the dense step's m - 1 or ceil(m/2) levels: n ceil(e/64)
-    words each on the bitmask, and 107 words per e-bit word each plus 54 to
-    label on the label step.
-
-    The witness prices predate the backtrack's untested first step: the
-    coset price still charges S_(m-1) at the closed stop (S_2 at r = 3,
-    which _m_coset no longer builds), and the dense price m - 1 levels where
-    the search now builds max(m - 2, ceil(m/2)). They are kept: a refit
-    waits on a benchmark workload of label-range orders, where the two
-    routes' witnessed searches can be weighed."""
-    words = -(-e // 64)
-    d, r = (e - 1) // n, smallest_prime_divisor(n)
-    sizes, multisets = [1], n  # c_1, c_2, ... and C(n + s - 1, s)
-    while len(sizes) < r - 1 and sizes[-1] < d:
-        s = len(sizes) + 1
-        multisets = multisets * (n + s - 1) // s
-        sizes.append(min(-(-multisets // n), d))
-    depth = len(sizes) + 1  # the estimated m
-    # the keys of S_2, S_3, ...; a level of d cosets stops after the slice that completes it
-    build = [min(a * n, _SLICE_CELLS) if b == d else a * n for a, b in zip(sizes, sizes[1:])]
-    if want_witness:
-        keys, levels = sum(build[:depth - 2]) + n * (depth - 2), depth - 1
-    else:
-        keys, levels = sum(build[:(min(depth, r - 1) + 1) // 2 - 1]), (depth + 1) // 2
-    if n < LABEL_MIN_ORDER:
-        dense = levels * n * words
-    else:
-        dense = (_LABEL_FIXED_WORDS + _LABEL_LEVEL_WORDS * levels) * words
-    return keys * _COSET_KEY_WORDS < dense
-
-
 def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[int] = ()):
     """(m, witness|None, route) for q reduced mod e > 1: the one dispatch
     over the routes of the module docstring, route the name of the one that
@@ -977,13 +923,12 @@ def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[in
     Past that test a modulus e <= DENSE_LIMIT whose bitmask level costs
     n ceil(e/64) <= F = _KEYED_FIXED_WORDS words keeps the dense search. Past
     this one gate, and beyond DENSE_LIMIT, the shape of e (_odd_prime_power)
-    is taken once and routes the search: a prime e to the coset route when
-    the cost rule prices its keys below the dense step (_coset_cheaper), with
-    or without a witness; an m-alone search of p^k, k >= 2, with n prime to
-    p, to the orbit engine; everything else to the dense search, whose levels
-    Y_1, ..., Y_min(m - 1, L) _dense_witness reads back. Beyond DENSE_LIMIT
-    the orbit engine is the only route, for e = p^k with n prime to p, and
-    any other modulus is refused."""
+    is taken once and routes the search: every prime e <= DENSE_LIMIT to
+    the coset route, with or without a witness; an m-alone search of p^k,
+    k >= 2, with n prime to p, to the orbit engine; everything else to the
+    dense search, whose levels Y_1, ..., Y_min(m - 1, L) _dense_witness
+    reads back. Beyond DENSE_LIMIT the orbit engine is the only route, for
+    e = p^k with n prime to p, and any other modulus is refused."""
     if q * q % e == 1:  # H = {1, q}: q = 1 or q of order 2
         value, b = _pair(q, e)
         if want_witness and value > DENSE_LIMIT:
@@ -1002,7 +947,7 @@ def _route(q: int, e: int, want_witness: bool, n: int = 0, elements: Sequence[in
         p, k = shape or (0, 0)
         if pair:
             value, witness, route = 2, (pair if want_witness else None), "m_two"
-        elif k == 1 and e <= DENSE_LIMIT and _coset_cheaper(e, n, want_witness):
+        elif k == 1 and e <= DENSE_LIMIT:
             value, witness = _m_coset(q, e, n, want_witness)
             route = "coset"
         elif e > DENSE_LIMIT or k > 1 and n % p and not want_witness:

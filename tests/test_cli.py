@@ -57,11 +57,19 @@ def test_m_golden_of_a_label_range_query():
 
 
 def test_m_golden_of_a_label_range_order_at_a_small_prime():
-    # order 2049 mod the prime 4099, where the coset route's estimate keeps
-    # the label step: witness 4^0 + 4^0 + 4^1025
+    # order 2049 mod the prime 4099, past the gate of _route, so the coset
+    # route answers: witness 4^0 + 4^0 + 4^1025
     res = run("m", "4", "4099")
     assert res.exit_code == 0
     assert res.output.rstrip("\n") == golden("m_4_4099.txt")
+
+
+def test_m_golden_of_a_label_range_order_with_two_cosets():
+    # order 313779 mod the prime 627559, d = 2 cosets: the coset route
+    # reads the witness 9^0 + 9^156890 + 9^310555 the label step read
+    res = run("m", "9", "627559")
+    assert res.exit_code == 0
+    assert res.output.rstrip("\n") == golden("m_9_627559.txt")
 
 
 @pytest.mark.parametrize("q, mv", [(1, 4398205895659), (4398205895658, 2)])

@@ -685,15 +685,25 @@ def test_gated_prime_squares_take_the_orbit_engine(p, n):
     assert value == engine._bfs_dense(e, engine._powers_of(q, e), False, gcd(e, q - 1))[0]
 
 
-def test_a_prime_the_coset_rule_declines_takes_the_bitmask():
-    # a prime modulus past the gate that the coset rule declines keeps the
-    # dense search: only p^k with k >= 2 goes to the orbit engine
-    e, n = 50513, 11
-    q = element_of_order(e, 1, n)
-    assert n * -(-e // 64) > engine._KEYED_FIXED_WORDS
-    assert not engine._coset_cheaper(e, n, False)
-    assert engine._route(q, e, False) == (11, None, "bitmask")
-    assert engine._m_orbit(e, e, q, n, False) == (11, None)
+# (e, n): a prime order at a prime, and the nine classes of the walk of every
+# e <= 2049 past the gate at a prime that the bitmask answered until every
+# gated prime took the coset route (each has m = 3)
+GATED_PRIME_CLASSES = [(50513, 11), (719, 359), (743, 371), (839, 419), (863, 431),
+                       (887, 443), (947, 473), (983, 491), (1013, 253), (1019, 509)]
+
+
+def test_every_gated_prime_takes_the_coset_route():
+    # a prime modulus past the gate takes the coset route, with or without
+    # a witness, and answers as the dense step does; only p^k with k >= 2
+    # goes to the orbit engine
+    for e, n in GATED_PRIME_CLASSES:
+        q = element_of_order(e, 1, n)
+        assert n * -(-e // 64) > engine._KEYED_FIXED_WORDS, (e, n)
+        value = engine._bfs_dense(e, engine._powers_of(q, e), False, gcd(e, q - 1))[0]
+        assert engine._route(q, e, False) == (value, None, "coset"), (e, n)
+        assert engine._route(q, e, True) == (*_dense_answer(q, e, n), "coset"), (e, n)
+    q = element_of_order(50513, 1, 11)
+    assert engine._m_orbit(50513, 50513, q, 11, False) == (11, None)
 
 
 @pytest.mark.slow
@@ -846,6 +856,9 @@ def test_dense_dispatch_is_on_the_order(monkeypatch):
     assert routes == [("coset", 509)]
     routes.clear()
     m(4, 4099)  # 4 has the odd order 2049, so -1 is not a power of it: m = 3
+    assert routes == [("coset", 2049)]
+    routes.clear()
+    m(4, 3 * 4099)  # the same order at a composite modulus takes the label step
     assert routes == [("label", 2049)]
     routes.clear()
     m(2, 4099)  # 2 has order 4098 and 2^2049 = -1: no BFS
@@ -1056,6 +1069,25 @@ def test_cold_walk_to_2049_routes_54964_classes(monkeypatch):
     assert sum(map(len, routed.values())) == 54964
 
 
+WALK_DIGESTS = Path(__file__).parent / "golden" / "walk_digests.txt"
+
+
+def test_walk_tables_match_their_digests():
+    # each line: moduli ("lo-hi" or a comma list) and the sha256 of values,
+    # cls and order of _walk(e), e ascending; m never changes, so neither does
+    # this file
+    for line in WALK_DIGESTS.read_text().splitlines():
+        spec, want = line.split()
+        lo, _, hi = spec.partition("-")
+        moduli = range(int(lo), int(hi) + 1) if hi else map(int, spec.split(","))
+        digest = hashlib.sha256()
+        for e in moduli:
+            table = engine._walk(e)
+            for column in (table.values, table.cls, table.order):
+                digest.update(column.tobytes())
+        assert digest.hexdigest() == want, spec
+
+
 @pytest.mark.slow
 def test_every_settled_class_to_2049_equals_a_search(monkeypatch):
     tables, routed = _walk_routed(monkeypatch, range(2, 2050))
@@ -1180,7 +1212,7 @@ def test_coset_witness_builds_no_level_past_r_minus_2(monkeypatch):
     assert _coset_levels_built(monkeypatch, 52802, 60041) == (5, 5, "coset", 2)
 
 
-@pytest.mark.parametrize("q, e", [(4, 7), (4, 4099), (47608, 277993)])
+@pytest.mark.parametrize("q, e", [(4, 7), (4, 4099), (4, 12297), (47608, 277993)])
 def test_dense_witness_never_asks_for_the_level_below_m(monkeypatch, q, e):
     asked, backtrack = [], engine._dense_witness
 
@@ -1296,7 +1328,7 @@ def test_perfbench_query_answers_match_their_digests(monkeypatch):
     assert _query_digests(monkeypatch) == want
 
 
-@pytest.mark.parametrize("q, e, mv", [(4, 7, 3), (4, 4099, 3), (47608, 277993, 3)],
+@pytest.mark.parametrize("q, e, mv", [(4, 7, 3), (4, 12297, 3), (47608, 277993, 3)],
                          ids=["bitmask", "label", "coset"])
 @pytest.mark.parametrize("fault", ["length", "sum"])
 def test_a_wrong_dense_witness_raises(monkeypatch, q, e, mv, fault):

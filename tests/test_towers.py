@@ -44,16 +44,16 @@ def test_fixed_base_tower_9_11():
 
 
 def test_fixed_base_tower_tags_the_orbit_choice():
-    # m alone of order 17 at 953^2: the engine's cost rule picks the orbit
-    # engine inside the dense range, and the tag says so; at 953 the
-    # bitmask is cheaper
+    # m alone of order 17 at 953^2: past the gate of the engine, the shape
+    # p^k, k >= 2, picks the orbit engine inside the dense range, and the tag
+    # says so; at 953 the order stays below the gate, on the bitmask
     tower = fixed_base_tower(element_of_order(953, 2, 17), 953, 2)
     assert [(en.ord, en.source) for en in tower.entries] == [(17, "bitmask"), (17, "orbit")]
 
 
 def test_fixed_base_tower_tags_the_coset_choice():
-    # m alone of order 11 at a prime near 2^20: the cost rule picks the
-    # coset route, and the tag says so
+    # m alone of order 11 at a prime near 2^20: past the gate of the engine,
+    # the prime shape picks the coset route, and the tag says so
     p = 1048609
     assert (p - 1) % 11 == 0
     tower = fixed_base_tower(element_of_order(p, 1, 11), p, 1)
