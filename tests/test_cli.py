@@ -65,8 +65,8 @@ def test_m_golden_of_a_label_range_order_at_a_small_prime():
 
 
 def test_m_golden_of_a_label_range_order_with_two_cosets():
-    # order 313779 mod the prime 627559, d = 2 cosets: the coset route
-    # reads the witness 9^0 + 9^156890 + 9^310555 the label step read
+    # order 313779 mod the prime 627559, d = 2 cosets, past the gate of
+    # _route, so the coset route answers: witness 9^0 + 9^156890 + 9^310555
     res = run("m", "9", "627559")
     assert res.exit_code == 0
     assert res.output.rstrip("\n") == golden("m_9_627559.txt")

@@ -685,9 +685,9 @@ def test_gated_prime_squares_take_the_orbit_engine(p, n):
     assert value == engine._bfs_dense(e, engine._powers_of(q, e), False, gcd(e, q - 1))[0]
 
 
-# (e, n): a prime order at a prime, and the nine classes of the walk of every
-# e <= 2049 past the gate at a prime that the bitmask answered until every
-# gated prime took the coset route (each has m = 3)
+# (e, n): a prime order at a prime, and the nine classes with m = 3 of the
+# walk of every e <= 2049 past the gate at a prime where the bitmask is the
+# faster search (30-57 us against 57-68 us on the coset route)
 GATED_PRIME_CLASSES = [(50513, 11), (719, 359), (743, 371), (839, 419), (863, 431),
                        (887, 443), (947, 473), (983, 491), (1013, 253), (1019, 509)]
 
